@@ -70,7 +70,10 @@ _ACTION_RE = re.compile(r"^(ReadPathAction|ToolCallAction)\((.*)\)$", re.DOTALL)
 
 
 def parse_action(text: str) -> Action:
-    """Inverse of format_action. Raises ValueError on unknown variants."""
+    """Inverse of format_action. Raises ValueError on unknown variants and
+    on anything that is not a string."""
+    if not isinstance(text, str):
+        raise ValueError(f"action literal must be a string, got {text!r}")
     if text == "NoAction":
         return NoAction()
     if text == "StepAction":

@@ -12,13 +12,12 @@ identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .actions import parse_action
-from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow
+from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow, with_prefix_mode
 from .gates import (
     SEEDED_ERRORS,
     GateReport,
@@ -40,11 +39,7 @@ EXIT_USAGE = 2
 
 
 def _load(args) -> FlowDefinition:
-    defn = load_flow(args.flow)
-    if getattr(args, "prefix_mode", None):
-        constants = dataclasses.replace(defn.constants, prefix_mode=args.prefix_mode)
-        defn = dataclasses.replace(defn, constants=constants)
-    return defn
+    return with_prefix_mode(load_flow(args.flow), args.prefix_mode)
 
 
 def _emit(args, document: dict) -> None:
@@ -209,13 +204,11 @@ def cmd_gates(args) -> int:
         raise FlowFileError(f"no such flow file: {args.flow}")
     text = flow_path.read_text()
     mutation_ids = tuple(args.mutation.split(",")) if args.mutation else None
-    report = run_gates(text, args.depth, mutation_ids)
+    report = run_gates(text, args.depth, mutation_ids, prefix_mode=args.prefix_mode)
 
-    # For the report document we still need a parsed flow; on a G1 failure
-    # there is none, so emit a reduced document.
-    if report.g1.passed:
-        defn = _load(args)
-        _emit(args, _gate_report_document(defn, args.depth, report))
+    # On a G1 failure there is no verified flow, so emit a reduced document.
+    if report.flow is not None:
+        _emit(args, _gate_report_document(report.flow, args.depth, report))
     else:
         _emit(
             args,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .actions import Action, format_action, parse_action
@@ -47,6 +47,21 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise FlowFileError(f"missing keys in {where}: {sorted(missing)}")
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` itself if it has JSON type ``kind`` (a boolean is no
+    integer), else FlowFileError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise FlowFileError(f"{where} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _strings(value, where: str) -> list[str]:
+    return [_typed(v, str, f"{where} entries") for v in _typed(value, list, where)]
+
+
 def parse_flow(text: str) -> FlowDefinition:
     try:
         doc = json.loads(text)
@@ -60,64 +75,66 @@ def parse_flow(text: str) -> FlowDefinition:
         {"schema_version", "provenance", "constants", "graph", "alphabet"},
         "document",
     )
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if doc["schema_version"] != SCHEMA_VERSION or isinstance(doc["schema_version"], bool):
         raise FlowFileError(f"unsupported schema_version: {doc['schema_version']!r}")
 
-    cobj = doc["constants"]
-    if not isinstance(cobj, dict):
-        raise FlowFileError("constants must be an object")
+    cobj = _typed(doc["constants"], dict, "constants")
     _require_keys(
         cobj,
         {"workspace_root", "allowed_tools", "max_steps", "prefix_mode", "count_all_actions"},
         {"workspace_root", "allowed_tools", "max_steps"},
         "constants",
     )
+    workspace_root = _typed(cobj["workspace_root"], str, "constants.workspace_root")
+    allowed_tools = frozenset(_strings(cobj["allowed_tools"], "constants.allowed_tools"))
+    max_steps = _typed(cobj["max_steps"], int, "constants.max_steps")
+    prefix_mode = _typed(cobj.get("prefix_mode", "guarded"), str, "constants.prefix_mode")
+    count_all_actions = _typed(cobj.get("count_all_actions", True), bool, "constants.count_all_actions")
     try:
-        constants = SpecConstants(
-            workspace_root=cobj["workspace_root"],
-            allowed_tools=frozenset(cobj["allowed_tools"]),
-            max_steps=cobj["max_steps"],
-            prefix_mode=cobj.get("prefix_mode", "guarded"),
-            count_all_actions=cobj.get("count_all_actions", True),
-        )
-    except (ValueError, TypeError) as e:
+        constants = SpecConstants(workspace_root, allowed_tools, max_steps, prefix_mode, count_all_actions)
+    except ValueError as e:
         raise FlowFileError(f"bad constants: {e}") from e
 
-    gobj = doc["graph"]
-    if not isinstance(gobj, dict):
-        raise FlowFileError("graph must be an object")
+    gobj = _typed(doc["graph"], dict, "graph")
     _require_keys(gobj, {"entry", "nodes", "edges"}, {"entry", "nodes", "edges"}, "graph")
     node_kinds = []
-    for n in gobj["nodes"]:
-        if not isinstance(n, dict):
-            raise FlowFileError("graph.nodes entries must be objects")
+    for n in _typed(gobj["nodes"], list, "graph.nodes"):
+        _typed(n, dict, "graph.nodes entries")
         _require_keys(n, {"name", "kind"}, {"name", "kind"}, "graph node")
         try:
             kind = NodeKind(n["kind"])
         except ValueError as e:
             raise FlowFileError(f"unknown node kind: {n['kind']!r}") from e
-        node_kinds.append((n["name"], kind))
+        node_kinds.append((_typed(n["name"], str, "graph node name"), kind))
     edges = []
-    for e in gobj["edges"]:
-        if not isinstance(e, dict):
-            raise FlowFileError("graph.edges entries must be objects")
+    for e in _typed(gobj["edges"], list, "graph.edges"):
+        _typed(e, dict, "graph.edges entries")
         _require_keys(e, {"from", "label", "to"}, {"from", "label", "to"}, "graph edge")
-        edges.append((e["from"], e["label"], e["to"]))
-    graph = FlowGraph(entry=gobj["entry"], node_kinds=tuple(node_kinds), edges=tuple(edges))
+        edges.append(tuple(_typed(e[k], str, f"graph edge {k!r}") for k in ("from", "label", "to")))
+    entry = _typed(gobj["entry"], str, "graph.entry")
+    graph = FlowGraph(entry=entry, node_kinds=tuple(node_kinds), edges=tuple(edges))
 
+    literals = _strings(doc["alphabet"], "alphabet")
     try:
-        alphabet = tuple(parse_action(lit) for lit in doc["alphabet"])
+        alphabet = tuple(parse_action(lit) for lit in literals)
     except ValueError as e:
         raise FlowFileError(f"bad alphabet: {e}") from e
     if not alphabet:
         raise FlowFileError("alphabet must be nonempty")
 
     return FlowDefinition(
-        provenance=doc["provenance"],
+        provenance=_typed(doc["provenance"], str, "provenance"),
         constants=constants,
         graph=graph,
         alphabet=alphabet,
     )
+
+
+def with_prefix_mode(defn: FlowDefinition, prefix_mode: str | None) -> FlowDefinition:
+    """``defn`` with its workspace-prefix mode replaced; unchanged for None."""
+    if prefix_mode is None:
+        return defn
+    return replace(defn, constants=replace(defn.constants, prefix_mode=prefix_mode))
 
 
 def flow_to_document(defn: FlowDefinition) -> dict:

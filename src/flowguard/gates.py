@@ -43,28 +43,19 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
-from .actions import (
-    Action,
-    NoEffect,
-    ReadEvent,
-    ReadPathAction,
-    StepAction,
-    StepEvent,
-    ToolCallAction,
-    ToolEvent,
-    format_action,
-    format_boundary_event,
+from .actions import Action, NoEffect, format_action, format_boundary_event
+from .flowfile import (
+    FlowDefinition,
+    FlowFileError,
+    flow_to_document,
+    parse_flow,
+    serialize_flow,
+    with_prefix_mode,
 )
-from .flowfile import FlowDefinition, FlowFileError, flow_to_document, parse_flow, serialize_flow
-from .impl_model import (
-    NO_NODE,
-    FlowGraphError,
-    ImplConstants,
-    ImplState,
-    impl_wf,
-)
+from .impl_model import INVARIANT, FlowGraphError, ImplConstants, impl_inv, impl_wf
 from .refinement import (
     AbstractionBundle,
     InvPredicate,
@@ -74,11 +65,12 @@ from .refinement import (
     reachable_layers,
 )
 from .spec_model import (
+    POLICY,
+    SEQUENCE_CONJUNCTS,
     PreservationVerdict,
     SpecConstants,
     SpecState,
     check_safety_preserved,
-    path_under_root,
     spec_init,
     spec_next,
     spec_safety,
@@ -129,75 +121,27 @@ class Mutation:
 
 # ---------------------------------------------------------------------------
 # The seeded-error library. Each mutant is a deliberate, small, plausible
-# modeling error written out in full so the diff against the real relation
-# is explicit.
+# modeling error, written as a named edit of one definition: a conjunct of
+# the policy table, the event abstraction, or a clause of the invariant.
 
 
-def _seeded_next_drop_allowlist(c: SpecConstants, s: SpecState, a: Action) -> tuple:
-    """The abstract relation with the tool-allowlist membership check
-    removed: any tool call is admitted."""
-    stutter = (NoEffect(), s)
-    match a:
-        case ReadPathAction(path):
-            if not path_under_root(c.workspace_root, path, c.prefix_mode):
-                return (stutter,)
-            event, nxt = ReadEvent(path), replace(s, read_paths=s.read_paths + (path,))
-        case ToolCallAction(tool):
-            # the membership guard belonged here
-            event, nxt = ToolEvent(tool), replace(s, tool_calls=s.tool_calls + (tool,))
-        case StepAction():
-            event, nxt = StepEvent(), s
-        case _:
-            return (stutter,)
-    if c.count_all_actions or isinstance(a, StepAction):
-        if s.step_count >= c.max_steps:
-            return (stutter,)
-        count = s.step_count + 1
-        nxt = replace(nxt, step_count=count, halted=count >= c.max_steps)
-    return ((event, nxt), stutter)
+def _edit_policy(name: str, **changes) -> Callable[[SpecBundle], CheckConfig]:
+    """The abstract relation of the policy table with conjunct ``name``
+    changed; everything else about the bundle is kept."""
+    policy = tuple(replace(k, **changes) if k.name == name else k for k in POLICY)
+    relation = partial(spec_next, policy=policy)
+    return lambda b: CheckConfig(replace(b, next_relation=relation))
 
 
-def _seeded_next_bound_off_by_one(c: SpecConstants, s: SpecState, a: Action) -> tuple:
-    """The abstract relation with the capacity comparison off by one:
-    the step that lands beyond the bound is admitted."""
-    stutter = (NoEffect(), s)
-    match a:
-        case ReadPathAction(path):
-            if not path_under_root(c.workspace_root, path, c.prefix_mode):
-                return (stutter,)
-            event, nxt = ReadEvent(path), replace(s, read_paths=s.read_paths + (path,))
-        case ToolCallAction(tool):
-            if tool not in c.allowed_tools:
-                return (stutter,)
-            event, nxt = ToolEvent(tool), replace(s, tool_calls=s.tool_calls + (tool,))
-        case StepAction():
-            event, nxt = StepEvent(), s
-        case _:
-            return (stutter,)
-    if c.count_all_actions or isinstance(a, StepAction):
-        if s.step_count > c.max_steps:  # ">=" became ">"
-            return (stutter,)
-        count = s.step_count + 1
-        nxt = replace(nxt, step_count=count, halted=count >= c.max_steps)
-    return ((event, nxt), stutter)
+def _drop_invariant_clause(name: str) -> Callable[[SpecBundle], CheckConfig]:
+    """The declared invariant without clause ``name``, assumed when the
+    obligation states are selected."""
+    inv = partial(impl_inv, clauses={n: clause for n, clause in INVARIANT.items() if n != name})
+    return lambda b: CheckConfig(b, assume_inv=inv)
 
 
 def _collapse_events_to_noeffect(_e) -> NoEffect:
     return NoEffect()
-
-
-def _inv_without_history_length(c: ImplConstants, s: ImplState) -> bool:
-    """The declared invariant minus the history-length alignment clause."""
-    if not impl_wf(c, s):
-        return False
-    if s.step_count > c.spec.max_steps:
-        return False
-    if s.halted and s.step_count < c.spec.max_steps:
-        return False
-    if s.last_node is not NO_NODE:
-        if not s.history or s.history[-1] != (s.last_node, s.last_action):
-            return False
-    return True
 
 
 def permissive_stub() -> Mutation:
@@ -225,13 +169,13 @@ SEEDED_ERRORS: dict[str, Mutation] = {
             "drop-allowlist-guard",
             "seeded-error",
             "abstract relation admits any tool call",
-            lambda b: CheckConfig(replace(b, next_relation=_seeded_next_drop_allowlist)),
+            _edit_policy("ToolAllowlisted", guard=lambda c, tool: True),
         ),
         Mutation(
             "step-bound-off-by-one",
             "seeded-error",
             "abstract relation admits one step beyond the bound",
-            lambda b: CheckConfig(replace(b, next_relation=_seeded_next_bound_off_by_one)),
+            _edit_policy("StepBounded", guard=lambda c, count: count <= c.max_steps),  # "<" became "<="
         ),
         Mutation(
             "event-to-noeffect",
@@ -248,7 +192,7 @@ SEEDED_ERRORS: dict[str, Mutation] = {
             "drop-history-clause",
             "seeded-error",
             "assumed invariant loses the history-length alignment clause",
-            lambda b: CheckConfig(b, assume_inv=_inv_without_history_length),
+            _drop_invariant_clause("history_length"),
         ),
     )
 }
@@ -481,22 +425,19 @@ def check_template_fitness(
     layers = reachable_layers(c, alphabet, depth)
 
     found: dict[str, ConjunctFitness] = {}
-    fields = (("ReadPathsRooted", "read_paths"), ("ToolAllowlisted", "tool_calls"))
     for d, layer in enumerate(layers):
         for s in layer:
             projected = abs_of(s)
-            for name, field_name in fields:
-                if name in found:
+            for k in SEQUENCE_CONJUNCTS:
+                if k.name in found:
                     continue
-                value = getattr(projected, field_name)
+                value = getattr(projected, k.field)
                 if value:
-                    found[name] = ConjunctFitness(name, "witnessed", d, tuple(value))
-        if len(found) == len(fields):
+                    found[k.name] = ConjunctFitness(k.name, "witnessed", d, tuple(value))
+        if len(found) == len(SEQUENCE_CONJUNCTS):
             break
 
-    conjuncts = tuple(
-        found.get(name, ConjunctFitness(name, "VACUOUS")) for name, _ in fields
-    )
+    conjuncts = tuple(found.get(k.name, ConjunctFitness(k.name, "VACUOUS")) for k in SEQUENCE_CONJUNCTS)
     return FitnessReport(conjuncts)
 
 
@@ -512,6 +453,7 @@ class GateReport:
     fitness_verdict: GateVerdict
     mutants: tuple[MutantResult, ...] = ()
     fitness: FitnessReport | None = None
+    flow: FlowDefinition | None = None  # the definition G2, G3 and fitness verified
 
     @property
     def passed(self) -> bool:
@@ -528,8 +470,14 @@ def run_gates(
     depth: int,
     mutation_ids: tuple[str, ...] | None = None,
     timeout_seconds: float = DEFAULT_GATE_BUDGET_SECONDS,
+    prefix_mode: str | None = None,
 ) -> GateReport:
-    """G1 -> G2 -> G3 -> fitness, short-circuiting after a G1 failure."""
+    """G1 -> G2 -> G3 -> fitness, short-circuiting after a G1 failure.
+
+    G1 judges ``flow_text`` as written; the other gates verify the
+    definition it loads, with ``prefix_mode`` in place of the file's mode
+    when one is given.
+    """
     resolution = gate_resolution(flow_text, timeout_seconds)
     if not resolution.verdict.passed:
         skipped = GateVerdict("g2", "skipped", "g1 failed")
@@ -539,9 +487,10 @@ def run_gates(
             g3=GateVerdict("g3", "skipped", "g1 failed"),
             fitness_verdict=GateVerdict("fitness", "skipped", "g1 failed"),
         )
-    assert resolution.flow is not None and resolution.bundle is not None
-    flow, bundle = resolution.flow, resolution.bundle
+    assert resolution.flow is not None
+    flow = with_prefix_mode(resolution.flow, prefix_mode)
     c = flow.impl_constants
+    bundle = default_spec_bundle(c, flow.provenance)
 
     g2 = gate_vacuity(c, bundle, flow.alphabet, depth)
 
@@ -556,13 +505,17 @@ def run_gates(
             raise ValueError(f"unknown mutation id: {mid!r}")
         _verdict, result = gate_discrimination(c, bundle, mutation, flow.alphabet, depth)
         mutants.append(result)
-    all_killed = all(m.killed for m in mutants)
-    survivors = ", ".join(m.mutation_id for m in mutants if not m.killed)
-    g3 = GateVerdict(
-        "g3",
-        "pass" if all_killed else "fail",
-        f"{len(mutants)} mutants killed" if all_killed else f"surviving mutants: {survivors}",
-    )
+    if all(m.killed for m in mutants):
+        g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")
+    else:
+        detail = "surviving mutants: " + ", ".join(m.mutation_id for m in mutants if not m.killed)
+        floor = c.spec.max_steps + 1
+        if depth < floor:
+            detail += (
+                f"; configuration floor: depth >= {floor} required (a step beyond the bound "
+                f"max_steps={c.spec.max_steps} cannot be reached at depth {depth})"
+            )
+        g3 = GateVerdict("g3", "fail", detail)
 
     fitness = check_template_fitness(c, bundle, flow.alphabet, depth)
     fitness_verdict = GateVerdict(
@@ -580,4 +533,5 @@ def run_gates(
         fitness_verdict=fitness_verdict,
         mutants=tuple(mutants),
         fitness=fitness,
+        flow=flow,
     )

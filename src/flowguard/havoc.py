@@ -20,8 +20,6 @@ from .actions import (
     ImplEvent,
     NoAction,
     NoEffect,
-    ReadPathAction,
-    ToolCallAction,
     format_action,
 )
 from .impl_model import (
@@ -34,20 +32,16 @@ from .impl_model import (
     impl_safety,
 )
 from .lts import HistoryEntry, Trace, TraceStep
-from .spec_model import SpecConstants, path_under_root
+from .spec_model import SEQUENCE_CONJUNCTS, SpecConstants
 
 
 def action_out_of_policy(c: SpecConstants, a: Action) -> bool:
-    """Static policy complement: reads outside the root and tool calls
-    outside the allowlist. Step capacity is state-dependent and not
-    judged here."""
-    match a:
-        case ReadPathAction(path):
-            return not path_under_root(c.workspace_root, path, c.prefix_mode)
-        case ToolCallAction(tool):
-            return tool not in c.allowed_tools
-        case _:
-            return False
+    """Static policy complement: a read or tool call whose value the guard
+    of its sequence conjunct rejects. Step capacity is state-dependent and
+    not judged here."""
+    return any(
+        isinstance(a, k.action) and not k.guard(c, getattr(a, k.arg)) for k in SEQUENCE_CONJUNCTS
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ value, never an error: the machine is total.
 
 An action is effected only when all of these hold:
   * the machine has not halted,
-  * the policy admits it (rooted path / allowlisted tool / step capacity),
+  * the guards of the policy table admit it (rooted path / allowlisted
+    tool / step capacity),
   * the current node's kind matches the action variant, and
   * an outgoing edge labeled with the action's canonical label exists.
 
@@ -18,8 +19,9 @@ or tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .actions import (
     Action,
@@ -37,7 +39,15 @@ from .actions import (
     action_label,
 )
 from .lts import TransitionSystem
-from .spec_model import SpecConstants, path_under_root
+from .spec_model import (
+    READ_PATHS_ROOTED,
+    STEP_BOUNDED,
+    TOOL_ALLOWLISTED,
+    SpecConstants,
+    admits,
+    boundary_effect,
+    violated,
+)
 
 NO_NODE = None  # sentinel for "no node visited yet"
 
@@ -138,27 +148,13 @@ _KIND_FOR_ACTION = {
 }
 
 
-def _policy_admits(c: SpecConstants, s: ImplState, a: Action) -> bool:
-    match a:
-        case ReadPathAction(path):
-            guard = path_under_root(c.workspace_root, path, c.prefix_mode)
-        case ToolCallAction(tool):
-            guard = tool in c.allowed_tools
-        case StepAction():
-            guard = True
-        case _:
-            return False
-    if c.count_all_actions or isinstance(a, StepAction):
-        guard = guard and s.step_count < c.max_steps
-    return guard
+_NO_EFFECT = ImplEvent(NoEffect())  # immutable, so one instance serves every stutter
 
 
 def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEvent, ImplState], ...]:
     """Deterministic, total: exactly one successor per (state, action)."""
-    stutter = ((ImplEvent(NoEffect()), s),)
-    if s.halted:
-        return stutter
-    if not _policy_admits(c.spec, s, a):
+    stutter = ((_NO_EFFECT, s),)
+    if s.halted or not admits(c.spec, s, a):
         return stutter
     wanted = _KIND_FOR_ACTION.get(type(a))
     if wanted is None or c.graph.kind_of(s.current_node) is not wanted:
@@ -169,77 +165,56 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
     if target is None:
         return stutter
 
-    match a:
-        case ReadPathAction(path):
-            effect: BoundaryEvent = ReadEvent(path)
-            nxt = replace(s, read_paths=s.read_paths + (path,))
-        case ToolCallAction(tool):
-            effect = ToolEvent(tool)
-            nxt = replace(s, tool_calls=s.tool_calls + (tool,))
-        case _:
-            effect = StepEvent()
-            nxt = s
-    if c.spec.count_all_actions or isinstance(a, StepAction):
-        count = s.step_count + 1
-        nxt = replace(nxt, step_count=count, halted=count >= c.spec.max_steps)
-    nxt = replace(
-        nxt,
-        history=s.history + ((s.current_node, a),),
-        current_node=target,
-        last_node=s.current_node,
-        last_action=a,
-    )
-    event = ImplEvent(effect, Dispatch(s.current_node, label, target))
-    return ((event, nxt),)
+    effect, fields = boundary_effect(c.spec, s, a)
+    nxt = ImplState(target, *fields, s.history + ((s.current_node, a),), s.current_node, a)
+    return ((ImplEvent(effect, Dispatch(s.current_node, label, target)), nxt),)
 
 
-def impl_inv(c: ImplConstants, s: ImplState) -> bool:
+InvClause = Callable[[ImplConstants, ImplState], bool]
+
+INVARIANT: dict[str, InvClause] = {
+    "well_formed": impl_wf,
+    "step_bounded": lambda c, s: STEP_BOUNDED.holds(c.spec, s.step_count),
+    "halts_at_bound": lambda c, s: not s.halted or s.step_count >= c.spec.max_steps,
+    "history_length": lambda c, s: (
+        len(s.history) == s.step_count if c.spec.count_all_actions else len(s.history) >= s.step_count
+    ),
+    "last_step_recorded": lambda c, s: (
+        s.last_node is NO_NODE or s.history[-1:] == ((s.last_node, s.last_action),)
+    ),
+}
+
+
+def impl_inv(c: ImplConstants, s: ImplState, clauses: dict[str, InvClause] = INVARIANT) -> bool:
     """Inductive invariant strengthening the refinement: holds at init and
-    is preserved by every step."""
-    if not impl_wf(c, s):
-        return False
-    if s.step_count > c.spec.max_steps:
-        return False
-    if s.halted and s.step_count < c.spec.max_steps:
-        return False
-    if c.spec.count_all_actions:
-        if len(s.history) != s.step_count:
-            return False
-    else:
-        if len(s.history) < s.step_count:
-            return False
-    if s.last_node is not NO_NODE:
-        if not s.history or s.history[-1] != (s.last_node, s.last_action):
+    is preserved by every step. It is the conjunction of the named
+    ``clauses``."""
+    for clause in clauses.values():
+        if not clause(c, s):
             return False
     return True
 
 
 def impl_safety(c: ImplConstants, s: ImplState) -> bool:
-    """The concrete boundary policy as a state predicate: the same three
-    conjuncts as the abstract safety predicate, read off the concrete
-    fields."""
-    sc = c.spec
-    return (
-        all(path_under_root(sc.workspace_root, p, sc.prefix_mode) for p in s.read_paths)
-        and all(t in sc.allowed_tools for t in s.tool_calls)
-        and s.step_count <= sc.max_steps
-    )
+    """The concrete boundary policy as a state predicate: the conjuncts of
+    the abstract safety predicate, read off the concrete fields."""
+    return violated(c.spec, s) is None
 
 
 def event_in_policy(c: ImplConstants, pre: ImplState, event: ImplEvent | BoundaryEvent) -> bool:
     """Does an emitted event comply with the boundary policy, judged at its
-    pre-state? Stutters always comply."""
+    pre-state by the guard of the conjunct its action variant answers to?
+    Stutters always comply."""
     effect = event.effect if isinstance(event, ImplEvent) else event
-    sc = c.spec
     match effect:
         case NoEffect():
             return True
         case ReadEvent(path):
-            return path_under_root(sc.workspace_root, path, sc.prefix_mode)
+            return READ_PATHS_ROOTED.guard(c.spec, path)
         case ToolEvent(tool):
-            return tool in sc.allowed_tools
+            return TOOL_ALLOWLISTED.guard(c.spec, tool)
         case StepEvent():
-            return pre.step_count < sc.max_steps
+            return STEP_BOUNDED.guard(c.spec, pre.step_count)
     return False
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .actions import Action, BoundaryEvent, ImplEvent, NoAction, ReadPathAction, ToolCallAction
+from .actions import Action, BoundaryEvent, ImplEvent, NoAction
 from .impl_model import (
     NO_NODE,
     ImplConstants,
@@ -48,12 +48,13 @@ from .impl_model import (
 )
 from .lts import Trace
 from .spec_model import (
+    SEQUENCE_CONJUNCTS,
     SpecConstants,
     SpecState,
-    path_under_root,
     spec_init,
     spec_next,
     spec_safety,
+    violated,
 )
 
 ConstantsAbs = Callable[[ImplConstants], SpecConstants]
@@ -103,12 +104,18 @@ def default_bundle() -> AbstractionBundle:
 # Exploration: reachable states plus structured perturbations
 
 
+# Out-of-policy values tried when the alphabet offers none, per policed field.
+_FALLBACK_JUNK: dict[str, tuple[str, ...]] = {"tool_calls": ("__unlisted__",)}
+
+
 def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) -> tuple[ImplState, ...]:
     """Deterministic junk-state library around a reachable state.
 
     Each edit targets one invariant clause or one safety conjunct; all
     results stay well-formed (current_node untouched except by the node
-    moves, which stay inside the graph).
+    moves, which stay inside the graph). A sequence conjunct's edit appends
+    the first value of the alphabet its guard rejects, or its fallback
+    junk value when the alphabet has none.
     """
     out: list[ImplState] = []
     if s.history:
@@ -119,26 +126,12 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
         out.append(replace(s, step_count=s.step_count - 1))
     out.append(replace(s, halted=not s.halted))
 
-    sc = c.spec
-    unrooted = next(
-        (
-            a.path
-            for a in alphabet
-            if isinstance(a, ReadPathAction)
-            and not path_under_root(sc.workspace_root, a.path, sc.prefix_mode)
-        ),
-        None,
-    )
-    if unrooted is not None:
-        out.append(replace(s, read_paths=s.read_paths + (unrooted,)))
-    unlisted = next(
-        (a.tool for a in alphabet if isinstance(a, ToolCallAction) and a.tool not in sc.allowed_tools),
-        None,
-    )
-    if unlisted is None and "__unlisted__" not in sc.allowed_tools:
-        unlisted = "__unlisted__"
-    if unlisted is not None:
-        out.append(replace(s, tool_calls=s.tool_calls + (unlisted,)))
+    for k in SEQUENCE_CONJUNCTS:
+        values = [getattr(a, k.arg) for a in alphabet if isinstance(a, k.action)]
+        values += _FALLBACK_JUNK.get(k.field, ())
+        junk = next((v for v in values if not k.guard(c.spec, v)), None)
+        if junk is not None:
+            out.append(replace(s, **{k.field: getattr(s, k.field) + (junk,)}))
 
     if s.last_node is not NO_NODE:
         out.append(replace(s, last_node=NO_NODE, last_action=NoAction()))
@@ -367,11 +360,5 @@ def check_soundness(
 
 
 def _failed_conjunct(c: ImplConstants, s: ImplState) -> str:
-    sc = c.spec
-    if not all(path_under_root(sc.workspace_root, p, sc.prefix_mode) for p in s.read_paths):
-        return "read path outside the workspace root"
-    if not all(t in sc.allowed_tools for t in s.tool_calls):
-        return "tool call outside the allowlist"
-    if s.step_count > sc.max_steps:
-        return "step count above the bound"
-    return "unknown"
+    k = violated(c.spec, s)
+    return k.violation if k is not None else "unknown"

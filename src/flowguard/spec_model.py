@@ -2,10 +2,14 @@
 refinement pair.
 
 The machine tracks only the four boundary-visible variables (read paths,
-tool calls, step count, halted flag). Its transition relation encodes the
-policy directly: a rooted read appends, an allowlisted tool call appends,
-a step advances the counter while capacity remains, and every (state,
-action) pair also admits a no-effect stutter. The stutter option is what
+tool calls, step count, halted flag). The policy is defined once, as the
+table POLICY of three named conjuncts (rooted reads, allowlisted tools,
+bounded steps); each holds the guard a transition checks and the state
+predicate safety checks. Both machines, every safety check and the
+seeded errors of the gates are derived from it. Under it a rooted read
+appends, an allowlisted tool call appends, a step advances the counter
+while capacity remains, and every (state, action) pair also admits a
+no-effect stutter. The stutter option is what
 lets a concrete machine reject an action for reasons the abstract machine
 cannot see (wrong node kind, missing edge) and still refine.
 
@@ -15,7 +19,8 @@ states must be representable so checks can reject them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .actions import (
     Action,
@@ -87,53 +92,115 @@ def spec_init(c: SpecConstants) -> SpecState:
     return SpecState()
 
 
+# ---------------------------------------------------------------------------
+# The policy, defined once: every other use of its guards is derived from it.
+
+
+@dataclass(frozen=True)
+class Conjunct:
+    """One named conjunct of the boundary policy: the ``guard`` a transition
+    checks before it effects an action, and the predicate ``holds`` that
+    safety checks on the state's ``field``. A sequence conjunct guards the
+    value ``getattr(a, arg)`` of an ``action``-typed action, which the action
+    appends to ``field``; the step bound (no ``action``) guards the pre-state
+    step count before every action that consumes a step."""
+
+    name: str
+    field: str
+    guard: Callable[[SpecConstants, Any], bool]
+    holds: Callable[[SpecConstants, Any], bool]
+    violation: str  # describes a state that breaks the conjunct
+    action: type | None = None
+    arg: str = ""
+
+
+def _rooted(c: SpecConstants, path: str) -> bool:
+    return path_under_root(c.workspace_root, path, c.prefix_mode)
+
+
+READ_PATHS_ROOTED = Conjunct(
+    "ReadPathsRooted", "read_paths", action=ReadPathAction, arg="path",
+    guard=_rooted, holds=lambda c, paths: all(_rooted(c, p) for p in paths),
+    violation="read path outside the workspace root",
+)
+TOOL_ALLOWLISTED = Conjunct(
+    "ToolAllowlisted", "tool_calls", action=ToolCallAction, arg="tool",
+    guard=lambda c, tool: tool in c.allowed_tools, holds=lambda c, tools: c.allowed_tools.issuperset(tools),
+    violation="tool call outside the allowlist",
+)
+STEP_BOUNDED = Conjunct(
+    "StepBounded", "step_count",
+    guard=lambda c, count: count < c.max_steps,  # room for one more step
+    holds=lambda c, count: count <= c.max_steps,
+    violation="step count above the bound",
+)
+POLICY: tuple[Conjunct, ...] = (READ_PATHS_ROOTED, TOOL_ALLOWLISTED, STEP_BOUNDED)
+SEQUENCE_CONJUNCTS: tuple[Conjunct, ...] = tuple(k for k in POLICY if k.action is not None)
+
+
 def _counts_step(c: SpecConstants, a: Action) -> bool:
     return c.count_all_actions or isinstance(a, StepAction)
 
 
-def _effected(c: SpecConstants, s: SpecState, a: Action) -> tuple[BoundaryEvent, SpecState] | None:
-    """The policy transition for (s, a), or None when the policy rejects."""
+def admits(c: SpecConstants, s, a: Action, policy: tuple[Conjunct, ...] = POLICY) -> bool:
+    """Do the guards of ``policy`` let a transition effect ``a`` at ``s``?
+    ``s`` is any state with a ``step_count``."""
+    for k in policy:
+        if k.action is None:
+            if _counts_step(c, a) and not k.guard(c, s.step_count):
+                return False
+        elif isinstance(a, k.action) and not k.guard(c, getattr(a, k.arg)):
+            return False
+    return True
+
+
+def violated(c: SpecConstants, s) -> Conjunct | None:
+    """The first conjunct of the policy that ``s`` breaks, or None when
+    ``s`` is safe. ``s`` is any state with the policed fields."""
+    for k in POLICY:
+        if not k.holds(c, getattr(s, k.field)):
+            return k
+    return None
+
+
+def boundary_effect(c: SpecConstants, s, a: Action) -> tuple[BoundaryEvent, tuple] | None:
+    """The event an effected ``a`` emits at ``s`` and the four boundary
+    fields (read paths, tool calls, step count, halted) after it; None for
+    an action that never takes effect. Policy guards are not consulted."""
+    read_paths, tool_calls = s.read_paths, s.tool_calls
     match a:
         case ReadPathAction(path):
-            if not path_under_root(c.workspace_root, path, c.prefix_mode):
-                return None
             event: BoundaryEvent = ReadEvent(path)
-            nxt = replace(s, read_paths=s.read_paths + (path,))
+            read_paths += (path,)
         case ToolCallAction(tool):
-            if tool not in c.allowed_tools:
-                return None
             event = ToolEvent(tool)
-            nxt = replace(s, tool_calls=s.tool_calls + (tool,))
+            tool_calls += (tool,)
         case StepAction():
             event = StepEvent()
-            nxt = s
         case _:
             return None
-    if _counts_step(c, a):
-        if s.step_count >= c.max_steps:
-            return None
-        count = s.step_count + 1
-        nxt = replace(nxt, step_count=count, halted=count >= c.max_steps)
-    return event, nxt
+    if not _counts_step(c, a):
+        return event, (read_paths, tool_calls, s.step_count, s.halted)
+    count = s.step_count + 1
+    return event, (read_paths, tool_calls, count, count >= c.max_steps)
 
 
-def spec_next(c: SpecConstants, s: SpecState, a: Action) -> tuple[tuple[BoundaryEvent, SpecState], ...]:
-    """All abstract successors of (s, a). Total by construction: the
-    stutter (NoEffect, s) is always available, and it is the only successor
-    when the policy rejects the action."""
+def spec_next(
+    c: SpecConstants, s: SpecState, a: Action, policy: tuple[Conjunct, ...] = POLICY
+) -> tuple[tuple[BoundaryEvent, SpecState], ...]:
+    """All abstract successors of (s, a) under ``policy``. Total by
+    construction: the stutter (NoEffect, s) is always available, and it is
+    the only successor when the policy rejects the action."""
     stutter = (NoEffect(), s)
-    effect = _effected(c, s, a)
+    effect = boundary_effect(c, s, a) if admits(c, s, a, policy) else None
     if effect is None:
         return (stutter,)
-    return (effect, stutter)
+    event, fields = effect
+    return ((event, SpecState(*fields)), stutter)
 
 
 def spec_safety(c: SpecConstants, s: SpecState) -> bool:
-    return (
-        all(path_under_root(c.workspace_root, p, c.prefix_mode) for p in s.read_paths)
-        and all(t in c.allowed_tools for t in s.tool_calls)
-        and s.step_count <= c.max_steps
-    )
+    return violated(c, s) is None
 
 
 def spec_system(c: SpecConstants, alphabet: tuple[Action, ...]) -> TransitionSystem:

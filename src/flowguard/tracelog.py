@@ -89,8 +89,12 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
         rows = [json.loads(ln) for ln in lines[1:]]
     except json.JSONDecodeError as e:
         raise TraceLogError(f"not valid JSON lines: {e}") from e
+    if not isinstance(header, dict) or not isinstance(header.get("constants_digest"), str):
+        raise TraceLogError("trace-log header must be an object with a constants_digest string")
     if header.get("kind") != "trace-log" or header.get("schema_version") != LOG_SCHEMA_VERSION:
         raise TraceLogError("missing or unsupported trace-log header")
+    if not all(isinstance(row, dict) for row in rows):
+        raise TraceLogError("every trace-log row must be an object")
     return header, rows
 
 

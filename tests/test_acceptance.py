@@ -137,9 +137,10 @@ def test_criterion_3_soundness_composition(agent):
 
     # under an over-permissive abstract relation the same step lifts but the
     # lifted run is abstractly unsafe: stage 2
-    from flowguard.gates import _seeded_next_drop_allowlist
+    from flowguard.gates import SEEDED_ERRORS, default_spec_bundle
 
-    v2 = check_soundness(c, b, unmatched, next_relation=_seeded_next_drop_allowlist)
+    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"].apply(default_spec_bundle(c, "")).bundle.next_relation
+    v2 = check_soundness(c, b, unmatched, next_relation=drop_allowlist)
     assert (v2.passed, v2.stage) == (False, 2)
 
     report(

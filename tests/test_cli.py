@@ -1,13 +1,16 @@
 """The command-line surface: exit codes, report determinism, trace logs,
 and replay."""
 
+import dataclasses
 import json
 
 import pytest
 
+from flowguard.actions import ReadPathAction
 from flowguard.cli import main
 from flowguard.flowfile import from_fixture, write_flow
 from flowguard.fixtures import rag_flow, read_agent
+from flowguard.tracelog import TraceLogError, parse_trace_log
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +194,59 @@ def test_prefix_mode_flag_overrides_file(flow_file, tmp_path, capsys):
                  "--prefix-mode", "guarded", "--out", str(out)]) == 0
     row = json.loads(out.read_text().splitlines()[1])
     assert row["event"] == "NoEffect"
+
+
+def test_gates_prefix_mode_changes_what_is_verified(tmp_path, capsys):
+    # "/wsx/a" is rooted under bare matching only, and it comes first in the
+    # alphabet, so the fitness witness shows which mode the gates verified.
+    defn = from_fixture(read_agent())
+    i = defn.alphabet.index(ReadPathAction("/ws/x"))
+    alphabet = defn.alphabet[:i] + (ReadPathAction("/wsx/a"),) + defn.alphabet[i:]
+    path = tmp_path / "wsx.json"
+    write_flow(path, dataclasses.replace(defn, alphabet=alphabet))
+
+    assert main(["sweep", "--flow", str(path), "--depth", "4", "--prefix-mode", "bare"]) == 0
+    assert json.loads(capsys.readouterr().out)["visited_states"] == 7
+
+    def witness(*mode):
+        assert main(["gates", "--flow", str(path), "--depth", "4", *mode]) == 0
+        report = json.loads(capsys.readouterr().out)
+        return report["gates"]["fitness"]["conjuncts"][0]["witness"]
+
+    assert witness("--prefix-mode", "bare") == ["/wsx/a"]
+    assert witness() == ["/ws/x"]
+
+
+def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
+    assert main(["gates", "--flow", flow_file, "--depth", "3"]) == 1
+    g3 = json.loads(capsys.readouterr().out)["gates"]["g3"]
+    assert g3["status"] == "fail"
+    assert g3["detail"].startswith("surviving mutants: step-bound-off-by-one; configuration floor: depth >= 4")
+
+    assert main(["gates", "--flow", flow_file, "--depth", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["gates"]["g3"]["detail"] == "4 mutants killed"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(
+            lambda header, rows: ({k: v for k, v in header.items() if k != "constants_digest"}, rows),
+            id="header-without-digest",
+        ),
+        pytest.param(lambda header, rows: ([1, 2], rows), id="header-not-an-object"),
+        pytest.param(lambda header, rows: (header, [[1, 2]] + rows[1:]), id="row-not-an-object"),
+    ],
+)
+def test_unusable_trace_log_is_rejected_with_exit_two(flow_file, tmp_path, capsys, edit):
+    log = tmp_path / "t.log"
+    assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
+    header, *rows = [json.loads(ln) for ln in log.read_text().splitlines()]
+    header, rows = edit(header, rows)
+    log.write_text("\n".join(json.dumps(x) for x in (header, *rows)) + "\n")
+
+    with pytest.raises(TraceLogError):
+        parse_trace_log(log.read_text())
+    capsys.readouterr()
+    assert main(["replay", "--flow", flow_file, str(log)]) == 2
+    assert "cannot replay" in capsys.readouterr().err

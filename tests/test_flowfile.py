@@ -101,3 +101,42 @@ def test_digest_is_sensitive_to_content():
     a = from_fixture(BUILTIN_FIXTURES["read-agent"]())
     b = from_fixture(BUILTIN_FIXTURES["rag-flow-barrier"]())
     assert flow_digest(a) != flow_digest(b)
+
+
+def _set_field(doc: dict, path: str, value) -> None:
+    """Set the field at ``path`` (dot-separated keys and list indices)."""
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("constants.allowed_tools", "search"),
+        ("constants.allowed_tools", ["search", 7]),
+        ("constants.max_steps", True),
+        ("constants.max_steps", 3.0),
+        ("constants.max_steps", "3"),
+        ("constants.workspace_root", ["/ws"]),
+        ("constants.prefix_mode", 1),
+        ("constants.count_all_actions", 1),
+        ("constants.count_all_actions", "true"),
+        ("provenance", None),
+        ("schema_version", True),
+        ("graph.entry", 0),
+        ("graph.nodes", "scan"),
+        ("graph.nodes.0.name", 1),
+        ("graph.edges.0.from", None),
+        ("graph.edges.0.label", ["read"]),
+        ("graph.edges.0.to", 2),
+        ("alphabet", "StepAction"),
+        ("alphabet.0", 0),
+    ],
+)
+def test_ill_typed_fields_rejected(path, value):
+    doc = _agent_doc()
+    _set_field(doc, path, value)
+    with pytest.raises(FlowFileError):
+        parse_flow(json.dumps(doc))

@@ -15,7 +15,7 @@ from flowguard.actions import (
     ToolEvent,
 )
 from flowguard.fixtures import rag_flow, read_agent
-from flowguard.gates import _seeded_next_drop_allowlist
+from flowguard.gates import SEEDED_ERRORS, default_spec_bundle
 from flowguard.havoc import ScriptedOracle, drive
 from flowguard.impl_model import impl_init, impl_next, impl_safety, impl_system, impl_wf
 from flowguard.lts import Trace, TraceStep, enumerate_havoc_traces
@@ -236,7 +236,10 @@ def test_overpermissive_relation_fails_at_abstract_stage(agent_c):
     s0 = impl_init(agent_c)
     ev = ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick"))
     bad = Trace((TraceStep(s0, ToolCallAction("rm"), ev, s0),))
-    v = check_soundness(agent_c, default_bundle(), bad, next_relation=_seeded_next_drop_allowlist)
+    drop_allowlist = (
+        SEEDED_ERRORS["drop-allowlist-guard"].apply(default_spec_bundle(agent_c, "")).bundle.next_relation
+    )
+    v = check_soundness(agent_c, default_bundle(), bad, next_relation=drop_allowlist)
     assert (v.passed, v.stage) == (False, 2)
 
 

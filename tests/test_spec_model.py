@@ -179,9 +179,12 @@ def test_safety_preserved_depth_zero_is_trivial():
 
 def test_guard_dropping_mutation_fails_preservation():
     # inject the shipped seeded error and watch the inductive step break
-    from flowguard.gates import _seeded_next_drop_allowlist
+    from flowguard.fixtures import read_agent
+    from flowguard.gates import SEEDED_ERRORS, default_spec_bundle
 
-    verdict = check_safety_preserved(C, ALPHABET, 4, next_relation=_seeded_next_drop_allowlist)
+    bundle = default_spec_bundle(read_agent().constants, "")
+    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"].apply(bundle).bundle.next_relation
+    verdict = check_safety_preserved(C, ALPHABET, 4, next_relation=drop_allowlist)
     assert not verdict.passed
     cx = verdict.counterexample
     assert cx is not None
