@@ -5,6 +5,13 @@ and the action and event literals. The log is replayable: feeding the
 action column back through the machine from its initial state must
 reproduce the event column byte-exactly, which is what the replay
 checker verifies.
+
+A state's digest is the first 16 hex characters of the SHA-256 of
+``json.dumps(state_document(s), sort_keys=True)`` (``state_digest``).
+Rendering and replaying a log digest its states through a
+``RunDigester``, which serialises only what a step added to the previous
+state, so their Python-level work is linear in the number of rows; only
+the C-level hashing of each state's document grows with its history.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .actions import format_action, format_impl_event, parse_action
+from .actions import Action, format_action, format_impl_event, parse_action
 from .flowfile import FlowDefinition, flow_digest
 from .havoc import RunRecord
 from .impl_model import ImplState, impl_init, impl_next
@@ -40,8 +48,57 @@ def state_document(s: ImplState) -> dict:
 
 
 def state_digest(s: ImplState) -> str:
+    """The digest definition; ``RunDigester`` gives the same answers."""
     blob = json.dumps(state_document(s), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _history_entry(entry: tuple[str, Action]) -> str:
+    return json.dumps([entry[0], format_action(entry[1])])
+
+
+class RunDigester:
+    """``state_digest`` for the states of one run, fed in run order.
+
+    A run's states form a chain: a stutter's post-state is its pre-state,
+    and an effected step appends at most one entry to each of ``history``,
+    ``read_paths`` and ``tool_calls``. So the digester returns the cached
+    digest for the state it saw last, and keeps the JSON of each list
+    field's entries, serialising only an appended entry. A state that does
+    not extend the previous one is serialised afresh, so any sequence of
+    states gets exactly ``state_digest``'s answer.
+    """
+
+    def __init__(self) -> None:
+        self._last: ImplState | None = None
+        self._digest = ""
+        self._lists: dict[str, tuple[tuple, str]] = {}
+
+    def __call__(self, s: ImplState) -> str:
+        if s is self._last:
+            return self._digest
+        history = self._json_list("history", s.history, _history_entry)
+        reads = self._json_list("read_paths", s.read_paths, json.dumps)
+        tools = self._json_list("tool_calls", s.tool_calls, json.dumps)
+        blob = (
+            f'{{"current_node": {json.dumps(s.current_node)}, "halted": {json.dumps(s.halted)}, '
+            f'"history": {history}, "last_action": {json.dumps(format_action(s.last_action))}, '
+            f'"last_node": {json.dumps(s.last_node)}, "read_paths": {reads}, '
+            f'"step_count": {json.dumps(s.step_count)}, "tool_calls": {tools}}}'
+        )
+        self._last, self._digest = s, hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self._digest
+
+    def _json_list(self, name: str, items: tuple, encode: Callable[[object], str]) -> str:
+        prev, inner = self._lists.get(name, ((), ""))
+        # Along a run the shared entries are the same objects, so this
+        # comparison never calls an entry's __eq__.
+        if len(items) == len(prev) + 1 and items[:-1] == prev:
+            inner = f"{inner}, {encode(items[-1])}" if prev else encode(items[-1])
+        elif items != prev:
+            inner = ", ".join(map(encode, items))
+        self._lists[name] = (items, inner)
+        return f"[{inner}]"
 
 
 def render_trace_log(
@@ -60,15 +117,16 @@ def render_trace_log(
         "seed": seed,
     }
     lines = [json.dumps(header, sort_keys=True)]
+    digest = RunDigester()
     for i, step in enumerate(record.trace.steps):
         lines.append(
             json.dumps(
                 {
                     "i": i,
-                    "pre": state_digest(step.pre_state),
+                    "pre": digest(step.pre_state),
                     "action": format_action(step.action),
                     "event": format_impl_event(step.event),
-                    "post": state_digest(step.post_state),
+                    "post": digest(step.post_state),
                 },
                 sort_keys=True,
             )
@@ -91,10 +149,17 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
         raise TraceLogError(f"not valid JSON lines: {e}") from e
     if not isinstance(header, dict) or not isinstance(header.get("constants_digest"), str):
         raise TraceLogError("trace-log header must be an object with a constants_digest string")
-    if header.get("kind") != "trace-log" or header.get("schema_version") != LOG_SCHEMA_VERSION:
+    version = header.get("schema_version")
+    if header.get("kind") != "trace-log" or type(version) is not int or version != LOG_SCHEMA_VERSION:
         raise TraceLogError("missing or unsupported trace-log header")
-    if not all(isinstance(row, dict) for row in rows):
-        raise TraceLogError("every trace-log row must be an object")
+    for n, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise TraceLogError("every trace-log row must be an object")
+        if type(row.get("i")) is not int:
+            raise TraceLogError(f"row {n}: the index 'i' must be an integer")
+        for key in ("pre", "action", "event", "post"):
+            if not isinstance(row.get(key), str):
+                raise TraceLogError(f"row {n}: {key!r} must be a string")
     return header, rows
 
 
@@ -116,23 +181,24 @@ def replay_trace_log(defn: FlowDefinition, text: str) -> ReplayVerdict:
 
     c = defn.impl_constants
     state = impl_init(c)
+    digest = RunDigester()
     for i, row in enumerate(rows):
-        if row.get("i") != i:
-            return ReplayVerdict(False, i, f"row index {row.get('i')!r} out of order", i)
+        if row["i"] != i:
+            return ReplayVerdict(False, i, f"row index {row['i']!r} out of order", i)
         try:
             action = parse_action(row["action"])
-        except (KeyError, ValueError) as e:
+        except ValueError as e:
             return ReplayVerdict(False, i, f"bad action literal at row {i}: {e}", i)
-        if state_digest(state) != row.get("pre"):
+        if digest(state) != row["pre"]:
             return ReplayVerdict(False, i, f"pre-state digest mismatch at row {i}", i)
         ((event, nxt),) = impl_next(c, state, action)
-        if format_impl_event(event) != row.get("event"):
+        if format_impl_event(event) != row["event"]:
             return ReplayVerdict(
                 False, i,
-                f"event mismatch at row {i}: replay emits {format_impl_event(event)}, log says {row.get('event')!r}",
+                f"event mismatch at row {i}: replay emits {format_impl_event(event)}, log says {row['event']!r}",
                 i,
             )
-        if state_digest(nxt) != row.get("post"):
+        if digest(nxt) != row["post"]:
             return ReplayVerdict(False, i, f"post-state digest mismatch at row {i}", i)
         state = nxt
     return ReplayVerdict(True, len(rows))

@@ -227,6 +227,10 @@ def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
     assert json.loads(capsys.readouterr().out)["gates"]["g3"]["detail"] == "4 mutants killed"
 
 
+def _edit_row(n, **fields):
+    return lambda header, rows: (header, rows[:n] + [dict(rows[n], **fields)] + rows[n + 1:])
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -236,6 +240,14 @@ def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
         ),
         pytest.param(lambda header, rows: ([1, 2], rows), id="header-not-an-object"),
         pytest.param(lambda header, rows: (header, [[1, 2]] + rows[1:]), id="row-not-an-object"),
+        # True == 1 and 1.0 == 1, so row 1 is where a lax check lets these through.
+        pytest.param(_edit_row(1, i=True), id="index-bool"),
+        pytest.param(_edit_row(1, i=1.0), id="index-float"),
+        pytest.param(lambda header, rows: (dict(header, schema_version=True), rows), id="schema-version-bool"),
+        pytest.param(_edit_row(1, pre=0), id="pre-not-a-string"),
+        pytest.param(_edit_row(1, action=["StepAction"]), id="action-not-a-string"),
+        pytest.param(_edit_row(1, event=None), id="event-not-a-string"),
+        pytest.param(_edit_row(1, post=1), id="post-not-a-string"),
     ],
 )
 def test_unusable_trace_log_is_rejected_with_exit_two(flow_file, tmp_path, capsys, edit):

@@ -1,0 +1,193 @@
+"""Trace-log digests: the run-scoped digester agrees with ``state_digest``
+on every sequence of states, logs captured before it existed still come
+out of ``run`` byte for byte and still replay, and render plus replay
+format a number of actions linear in the number of rows.
+
+``tests/golden/tracelog/`` holds a small cyclic flow of Read nodes
+(``cyclic_reads.json``, its step budget above the run length, so the
+history grows all run long) and the logs of ``run --seed 7 --steps 300``
+on it, one per strategy (``cyclic_reads.<strategy>.log``).
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import flowguard.tracelog as tracelog
+from flowguard.actions import NoAction, ReadPathAction, StepAction, ToolCallAction
+from flowguard.cli import main
+from flowguard.flowfile import load_flow
+from flowguard.havoc import ScriptedOracle, drive
+from flowguard.impl_model import FlowGraph, ImplConstants, ImplState, impl_init, impl_next
+from flowguard.spec_model import SpecConstants
+from flowguard.tracelog import RunDigester, render_trace_log, replay_trace_log, state_digest
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "tracelog"
+FLOW = GOLDEN / "cyclic_reads.json"
+STRATEGIES = ("random", "adversarial")
+
+# ---------------------------------------------------------------------------
+# Random small flows and runs on them
+
+KINDS = {"Read": "read", "Tool": "tool", "Step": "step", "Terminal": None}
+rooted = st.sampled_from(("/ws", "/ws/a", "/ws/\"q\" é")) | st.text(max_size=4).map("/ws/".__add__)
+paths = rooted | st.sampled_from(("/wsx/a", "/etc/pw")) | st.text(max_size=5)
+tools = st.sampled_from(("search", "rm", "t\\☃")) | st.text(max_size=4)
+actions = st.one_of(
+    st.just(NoAction()),
+    st.just(StepAction()),
+    st.builds(ReadPathAction, paths),
+    st.builds(ToolCallAction, tools),
+)
+# Actions a node of each kind effects, so that most runs grow a history.
+FITTING = {
+    "Read": st.builds(ReadPathAction, rooted),
+    "Tool": st.just(ToolCallAction("search")),
+    "Step": st.just(StepAction()),
+    "Terminal": actions,
+}
+
+
+@st.composite
+def runs(draw):
+    """Constants over a random graph of 1-4 nodes and the states of a run
+    on it, in row order: pre-state, post-state, pre-state..."""
+    entry = draw(st.sampled_from(("Read", "Tool", "Step")))
+    kinds = [entry] + draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=3))
+    names = [f"n{i}" for i in range(len(kinds))]
+    edges = tuple(
+        (name, KINDS[kind], draw(st.sampled_from(names)))
+        for name, kind in zip(names, kinds)
+        if KINDS[kind] is not None
+    )
+    spec = SpecConstants(
+        workspace_root="/ws",
+        allowed_tools=frozenset({"search"}) | draw(st.frozensets(tools, max_size=2)),
+        max_steps=draw(st.integers(0, 30)),
+        prefix_mode=draw(st.sampled_from(("guarded", "bare"))),
+        count_all_actions=draw(st.booleans()),
+    )
+    c = ImplConstants(spec, FlowGraph(names[0], tuple(zip(names, kinds)), edges))
+    pre, states = impl_init(c), []
+    for _ in range(draw(st.integers(1, 25))):
+        a = draw(FITTING[c.graph.kind_of(pre.current_node).value] | actions)
+        ((_, post),) = impl_next(c, pre, a)
+        states += [pre, post]
+        pre = post
+    return c, states
+
+
+def _equal_copy(s: ImplState) -> ImplState:
+    """A state equal to ``s`` that shares none of its tuples."""
+    return ImplState(
+        s.current_node,
+        tuple(list(s.read_paths)),
+        tuple(list(s.tool_calls)),
+        s.step_count,
+        s.halted,
+        tuple((node, a) for node, a in s.history),
+        s.last_node,
+        s.last_action,
+    )
+
+
+def _last_entry_changed(s: ImplState) -> list[ImplState]:
+    """``s``, then ``s`` with its last history entry replaced. The run's
+    next state is one entry longer than that copy but does not extend it."""
+    if not s.history:
+        return [s]
+    node, a = s.history[-1]
+    other = StepAction() if a == NoAction() else NoAction()
+    return [s, dataclasses.replace(s, history=s.history[:-1] + ((node, other),))]
+
+
+def _insert_repeat(c, states, data):
+    k = data.draw(st.integers(0, len(states)))
+    return states[:k] + [data.draw(st.sampled_from(states))] + states[k:]
+
+
+ORDERS = {
+    "run-order": lambda c, states, data: states,
+    "shuffled": lambda c, states, data: data.draw(st.permutations(states)),
+    "repeated": _insert_repeat,
+    "back-to-init": lambda c, states, data: states + [impl_init(c)] + states,
+    "equal-copies": lambda c, states, data: [x for s in states for x in (s, _equal_copy(s))],
+    "last-entry-changed": lambda c, states, data: [x for s in states for x in _last_entry_changed(s)],
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@settings(max_examples=60, deadline=None)
+@given(run=runs(), data=st.data())
+def test_digester_matches_state_digest(order, run, data):
+    c, states = run
+    sequence = ORDERS[order](c, states, data)
+    digest = RunDigester()
+    assert [digest(s) for s in sequence] == [state_digest(s) for s in sequence]
+
+
+# ---------------------------------------------------------------------------
+# Golden logs
+
+
+def _log(strategy: str) -> Path:
+    return GOLDEN / f"cyclic_reads.{strategy}.log"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_reproduces_golden_log(strategy, tmp_path):
+    out = tmp_path / "run.log"
+    argv = ["run", "--flow", str(FLOW), "--strategy", strategy, "--seed", "7", "--steps", "300", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == _log(strategy).read_bytes()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_replay_accepts_golden_log(strategy):
+    assert main(["replay", "--flow", str(FLOW), str(_log(strategy))]) == 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_replay_rejects_golden_log_with_one_post_digest_changed(strategy, tmp_path):
+    lines = _log(strategy).read_text().splitlines(keepends=True)
+    row = 250
+    doc = json.loads(lines[row + 1])
+    doc["post"] = "0" * 16
+    lines[row + 1] = json.dumps(doc, sort_keys=True) + "\n"
+    tampered = "".join(lines)
+
+    verdict = replay_trace_log(load_flow(FLOW), tampered)
+    assert not verdict.passed
+    assert verdict.mismatch_index == row
+    assert verdict.detail == f"post-state digest mismatch at row {row}"
+    log = tmp_path / "tampered.log"
+    log.write_text(tampered)
+    assert main(["replay", "--flow", str(FLOW), str(log)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Linearity
+
+
+def test_render_and_replay_format_a_linear_number_of_actions(monkeypatch):
+    n = 400
+    defn = load_flow(FLOW)
+    record = drive(defn.impl_constants, ScriptedOracle([ReadPathAction("/ws/a")] * n), n)
+    assert len(record.final_state.history) == n  # every step effected
+
+    calls = 0
+    original = tracelog.format_action
+
+    def counting(a):
+        nonlocal calls
+        calls += 1
+        return original(a)
+
+    monkeypatch.setattr(tracelog, "format_action", counting)
+    text = render_trace_log(defn, record, strategy="scripted", seed=None)
+    assert replay_trace_log(defn, text).passed
+    assert calls <= 8 * n
