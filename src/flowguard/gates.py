@@ -478,6 +478,8 @@ def run_gates(
     definition it loads, with ``prefix_mode`` in place of the file's mode
     when one is given.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     resolution = gate_resolution(flow_text, timeout_seconds)
     if not resolution.verdict.passed:
         skipped = GateVerdict("g2", "skipped", "g1 failed")

@@ -5,12 +5,14 @@ scripted, uniformly random, adversarially biased toward out-of-policy
 values, or an exhaustive cursor into the space of fixed-length scripts.
 Whatever it chooses, the contained machine emits only policy-compliant
 boundary events; the sweep checks that claim over every action sequence
-of a given length.
+of a given length. It walks the tree of script prefixes depth first, one
+step call per prefix (n + n^2 + ... + n^d calls for n actions and depth
+d), which gives the verdict of replaying every script from init as long
+as the step function is deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -168,6 +170,17 @@ def sweep(
     emitted event is policy-compliant and every visited state satisfies
     both the safety predicate and the inductive invariant.
 
+    The scripts are the leaves of a prefix tree, walked depth first with
+    children in alphabet order, so each prefix is stepped once: with n
+    actions that is n + n^2 + ... + n^depth step calls. A stutter
+    (``next_fn`` returns its pre-state object itself) out of a state that
+    already passed the state checks is not checked again. The verdict is
+    the one replaying every script from init in ``itertools.product``
+    order would give: ``sequences`` counts the scripts up to and
+    including the first violating one, whose reported script is the
+    violating prefix padded with ``alphabet[0]``. That equivalence needs
+    a deterministic ``next_fn``.
+
     ``next_fn`` exists so tests can inject a deliberately broken step
     function and watch the sweep catch it; production callers leave it
     alone.
@@ -176,23 +189,44 @@ def sweep(
         raise ValueError("depth must be >= 0")
     init = impl_init(c)
     visited: set[ImplState] = {init}
-    sequences = 0
-
-    def complain(script: Sequence[Action], i: int, detail: str) -> SweepVerdict:
-        literals = tuple(format_action(a) for a in script)
-        return SweepVerdict(False, sequences, SweepViolation(literals, i, detail), frozenset(visited))
-
-    for script in itertools.product(alphabet, repeat=depth):
-        sequences += 1
-        state = init
-        for i, action in enumerate(script):
-            ((event, nxt),) = next_fn(c, state, action)
-            if not event_in_policy(c, state, event):
-                return complain(script, i, f"out-of-policy event {event.effect!r}")
-            if not impl_safety(c, nxt):
-                return complain(script, i, "safety predicate violated")
-            if not impl_inv(c, nxt):
-                return complain(script, i, "inductive invariant violated")
-            visited.add(nxt)
-            state = nxt
-    return SweepVerdict(True, sequences, None, frozenset(visited))
+    n = len(alphabet)
+    if depth == 0 or n == 0:
+        return SweepVerdict(True, n**depth, None, frozenset(visited))
+    # states[k] is the state after the first k actions of the current
+    # prefix; digits[k] is the alphabet index of the action tried next from it.
+    states = [init]
+    digits = [0]
+    while digits:
+        k = len(digits) - 1
+        if digits[k] == n:
+            states.pop()
+            digits.pop()
+            if digits:
+                digits[-1] += 1
+            continue
+        state = states[k]
+        ((event, nxt),) = next_fn(c, state, alphabet[digits[k]])
+        if not event_in_policy(c, state, event):
+            detail = f"out-of-policy event {event.effect!r}"
+        elif nxt is state and k > 0:  # states[k] passed both state checks on its way in
+            detail = None
+        elif not impl_safety(c, nxt):
+            detail = "safety predicate violated"
+        elif not impl_inv(c, nxt):
+            detail = "inductive invariant violated"
+        else:
+            detail = None
+        if detail is not None:
+            script = digits + [0] * (depth - k - 1)
+            rank = 0
+            for d in script:
+                rank = rank * n + d
+            literals = tuple(format_action(alphabet[d]) for d in script)
+            return SweepVerdict(False, rank + 1, SweepViolation(literals, k, detail), frozenset(visited))
+        visited.add(nxt)
+        if k + 1 < depth:
+            states.append(nxt)
+            digits.append(0)
+        else:
+            digits[k] += 1
+    return SweepVerdict(True, n**depth, None, frozenset(visited))

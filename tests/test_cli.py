@@ -3,8 +3,11 @@ and replay."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
@@ -227,6 +230,12 @@ def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
     assert json.loads(capsys.readouterr().out)["gates"]["g3"]["detail"] == "4 mutants killed"
 
 
+
+@pytest.mark.parametrize("command", ["check", "gates", "sweep"])
+def test_negative_depth_exits_two(flow_file, capsys, command):
+    assert main([command, "--flow", flow_file, "--depth", "-1"]) == 2
+    assert "depth must be >= 0" in capsys.readouterr().err
+
 def _edit_row(n, **fields):
     return lambda header, rows: (header, rows[:n] + [dict(rows[n], **fields)] + rows[n + 1:])
 
@@ -262,3 +271,69 @@ def test_unusable_trace_log_is_rejected_with_exit_two(flow_file, tmp_path, capsy
     capsys.readouterr()
     assert main(["replay", "--flow", flow_file, str(log)]) == 2
     assert "cannot replay" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Malformed flows
+
+SHIPPED_FLOWS = sorted((Path(__file__).resolve().parents[1] / "flows").glob("*.json"))
+SCALARS = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(-3, 10) | st.floats(-2, 2),
+    "string": st.text(max_size=6),
+}
+scalar = st.one_of(*SCALARS.values())
+JSON_TYPES = {
+    **SCALARS,
+    "array": st.lists(scalar, max_size=3),
+    "object": st.dictionaries(st.text(max_size=6), scalar, max_size=2),
+}
+PY_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}
+
+
+def _locations(doc, at=()):
+    """Every position in a JSON document, as a path of keys and indices."""
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, at + (key,))
+
+
+@st.composite
+def malformed_flows(draw):
+    """A shipped flow document with one key or list entry deleted, or one
+    value replaced by a value of another JSON type."""
+    doc = json.loads(draw(st.sampled_from(SHIPPED_FLOWS)).read_text())
+    at = draw(st.sampled_from(list(_locations(doc))))
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    value = parent[at[-1]] if at else doc
+    if at and draw(st.booleans()):
+        del parent[at[-1]]
+        return doc
+    other = draw(st.sampled_from([t for t in JSON_TYPES if t != PY_TYPES[type(value)]]))
+    replacement = draw(JSON_TYPES[other])
+    if not at:
+        return replacement
+    parent[at[-1]] = replacement
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=malformed_flows(), depth=st.integers(0, 2))
+def test_malformed_flows_never_trace_back(fuzz_dir, doc, depth):
+    """Every command that reads a flow answers a malformed one with an
+    exit code of the contract, never an uncaught exception."""
+    flow = fuzz_dir / "flow.json"
+    flow.write_text(json.dumps(doc))
+    out = str(fuzz_dir / "out")
+    depth_args = ["--depth", str(depth)]
+    for argv in (["run", "--steps", "3"], ["check", *depth_args], ["gates", *depth_args], ["sweep", *depth_args]):
+        assert main([*argv, "--flow", str(flow), "--out", out]) in (0, 1, 2)

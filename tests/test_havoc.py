@@ -141,18 +141,19 @@ def test_sweep_depth_zero(fx):
     assert verdict.passed and verdict.sequences == 1
 
 
+def broken_next(c, s, a):
+    """``impl_next`` with the allowlist check skipped."""
+    if isinstance(a, ToolCallAction) and not s.halted and s.step_count < c.spec.max_steps:
+        widened = dataclasses.replace(
+            c, spec=dataclasses.replace(c.spec, allowed_tools=c.spec.allowed_tools | {a.tool})
+        )
+        return impl_next(widened, s, a)
+    return impl_next(c, s, a)
+
+
 def test_sweep_catches_a_machine_with_the_guard_removed(fx):
     """Inject a broken step function (allowlist check skipped) and the
     sweep must report the violating sequence verbatim."""
-
-    def broken_next(c, s, a):
-        if isinstance(a, ToolCallAction) and not s.halted and s.step_count < c.spec.max_steps:
-            widened = dataclasses.replace(
-                c, spec=dataclasses.replace(c.spec, allowed_tools=c.spec.allowed_tools | {a.tool})
-            )
-            return impl_next(widened, s, a)
-        return impl_next(c, s, a)
-
     verdict = sweep(fx.constants, fx.alphabet, 3, next_fn=broken_next)
     assert not verdict.passed
     assert verdict.violation is not None

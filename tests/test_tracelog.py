@@ -53,9 +53,8 @@ FITTING = {
 
 
 @st.composite
-def runs(draw):
-    """Constants over a random graph of 1-4 nodes and the states of a run
-    on it, in row order: pre-state, post-state, pre-state..."""
+def flow_constants(draw):
+    """Constants over a random graph of 1-4 nodes."""
     entry = draw(st.sampled_from(("Read", "Tool", "Step")))
     kinds = [entry] + draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=3))
     names = [f"n{i}" for i in range(len(kinds))]
@@ -71,7 +70,14 @@ def runs(draw):
         prefix_mode=draw(st.sampled_from(("guarded", "bare"))),
         count_all_actions=draw(st.booleans()),
     )
-    c = ImplConstants(spec, FlowGraph(names[0], tuple(zip(names, kinds)), edges))
+    return ImplConstants(spec, FlowGraph(names[0], tuple(zip(names, kinds)), edges))
+
+
+@st.composite
+def runs(draw):
+    """Constants from ``flow_constants`` and the states of a run on them,
+    in row order: pre-state, post-state, pre-state..."""
+    c = draw(flow_constants())
     pre, states = impl_init(c), []
     for _ in range(draw(st.integers(1, 25))):
         a = draw(FITTING[c.graph.kind_of(pre.current_node).value] | actions)
