@@ -66,19 +66,20 @@ def format_action(a: Action) -> str:
     raise TypeError(f"not an action: {a!r}")
 
 
-_ACTION_RE = re.compile(r"^(ReadPathAction|ToolCallAction)\((.*)\)$", re.DOTALL)
+_ACTION_RE = re.compile(r"(ReadPathAction|ToolCallAction)\((.*)\)", re.DOTALL)
 
 
 def parse_action(text: str) -> Action:
-    """Inverse of format_action. Raises ValueError on unknown variants and
-    on anything that is not a string."""
+    """Inverse of format_action: accepts exactly the literals it writes.
+    Raises ValueError on unknown variants and on anything that is not a
+    string."""
     if not isinstance(text, str):
         raise ValueError(f"action literal must be a string, got {text!r}")
     if text == "NoAction":
         return NoAction()
     if text == "StepAction":
         return StepAction()
-    m = _ACTION_RE.match(text)
+    m = _ACTION_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"unknown action literal: {text!r}")
     name, arg = m.groups()

@@ -206,10 +206,9 @@ def cmd_gates(args) -> int:
     mutation_ids = tuple(args.mutation.split(",")) if args.mutation else None
     report = run_gates(text, args.depth, mutation_ids, prefix_mode=args.prefix_mode)
 
-    # On a G1 failure there is no verified flow, so emit a reduced document.
-    if report.flow is not None:
-        _emit(args, _gate_report_document(report.flow, args.depth, report))
-    else:
+    # On a G1 failure there is no verified flow: emit a reduced document,
+    # and exit as for any unusable flow file.
+    if report.flow is None:
         _emit(
             args,
             {
@@ -220,6 +219,9 @@ def cmd_gates(args) -> int:
                 "overall": "fail",
             },
         )
+        print("failing gates: g1", file=sys.stderr)
+        return EXIT_USAGE
+    _emit(args, _gate_report_document(report.flow, args.depth, report))
     if not report.passed:
         print("failing gates: " + ", ".join(report.failing_gates()), file=sys.stderr)
         return EXIT_PROPERTY_FAILURE

@@ -26,7 +26,12 @@ gates and a fitness audit enforce that:
 
 "Verification" for gate purposes is the full lemma set: initial safety,
 inductive safety preservation, initial refinement matching, and the step
-simulation with its invariant obligation. Enumeration checks truth, not
+simulation with its invariant obligation. ``obligations`` runs them in
+that fixed order, each check only when its obligation is reached; G2 and
+G3 stop at the first failed obligation (the one their verdict names),
+while ``verify_bundle``, and so ``flowguard check``, reports all six. A
+flow that fails G1 is unusable input: ``flowguard gates`` then exits 2
+with a report holding only the G1 verdict. Enumeration checks truth, not
 proof effort, so bundle-invariant edits are applied to the assumption
 side only (the obligations keep the declared invariant); a symmetric edit
 to a non-load-bearing clause would otherwise be undetectable in
@@ -44,7 +49,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from .actions import Action, NoEffect, format_action, format_boundary_event
 from .flowfile import (
@@ -241,33 +246,33 @@ def _describe_preservation(v: PreservationVerdict) -> str:
     )
 
 
-def verify_bundle(
+def obligations(
     c: ImplConstants,
     config: CheckConfig,
     alphabet: tuple[Action, ...],
     depth: int,
-) -> VerificationOutcome:
-    """Run the full lemma set on a (possibly mutated) bundle."""
+) -> Iterator[Obligation]:
+    """The full lemma set on a (possibly mutated) bundle, one obligation at
+    a time in a fixed order: init_safety, safety_preserved,
+    refinement_init, then inv_inductive, r2_step_simulation and
+    r3_safety_transport from one step check. Each check runs only when its
+    obligation is reached, so a caller that stops at the first failure
+    skips the checks after it."""
     b = config.bundle
-    obligations: list[Obligation] = []
-
-    init_safe = b.safety(b.constants, spec_init(b.constants))
-    obligations.append(Obligation("init_safety", init_safe))
+    yield Obligation("init_safety", b.safety(b.constants, spec_init(b.constants)))
 
     preserved = check_safety_preserved(
         b.constants, alphabet, depth, next_relation=b.next_relation, safety=b.safety
     )
-    obligations.append(
-        Obligation(
-            "safety_preserved",
-            preserved.passed,
-            _describe_preservation(preserved),
-            explored_states=preserved.explored_states,
-        )
+    yield Obligation(
+        "safety_preserved",
+        preserved.passed,
+        _describe_preservation(preserved),
+        explored_states=preserved.explored_states,
     )
 
     r_init = check_refinement_init(c, b.bundle_for_impl)
-    obligations.append(Obligation("refinement_init", r_init.passed, r_init.detail))
+    yield Obligation("refinement_init", r_init.passed, r_init.detail)
 
     r_next = check_refinement_next(
         c,
@@ -286,9 +291,18 @@ def verify_bundle(
         detail = ""
         if cx is not None:
             detail = f"{cx.detail}; action {format_action(cx.action)}"
-        obligations.append(Obligation(name, ok, detail, explored_states=r_next.explored_states))
+        yield Obligation(name, ok, detail, explored_states=r_next.explored_states)
 
-    return VerificationOutcome(tuple(obligations))
+
+def verify_bundle(
+    c: ImplConstants,
+    config: CheckConfig,
+    alphabet: tuple[Action, ...],
+    depth: int,
+) -> VerificationOutcome:
+    """Run the full lemma set on a (possibly mutated) bundle and report
+    every obligation."""
+    return VerificationOutcome(tuple(obligations(c, config, alphabet, depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +352,8 @@ def gate_vacuity(
     alphabet: tuple[Action, ...],
     depth: int,
 ) -> GateVerdict:
-    """G2: the permissive stub must fail verification."""
+    """G2: the permissive stub must fail verification. Its obligations
+    are checked in order up to the first one that fails."""
     if depth < 1:
         return GateVerdict(
             "g2",
@@ -346,13 +361,12 @@ def gate_vacuity(
             "configuration floor: depth >= 1 required (no step obligations exist at depth 0, "
             "so the stub trivially verifies)",
         )
-    outcome = verify_bundle(c, permissive_stub().apply(bundle), alphabet, depth)
-    if outcome.passed:
-        discharged = ", ".join(o.name for o in outcome.obligations)
-        return GateVerdict("g2", "fail", f"vacuity witness: the stub discharged {discharged}")
-    failed = outcome.first_failure()
-    assert failed is not None
-    return GateVerdict("g2", "pass", f"permissive stub failed at {failed.name}")
+    discharged: list[str] = []
+    for o in obligations(c, permissive_stub().apply(bundle), alphabet, depth):
+        if not o.passed:
+            return GateVerdict("g2", "pass", f"permissive stub failed at {o.name}")
+        discharged.append(o.name)
+    return GateVerdict("g2", "fail", f"vacuity witness: the stub discharged {', '.join(discharged)}")
 
 
 @dataclass(frozen=True)
@@ -370,15 +384,15 @@ def gate_discrimination(
     alphabet: tuple[Action, ...],
     depth: int,
 ) -> tuple[GateVerdict, MutantResult]:
-    """G3 for one mutation: the seeded error must fail verification."""
+    """G3 for one mutation: the seeded error must fail verification. Its
+    obligations are checked in order up to the first one that fails, which
+    is the one that kills it."""
     if mutation.kind != "seeded-error":
         raise ValueError(f"G3 takes seeded errors, got kind {mutation.kind!r}")
-    outcome = verify_bundle(c, mutation.apply(bundle), alphabet, depth)
-    if outcome.passed:
+    failed = next((o for o in obligations(c, mutation.apply(bundle), alphabet, depth) if not o.passed), None)
+    if failed is None:
         result = MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged")
         return GateVerdict("g3", "fail", f"surviving mutant {mutation.mutation_id}"), result
-    failed = outcome.first_failure()
-    assert failed is not None
     result = MutantResult(mutation.mutation_id, True, killed_by=failed.name, detail=failed.detail)
     return GateVerdict("g3", "pass", f"mutant {mutation.mutation_id} killed by {failed.name}"), result
 

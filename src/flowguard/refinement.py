@@ -262,29 +262,51 @@ def check_refinement_next(
 
     for s in explored:
         abs_pre = b.variables_abs(s)
+        # impl_next answers a rejected action with the pre-state object
+        # itself, so every stutter out of s has the post-state s: its
+        # abstraction is abs_pre, and its invariant and safety-transport
+        # verdicts are computed at most once, by the first stutter that
+        # needs them. Effected steps are judged one by one.
+        stutter_inv: bool | None = None
+        stutter_transported: bool | None = None
         for a in alphabet:
             for e, s2 in impl_next(c, s, a):
-                if inv_ok and not b.inv(c, s2):
-                    inv_ok = False
-                    inv_cx = StepCounterexample(s, a, e, s2, "declared invariant not re-established")
+                stutter = s2 is s
+                if inv_ok:
+                    if not stutter:
+                        inv_holds = b.inv(c, s2)
+                    else:
+                        if stutter_inv is None:
+                            stutter_inv = b.inv(c, s)
+                        inv_holds = stutter_inv
+                    if not inv_holds:
+                        inv_ok = False
+                        inv_cx = StepCounterexample(s, a, e, s2, "declared invariant not re-established")
                 # The matched abstract step must use the identical action
                 # value the concrete step consumed; never a canonicalized
                 # or re-parsed stand-in.
                 query_action = a
                 abs_succs = next_relation(ca, abs_pre, query_action)
                 assert query_action == a
-                wanted = (b.event_abs(e), b.variables_abs(s2))
-                if wanted in abs_succs:
-                    if r3_ok and safety(ca, wanted[1]) and not impl_safety(c, s2):
+                abs_post = abs_pre if stutter else b.variables_abs(s2)
+                if (b.event_abs(e), abs_post) not in abs_succs:
+                    if r2_ok:
+                        r2_ok = False
+                        r2_cx = StepCounterexample(
+                            s, a, e, s2, "no abstract step matches the abstracted event and post-state"
+                        )
+                elif r3_ok:
+                    if not stutter:
+                        transported = not safety(ca, abs_post) or impl_safety(c, s2)
+                    else:
+                        if stutter_transported is None:
+                            stutter_transported = not safety(ca, abs_pre) or impl_safety(c, s)
+                        transported = stutter_transported
+                    if not transported:
                         r3_ok = False
                         r3_cx = StepCounterexample(
                             s, a, e, s2, "abstract safety holds at the matched post-state but concrete safety fails"
                         )
-                elif r2_ok:
-                    r2_ok = False
-                    r2_cx = StepCounterexample(
-                        s, a, e, s2, "no abstract step matches the abstracted event and post-state"
-                    )
         if not (inv_ok or r2_ok or r3_ok):
             break
 

@@ -249,6 +249,8 @@ def check_safety_preserved(
 
     States at distance < depth are expanded; the first violating
     (state, action, event, post_state) quadruple in BFS order is reported.
+    A state enters ``seen`` only after it passed ``safety``, so a successor
+    already in ``seen`` is not judged again.
     """
     init = spec_init(c)
     frontier: list[SpecState] = [init] if safety(c, init) else []
@@ -260,13 +262,14 @@ def check_safety_preserved(
             explored += 1
             for a in alphabet:
                 for e, s2 in next_relation(c, s, a):
+                    if s2 in seen:
+                        continue
                     if not safety(c, s2):
                         return PreservationVerdict(
                             False, explored, PreservationCounterexample(s, a, e, s2)
                         )
-                    if s2 not in seen:
-                        seen.add(s2)
-                        nxt_frontier.append(s2)
+                    seen.add(s2)
+                    nxt_frontier.append(s2)
         frontier = nxt_frontier
         if not frontier:
             break

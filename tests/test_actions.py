@@ -42,6 +42,27 @@ def test_argument_literals_round_trip(name, arg):
     assert parse_action(format_action(a)) == a
 
 
+literal_like = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["ReadPathAction(", "ToolCallAction(", "NoAction", "StepAction", ""]),
+        st.text(),
+        st.sampled_from([")", ")\n", "\n", ") ", ""]),
+    ),
+)
+
+
+@given(st.text() | literal_like)
+def test_only_canonical_literals_parse(text):
+    """Whatever ``parse_action`` accepts, ``format_action`` writes back
+    unchanged; a trailing newline or blank is not a literal."""
+    try:
+        a = parse_action(text)
+    except ValueError:
+        return
+    assert format_action(a) == text
+
+
 def test_nullary_literals_round_trip():
     for a in (NoAction(), StepAction()):
         assert parse_action(format_action(a)) == a

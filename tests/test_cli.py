@@ -138,7 +138,7 @@ def test_gates_pass_on_barrier_rag(tmp_path, capsys):
 def test_gates_malformed_flow_fails_g1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1}')
-    assert main(["gates", "--flow", str(bad), "--depth", "4"]) == 1
+    assert main(["gates", "--flow", str(bad), "--depth", "4"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["gates"]["g1"]["status"] == "fail"
 
@@ -330,10 +330,15 @@ def fuzz_dir(tmp_path_factory):
 @given(doc=malformed_flows(), depth=st.integers(0, 2))
 def test_malformed_flows_never_trace_back(fuzz_dir, doc, depth):
     """Every command that reads a flow answers a malformed one with an
-    exit code of the contract, never an uncaught exception."""
+    exit code of the contract, never an uncaught exception, and ``gates``
+    calls unusable every flow that ``check`` calls unusable."""
     flow = fuzz_dir / "flow.json"
     flow.write_text(json.dumps(doc))
     out = str(fuzz_dir / "out")
     depth_args = ["--depth", str(depth)]
+    codes = {}
     for argv in (["run", "--steps", "3"], ["check", *depth_args], ["gates", *depth_args], ["sweep", *depth_args]):
-        assert main([*argv, "--flow", str(flow), "--out", out]) in (0, 1, 2)
+        codes[argv[0]] = main([*argv, "--flow", str(flow), "--out", out])
+        assert codes[argv[0]] in (0, 1, 2)
+    if codes["check"] == 2:
+        assert codes["gates"] == 2

@@ -25,6 +25,7 @@ from flowguard.havoc import ScriptedOracle, drive
 from flowguard.impl_model import FlowGraph, ImplConstants, ImplState, impl_init, impl_next
 from flowguard.spec_model import SpecConstants
 from flowguard.tracelog import RunDigester, render_trace_log, replay_trace_log, state_digest
+from test_cli import JSON_TYPES, PY_TYPES, scalar
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tracelog"
 FLOW = GOLDEN / "cyclic_reads.json"
@@ -197,3 +198,50 @@ def test_render_and_replay_format_a_linear_number_of_actions(monkeypatch):
     text = render_trace_log(defn, record, strategy="scripted", seed=None)
     assert replay_trace_log(defn, text).passed
     assert calls <= 8 * n
+
+
+# ---------------------------------------------------------------------------
+# Damaged logs
+
+GOLDEN_LINES = _log("random").read_text().splitlines()
+
+
+@st.composite
+def damaged_logs(draw):
+    """The golden random-strategy log with one line (header or row)
+    damaged: a key deleted or given a value of another JSON type, the line
+    cut short, the line duplicated, or the line replaced by a JSON scalar."""
+    lines = list(GOLDEN_LINES)
+    k = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(("delete-key", "retype-key", "truncate", "duplicate", "scalar")))
+    if how in ("delete-key", "retype-key"):
+        doc = json.loads(lines[k])
+        key = draw(st.sampled_from(sorted(doc)))
+        if how == "delete-key":
+            del doc[key]
+        else:
+            other = draw(st.sampled_from([t for t in JSON_TYPES if t != PY_TYPES[type(doc[key])]]))
+            doc[key] = draw(JSON_TYPES[other])
+        lines[k] = json.dumps(doc, sort_keys=True)
+    elif how == "truncate":
+        lines[k] = lines[k][: draw(st.integers(0, len(lines[k]) - 1))]
+    elif how == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        lines[k] = json.dumps(draw(scalar))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def damaged_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged")
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=damaged_logs())
+def test_replay_answers_a_damaged_log_with_an_exit_code(damaged_dir, text):
+    """A damaged log is a failed replay or an unusable input, never an
+    uncaught exception."""
+    log = damaged_dir / "damaged.log"
+    log.write_text(text)
+    assert main(["replay", "--flow", str(FLOW), str(log)]) in (0, 1, 2)
