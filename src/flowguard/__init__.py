@@ -26,7 +26,7 @@ from .actions import (
     format_action,
     parse_action,
 )
-from .fixtures import BUILTIN_FIXTURES, Fixture, rag_flow, read_agent
+from .fixtures import Fixture, rag_flow, read_agent
 from .flowfile import FlowDefinition, FlowFileError, from_fixture, load_flow, parse_flow, serialize_flow
 from .gates import (
     SEEDED_ERRORS,
@@ -46,6 +46,7 @@ from .havoc import (
     RunRecord,
     ScriptedOracle,
     SeededRandomOracle,
+    Trace,
     drive,
     sweep,
 )
@@ -59,16 +60,6 @@ from .impl_model import (
     impl_inv,
     impl_next,
     impl_safety,
-    impl_system,
-)
-from .lts import (
-    TotalityViolation,
-    Trace,
-    TransitionSystem,
-    enumerate_havoc_traces,
-    run_with_oracle,
-    step,
-    validate_trace,
 )
 from .refinement import (
     AbstractionBundle,
@@ -82,12 +73,10 @@ from .refinement import (
 from .spec_model import (
     SpecConstants,
     SpecState,
-    check_init_safety,
     check_safety_preserved,
     spec_init,
     spec_next,
     spec_safety,
-    spec_system,
 )
 
 __version__ = "0.1.0"

@@ -199,10 +199,7 @@ def _gate_report_document(defn: FlowDefinition, depth: int, report: GateReport) 
 
 
 def cmd_gates(args) -> int:
-    flow_path = Path(args.flow)
-    if not flow_path.exists():
-        raise FlowFileError(f"no such flow file: {args.flow}")
-    text = flow_path.read_text()
+    text = Path(args.flow).read_text()
     mutation_ids = tuple(args.mutation.split(",")) if args.mutation else None
     report = run_gates(text, args.depth, mutation_ids, prefix_mode=args.prefix_mode)
 
@@ -333,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FlowFileError, FlowGraphError, FileNotFoundError, ValueError) as e:
+    except (FlowFileError, FlowGraphError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

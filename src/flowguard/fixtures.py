@@ -98,10 +98,3 @@ def rag_flow(barrier: bool = True) -> Fixture:
     )
     name = "rag-flow-barrier" if barrier else "rag-flow-no-barrier"
     return Fixture(name, ImplConstants(spec, graph), alphabet)
-
-
-BUILTIN_FIXTURES = {
-    "read-agent": read_agent,
-    "rag-flow-barrier": lambda: rag_flow(True),
-    "rag-flow-no-barrier": lambda: rag_flow(False),
-}

@@ -172,10 +172,6 @@ def load_flow(path: str | Path) -> FlowDefinition:
     return parse_flow(Path(path).read_text())
 
 
-def write_flow(path: str | Path, defn: FlowDefinition) -> None:
-    Path(path).write_text(serialize_flow(defn))
-
-
 def from_fixture(fixture: Fixture) -> FlowDefinition:
     return FlowDefinition(
         provenance=fixture.provenance,

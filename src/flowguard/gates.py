@@ -44,8 +44,6 @@ fingerprint helper makes that checkable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -55,7 +53,6 @@ from .actions import Action, NoEffect, format_action, format_boundary_event
 from .flowfile import (
     FlowDefinition,
     FlowFileError,
-    flow_to_document,
     parse_flow,
     serialize_flow,
     with_prefix_mode,
@@ -201,15 +198,6 @@ SEEDED_ERRORS: dict[str, Mutation] = {
         ),
     )
 }
-
-
-def bundle_fingerprint(c: ImplConstants, alphabet: tuple[Action, ...]) -> str:
-    """Hash of everything mutations must not touch: constants, graph,
-    alphabet, and the checker configuration."""
-    defn = FlowDefinition(provenance="", constants=c.spec, graph=c.graph, alphabet=alphabet)
-    doc = flow_to_document(defn)
-    doc["checker"] = {"concrete_machine": "impl_next", "abstract_init": "spec_init"}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

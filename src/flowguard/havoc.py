@@ -1,14 +1,13 @@
 """Oracle strategies and the live enforcement loop.
 
 The driver plays the role of an arbitrary action source: it can be
-scripted, uniformly random, adversarially biased toward out-of-policy
-values, or an exhaustive cursor into the space of fixed-length scripts.
-Whatever it chooses, the contained machine emits only policy-compliant
-boundary events; the sweep checks that claim over every action sequence
-of a given length. It walks the tree of script prefixes depth first, one
-step call per prefix (n + n^2 + ... + n^d calls for n actions and depth
-d), which gives the verdict of replaying every script from init as long
-as the step function is deterministic.
+scripted, uniformly random, or adversarially biased toward out-of-policy
+values. Whatever it chooses, the contained machine emits only
+policy-compliant boundary events; the sweep checks that claim over every
+action sequence of a given length. It walks the tree of script prefixes
+depth first, one step call per prefix (n + n^2 + ... + n^d calls for n
+actions and depth d), which gives the verdict of replaying every script
+from init as long as the step function is deterministic.
 """
 
 from __future__ import annotations
@@ -33,8 +32,43 @@ from .impl_model import (
     impl_next,
     impl_safety,
 )
-from .lts import HistoryEntry, Trace, TraceStep
 from .spec_model import SEQUENCE_CONJUNCTS, SpecConstants
+
+# ---------------------------------------------------------------------------
+# Runs as values
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    pre_state: ImplState
+    action: Action
+    event: ImplEvent
+    post_state: ImplState
+
+
+@dataclass(frozen=True)
+class Trace:
+    steps: tuple[TraceStep, ...]
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def states(self) -> tuple[ImplState, ...]:
+        """Initial state followed by every post-state; empty trace yields ()."""
+        if not self.steps:
+            return ()
+        return (self.steps[0].pre_state,) + tuple(t.post_state for t in self.steps)
+
+
+@dataclass(frozen=True)
+class HistoryEntry:
+    """One record of a run history. The final entry of the history handed to
+    a strategy carries the state awaiting a choice, with action and event
+    still None, so the history a strategy sees is always nonempty."""
+
+    state: ImplState
+    action: Action | None
+    event: ImplEvent | None
 
 
 def action_out_of_policy(c: SpecConstants, a: Action) -> bool:
@@ -47,7 +81,7 @@ def action_out_of_policy(c: SpecConstants, a: Action) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Strategies (all satisfy the lts.Oracle protocol)
+# Strategies: any object with ``choose(history) -> Action``
 
 
 class ScriptedOracle:
@@ -87,28 +121,6 @@ class AdversarialOracle:
 
     def choose(self, history: Sequence[HistoryEntry]) -> Action:
         return self._rng.choices(self.alphabet, weights=self.weights, k=1)[0]
-
-
-def decode_script(alphabet: Sequence[Action], cursor: int, length: int) -> tuple[Action, ...]:
-    """The cursor-th length-``length`` script over the alphabet, in the same
-    lexicographic order itertools.product uses (first step most
-    significant)."""
-    n = len(alphabet)
-    total = n**length
-    if not 0 <= cursor < total:
-        raise ValueError(f"cursor {cursor} out of range for {n}^{length} scripts")
-    digits = []
-    for _ in range(length):
-        cursor, d = divmod(cursor, n)
-        digits.append(alphabet[d])
-    return tuple(reversed(digits))
-
-
-class ExhaustiveCursorOracle(ScriptedOracle):
-    """Replays one point of the exhaustive sweep, addressed by index."""
-
-    def __init__(self, alphabet: Sequence[Action], cursor: int, length: int):
-        super().__init__(decode_script(alphabet, cursor, length))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .actions import (
     ToolEvent,
     action_label,
 )
-from .lts import TransitionSystem
 from .spec_model import (
     READ_PATHS_ROOTED,
     STEP_BOUNDED,
@@ -216,11 +215,3 @@ def event_in_policy(c: ImplConstants, pre: ImplState, event: ImplEvent | Boundar
         case StepEvent():
             return STEP_BOUNDED.guard(c.spec, pre.step_count)
     return False
-
-
-def impl_system(c: ImplConstants, alphabet: tuple[Action, ...]) -> TransitionSystem:
-    return TransitionSystem(
-        initial_state=impl_init(c),
-        step_relation=lambda s, a: impl_next(c, s, a),
-        action_alphabet=alphabet,
-    )

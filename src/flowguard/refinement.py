@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .actions import Action, BoundaryEvent, ImplEvent, NoAction
+from .havoc import Trace
 from .impl_model import (
     NO_NODE,
     ImplConstants,
@@ -46,7 +47,6 @@ from .impl_model import (
     impl_safety,
     impl_wf,
 )
-from .lts import Trace
 from .spec_model import (
     SEQUENCE_CONJUNCTS,
     SpecConstants,

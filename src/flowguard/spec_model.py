@@ -33,7 +33,6 @@ from .actions import (
     ToolCallAction,
     ToolEvent,
 )
-from .lts import TransitionSystem
 
 PREFIX_GUARDED = "guarded"
 PREFIX_BARE = "bare"
@@ -203,14 +202,6 @@ def spec_safety(c: SpecConstants, s: SpecState) -> bool:
     return violated(c, s) is None
 
 
-def spec_system(c: SpecConstants, alphabet: tuple[Action, ...]) -> TransitionSystem:
-    return TransitionSystem(
-        initial_state=spec_init(c),
-        step_relation=lambda s, a: spec_next(c, s, a),
-        action_alphabet=alphabet,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Lemma-level checks: initial safety and inductive preservation
 
@@ -228,12 +219,6 @@ class PreservationVerdict:
     passed: bool
     explored_states: int
     counterexample: PreservationCounterexample | None = None
-
-
-def check_init_safety(c: SpecConstants) -> bool:
-    """Base case of abstract safety: the initial state satisfies the
-    predicate for any well-formed constants."""
-    return spec_safety(c, spec_init(c))
 
 
 def check_safety_preserved(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from .actions import Action, format_action, format_impl_event, parse_action
@@ -134,10 +133,6 @@ def render_trace_log(
     return "\n".join(lines) + "\n"
 
 
-def write_trace_log(path: str | Path, defn: FlowDefinition, record: RunRecord, *, strategy: str, seed: int | None) -> None:
-    Path(path).write_text(render_trace_log(defn, record, strategy=strategy, seed=seed))
-
-
 def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -152,6 +147,11 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
     version = header.get("schema_version")
     if header.get("kind") != "trace-log" or type(version) is not int or version != LOG_SCHEMA_VERSION:
         raise TraceLogError("missing or unsupported trace-log header")
+    if not isinstance(header.get("strategy"), str) or not isinstance(header.get("provenance"), str):
+        raise TraceLogError("trace-log header needs 'strategy' and 'provenance' strings")
+    seed = header.get("seed", "")  # a missing seed is not a null one
+    if seed is not None and type(seed) is not int:
+        raise TraceLogError("trace-log header 'seed' must be an integer or null")
     for n, row in enumerate(rows):
         if not isinstance(row, dict):
             raise TraceLogError("every trace-log row must be an object")

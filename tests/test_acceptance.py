@@ -22,7 +22,7 @@ from flowguard.actions import (
 )
 from flowguard.cli import main
 from flowguard.fixtures import read_agent
-from flowguard.flowfile import from_fixture, write_flow
+from flowguard.flowfile import from_fixture, serialize_flow
 from flowguard.gates import (
     SEEDED_ERRORS,
     default_spec_bundle,
@@ -31,9 +31,8 @@ from flowguard.gates import (
     identity_mutation,
     run_gates,
 )
-from flowguard.havoc import sweep
-from flowguard.impl_model import impl_init, impl_system
-from flowguard.lts import Trace, TraceStep, enumerate_havoc_traces
+from flowguard.havoc import Trace, TraceStep, sweep
+from flowguard.impl_model import impl_init
 from flowguard.refinement import (
     check_refinement_init,
     check_refinement_next,
@@ -41,6 +40,7 @@ from flowguard.refinement import (
     default_bundle,
 )
 from flowguard.spec_model import spec_next
+from test_havoc import havoc_traces
 
 
 def report(line: str) -> None:
@@ -99,18 +99,17 @@ def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
 def test_criterion_3_soundness_composition(agent):
     c = agent.constants
     b = default_bundle()
-    sysm = impl_system(c, agent.alphabet)
 
     total = 0
     for depth in range(5):
-        for trace in enumerate_havoc_traces(sysm, depth):
+        for trace in havoc_traces(c, agent.alphabet, depth):
             total += 1
             assert check_soundness(c, b, trace).passed
     assert total == sum(6**d for d in range(5))  # 1555
 
     # single-field corruptions flip the verdict at the stage that owns them
     read_step = None
-    for trace in enumerate_havoc_traces(sysm, 1):
+    for trace in havoc_traces(c, agent.alphabet, 1):
         if trace.steps[0].event.dispatch is not None:
             read_step = trace.steps[0]
             break
@@ -256,7 +255,7 @@ def _out_of_policy_count(script):
 
 def test_criterion_6_rejection_semantics(tmp_path):
     flow_path = tmp_path / "read_agent.json"
-    write_flow(flow_path, from_fixture(read_agent()))
+    flow_path.write_text(serialize_flow(from_fixture(read_agent())))
     log_path = tmp_path / "mixed.log"
 
     literals = ";".join(
@@ -294,7 +293,7 @@ def test_criterion_6_rejection_semantics(tmp_path):
 
 def test_criterion_7_replay_integrity(tmp_path):
     flow_path = tmp_path / "read_agent.json"
-    write_flow(flow_path, from_fixture(read_agent()))
+    flow_path.write_text(serialize_flow(from_fixture(read_agent())))
     for seed in range(20):
         log_path = tmp_path / f"run_{seed}.log"
         assert (

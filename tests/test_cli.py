@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
-from flowguard.flowfile import from_fixture, write_flow
+from flowguard.flowfile import from_fixture, serialize_flow
 from flowguard.fixtures import rag_flow, read_agent
 from flowguard.tracelog import TraceLogError, parse_trace_log
 
@@ -19,14 +19,14 @@ from flowguard.tracelog import TraceLogError, parse_trace_log
 @pytest.fixture(scope="module")
 def flow_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("flows") / "read_agent.json"
-    write_flow(path, from_fixture(read_agent()))
+    path.write_text(serialize_flow(from_fixture(read_agent())))
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def rag_nb_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("flows") / "rag_nb.json"
-    write_flow(path, from_fixture(rag_flow(barrier=False)))
+    path.write_text(serialize_flow(from_fixture(rag_flow(barrier=False))))
     return str(path)
 
 
@@ -131,7 +131,7 @@ def test_gates_fail_on_no_barrier_rag(rag_nb_file, capsys):
 
 def test_gates_pass_on_barrier_rag(tmp_path, capsys):
     path = tmp_path / "rag_b.json"
-    write_flow(path, from_fixture(rag_flow(barrier=True)))
+    path.write_text(serialize_flow(from_fixture(rag_flow(barrier=True))))
     assert main(["gates", "--flow", str(path), "--depth", "4"]) == 0
 
 
@@ -206,7 +206,7 @@ def test_gates_prefix_mode_changes_what_is_verified(tmp_path, capsys):
     i = defn.alphabet.index(ReadPathAction("/ws/x"))
     alphabet = defn.alphabet[:i] + (ReadPathAction("/wsx/a"),) + defn.alphabet[i:]
     path = tmp_path / "wsx.json"
-    write_flow(path, dataclasses.replace(defn, alphabet=alphabet))
+    path.write_text(serialize_flow(dataclasses.replace(defn, alphabet=alphabet)))
 
     assert main(["sweep", "--flow", str(path), "--depth", "4", "--prefix-mode", "bare"]) == 0
     assert json.loads(capsys.readouterr().out)["visited_states"] == 7
@@ -236,6 +236,23 @@ def test_negative_depth_exits_two(flow_file, capsys, command):
     assert main([command, "--flow", flow_file, "--depth", "-1"]) == 2
     assert "depth must be >= 0" in capsys.readouterr().err
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--flow", "{dir}"],
+        ["gates", "--flow", "{dir}"],
+        ["sweep", "--flow", "{dir}"],
+        ["run", "--flow", "{dir}"],
+        ["run", "--flow", "{flow}", "--out", "{dir}"],
+        ["check", "--flow", "{flow}", "--depth", "1", "--out", "{dir}"],
+    ],
+    ids=["check-flow", "gates-flow", "sweep-flow", "run-flow", "run-out", "check-out"],
+)
+def test_directory_paths_exit_two(flow_file, tmp_path, capsys, argv):
+    assert main([a.format(dir=tmp_path, flow=flow_file) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _edit_row(n, **fields):
     return lambda header, rows: (header, rows[:n] + [dict(rows[n], **fields)] + rows[n + 1:])
 
@@ -257,6 +274,15 @@ def _edit_row(n, **fields):
         pytest.param(_edit_row(1, action=["StepAction"]), id="action-not-a-string"),
         pytest.param(_edit_row(1, event=None), id="event-not-a-string"),
         pytest.param(_edit_row(1, post=1), id="post-not-a-string"),
+        pytest.param(lambda header, rows: (dict(header, seed="x"), rows), id="seed-string"),
+        pytest.param(lambda header, rows: (dict(header, seed=[1]), rows), id="seed-list"),
+        pytest.param(lambda header, rows: (dict(header, seed=True), rows), id="seed-bool"),
+        pytest.param(
+            lambda header, rows: ({k: v for k, v in header.items() if k != "seed"}, rows), id="header-without-seed"
+        ),
+        pytest.param(lambda header, rows: (dict(header, strategy=5), rows), id="strategy-number"),
+        pytest.param(lambda header, rows: (dict(header, provenance=7), rows), id="provenance-number"),
+        pytest.param(lambda header, rows: (dict(header, provenance=None), rows), id="provenance-null"),
     ],
 )
 def test_unusable_trace_log_is_rejected_with_exit_two(flow_file, tmp_path, capsys, edit):

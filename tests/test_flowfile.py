@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flowguard.fixtures import BUILTIN_FIXTURES
+from flowguard.fixtures import rag_flow, read_agent
 from flowguard.flowfile import (
     FlowFileError,
     flow_digest,
@@ -17,6 +17,12 @@ from flowguard.flowfile import (
 )
 
 FLOWS_DIR = Path(__file__).resolve().parent.parent / "flows"
+
+BUILTIN_FIXTURES = {
+    "read-agent": read_agent,
+    "rag-flow-barrier": lambda: rag_flow(True),
+    "rag-flow-no-barrier": lambda: rag_flow(False),
+}
 
 SHIPPED = {
     "read-agent": "read_agent.json",

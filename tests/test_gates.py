@@ -2,15 +2,16 @@
 template-fitness audit, including the fixture pair that only fitness can
 tell apart."""
 
+import hashlib
 import json
 
 import pytest
 
 from flowguard.fixtures import rag_flow, read_agent
+from flowguard.flowfile import FlowDefinition, flow_to_document
 from flowguard.gates import (
     SEEDED_ERRORS,
     CheckConfig,
-    bundle_fingerprint,
     check_template_fitness,
     default_spec_bundle,
     gate_discrimination,
@@ -21,6 +22,15 @@ from flowguard.gates import (
     run_gates,
     verify_bundle,
 )
+
+
+def bundle_fingerprint(c, alphabet):
+    """Hash of everything mutations must not touch: constants, graph,
+    alphabet, and the checker configuration."""
+    defn = FlowDefinition(provenance="", constants=c.spec, graph=c.graph, alphabet=alphabet)
+    doc = flow_to_document(defn)
+    doc["checker"] = {"concrete_machine": "impl_next", "abstract_init": "spec_init"}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")

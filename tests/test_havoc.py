@@ -19,16 +19,30 @@ from flowguard.actions import (
 from flowguard.fixtures import read_agent
 from flowguard.havoc import (
     AdversarialOracle,
-    ExhaustiveCursorOracle,
     ScriptedOracle,
     SeededRandomOracle,
     action_out_of_policy,
-    decode_script,
     drive,
     sweep,
 )
-from flowguard.impl_model import event_in_policy, impl_next, impl_system
-from flowguard.lts import validate_trace
+from flowguard.impl_model import event_in_policy, impl_init, impl_next
+
+
+def havoc_traces(c, alphabet, depth):
+    """Every trace of length ``depth``: one driven run per script, in
+    ``itertools.product`` order. ``impl_next`` is deterministic, so the
+    scripts give every trace of the machine exactly once."""
+    return [drive(c, ScriptedOracle(script), depth).trace for script in itertools.product(alphabet, repeat=depth)]
+
+
+def assert_machine_trace(c, trace):
+    """The trace starts at init, chains, and every step is the one
+    ``impl_next`` takes."""
+    state = impl_init(c)
+    for t in trace.steps:
+        assert t.pre_state == state
+        assert impl_next(c, t.pre_state, t.action) == ((t.event, t.post_state),)
+        state = t.post_state
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +82,7 @@ def test_script_exhaustion_pads_with_noaction(fx):
 
 def test_drive_trace_validates(fx):
     record = drive(fx.constants, SeededRandomOracle(5, fx.alphabet), 12)
-    validate_trace(impl_system(fx.constants, fx.alphabet), record.trace)
+    assert_machine_trace(fx.constants, record.trace)
 
 
 def test_rejected_count_matches_its_definition(fx):
@@ -102,28 +116,6 @@ def test_static_policy_judgment(fx):
     assert not action_out_of_policy(spec, ReadPathAction("/ws/x"))
     assert action_out_of_policy(spec, ToolCallAction("rm"))
     assert not action_out_of_policy(spec, StepAction())
-
-
-# ---------------------------------------------------------------------------
-# exhaustive cursor
-
-
-def test_decode_script_matches_product_order(fx):
-    alphabet = fx.alphabet[:3]
-    products = list(itertools.product(alphabet, repeat=3))
-    decoded = [decode_script(alphabet, i, 3) for i in range(len(products))]
-    assert decoded == products
-
-
-def test_decode_script_rejects_bad_cursor(fx):
-    with pytest.raises(ValueError):
-        decode_script(fx.alphabet, 6**4, 4)
-
-
-def test_cursor_oracle_replays_one_sweep_point(fx):
-    oracle = ExhaustiveCursorOracle(fx.alphabet, 100, 4)
-    record = drive(fx.constants, oracle, 4)
-    assert [s.action for s in record.trace.steps] == list(decode_script(fx.alphabet, 100, 4))
 
 
 # ---------------------------------------------------------------------------

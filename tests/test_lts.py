@@ -1,144 +1,50 @@
-"""The generic transition-system kit, exercised on small toy systems and
-on the shipped machine."""
+"""The contained machine as a labelled transition system: ``impl_next`` as
+its step relation and ``drive`` as its oracle-driven run."""
 
-import pytest
-
-from flowguard.actions import NoAction, ReadPathAction, StepAction
-from flowguard.impl_model import impl_inv, impl_safety, impl_system
-from flowguard.lts import (
-    HistoryEntry,
-    TotalityViolation,
-    Trace,
-    TransitionSystem,
-    enumerate_havoc_traces,
-    first_match,
-    run_with_oracle,
-    seeded_resolver,
-    step,
-    validate_trace,
-)
-
-
-def counter_system(n_actions: int = 5) -> TransitionSystem:
-    """Deterministic toy: state is an int, action k adds k."""
-    return TransitionSystem(
-        initial_state=0,
-        step_relation=lambda s, a: ((f"add{a}", s + a),),
-        action_alphabet=tuple(range(n_actions)),
-    )
-
-
-def forked_system() -> TransitionSystem:
-    """Nondeterministic toy with fan-out 2 on action 'f'."""
-
-    def rel(s, a):
-        if a == "f":
-            return (("lo", s + 1), ("hi", s + 10))
-        return (("id", s),)
-
-    return TransitionSystem(0, rel, ("f", "n"))
-
-
-def broken_system() -> TransitionSystem:
-    return TransitionSystem(0, lambda s, a: (), ("a",))
-
-
-def test_step_returns_all_successors():
-    sysm = forked_system()
-    assert step(sysm, 0, "f") == (("lo", 1), ("hi", 10))
+from flowguard.actions import NoAction, NoEffect, ReadPathAction, StepAction, StepEvent
+from flowguard.fixtures import rag_flow
+from flowguard.havoc import HistoryEntry, ScriptedOracle, SeededRandomOracle, drive
+from flowguard.impl_model import FlowGraph, ImplConstants, NodeKind, impl_init, impl_inv, impl_next, impl_safety
+from flowguard.spec_model import SpecConstants
+from test_havoc import assert_machine_trace, havoc_traces
 
 
 def test_step_on_machine_with_step_entry():
     # the rag flow enters at a Step node: a fresh StepAction dispatches
-    from flowguard.fixtures import rag_flow
-    from flowguard.actions import StepEvent
-
-    fx = rag_flow(barrier=True)
-    sysm = impl_system(fx.constants, fx.alphabet)
-    ((event, nxt),) = step(sysm, sysm.initial_state, StepAction())
+    c = rag_flow(barrier=True).constants
+    init = impl_init(c)
+    ((event, nxt),) = impl_next(c, init, StepAction())
     assert event.effect == StepEvent()
-    assert nxt.step_count == sysm.initial_state.step_count + 1
+    assert nxt.step_count == init.step_count + 1
 
 
 def test_step_relation_at_the_bound_is_a_stutter():
-    # a one-node ticker with max_steps=2: enumerate the relation at the
-    # boundary state and confirm the only successor is the stutter
-    from flowguard.actions import NoEffect
-    from flowguard.impl_model import FlowGraph, ImplConstants, NodeKind
-    from flowguard.spec_model import SpecConstants
-
+    # a one-node ticker with max_steps=2: at the boundary state the only
+    # successor is the stutter
     c = ImplConstants(
         SpecConstants("/ws", frozenset(), 2),
         FlowGraph(entry="tick", node_kinds=(("tick", NodeKind.STEP),), edges=(("tick", "step", "tick"),)),
     )
-    sysm = impl_system(c, (StepAction(), NoAction()))
-    state = sysm.initial_state
+    state = impl_init(c)
     for _ in range(2):  # consume the whole budget
-        ((_, state),) = step(sysm, state, StepAction())
+        ((_, state),) = impl_next(c, state, StepAction())
     assert state.step_count == 2
-    succs = step(sysm, state, StepAction())
+    succs = impl_next(c, state, StepAction())
     assert len(succs) == 1 and succs[0][0].effect == NoEffect()
 
 
-def test_step_raises_on_empty_relation():
-    with pytest.raises(TotalityViolation):
-        step(broken_system(), 0, "a")
-
-
-def test_enumeration_count_is_alphabet_power_depth():
-    # deterministic system, 5 actions, depth 4 -> 5^4
-    traces = list(enumerate_havoc_traces(counter_system(5), 4))
-    assert len(traces) == 625
-    assert len(set(traces)) == 625  # duplicate-free
-
-
-def test_enumeration_depth_zero_is_single_empty_trace():
-    traces = list(enumerate_havoc_traces(counter_system(), 0))
-    assert traces == [Trace(())]
-
-
-def test_enumeration_covers_nondeterministic_branches():
-    # 'f' forks into two successors, 'n' does not: (2+1)^2 traces at depth 2
-    traces = list(enumerate_havoc_traces(forked_system(), 2))
-    assert len(traces) == 9
-
-
 def test_every_enumerated_trace_chains(agent):
-    sysm = impl_system(agent.constants, agent.alphabet)
-    for trace in enumerate_havoc_traces(sysm, 3):
-        validate_trace(sysm, trace)
-        for i in range(1, len(trace.steps)):
-            assert trace.steps[i - 1].post_state == trace.steps[i].pre_state
+    for trace in havoc_traces(agent.constants, agent.alphabet, 3):
+        assert_machine_trace(agent.constants, trace)
 
 
 def test_impl_enumeration_stays_safe(agent):
     # the exhaustive run is the oracle: every state reached in 3 steps
     # satisfies the concrete safety predicate
-    sysm = impl_system(agent.constants, agent.alphabet)
-    for trace in enumerate_havoc_traces(sysm, 3):
+    for trace in havoc_traces(agent.constants, agent.alphabet, 3):
         for state in trace.states():
             assert impl_safety(agent.constants, state)
             assert impl_inv(agent.constants, state)
-
-
-class FixedOracle:
-    def __init__(self, script):
-        self.script = list(script)
-
-    def choose(self, history):
-        return self.script[len(history) - 1]
-
-
-def test_run_with_oracle_scripted(agent):
-    sysm = impl_system(agent.constants, agent.alphabet)
-    trace = run_with_oracle(sysm, FixedOracle([StepAction(), StepAction()]), 2)
-    assert len(trace) == 2
-    validate_trace(sysm, trace)
-
-
-def test_run_with_oracle_zero_steps(agent):
-    sysm = impl_system(agent.constants, agent.alphabet)
-    assert run_with_oracle(sysm, FixedOracle([]), 0) == Trace(())
 
 
 def test_oracle_history_is_nonempty_and_grows(agent):
@@ -152,48 +58,19 @@ def test_oracle_history_is_nonempty_and_grows(agent):
             seen_lengths.append(len(history))
             return NoAction()
 
-    run_with_oracle(impl_system(agent.constants, agent.alphabet), Probe(), 3)
+    drive(agent.constants, Probe(), 3)
     assert seen_lengths == [1, 2, 3]
 
 
 def test_rejected_out_of_root_read_is_noeffect(agent):
-    sysm = impl_system(agent.constants, agent.alphabet)
-    trace = run_with_oracle(sysm, FixedOracle([ReadPathAction("/etc/pw")]), 1)
+    trace = drive(agent.constants, ScriptedOracle([ReadPathAction("/etc/pw")]), 1).trace
     event = trace.steps[0].event
     assert event.dispatch is None  # stutter
     assert trace.steps[0].post_state == trace.steps[0].pre_state
 
 
-def test_havoc_coverage_membership():
-    # any oracle-compatible run of length d is in the depth-d havoc set
-    sysm = forked_system()
-    for resolver in (first_match, seeded_resolver(3)):
-        trace = run_with_oracle(sysm, FixedOracle(["f", "n", "f"]), 3, resolver)
-        assert trace in set(enumerate_havoc_traces(sysm, 3))
-
-
-def test_resolvers_pick_a_real_successor():
-    sysm = forked_system()
-    succs = step(sysm, 0, "f")
-    assert first_match(succs) == succs[0]
+def test_havoc_coverage_membership(agent):
+    # any oracle-driven run of length d is in the depth-d havoc set
+    traces = set(havoc_traces(agent.constants, agent.alphabet, 3))
     for seed in range(5):
-        assert seeded_resolver(seed)(succs) in succs
-
-
-def test_validate_trace_rejects_corruption():
-    from flowguard.lts import TraceStep
-
-    sysm = counter_system()
-    good = next(iter(enumerate_havoc_traces(sysm, 2)))
-
-    broken_chain = list(good.steps)
-    s1 = broken_chain[1]
-    broken_chain[1] = TraceStep(s1.pre_state + 99, s1.action, s1.event, s1.post_state)
-    with pytest.raises(ValueError):
-        validate_trace(sysm, Trace(tuple(broken_chain)))
-
-    wrong_event = list(good.steps)
-    s0 = wrong_event[0]
-    wrong_event[0] = TraceStep(s0.pre_state, s0.action, "no-such-event", s0.post_state)
-    with pytest.raises(ValueError):
-        validate_trace(sysm, Trace(tuple(wrong_event)))
+        assert drive(agent.constants, SeededRandomOracle(seed, agent.alphabet), 3).trace in traces

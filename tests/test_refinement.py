@@ -16,9 +16,8 @@ from flowguard.actions import (
 )
 from flowguard.fixtures import rag_flow, read_agent
 from flowguard.gates import SEEDED_ERRORS, default_spec_bundle
-from flowguard.havoc import ScriptedOracle, drive
-from flowguard.impl_model import impl_init, impl_next, impl_safety, impl_system, impl_wf
-from flowguard.lts import Trace, TraceStep, enumerate_havoc_traces
+from flowguard.havoc import ScriptedOracle, Trace, TraceStep, drive
+from flowguard.impl_model import impl_init, impl_next, impl_safety, impl_wf
 from flowguard.refinement import (
     check_refinement_init,
     check_refinement_next,
@@ -28,6 +27,7 @@ from flowguard.refinement import (
     project_variables,
 )
 from flowguard.spec_model import spec_init, spec_next
+from test_havoc import havoc_traces
 
 
 @pytest.fixture(scope="module")
@@ -178,10 +178,9 @@ def test_depth_zero_checks_init_only(agent_c, alphabet):
 
 def test_soundness_on_every_bounded_trace(agent_c, alphabet):
     # refinement holds at depth 4, so every trace of length <= 4 must pass
-    sysm = impl_system(agent_c, alphabet)
     b = default_bundle()
     for depth in range(5):
-        for trace in enumerate_havoc_traces(sysm, depth):
+        for trace in havoc_traces(agent_c, alphabet, depth):
             assert check_soundness(agent_c, b, trace).passed
 
 
@@ -247,7 +246,6 @@ def test_refinement_plus_soundness_matches_sweep(agent_c, alphabet):
     """Cross-check two independent routes: the refinement verdict plus
     per-trace soundness on one side, direct safety scanning on the other."""
     assert check_refinement_next(agent_c, default_bundle(), alphabet, 3).passed
-    sysm = impl_system(agent_c, alphabet)
-    for trace in enumerate_havoc_traces(sysm, 3):
+    for trace in havoc_traces(agent_c, alphabet, 3):
         assert all(impl_safety(agent_c, s) for s in trace.states())
         assert check_soundness(agent_c, default_bundle(), trace).passed

@@ -21,7 +21,6 @@ from flowguard.actions import (
 from flowguard.spec_model import (
     SpecConstants,
     SpecState,
-    check_init_safety,
     check_safety_preserved,
     path_under_root,
     spec_init,
@@ -74,7 +73,8 @@ def test_init_safety_over_constants_grid():
     roots = ["/ws", "/", "/deep/nest"]
     allowlists = [frozenset(), frozenset({"search"}), frozenset({"a", "b"})]
     for root, tools, max_steps in itertools.product(roots, allowlists, range(3)):
-        assert check_init_safety(SpecConstants(root, tools, max_steps))
+        c = SpecConstants(root, tools, max_steps)
+        assert spec_safety(c, spec_init(c))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sweep_reference as ref
 from flowguard.actions import NoAction, StepAction
 from flowguard.cli import main
 from flowguard.fixtures import rag_flow, read_agent
-from flowguard.flowfile import from_fixture, write_flow
+from flowguard.flowfile import from_fixture, serialize_flow
 from flowguard.havoc import sweep
 from flowguard.impl_model import impl_init, impl_next
 from test_havoc import broken_next
@@ -165,7 +165,7 @@ def test_empty_alphabet():
 
 def test_sweep_at_depth_5000_does_not_recurse(tmp_path):
     path = tmp_path / "step_only.json"
-    write_flow(path, dataclasses.replace(from_fixture(read_agent()), alphabet=(StepAction(),)))
+    path.write_text(serialize_flow(dataclasses.replace(from_fixture(read_agent()), alphabet=(StepAction(),))))
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--flow", str(path), "--depth", "5000", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
