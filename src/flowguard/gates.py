@@ -29,24 +29,26 @@ inductive safety preservation, initial refinement matching, and the step
 simulation with its invariant obligation. ``obligations`` runs them in
 that fixed order, each check only when its obligation is reached; G2 and
 G3 stop at the first failed obligation (the one their verdict names),
-while ``verify_bundle``, and so ``flowguard check``, reports all six. A
-flow that fails G1 is unusable input: ``flowguard gates`` then exits 2
-with a report holding only the G1 verdict. Enumeration checks truth, not
-proof effort, so bundle-invariant edits are applied to the assumption
-side only (the obligations keep the declared invariant); a symmetric edit
-to a non-load-bearing clause would otherwise be undetectable in
-principle.
+and so does the step check inside it, while ``verify_bundle``, and so
+``flowguard check``, judges and reports all six. A flow that fails G1 is
+unusable input: ``flowguard gates`` then exits 2 with a report holding
+only the G1 verdict. Enumeration checks truth, not proof effort, so
+bundle-invariant edits are applied to the assumption side only (the
+obligations keep the declared invariant); a symmetric edit to a
+non-load-bearing clause would otherwise be undetectable in principle.
 
-Mutations touch only the bundle. The constants, the concrete machine, and
-the checker configuration are byte-identical before and after; the
-fingerprint helper makes that checkable.
+Mutations touch only the bundle: the constants, the concrete machine, and
+the checker configuration are the same before and after. So one
+``CheckRun`` serves G2, every G3 mutant and fitness: it explores the
+concrete side once, and judges safety preservation once per distinct
+abstract relation and safety predicate.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator
 
 from .actions import Action, NoEffect, format_action, format_boundary_event
@@ -57,14 +59,16 @@ from .flowfile import (
     serialize_flow,
     with_prefix_mode,
 )
-from .impl_model import INVARIANT, FlowGraphError, ImplConstants, impl_inv, impl_wf
+from .impl_model import INVARIANT, FlowGraphError, ImplConstants, ImplState, impl_inv, impl_wf
 from .refinement import (
     AbstractionBundle,
     InvPredicate,
+    StepDomain,
     default_bundle,
     check_refinement_init,
     check_refinement_next,
     reachable_layers,
+    step_domain,
 )
 from .spec_model import (
     POLICY,
@@ -234,24 +238,49 @@ def _describe_preservation(v: PreservationVerdict) -> str:
     )
 
 
-def obligations(
-    c: ImplConstants,
-    config: CheckConfig,
-    alphabet: tuple[Action, ...],
-    depth: int,
-) -> Iterator[Obligation]:
+class CheckRun:
+    """The work that every bundle checked on one concrete machine, alphabet
+    and depth shares: the reachable layers, the step domain, and the
+    safety-preservation verdict of each distinct (next_relation, safety)
+    pair. Each is computed when first needed. The relation edits are
+    built once at import, so identity keys those verdicts soundly.
+    Successor states and abstract steps are not kept across bundles:
+    holding them costs more memory than recomputing them costs time."""
+
+    def __init__(self, c: ImplConstants, alphabet: tuple[Action, ...], depth: int):
+        self.c, self.alphabet, self.depth = c, alphabet, depth
+        self._preserved: dict[tuple, PreservationVerdict] = {}
+
+    @cached_property
+    def layers(self) -> list[list[ImplState]]:
+        return reachable_layers(self.c, self.alphabet, self.depth)
+
+    @cached_property
+    def domain(self) -> StepDomain:
+        return step_domain(self.c, self.alphabet, self.depth, self.layers)
+
+    def safety_preserved(self, b: SpecBundle) -> PreservationVerdict:
+        key = (b.constants, b.next_relation, b.safety)
+        if key not in self._preserved:
+            self._preserved[key] = check_safety_preserved(
+                b.constants, self.alphabet, self.depth, next_relation=b.next_relation, safety=b.safety
+            )
+        return self._preserved[key]
+
+
+def obligations(run: CheckRun, config: CheckConfig, lazy: bool = False) -> Iterator[Obligation]:
     """The full lemma set on a (possibly mutated) bundle, one obligation at
     a time in a fixed order: init_safety, safety_preserved,
     refinement_init, then inv_inductive, r2_step_simulation and
     r3_safety_transport from one step check. Each check runs only when its
     obligation is reached, so a caller that stops at the first failure
-    skips the checks after it."""
+    skips the checks after it. With ``lazy`` the step check also stops
+    once its first failed obligation is decided, and the sequence ends
+    with that obligation."""
     b = config.bundle
     yield Obligation("init_safety", b.safety(b.constants, spec_init(b.constants)))
 
-    preserved = check_safety_preserved(
-        b.constants, alphabet, depth, next_relation=b.next_relation, safety=b.safety
-    )
+    preserved = run.safety_preserved(b)
     yield Obligation(
         "safety_preserved",
         preserved.passed,
@@ -259,17 +288,19 @@ def obligations(
         explored_states=preserved.explored_states,
     )
 
-    r_init = check_refinement_init(c, b.bundle_for_impl)
+    r_init = check_refinement_init(run.c, b.bundle_for_impl)
     yield Obligation("refinement_init", r_init.passed, r_init.detail)
 
     r_next = check_refinement_next(
-        c,
+        run.c,
         b.bundle_for_impl,
-        alphabet,
-        depth,
+        run.alphabet,
+        run.depth,
         next_relation=b.next_relation,
         safety=b.safety,
         assume_inv=config.assume_inv,
+        domain=run.domain,
+        lazy=lazy,
     )
     for name, ok, cx in (
         ("inv_inductive", r_next.inv_inductive, r_next.inv_counterexample),
@@ -280,6 +311,8 @@ def obligations(
         if cx is not None:
             detail = f"{cx.detail}; action {format_action(cx.action)}"
         yield Obligation(name, ok, detail, explored_states=r_next.explored_states)
+        if lazy and not ok:
+            return
 
 
 def verify_bundle(
@@ -289,8 +322,8 @@ def verify_bundle(
     depth: int,
 ) -> VerificationOutcome:
     """Run the full lemma set on a (possibly mutated) bundle and report
-    every obligation."""
-    return VerificationOutcome(tuple(obligations(c, config, alphabet, depth)))
+    every obligation, each judged over the whole pass."""
+    return VerificationOutcome(tuple(obligations(CheckRun(c, alphabet, depth), config)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +372,11 @@ def gate_vacuity(
     bundle: SpecBundle,
     alphabet: tuple[Action, ...],
     depth: int,
+    run: CheckRun | None = None,
 ) -> GateVerdict:
     """G2: the permissive stub must fail verification. Its obligations
-    are checked in order up to the first one that fails."""
+    are checked in order up to the first one that fails. ``run`` is the
+    work shared with the other gates; a fresh one by default."""
     if depth < 1:
         return GateVerdict(
             "g2",
@@ -350,7 +385,8 @@ def gate_vacuity(
             "so the stub trivially verifies)",
         )
     discharged: list[str] = []
-    for o in obligations(c, permissive_stub().apply(bundle), alphabet, depth):
+    run = run or CheckRun(c, alphabet, depth)
+    for o in obligations(run, permissive_stub().apply(bundle), lazy=True):
         if not o.passed:
             return GateVerdict("g2", "pass", f"permissive stub failed at {o.name}")
         discharged.append(o.name)
@@ -371,13 +407,15 @@ def gate_discrimination(
     mutation: Mutation,
     alphabet: tuple[Action, ...],
     depth: int,
+    run: CheckRun | None = None,
 ) -> tuple[GateVerdict, MutantResult]:
     """G3 for one mutation: the seeded error must fail verification. Its
     obligations are checked in order up to the first one that fails, which
-    is the one that kills it."""
+    is the one that kills it. ``run`` is as for ``gate_vacuity``."""
     if mutation.kind != "seeded-error":
         raise ValueError(f"G3 takes seeded errors, got kind {mutation.kind!r}")
-    failed = next((o for o in obligations(c, mutation.apply(bundle), alphabet, depth) if not o.passed), None)
+    run = run or CheckRun(c, alphabet, depth)
+    failed = next((o for o in obligations(run, mutation.apply(bundle), lazy=True) if not o.passed), None)
     if failed is None:
         result = MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged")
         return GateVerdict("g3", "fail", f"surviving mutant {mutation.mutation_id}"), result
@@ -414,6 +452,7 @@ def check_template_fitness(
     bundle: SpecBundle,
     alphabet: tuple[Action, ...],
     depth: int,
+    run: CheckRun | None = None,
 ) -> FitnessReport:
     """For each sequence-quantified safety conjunct, find a reachable state
     (within depth, through the abstraction) where the quantified sequence
@@ -421,10 +460,11 @@ def check_template_fitness(
     every reachable state and the field it polices is never written.
 
     The scalar step-count conjunct is exempt: it is exercised by any
-    effected step, so it cannot silently abstain at depth >= 1.
+    effected step, so it cannot silently abstain at depth >= 1. ``run``
+    supplies the reachable layers when the gates have built them.
     """
     abs_of = bundle.bundle_for_impl.variables_abs
-    layers = reachable_layers(c, alphabet, depth)
+    layers = run.layers if run else reachable_layers(c, alphabet, depth)
 
     found: dict[str, ConjunctFitness] = {}
     for d, layer in enumerate(layers):
@@ -478,10 +518,20 @@ def run_gates(
 
     G1 judges ``flow_text`` as written; the other gates verify the
     definition it loads, with ``prefix_mode`` in place of the file's mode
-    when one is given.
+    when one is given, and share one ``CheckRun``. Bad arguments (a
+    negative depth, an unknown mutation id) raise ValueError before any
+    gate runs.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    mutations: list[Mutation] = []
+    for mid in mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS):
+        if mid == "identity":
+            mutations.append(identity_mutation())
+        elif mid in SEEDED_ERRORS:
+            mutations.append(SEEDED_ERRORS[mid])
+        else:
+            raise ValueError(f"unknown mutation id: {mid!r}")
     resolution = gate_resolution(flow_text, timeout_seconds)
     if not resolution.verdict.passed:
         skipped = GateVerdict("g2", "skipped", "g1 failed")
@@ -495,20 +545,11 @@ def run_gates(
     flow = with_prefix_mode(resolution.flow, prefix_mode)
     c = flow.impl_constants
     bundle = default_spec_bundle(c, flow.provenance)
+    run = CheckRun(c, flow.alphabet, depth)
 
-    g2 = gate_vacuity(c, bundle, flow.alphabet, depth)
+    g2 = gate_vacuity(c, bundle, flow.alphabet, depth, run)
 
-    ids = mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS)
-    mutants: list[MutantResult] = []
-    for mid in ids:
-        if mid == "identity":
-            mutation = identity_mutation()
-        elif mid in SEEDED_ERRORS:
-            mutation = SEEDED_ERRORS[mid]
-        else:
-            raise ValueError(f"unknown mutation id: {mid!r}")
-        _verdict, result = gate_discrimination(c, bundle, mutation, flow.alphabet, depth)
-        mutants.append(result)
+    mutants = [gate_discrimination(c, bundle, m, flow.alphabet, depth, run)[1] for m in mutations]
     if all(m.killed for m in mutants):
         g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")
     else:
@@ -521,7 +562,7 @@ def run_gates(
             )
         g3 = GateVerdict("g3", "fail", detail)
 
-    fitness = check_template_fitness(c, bundle, flow.alphabet, depth)
+    fitness = check_template_fitness(c, bundle, flow.alphabet, depth, run)
     fitness_verdict = GateVerdict(
         "fitness",
         "pass" if fitness.passed else "fail",

@@ -144,7 +144,9 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
 
 def reachable_layers(c: ImplConstants, alphabet: tuple[Action, ...], depth: int) -> list[list[ImplState]]:
     """BFS layers of the concrete machine: layers[d] holds the states first
-    reached after d steps; len(layers) == depth + 1."""
+    reached after d steps, for d <= depth. The list stops at closure: an
+    empty layer has only empty layers after it, so none of them is
+    appended, and len(layers) <= depth + 1."""
     layers: list[list[ImplState]] = [[impl_init(c)]]
     seen: set[ImplState] = {impl_init(c)}
     for _ in range(depth):
@@ -155,8 +157,43 @@ def reachable_layers(c: ImplConstants, alphabet: tuple[Action, ...], depth: int)
                     if s2 not in seen:
                         seen.add(s2)
                         nxt.append(s2)
+        if not nxt:
+            break
         layers.append(nxt)
     return layers
+
+
+@dataclass(frozen=True)
+class StepDomain:
+    """The states the step obligations range over before the assumed
+    invariant filters them: the states reachable in fewer than ``depth``
+    steps and their perturbations, each once in order of first appearance,
+    keeping the well-formed ones. It depends on the concrete machine only,
+    so every bundle checked at one depth can share it."""
+
+    reachable_states: int
+    candidates: tuple[ImplState, ...]
+
+
+def step_domain(
+    c: ImplConstants,
+    alphabet: tuple[Action, ...],
+    depth: int,
+    layers: list[list[ImplState]],
+) -> StepDomain:
+    """The step domain at ``depth``, given ``layers``, the
+    ``reachable_layers(c, alphabet, depth)``."""
+    bases = [s for layer in layers[:depth] for s in layer]
+    candidates: list[ImplState] = []
+    seen: set[ImplState] = set()
+    for base in bases:
+        for candidate in (base,) + perturbations(c, base, alphabet):
+            if candidate in seen:
+                continue
+            seen.add(candidate)
+            if impl_wf(c, candidate):
+                candidates.append(candidate)
+    return StepDomain(len(bases), tuple(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +266,8 @@ def check_refinement_next(
     next_relation=spec_next,
     safety=spec_safety,
     assume_inv: InvPredicate | None = None,
+    domain: StepDomain | None = None,
+    lazy: bool = False,
 ) -> RefinementVerdict:
     """Step obligations over every admitted state and every alphabet action.
 
@@ -236,24 +275,22 @@ def check_refinement_next(
     defaults to the bundle's invariant. The invariant obligation on the
     post-state always uses the bundle's declared invariant, so assuming a
     weaker predicate than the declared one must fail unless the declared
-    invariant demanded nothing.
+    invariant demanded nothing. ``domain`` is the ``step_domain`` the
+    admitted states are taken from; it is built here when not given.
+
+    By default every obligation is judged over the whole pass. With
+    ``lazy``, the check stops judging an obligation once one before it in
+    the order inv_inductive, r2_step_simulation, r3_safety_transport has
+    failed, and stops after the state of the first inv_inductive failure.
+    The first failed obligation, and each one before it, keeps the verdict
+    and counterexample of the full pass; the ones after it report only
+    what was judged before the check stopped.
     """
     assume = assume_inv if assume_inv is not None else b.inv
     ca = b.constants_abs(c)
-
-    layers = reachable_layers(c, alphabet, depth)
-    bases: list[ImplState] = [s for layer in layers[:depth] for s in layer]
-    reachable_count = len(bases)
-
-    explored: list[ImplState] = []
-    seen: set[ImplState] = set()
-    for base in bases:
-        for candidate in (base,) + perturbations(c, base, alphabet):
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            if impl_wf(c, candidate) and assume(c, candidate):
-                explored.append(candidate)
+    if domain is None:
+        domain = step_domain(c, alphabet, depth, reachable_layers(c, alphabet, depth))
+    explored = [s for s in domain.candidates if assume(c, s)]
 
     inv_ok, r2_ok, r3_ok = True, True, True
     inv_cx: StepCounterexample | None = None
@@ -282,6 +319,10 @@ def check_refinement_next(
                     if not inv_holds:
                         inv_ok = False
                         inv_cx = StepCounterexample(s, a, e, s2, "declared invariant not re-established")
+                # The abstract match decides r2, and r3 on matched steps; it
+                # is skipped once neither can change what is reported.
+                if not ((inv_ok and r2_ok) if lazy else (r2_ok or r3_ok)):
+                    continue
                 # The matched abstract step must use the identical action
                 # value the concrete step consumed; never a canonicalized
                 # or re-parsed stand-in.
@@ -307,7 +348,7 @@ def check_refinement_next(
                         r3_cx = StepCounterexample(
                             s, a, e, s2, "abstract safety holds at the matched post-state but concrete safety fails"
                         )
-        if not (inv_ok or r2_ok or r3_ok):
+        if not inv_ok and (lazy or not (r2_ok or r3_ok)):
             break
 
     return RefinementVerdict(
@@ -316,7 +357,7 @@ def check_refinement_next(
         r3=r3_ok,
         inv_inductive=inv_ok,
         explored_states=len(explored),
-        reachable_states=reachable_count,
+        reachable_states=domain.reachable_states,
         depth=depth,
         r2_counterexample=r2_cx,
         r3_counterexample=r3_cx,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowguard.gates as gates
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
 from flowguard.flowfile import from_fixture, serialize_flow
@@ -141,6 +142,26 @@ def test_gates_malformed_flow_fails_g1(tmp_path, capsys):
     assert main(["gates", "--flow", str(bad), "--depth", "4"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["gates"]["g1"]["status"] == "fail"
+
+
+def test_gates_reject_an_unknown_mutation_id_before_any_gate_runs(flow_file, monkeypatch, capsys):
+    ran = []
+
+    def recording(name):
+        gate = getattr(gates, name)
+
+        def wrapper(*args, **kwargs):
+            ran.append(name)
+            return gate(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("gate_resolution", "gate_vacuity"):
+        monkeypatch.setattr(gates, name, recording(name))
+    argv = ["gates", "--flow", flow_file, "--depth", "4", "--mutation", "drop-allowlist-guard,bogus"]
+    assert main(argv) == 2
+    assert "unknown mutation id: 'bogus'" in capsys.readouterr().err
+    assert ran == []
 
 
 # ---------------------------------------------------------------------------

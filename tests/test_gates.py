@@ -9,6 +9,7 @@ import pytest
 
 from flowguard.fixtures import rag_flow, read_agent
 from flowguard.flowfile import FlowDefinition, flow_to_document
+from flowguard.refinement import reachable_layers
 from flowguard.gates import (
     SEEDED_ERRORS,
     CheckConfig,
@@ -249,6 +250,25 @@ def test_pipeline_accepts_an_explicit_mutation_list(agent_flow_text):
     report = run_gates(agent_flow_text, 4, mutation_ids=("drop-allowlist-guard",))
     assert report.passed
     assert [m.mutation_id for m in report.mutants] == ["drop-allowlist-guard"]
+
+
+@pytest.mark.parametrize("fixture", ["agent", "rag_barrier", "rag_no_barrier"])
+def test_pipeline_at_an_extreme_depth_matches_the_closure_depth(fixture, request):
+    """With every effected action taking a step, no state is first reached
+    after more than ``max_steps`` steps: the reachable layers stop there
+    however deep the bound, and so every verdict at depth 10**6 is the
+    verdict at depth ``max_steps + 2``."""
+    fx = request.getfixturevalue(fixture)
+    text = request.getfixturevalue(f"{fixture}_flow_text")
+    closed = fx.constants.spec.max_steps + 2
+    layers = reachable_layers(fx.constants, fx.alphabet, 10**6)
+    assert 1 <= len(layers) <= fx.constants.spec.max_steps + 1 and all(layers)
+    assert layers == reachable_layers(fx.constants, fx.alphabet, closed)
+
+    def verdicts(report):
+        return report.g2, report.g3, report.fitness_verdict, report.mutants, report.fitness
+
+    assert verdicts(run_gates(text, 10**6)) == verdicts(run_gates(text, closed))
 
 
 def test_pipeline_rejects_unknown_mutation_ids(agent_flow_text):

@@ -1,11 +1,12 @@
-"""The gates' checkers judge each state once, and each gate stops at its
-first failed obligation.
+"""The gates' checkers judge each state once, each gate stops at its
+first failed obligation, and one gate run shares its exploration.
 
 ``check_safety_preserved`` and ``check_refinement_next`` are compared in
 every verdict field with the copies in ``refinement_reference.py``, which
-judge every successor and every step; the gates' lazy verdicts are
-compared with the first failure of the full ``verify_bundle`` outcome.
-Counting tests pin the work saved.
+judge every successor and every step; the gates' lazy verdicts, alone and
+shared across one ``run_gates``, are compared with the first failure of
+unshared, full ``verify_bundle`` outcomes. Counting tests pin the work
+saved.
 """
 
 from collections import Counter
@@ -16,13 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowguard.gates as gates
+import flowguard.refinement as refinement
 import refinement_reference as ref
 from flowguard.fixtures import rag_flow, read_agent
-from flowguard.flowfile import from_fixture, serialize_flow
+from flowguard.flowfile import FlowDefinition, from_fixture, serialize_flow, with_prefix_mode
 from flowguard.gates import (
     SEEDED_ERRORS,
     CheckConfig,
     GateVerdict,
+    MutantResult,
+    check_template_fitness,
     default_spec_bundle,
     gate_discrimination,
     gate_vacuity,
@@ -31,9 +35,9 @@ from flowguard.gates import (
     run_gates,
     verify_bundle,
 )
-from flowguard.impl_model import impl_inv, impl_next
-from flowguard.refinement import check_refinement_next, default_bundle
-from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_safety
+from flowguard.impl_model import impl_inv, impl_next, impl_wf
+from flowguard.refinement import check_refinement_next, default_bundle, reachable_layers, step_domain
+from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_next, spec_safety
 from test_sweep import shallow_bounds
 from test_tracelog import FITTING, actions, flow_constants
 
@@ -59,7 +63,24 @@ CONFIGS = {
     "permissive-stub": permissive_stub().apply,
     "identity": identity_mutation().apply,
     "lax-safety": lambda b: CheckConfig(replace(b, safety=lax_safety)),
+    # fails r2_step_simulation before inv_inductive in the scan order
+    "noeffect-stub": lambda b: replace(SEEDED_ERRORS["event-to-noeffect"].apply(b), assume_inv=impl_wf),
 }
+
+
+def decided(verdict):
+    """The step obligations of a verdict, in order, up to and including
+    the first failed one, with the size of the state space."""
+    steps = []
+    for ok, cx in (
+        (verdict.inv_inductive, verdict.inv_counterexample),
+        (verdict.r2, verdict.r2_counterexample),
+        (verdict.r3, verdict.r3_counterexample),
+    ):
+        steps.append((ok, cx))
+        if not ok:
+            break
+    return steps, verdict.explored_states, verdict.reachable_states
 
 
 def assert_checkers_match_reference(c, alphabet, depth):
@@ -72,30 +93,43 @@ def assert_checkers_match_reference(c, alphabet, depth):
             b.constants, alphabet, depth, **relation
         ), name
         step = (c, b.bundle_for_impl, alphabet, depth)
-        assert check_refinement_next(*step, **relation, assume_inv=config.assume_inv) == ref.check_refinement_next(
-            *step, **relation, assume_inv=config.assume_inv
-        ), name
+        full = ref.check_refinement_next(*step, **relation, assume_inv=config.assume_inv)
+        assert check_refinement_next(*step, **relation, assume_inv=config.assume_inv) == full, name
+        lazy = check_refinement_next(*step, **relation, assume_inv=config.assume_inv, lazy=True)
+        assert decided(lazy) == decided(full), name
+
+
+def expected_gates(c, alphabet, depth, mutations):
+    """G2's verdict (None below its depth floor) and each mutant's result,
+    as the first failed obligation of an unshared ``verify_bundle``, which
+    judges every obligation over the full pass, names them."""
+    bundle = default_spec_bundle(c, "test")
+    results = []
+    for mutation in mutations:
+        outcome = verify_bundle(c, mutation.apply(bundle), alphabet, depth)
+        assert tuple(o.name for o in outcome.obligations) == OBLIGATION_ORDER
+        failed = outcome.first_failure()
+        if failed is None:
+            results.append(MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged"))
+        else:
+            results.append(MutantResult(mutation.mutation_id, True, failed.name, failed.detail))
+    if depth < 1:
+        return None, results
+    failed = verify_bundle(c, permissive_stub().apply(bundle), alphabet, depth).first_failure()
+    if failed is None:
+        g2 = GateVerdict("g2", "fail", "vacuity witness: the stub discharged " + ", ".join(OBLIGATION_ORDER))
+    else:
+        g2 = GateVerdict("g2", "pass", f"permissive stub failed at {failed.name}")
+    return g2, results
 
 
 def assert_gates_stop_at_first_failure(c, alphabet, depth):
     bundle = default_spec_bundle(c, "test")
-    for mutation in (*SEEDED_ERRORS.values(), identity_mutation()):
-        outcome = verify_bundle(c, mutation.apply(bundle), alphabet, depth)
-        assert tuple(o.name for o in outcome.obligations) == OBLIGATION_ORDER
-        failed = outcome.first_failure()
-        _verdict, result = gate_discrimination(c, bundle, mutation, alphabet, depth)
-        if failed is None:
-            assert not result.killed and result.detail == "alive mutation: all obligations discharged"
-        else:
-            assert (result.killed, result.killed_by, result.detail) == (True, failed.name, failed.detail)
-    if depth >= 1:
-        outcome = verify_bundle(c, permissive_stub().apply(bundle), alphabet, depth)
-        failed = outcome.first_failure()
-        if failed is None:
-            expected = GateVerdict("g2", "fail", "vacuity witness: the stub discharged " + ", ".join(OBLIGATION_ORDER))
-        else:
-            expected = GateVerdict("g2", "pass", f"permissive stub failed at {failed.name}")
-        assert gate_vacuity(c, bundle, alphabet, depth) == expected
+    mutations = (*SEEDED_ERRORS.values(), identity_mutation())
+    g2, results = expected_gates(c, alphabet, depth, mutations)
+    assert [gate_discrimination(c, bundle, m, alphabet, depth)[1] for m in mutations] == results
+    if g2 is not None:
+        assert gate_vacuity(c, bundle, alphabet, depth) == g2
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,6 +145,36 @@ def test_checkers_and_gates_match_reference_on_random_flows(c, alphabet, depth):
     alphabet = tuple(alphabet)
     assert_checkers_match_reference(c, alphabet, depth)
     assert_gates_stop_at_first_failure(c, alphabet, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=flow_constants() | shallow_bounds(),
+    alphabet=st.lists(st.one_of(*FITTING.values(), actions), min_size=1, max_size=4, unique=True),
+    depth=st.integers(0, 4),
+    prefix_mode=st.sampled_from((None, "guarded", "bare")),
+    mutation_ids=st.lists(st.sampled_from(tuple(SEEDED_ERRORS)), unique=True).flatmap(
+        lambda ids: st.permutations(ids + ["identity"])
+    ),
+)
+def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, prefix_mode, mutation_ids):
+    """One ``run_gates`` shares its layers, step domain and safety verdicts
+    across G2, the mutants and fitness, and runs each step check lazily;
+    every verdict, and each mutant's counterexample detail, must still be
+    what unshared, full checks of the same flow give."""
+    defn = FlowDefinition("random", c.spec, c.graph, tuple(alphabet))
+    report = run_gates(serialize_flow(defn), depth, tuple(mutation_ids), prefix_mode=prefix_mode)
+    verified = with_prefix_mode(defn, prefix_mode)
+    assert report.g1.passed and report.flow == verified
+    c, alphabet = verified.impl_constants, verified.alphabet
+    mutations = [identity_mutation() if mid == "identity" else SEEDED_ERRORS[mid] for mid in mutation_ids]
+    g2, results = expected_gates(c, alphabet, depth, mutations)
+    if g2 is None:
+        assert report.g2.status == "fail" and "configuration floor" in report.g2.detail
+    else:
+        assert report.g2 == g2
+    assert list(report.mutants) == results
+    assert report.fitness == check_template_fitness(c, default_spec_bundle(c, "test"), alphabet, depth)
 
 
 @pytest.mark.parametrize("order", ["as-shipped", "reversed"])
@@ -198,3 +262,66 @@ def test_gates_skip_the_step_check_of_mutants_killed_earlier(monkeypatch):
         "drop-history-clause": "inv_inductive",
     }
     assert len(calls) == 3
+
+
+def test_one_gate_run_explores_once_and_judges_each_relation_once(monkeypatch):
+    """The stub, ``event-to-noeffect`` and ``drop-history-clause`` keep the
+    shipped (next_relation, safety) pair, and each relation edit has its
+    own: three safety-preservation checks for five bundles, and one set of
+    reachable layers for G2, G3 and fitness."""
+    layer_calls, preserved = [], []
+
+    def counting_layers(*args):
+        layer_calls.append(args)
+        return reachable_layers(*args)
+
+    def counting_preserved(*args, **kwargs):
+        preserved.append((kwargs["next_relation"], kwargs["safety"]))
+        return check_safety_preserved(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "reachable_layers", counting_layers)
+    monkeypatch.setattr(refinement, "reachable_layers", counting_layers)
+    monkeypatch.setattr(gates, "check_safety_preserved", counting_preserved)
+    report = run_gates(serialize_flow(from_fixture(read_agent())), 4)
+    assert report.passed and len(report.mutants) == 4
+    assert len(layer_calls) == 1
+    assert len(preserved) == len(set(preserved)) == 3
+
+
+def test_the_stub_step_check_stops_after_its_first_inv_failure(monkeypatch):
+    """G2 judges no admitted state after the one where the stub first fails
+    ``inv_inductive``: neither ``b.inv`` nor ``next_relation`` is called
+    while a later state's steps are taken. ``verify_bundle`` goes on."""
+    fx = read_agent()
+    c, alphabet = fx.constants, fx.alphabet
+    stepping: list = [None]  # the state whose steps are being taken
+    judged: list = []  # that state, at each call of b.inv or next_relation
+
+    def step(c, s, a):
+        stepping[0] = s
+        return impl_next(c, s, a)
+
+    def inv(c, s):
+        judged.append(stepping[0])
+        return impl_inv(c, s)
+
+    def relation(c, s, a):
+        judged.append(stepping[0])
+        return spec_next(c, s, a)
+
+    admitted = [s for s in step_domain(c, alphabet, 4, reachable_layers(c, alphabet, 4)).candidates if impl_wf(c, s)]
+    order = {s: i for i, s in enumerate(admitted)}
+    first_failure = check_refinement_next(c, default_bundle(), alphabet, 4, assume_inv=impl_wf).inv_counterexample
+    base = default_spec_bundle(c, "test")
+    bundle = replace(base, next_relation=relation, bundle_for_impl=replace(base.bundle_for_impl, inv=inv))
+    monkeypatch.setattr(refinement, "impl_next", step)
+
+    def judged_states(check):
+        stepping[0] = None
+        judged.clear()
+        check()
+        return {order[s] for s in judged if s in order}
+
+    lazy = judged_states(lambda: gate_vacuity(c, bundle, alphabet, 4))
+    eager = judged_states(lambda: verify_bundle(c, permissive_stub().apply(bundle), alphabet, 4))
+    assert max(lazy) == order[first_failure.state] < max(eager) == len(admitted) - 1
