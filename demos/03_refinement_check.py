@@ -18,7 +18,16 @@ the stage that breaks.
 import dataclasses
 import itertools
 
-from flowguard import ScriptedOracle, Trace, check_refinement_next, check_soundness, default_bundle, drive, read_agent
+from flowguard import (
+    ScriptedOracle,
+    Trace,
+    check_refinement_init,
+    check_refinement_next,
+    check_soundness,
+    default_bundle,
+    drive,
+    read_agent,
+)
 from flowguard.havoc import TraceStep
 
 fixture = read_agent()
@@ -26,7 +35,7 @@ c = fixture.constants
 
 verdict = check_refinement_next(c, default_bundle(), fixture.alphabet, 4)
 print("refinement at depth 4:")
-print(f"  init matching (R1):    {'pass' if verdict.r1 else 'FAIL'}")
+print(f"  init matching (R1):    {'pass' if check_refinement_init(c, default_bundle()).passed else 'FAIL'}")
 print(f"  invariant obligation:  {'pass' if verdict.inv_inductive else 'FAIL'}")
 print(f"  step simulation (R2):  {'pass' if verdict.r2 else 'FAIL'}")
 print(f"  safety transport (R3): {'pass' if verdict.r3 else 'FAIL'}")

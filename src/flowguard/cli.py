@@ -19,13 +19,12 @@ from pathlib import Path
 from .actions import parse_action
 from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow, with_prefix_mode
 from .gates import (
-    SEEDED_ERRORS,
+    CheckConfig,
     GateReport,
-    identity_mutation,
+    default_spec_bundle,
+    mutation_by_id,
     run_gates,
     verify_bundle,
-    CheckConfig,
-    default_spec_bundle,
 )
 from .havoc import AdversarialOracle, ScriptedOracle, SeededRandomOracle, drive, sweep
 from .impl_model import FlowGraphError, event_in_policy
@@ -98,13 +97,7 @@ def cmd_check(args) -> int:
     defn = _load(args)
     c = defn.impl_constants
     bundle = default_spec_bundle(c, defn.provenance)
-    if args.mutation:
-        mutation = identity_mutation() if args.mutation == "identity" else SEEDED_ERRORS.get(args.mutation)
-        if mutation is None:
-            raise FlowFileError(f"unknown mutation id: {args.mutation!r}")
-        config = mutation.apply(bundle)
-    else:
-        config = CheckConfig(bundle)
+    config = mutation_by_id(args.mutation).apply(bundle) if args.mutation else CheckConfig(bundle)
 
     outcome = verify_bundle(c, config, defn.alphabet, args.depth)
     sweep_verdict = sweep(c, defn.alphabet, args.depth)

@@ -204,6 +204,16 @@ SEEDED_ERRORS: dict[str, Mutation] = {
 }
 
 
+def mutation_by_id(mutation_id: str) -> Mutation:
+    """The mutation ``mutation_id`` names: ``identity`` or one of the
+    ``SEEDED_ERRORS``. Raises ValueError for any other id."""
+    if mutation_id == "identity":
+        return identity_mutation()
+    if mutation_id in SEEDED_ERRORS:
+        return SEEDED_ERRORS[mutation_id]
+    raise ValueError(f"unknown mutation id: {mutation_id!r}")
+
+
 # ---------------------------------------------------------------------------
 # The verification stand-in the gates run mutants through
 
@@ -524,14 +534,8 @@ def run_gates(
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    mutations: list[Mutation] = []
-    for mid in mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS):
-        if mid == "identity":
-            mutations.append(identity_mutation())
-        elif mid in SEEDED_ERRORS:
-            mutations.append(SEEDED_ERRORS[mid])
-        else:
-            raise ValueError(f"unknown mutation id: {mid!r}")
+    ids = mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS)
+    mutations = [mutation_by_id(mid) for mid in ids]
     resolution = gate_resolution(flow_text, timeout_seconds)
     if not resolution.verdict.passed:
         skipped = GateVerdict("g2", "skipped", "g1 failed")

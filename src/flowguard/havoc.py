@@ -32,7 +32,7 @@ from .impl_model import (
     impl_next,
     impl_safety,
 )
-from .spec_model import SEQUENCE_CONJUNCTS, SpecConstants
+from .spec_model import SpecConstants, admits_value
 
 # ---------------------------------------------------------------------------
 # Runs as values
@@ -75,9 +75,7 @@ def action_out_of_policy(c: SpecConstants, a: Action) -> bool:
     """Static policy complement: a read or tool call whose value the guard
     of its sequence conjunct rejects. Step capacity is state-dependent and
     not judged here."""
-    return any(
-        isinstance(a, k.action) and not k.guard(c, getattr(a, k.arg)) for k in SEQUENCE_CONJUNCTS
-    )
+    return not admits_value(c, a)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +182,17 @@ def sweep(
 
     The scripts are the leaves of a prefix tree, walked depth first with
     children in alphabet order, so each prefix is stepped once: with n
-    actions that is n + n^2 + ... + n^depth step calls. A stutter
-    (``next_fn`` returns its pre-state object itself) out of a state that
-    already passed the state checks is not checked again. The verdict is
-    the one replaying every script from init in ``itertools.product``
-    order would give: ``sequences`` counts the scripts up to and
-    including the first violating one, whose reported script is the
-    violating prefix padded with ``alphabet[0]``. That equivalence needs
-    a deterministic ``next_fn``.
+    actions that is n + n^2 + ... + n^depth step calls. The state checks
+    judge each distinct post-state once. A stutter (``next_fn`` returns
+    its pre-state object itself) out of a judged state is skipped before
+    it is hashed; any other post-state is added to the set of judged
+    states, and checked only if the add found it new. Init is judged only
+    once it is reached as a post-state. The verdict is the one replaying
+    every script from init in ``itertools.product`` order would give:
+    ``sequences`` counts the scripts up to and including the first
+    violating one, whose reported script is the violating prefix padded
+    with ``alphabet[0]``. That equivalence needs a deterministic
+    ``next_fn``, and state checks that are functions of the state.
 
     ``next_fn`` exists so tests can inject a deliberately broken step
     function and watch the sweep catch it; production callers leave it
@@ -200,10 +201,10 @@ def sweep(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     init = impl_init(c)
-    visited: set[ImplState] = {init}
     n = len(alphabet)
     if depth == 0 or n == 0:
-        return SweepVerdict(True, n**depth, None, frozenset(visited))
+        return SweepVerdict(True, n**depth, None, frozenset((init,)))
+    judged: set[ImplState] = set()  # post-states that passed both state checks
     # states[k] is the state after the first k actions of the current
     # prefix; digits[k] is the alphabet index of the action tried next from it.
     states = [init]
@@ -218,27 +219,30 @@ def sweep(
             continue
         state = states[k]
         ((event, nxt),) = next_fn(c, state, alphabet[digits[k]])
+        detail = None
         if not event_in_policy(c, state, event):
             detail = f"out-of-policy event {event.effect!r}"
-        elif nxt is state and k > 0:  # states[k] passed both state checks on its way in
-            detail = None
-        elif not impl_safety(c, nxt):
-            detail = "safety predicate violated"
-        elif not impl_inv(c, nxt):
-            detail = "inductive invariant violated"
-        else:
-            detail = None
+        elif nxt is not state or k == 0:  # states[k > 0] were judged on their way in
+            size = len(judged)
+            judged.add(nxt)
+            if len(judged) > size:  # the first time nxt is judged
+                if not impl_safety(c, nxt):
+                    detail = "safety predicate violated"
+                elif not impl_inv(c, nxt):
+                    detail = "inductive invariant violated"
+                if detail is not None:
+                    judged.remove(nxt)
         if detail is not None:
             script = digits + [0] * (depth - k - 1)
             rank = 0
             for d in script:
                 rank = rank * n + d
             literals = tuple(format_action(alphabet[d]) for d in script)
-            return SweepVerdict(False, rank + 1, SweepViolation(literals, k, detail), frozenset(visited))
-        visited.add(nxt)
+            violation = SweepViolation(literals, k, detail)
+            return SweepVerdict(False, rank + 1, violation, frozenset(judged | {init}))
         if k + 1 < depth:
             states.append(nxt)
             digits.append(0)
         else:
             digits[k] += 1
-    return SweepVerdict(True, n**depth, None, frozenset(visited))
+    return SweepVerdict(True, n**depth, None, frozenset(judged | {init}))

@@ -13,6 +13,14 @@ An action is effected only when all of these hold:
   * the current node's kind matches the action variant, and
   * an outgoing edge labeled with the action's canonical label exists.
 
+All of these but the first and the step capacity depend on the current
+node and the action alone. So ``impl_next`` compiles each (node, action)
+pair it meets into a route once per ``ImplConstants``: None when the pair
+always stutters, else the edge's target, the event the step emits and
+the step's effect on the boundary fields. A step then judges only the
+halted flag and the step capacity. The table is exact because every
+guard of ``spec_model.POLICY`` is a pure function of (constants, value).
+
 Events are modeled effects only; nothing here touches a real filesystem
 or tool.
 """
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .actions import (
     Action,
@@ -43,8 +51,9 @@ from .spec_model import (
     STEP_BOUNDED,
     TOOL_ALLOWLISTED,
     SpecConstants,
-    admits,
-    boundary_effect,
+    action_effect,
+    admits_value,
+    advance,
     violated,
 )
 
@@ -115,8 +124,13 @@ class FlowGraph:
 
 @dataclass(frozen=True)
 class ImplConstants:
+    """The policy parameters and the flow graph. ``_routes`` is the route
+    table ``impl_next`` fills as it meets (node, action) pairs; it is a
+    cache, not part of the constants' value."""
+
     spec: SpecConstants
     graph: FlowGraph
+    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -150,23 +164,52 @@ _KIND_FOR_ACTION = {
 _NO_EFFECT = ImplEvent(NoEffect())  # immutable, so one instance serves every stutter
 
 
-def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEvent, ImplState], ...]:
-    """Deterministic, total: exactly one successor per (state, action)."""
-    stutter = ((_NO_EFFECT, s),)
-    if s.halted or not admits(c.spec, s, a):
-        return stutter
-    wanted = _KIND_FOR_ACTION.get(type(a))
-    if wanted is None or c.graph.kind_of(s.current_node) is not wanted:
-        return stutter
-    label = action_label(a)
-    assert label is not None
-    target = c.graph.edge_target(s.current_node, label)
-    if target is None:
-        return stutter
+class _Route(NamedTuple):
+    """What an effected step along one (node, action) pair does, whatever
+    the state: the node it dispatches to, the event it emits, and its
+    ``action_effect`` on the boundary fields."""
 
-    effect, fields = boundary_effect(c.spec, s, a)
-    nxt = ImplState(target, *fields, s.history + ((s.current_node, a),), s.current_node, a)
-    return ((ImplEvent(effect, Dispatch(s.current_node, label, target)), nxt),)
+    target: str
+    event: ImplEvent
+    reads: tuple[str, ...]
+    tools: tuple[str, ...]
+    counts_step: bool
+
+
+def _compile_route(c: ImplConstants, node: str, a: Action) -> _Route | None:
+    """The route of ``a`` out of ``node``, or None when ``a`` stutters there
+    at every state: the static guards of the policy reject its value, the
+    node kind does not match the action variant, or no edge carries its
+    label."""
+    wanted = _KIND_FOR_ACTION.get(type(a))
+    if not admits_value(c.spec, a) or wanted is None or c.graph.kind_of(node) is not wanted:
+        return None
+    label = action_label(a)
+    target = c.graph.edge_target(node, label)
+    if target is None:
+        return None
+    effect, reads, tools, counts_step = action_effect(c.spec, a)
+    return _Route(target, ImplEvent(effect, Dispatch(node, label, target)), reads, tools, counts_step)
+
+
+def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEvent, ImplState], ...]:
+    """Deterministic, total: exactly one successor per (state, action). A
+    rejected action stutters, and its successor is ``s`` itself, the same
+    object, so that an explorer can skip it without hashing it. Each
+    (node, action) pair is compiled into its route once per ``c``, when
+    first met (see the module docstring); that needs every guard of
+    ``spec_model.POLICY`` to be a pure function of (constants, value)."""
+    if s.halted:
+        return ((_NO_EFFECT, s),)
+    key = (s.current_node, a)
+    try:
+        route = c._routes[key]
+    except KeyError:
+        route = c._routes[key] = _compile_route(c, s.current_node, a)
+    if route is None or (route.counts_step and not STEP_BOUNDED.guard(c.spec, s.step_count)):
+        return ((_NO_EFFECT, s),)
+    fields = advance(c.spec, s, route.reads, route.tools, route.counts_step)
+    return ((route.event, ImplState(route.target, *fields, s.history + (key,), s.current_node, a)),)
 
 
 InvClause = Callable[[ImplConstants, ImplState], bool]
@@ -204,6 +247,8 @@ def event_in_policy(c: ImplConstants, pre: ImplState, event: ImplEvent | Boundar
     """Does an emitted event comply with the boundary policy, judged at its
     pre-state by the guard of the conjunct its action variant answers to?
     Stutters always comply."""
+    if event is _NO_EFFECT:
+        return True
     effect = event.effect if isinstance(event, ImplEvent) else event
     match effect:
         case NoEffect():

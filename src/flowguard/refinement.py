@@ -146,7 +146,8 @@ def reachable_layers(c: ImplConstants, alphabet: tuple[Action, ...], depth: int)
     """BFS layers of the concrete machine: layers[d] holds the states first
     reached after d steps, for d <= depth. The list stops at closure: an
     empty layer has only empty layers after it, so none of them is
-    appended, and len(layers) <= depth + 1."""
+    appended, and len(layers) <= depth + 1. A stutter, whose post-state is
+    its pre-state object itself, is skipped before it is hashed."""
     layers: list[list[ImplState]] = [[impl_init(c)]]
     seen: set[ImplState] = {impl_init(c)}
     for _ in range(depth):
@@ -154,7 +155,7 @@ def reachable_layers(c: ImplConstants, alphabet: tuple[Action, ...], depth: int)
         for s in layers[-1]:
             for a in alphabet:
                 for _e, s2 in impl_next(c, s, a):
-                    if s2 not in seen:
+                    if s2 is not s and s2 not in seen:
                         seen.add(s2)
                         nxt.append(s2)
         if not nxt:
@@ -217,7 +218,9 @@ class InitVerdict:
 
 @dataclass(frozen=True)
 class RefinementVerdict:
-    r1: bool
+    """The step obligations; ``check_refinement_init`` judges the initial
+    one."""
+
     r2: bool
     r3: bool
     inv_inductive: bool
@@ -230,12 +233,10 @@ class RefinementVerdict:
 
     @property
     def passed(self) -> bool:
-        return self.r1 and self.r2 and self.r3 and self.inv_inductive
+        return self.r2 and self.r3 and self.inv_inductive
 
     def failures(self) -> list[str]:
         out = []
-        if not self.r1:
-            out.append("refinement_init")
         if not self.inv_inductive:
             out.append("inv_inductive")
         if not self.r2:
@@ -352,7 +353,6 @@ def check_refinement_next(
             break
 
     return RefinementVerdict(
-        r1=check_refinement_init(c, b).passed,
         r2=r2_ok,
         r3=r3_ok,
         inv_inductive=inv_ok,

@@ -102,7 +102,11 @@ class Conjunct:
     safety checks on the state's ``field``. A sequence conjunct guards the
     value ``getattr(a, arg)`` of an ``action``-typed action, which the action
     appends to ``field``; the step bound (no ``action``) guards the pre-state
-    step count before every action that consumes a step."""
+    step count before every action that consumes a step.
+
+    ``guard`` and ``holds`` must be pure functions of (constants, value):
+    ``impl_model.impl_next`` computes each sequence guard's verdict once
+    per (node, action) pair and keeps it."""
 
     name: str
     field: str
@@ -141,15 +145,28 @@ def _counts_step(c: SpecConstants, a: Action) -> bool:
     return c.count_all_actions or isinstance(a, StepAction)
 
 
+def admits_value(c: SpecConstants, a: Action, policy: tuple[Conjunct, ...] = POLICY) -> bool:
+    """The static part of ``admits``: do the guards of the sequence
+    conjuncts of ``policy`` accept the value ``a`` carries? It reads the
+    constants and the action only, so a caller may compute it once per
+    action."""
+    for k in policy:
+        if k.action is not None and isinstance(a, k.action) and not k.guard(c, getattr(a, k.arg)):
+            return False
+    return True
+
+
 def admits(c: SpecConstants, s, a: Action, policy: tuple[Conjunct, ...] = POLICY) -> bool:
     """Do the guards of ``policy`` let a transition effect ``a`` at ``s``?
-    ``s`` is any state with a ``step_count``."""
-    for k in policy:
-        if k.action is None:
-            if _counts_step(c, a) and not k.guard(c, s.step_count):
+    ``s`` is any state with a ``step_count``: the static part
+    ``admits_value``, then the step part, which guards the pre-state step
+    count of an action that consumes a step."""
+    if not admits_value(c, a, policy):
+        return False
+    if _counts_step(c, a):
+        for k in policy:
+            if k.action is None and not k.guard(c, s.step_count):
                 return False
-        elif isinstance(a, k.action) and not k.guard(c, getattr(a, k.arg)):
-            return False
     return True
 
 
@@ -162,26 +179,33 @@ def violated(c: SpecConstants, s) -> Conjunct | None:
     return None
 
 
-def boundary_effect(c: SpecConstants, s, a: Action) -> tuple[BoundaryEvent, tuple] | None:
-    """The event an effected ``a`` emits at ``s`` and the four boundary
-    fields (read paths, tool calls, step count, halted) after it; None for
-    an action that never takes effect. Policy guards are not consulted."""
-    read_paths, tool_calls = s.read_paths, s.tool_calls
+def action_effect(c: SpecConstants, a: Action) -> tuple[BoundaryEvent, tuple, tuple, bool] | None:
+    """What an effected ``a`` does at any state: the event it emits, the
+    values it appends to the read paths and to the tool calls, and whether
+    it consumes a step. None for an action that never takes effect. Policy
+    guards are not consulted."""
     match a:
         case ReadPathAction(path):
-            event: BoundaryEvent = ReadEvent(path)
-            read_paths += (path,)
+            return ReadEvent(path), (path,), (), _counts_step(c, a)
         case ToolCallAction(tool):
-            event = ToolEvent(tool)
-            tool_calls += (tool,)
+            return ToolEvent(tool), (), (tool,), _counts_step(c, a)
         case StepAction():
-            event = StepEvent()
-        case _:
-            return None
-    if not _counts_step(c, a):
-        return event, (read_paths, tool_calls, s.step_count, s.halted)
+            return StepEvent(), (), (), True
+    return None
+
+
+def advance(c: SpecConstants, s, reads: tuple, tools: tuple, counts_step: bool) -> tuple:
+    """The four boundary fields (read paths, tool calls, step count,
+    halted) of ``s`` after an effected action with the ``action_effect``
+    (``reads``, ``tools``, ``counts_step``): the machine halts on the step
+    that reaches the bound."""
+    if not counts_step:
+        return s.read_paths + reads, s.tool_calls + tools, s.step_count, s.halted
     count = s.step_count + 1
-    return event, (read_paths, tool_calls, count, count >= c.max_steps)
+    return s.read_paths + reads, s.tool_calls + tools, count, count >= c.max_steps
+
+
+_NO_EFFECT = NoEffect()  # immutable, so one instance serves every stutter
 
 
 def spec_next(
@@ -189,13 +213,14 @@ def spec_next(
 ) -> tuple[tuple[BoundaryEvent, SpecState], ...]:
     """All abstract successors of (s, a) under ``policy``. Total by
     construction: the stutter (NoEffect, s) is always available, and it is
-    the only successor when the policy rejects the action."""
-    stutter = (NoEffect(), s)
-    effect = boundary_effect(c, s, a) if admits(c, s, a, policy) else None
+    the only successor when the policy rejects the action. The stutter's
+    post-state is ``s`` itself, the same object."""
+    stutter = (_NO_EFFECT, s)
+    effect = action_effect(c, a) if admits(c, s, a, policy) else None
     if effect is None:
         return (stutter,)
-    event, fields = effect
-    return ((event, SpecState(*fields)), stutter)
+    event, reads, tools, counts_step = effect
+    return ((event, SpecState(*advance(c, s, reads, tools, counts_step))), stutter)
 
 
 def spec_safety(c: SpecConstants, s: SpecState) -> bool:
@@ -235,7 +260,8 @@ def check_safety_preserved(
     States at distance < depth are expanded; the first violating
     (state, action, event, post_state) quadruple in BFS order is reported.
     A state enters ``seen`` only after it passed ``safety``, so a successor
-    already in ``seen`` is not judged again.
+    already in ``seen`` is not judged again; a successor that is its
+    pre-state object itself is skipped before it is hashed.
     """
     init = spec_init(c)
     frontier: list[SpecState] = [init] if safety(c, init) else []
@@ -247,7 +273,7 @@ def check_safety_preserved(
             explored += 1
             for a in alphabet:
                 for e, s2 in next_relation(c, s, a):
-                    if s2 in seen:
+                    if s2 is s or s2 in seen:
                         continue
                     if not safety(c, s2):
                         return PreservationVerdict(

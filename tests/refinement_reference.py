@@ -16,7 +16,6 @@ from flowguard.refinement import (
     InvPredicate,
     RefinementVerdict,
     StepCounterexample,
-    check_refinement_init,
     perturbations,
     reachable_layers,
 )
@@ -137,7 +136,6 @@ def check_refinement_next(
             break
 
     return RefinementVerdict(
-        r1=check_refinement_init(c, b).passed,
         r2=r2_ok,
         r3=r3_ok,
         inv_inductive=inv_ok,

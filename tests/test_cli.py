@@ -164,6 +164,16 @@ def test_gates_reject_an_unknown_mutation_id_before_any_gate_runs(flow_file, mon
     assert ran == []
 
 
+def test_check_and_gates_reject_an_unknown_mutation_id_alike(flow_file, capsys):
+    errors = []
+    for command in ("check", "gates"):
+        assert main([command, "--flow", flow_file, "--depth", "2", "--mutation", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["error: unknown mutation id: 'bogus'\n"] * 2
+
+
 # ---------------------------------------------------------------------------
 # sweep and replay
 

@@ -3,6 +3,8 @@ seeded error derived from ``spec_model.POLICY`` (and the invariant derived
 from ``impl_model.INVARIANT``) agrees with the hand-written definitions in
 policy_reference.py over random small constants, states and actions."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,7 +66,11 @@ boundary_events = st.one_of(
 def impl_cases(draw):
     """Constants over one of the fixture graphs and a state on that graph."""
     graph = draw(st.sampled_from(GRAPHS))
-    c = ImplConstants(draw(constants), graph)
+    return ImplConstants(draw(constants), graph), draw(impl_states(graph))
+
+
+@st.composite
+def impl_states(draw, graph):
     nodes = st.sampled_from(sorted(graph.nodes))
     history = draw(st.lists(st.tuples(nodes, actions), max_size=4).map(tuple))
     # Mostly a consistent last step, sometimes a junk one.
@@ -72,7 +78,7 @@ def impl_cases(draw):
         last_node, last_action = history[-1]
     else:
         last_node, last_action = draw(st.none() | nodes), draw(actions)
-    s = ImplState(
+    return ImplState(
         current_node=draw(nodes),
         read_paths=draw(st.lists(paths, max_size=3).map(tuple)),
         tool_calls=draw(st.lists(tools, max_size=3).map(tuple)),
@@ -82,7 +88,6 @@ def impl_cases(draw):
         last_node=last_node,
         last_action=last_action,
     )
-    return c, s
 
 
 def _mutant(mutation_id: str):
@@ -107,6 +112,33 @@ def test_spec_safety_matches_reference(c, s):
 def test_impl_next_matches_reference(case, a):
     c, s = case
     assert impl_next(c, s, a) == ref.impl_next(c, s, a)
+
+
+@settings(max_examples=60)
+@given(
+    fixture=st.sampled_from((read_agent(), rag_flow(True), rag_flow(False))),
+    spec=constants,
+    data=st.data(),
+)
+def test_impl_next_matches_reference_on_a_warm_route_table(fixture, spec, data):
+    """One ``ImplConstants`` steps every drawn (state, action) pair, so the
+    routes it compiled for earlier pairs answer later ones: the same
+    (node, action) at several step counts and halted flags, with actions
+    from the flow's alphabet and from outside it. Every stutter hands back
+    the pre-state object itself."""
+    graph = fixture.constants.graph
+    c = ImplConstants(spec, graph)
+    flow_actions = st.sampled_from(fixture.alphabet)
+    routes = data.draw(
+        st.lists(st.tuples(impl_states(graph), flow_actions | actions), min_size=1, max_size=6)
+    )
+    counters = st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=2, max_size=4)
+    for base, a in routes + routes:
+        for step_count, halted in data.draw(counters):
+            s = replace(base, step_count=step_count, halted=halted)
+            ((event, nxt),) = impl_next(c, s, a)
+            assert ((event, nxt),) == ref.impl_next(c, s, a)
+            assert (nxt is s) == (event.effect == NoEffect())
 
 
 @settings(max_examples=150)

@@ -1,23 +1,27 @@
 """The havoc sweep's prefix-tree walk against the brute-force replay it
 replaced (``sweep_reference.py``): the same verdict in every field, on
 random small flows and on broken step functions, at a number of step
-calls that follows the prefix tree."""
+calls that follows the prefix tree and a number of state checks and state
+hashes that follows the distinct states."""
 
 import dataclasses
+import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowguard.havoc as havoc
+import flowguard.impl_model as impl_model
 import sweep_reference as ref
-from flowguard.actions import NoAction, StepAction
+from flowguard.actions import NoAction, ReadPathAction, StepAction
 from flowguard.cli import main
 from flowguard.fixtures import rag_flow, read_agent
 from flowguard.flowfile import from_fixture, serialize_flow
 from flowguard.havoc import sweep
-from flowguard.impl_model import impl_init, impl_next
+from flowguard.impl_model import ImplState, impl_init, impl_next
 from test_havoc import broken_next
 from test_tracelog import FITTING, _equal_copy, flow_constants
 
@@ -125,23 +129,83 @@ def test_sweep_steps_each_prefix_once():
     assert next_fn.calls == sum(6**k for k in range(1, 5)) == 1554
 
 
+def _recording(next_fn):
+    """``next_fn`` that keeps every (pre-state, post-state) it steps."""
+
+    def recorded(c, s, a):
+        result = next_fn(c, s, a)
+        recorded.steps.append((s, result[0][1]))
+        return result
+
+    recorded.steps = []
+    return recorded
+
+
+def _judging(monkeypatch):
+    """Swap the sweep's two state checks for ones that keep every state
+    they judge; returns the two lists."""
+    judged = []
+    for name in ("impl_safety", "impl_inv"):
+        check, states = getattr(impl_model, name), []
+
+        def judging(c, s, check=check, states=states):
+            states.append(s)
+            return check(c, s)
+
+        monkeypatch.setattr(havoc, name, judging)
+        judged.append(states)
+    return judged
+
+
 def test_stutters_skip_only_the_state_checks_already_made(monkeypatch):
-    """An identical stutter out of a checked state runs neither state
-    predicate again; an equal copy is checked like any other post-state."""
+    """Each distinct post-state runs both state predicates exactly once: a
+    stutter out of a judged state, identical or an equal copy, runs
+    neither again. Init is judged only once some step reaches it as a
+    post-state, which a Read at the entry node never does."""
     fx = read_agent()
-    safety = _counting(havoc.impl_safety)
-    inv = _counting(havoc.impl_inv)
-    monkeypatch.setattr(havoc, "impl_safety", safety)
-    monkeypatch.setattr(havoc, "impl_inv", inv)
-    assert sweep(fx.constants, fx.alphabet, 4, next_fn=copying_stutters(impl_next)).passed
-    assert safety.calls == inv.calls == 1554
-    safety.calls = inv.calls = 0
-    assert sweep(fx.constants, fx.alphabet, 4).passed
-    assert 0 < safety.calls == inv.calls < 1554
+    init = impl_init(fx.constants)
+    cases = ((fx.alphabet, True), ((ReadPathAction("/ws/x"),), False))
+    for stutter, (alphabet, init_reached) in itertools.product(STUTTERS.values(), cases):
+        safety, inv = _judging(monkeypatch)
+        next_fn = _recording(stutter(impl_next))
+        assert sweep(fx.constants, alphabet, 4, next_fn=next_fn).passed
+        post_states = {post for _pre, post in next_fn.steps}
+        assert safety == inv
+        assert len(safety) == len(post_states) and set(safety) == post_states
+        assert (init in safety) is init_reached
+
+
+def test_sweep_hashes_no_identity_stutter_and_judges_each_state_once(monkeypatch):
+    """A count-based guard on the cost of a step, at depth 6 (55,986 step
+    calls, most of them stutters): only the post-states of effected steps
+    are hashed, each once, besides init; and each visited state, init
+    included, runs each state predicate once."""
+    fx = read_agent()
+    hashed = []
+    state_hash = ImplState.__hash__
+
+    def recording_hash(s):
+        hashed.append(s)
+        return state_hash(s)
+
+    monkeypatch.setattr(ImplState, "__hash__", recording_hash)
+    safety, inv = _judging(monkeypatch)
+    next_fn = _recording(impl_next)  # its steps keep every post-state alive, so ids stay theirs
+    verdict = sweep(fx.constants, fx.alphabet, 6, next_fn=next_fn)
+    assert verdict.passed
+    assert len(next_fn.steps) == sum(6**k for k in range(1, 7)) == 55986
+    init = next_fn.steps[0][0]
+    effected = [post for pre, post in next_fn.steps if post is not pre]
+    per_object = Counter(id(s) for s in hashed)
+    assert per_object.pop(id(init)) <= len(fx.alphabet) + 1
+    assert per_object == Counter(map(id, effected))
+    for judged in (safety, inv):
+        assert len(judged) == len(set(judged)) == len(verdict.visited_states)
 
 
 def test_a_stutter_out_of_init_is_checked(monkeypatch):
-    """Init has not been checked as a post-state, so a stutter out of it is."""
+    """Init has not been checked as a post-state, so a stutter out of it
+    is, and so is an equal copy of init."""
     fx = read_agent()
     init = impl_init(fx.constants)
 
@@ -150,10 +214,12 @@ def test_a_stutter_out_of_init_is_checked(monkeypatch):
 
     monkeypatch.setattr(havoc, "impl_safety", not_init)
     monkeypatch.setattr(ref, "impl_safety", not_init)
-    verdict = sweep(fx.constants, (NoAction(),), 3)
-    assert verdict == ref.sweep(fx.constants, (NoAction(),), 3)
-    assert verdict.violation.step_index == 0
-    assert verdict.violation.detail == "safety predicate violated"
+    for stutter in STUTTERS.values():
+        next_fn = stutter(impl_next)
+        verdict = sweep(fx.constants, (NoAction(),), 3, next_fn=next_fn)
+        assert verdict == ref.sweep(fx.constants, (NoAction(),), 3, next_fn=next_fn)
+        assert verdict.violation.step_index == 0
+        assert verdict.violation.detail == "safety predicate violated"
 
 
 def test_empty_alphabet():
