@@ -30,6 +30,7 @@ from .fixtures import Fixture, rag_flow, read_agent
 from .flowfile import FlowDefinition, FlowFileError, from_fixture, load_flow, parse_flow, serialize_flow
 from .gates import (
     SEEDED_ERRORS,
+    CheckRun,
     GateReport,
     SpecBundle,
     check_template_fitness,

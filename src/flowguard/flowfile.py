@@ -65,7 +65,7 @@ def _strings(value, where: str) -> list[str]:
 def parse_flow(text: str) -> FlowDefinition:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise FlowFileError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FlowFileError("top-level document must be an object")

@@ -27,21 +27,23 @@ gates and a fitness audit enforce that:
 "Verification" for gate purposes is the full lemma set: initial safety,
 inductive safety preservation, initial refinement matching, and the step
 simulation with its invariant obligation. ``obligations`` runs them in
-that fixed order, each check only when its obligation is reached; G2 and
-G3 stop at the first failed obligation (the one their verdict names),
-and so does the step check inside it, while ``verify_bundle``, and so
-``flowguard check``, judges and reports all six. A flow that fails G1 is
-unusable input: ``flowguard gates`` then exits 2 with a report holding
-only the G1 verdict. Enumeration checks truth, not proof effort, so
-bundle-invariant edits are applied to the assumption side only (the
-obligations keep the declared invariant); a symmetric edit to a
-non-load-bearing clause would otherwise be undetectable in principle.
+that fixed order, each check only when its obligation is reached, and
+each step obligation is a search of its own. G2 and G3 stop at the first
+failed obligation (the one their verdict names), so they search none
+after it, while ``verify_bundle``, and so ``flowguard check``, judges
+and reports all six. A flow that fails G1 is unusable input: ``flowguard
+gates`` then exits 2 with a report holding only the G1 verdict.
+Enumeration checks truth, not proof effort, so bundle-invariant edits
+are applied to the assumption side only (the obligations keep the
+declared invariant); a symmetric edit to a non-load-bearing clause would
+otherwise be undetectable in principle.
 
 Mutations touch only the bundle: the constants, the concrete machine, and
 the checker configuration are the same before and after. So one
-``CheckRun`` serves G2, every G3 mutant and fitness: it explores the
-concrete side once, and judges safety preservation once per distinct
-abstract relation and safety predicate.
+``CheckRun`` serves G2, every G3 mutant and fitness: it fixes the
+machine, alphabet and depth they check, explores the concrete side once,
+and judges safety preservation once per distinct abstract relation and
+safety predicate.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ from .refinement import (
     StepDomain,
     default_bundle,
     check_refinement_init,
-    check_refinement_next,
     reachable_layers,
     step_domain,
+    step_obligations,
 )
 from .spec_model import (
     POLICY,
@@ -234,9 +236,6 @@ class VerificationOutcome:
     def passed(self) -> bool:
         return all(o.passed for o in self.obligations)
 
-    def first_failure(self) -> Obligation | None:
-        return next((o for o in self.obligations if not o.passed), None)
-
 
 def _describe_preservation(v: PreservationVerdict) -> str:
     if v.passed or v.counterexample is None:
@@ -278,15 +277,13 @@ class CheckRun:
         return self._preserved[key]
 
 
-def obligations(run: CheckRun, config: CheckConfig, lazy: bool = False) -> Iterator[Obligation]:
+def obligations(run: CheckRun, config: CheckConfig) -> Iterator[Obligation]:
     """The full lemma set on a (possibly mutated) bundle, one obligation at
     a time in a fixed order: init_safety, safety_preserved,
-    refinement_init, then inv_inductive, r2_step_simulation and
-    r3_safety_transport from one step check. Each check runs only when its
-    obligation is reached, so a caller that stops at the first failure
-    skips the checks after it. With ``lazy`` the step check also stops
-    once its first failed obligation is decided, and the sequence ends
-    with that obligation."""
+    refinement_init, then the step obligations inv_inductive,
+    r2_step_simulation and r3_safety_transport. Each check runs only when
+    its obligation is reached, so a caller that stops at the first failure
+    skips every check after it."""
     b = config.bundle
     yield Obligation("init_safety", b.safety(b.constants, spec_init(b.constants)))
 
@@ -298,31 +295,16 @@ def obligations(run: CheckRun, config: CheckConfig, lazy: bool = False) -> Itera
         explored_states=preserved.explored_states,
     )
 
-    r_init = check_refinement_init(run.c, b.bundle_for_impl)
+    ib = b.bundle_for_impl
+    r_init = check_refinement_init(run.c, ib)
     yield Obligation("refinement_init", r_init.passed, r_init.detail)
 
-    r_next = check_refinement_next(
-        run.c,
-        b.bundle_for_impl,
-        run.alphabet,
-        run.depth,
-        next_relation=b.next_relation,
-        safety=b.safety,
-        assume_inv=config.assume_inv,
-        domain=run.domain,
-        lazy=lazy,
-    )
-    for name, ok, cx in (
-        ("inv_inductive", r_next.inv_inductive, r_next.inv_counterexample),
-        ("r2_step_simulation", r_next.r2, r_next.r2_counterexample),
-        ("r3_safety_transport", r_next.r3, r_next.r3_counterexample),
+    states = run.domain.admitted(run.c, config.assume_inv or ib.inv)
+    for name, cx in step_obligations(
+        run.c, ib, run.alphabet, states, next_relation=b.next_relation, safety=b.safety
     ):
-        detail = ""
-        if cx is not None:
-            detail = f"{cx.detail}; action {format_action(cx.action)}"
-        yield Obligation(name, ok, detail, explored_states=r_next.explored_states)
-        if lazy and not ok:
-            return
+        detail = f"{cx.detail}; action {format_action(cx.action)}" if cx else ""
+        yield Obligation(name, cx is None, detail, explored_states=len(states))
 
 
 def verify_bundle(
@@ -332,7 +314,7 @@ def verify_bundle(
     depth: int,
 ) -> VerificationOutcome:
     """Run the full lemma set on a (possibly mutated) bundle and report
-    every obligation, each judged over the whole pass."""
+    every obligation."""
     return VerificationOutcome(tuple(obligations(CheckRun(c, alphabet, depth), config)))
 
 
@@ -377,17 +359,11 @@ def gate_resolution(flow_text: str, timeout_seconds: float = DEFAULT_GATE_BUDGET
     return ResolutionOutcome(GateVerdict("g1", "pass"), flow, bundle)
 
 
-def gate_vacuity(
-    c: ImplConstants,
-    bundle: SpecBundle,
-    alphabet: tuple[Action, ...],
-    depth: int,
-    run: CheckRun | None = None,
-) -> GateVerdict:
-    """G2: the permissive stub must fail verification. Its obligations
-    are checked in order up to the first one that fails. ``run`` is the
-    work shared with the other gates; a fresh one by default."""
-    if depth < 1:
+def gate_vacuity(run: CheckRun, bundle: SpecBundle) -> GateVerdict:
+    """G2: the permissive stub must fail verification on ``run``'s
+    machine, alphabet and depth. Its obligations are checked in order up
+    to the first one that fails."""
+    if run.depth < 1:
         return GateVerdict(
             "g2",
             "fail",
@@ -395,8 +371,7 @@ def gate_vacuity(
             "so the stub trivially verifies)",
         )
     discharged: list[str] = []
-    run = run or CheckRun(c, alphabet, depth)
-    for o in obligations(run, permissive_stub().apply(bundle), lazy=True):
+    for o in obligations(run, permissive_stub().apply(bundle)):
         if not o.passed:
             return GateVerdict("g2", "pass", f"permissive stub failed at {o.name}")
         discharged.append(o.name)
@@ -411,21 +386,13 @@ class MutantResult:
     detail: str = ""
 
 
-def gate_discrimination(
-    c: ImplConstants,
-    bundle: SpecBundle,
-    mutation: Mutation,
-    alphabet: tuple[Action, ...],
-    depth: int,
-    run: CheckRun | None = None,
-) -> tuple[GateVerdict, MutantResult]:
-    """G3 for one mutation: the seeded error must fail verification. Its
-    obligations are checked in order up to the first one that fails, which
-    is the one that kills it. ``run`` is as for ``gate_vacuity``."""
+def gate_discrimination(run: CheckRun, bundle: SpecBundle, mutation: Mutation) -> tuple[GateVerdict, MutantResult]:
+    """G3 for one mutation: the seeded error must fail verification on
+    ``run``'s machine, alphabet and depth. Its obligations are checked in
+    order up to the first one that fails, which is the one that kills it."""
     if mutation.kind != "seeded-error":
         raise ValueError(f"G3 takes seeded errors, got kind {mutation.kind!r}")
-    run = run or CheckRun(c, alphabet, depth)
-    failed = next((o for o in obligations(run, mutation.apply(bundle), lazy=True) if not o.passed), None)
+    failed = next((o for o in obligations(run, mutation.apply(bundle)) if not o.passed), None)
     if failed is None:
         result = MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged")
         return GateVerdict("g3", "fail", f"surviving mutant {mutation.mutation_id}"), result
@@ -457,27 +424,19 @@ class FitnessReport:
         return tuple(cf.name for cf in self.conjuncts if cf.status == "VACUOUS")
 
 
-def check_template_fitness(
-    c: ImplConstants,
-    bundle: SpecBundle,
-    alphabet: tuple[Action, ...],
-    depth: int,
-    run: CheckRun | None = None,
-) -> FitnessReport:
-    """For each sequence-quantified safety conjunct, find a reachable state
-    (within depth, through the abstraction) where the quantified sequence
-    is nonempty. No witness means the conjunct is vacuously true along
-    every reachable state and the field it polices is never written.
+def check_template_fitness(run: CheckRun, bundle: SpecBundle) -> FitnessReport:
+    """For each sequence-quantified safety conjunct, find a state of
+    ``run``'s reachable layers (within its depth, through the abstraction)
+    where the quantified sequence is nonempty. No witness means the
+    conjunct is vacuously true along every reachable state and the field
+    it polices is never written.
 
     The scalar step-count conjunct is exempt: it is exercised by any
-    effected step, so it cannot silently abstain at depth >= 1. ``run``
-    supplies the reachable layers when the gates have built them.
+    effected step, so it cannot silently abstain at depth >= 1.
     """
     abs_of = bundle.bundle_for_impl.variables_abs
-    layers = run.layers if run else reachable_layers(c, alphabet, depth)
-
     found: dict[str, ConjunctFitness] = {}
-    for d, layer in enumerate(layers):
+    for d, layer in enumerate(run.layers):
         for s in layer:
             projected = abs_of(s)
             for k in SEQUENCE_CONJUNCTS:
@@ -551,9 +510,9 @@ def run_gates(
     bundle = default_spec_bundle(c, flow.provenance)
     run = CheckRun(c, flow.alphabet, depth)
 
-    g2 = gate_vacuity(c, bundle, flow.alphabet, depth, run)
+    g2 = gate_vacuity(run, bundle)
 
-    mutants = [gate_discrimination(c, bundle, m, flow.alphabet, depth, run)[1] for m in mutations]
+    mutants = [gate_discrimination(run, bundle, m)[1] for m in mutations]
     if all(m.killed for m in mutants):
         g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")
     else:
@@ -566,7 +525,7 @@ def run_gates(
             )
         g3 = GateVerdict("g3", "fail", detail)
 
-    fitness = check_template_fitness(c, bundle, flow.alphabet, depth, run)
+    fitness = check_template_fitness(run, bundle)
     fitness_verdict = GateVerdict(
         "fitness",
         "pass" if fitness.passed else "fail",

@@ -23,6 +23,11 @@ a weakened invariant would be forced to handle. With the full invariant
 assumed, every perturbed state it admits still discharges all
 obligations, so the extra states never cause spurious failures.
 
+Each step obligation (the invariant, step simulation, safety transport)
+is its own search for a first counterexample over the admitted states, in
+that order, run only when a caller asks for it: ``check_refinement_next``
+asks for all three, and a gate stops asking at the first failure.
+
 A trace-level soundness check composes the same ingredients in three
 stages: lift the concrete trace to an abstract run by replaying actions
 and abstracted events from the abstract initial state, check abstract
@@ -33,7 +38,7 @@ conjuncts on the concrete states. The stage that fails is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from .actions import Action, BoundaryEvent, ImplEvent, NoAction
 from .havoc import Trace
@@ -175,6 +180,10 @@ class StepDomain:
     reachable_states: int
     candidates: tuple[ImplState, ...]
 
+    def admitted(self, c: ImplConstants, assume: InvPredicate) -> list[ImplState]:
+        """The candidates the assumed invariant admits, in order."""
+        return [s for s in self.candidates if assume(c, s)]
+
 
 def step_domain(
     c: ImplConstants,
@@ -235,16 +244,6 @@ class RefinementVerdict:
     def passed(self) -> bool:
         return self.r2 and self.r3 and self.inv_inductive
 
-    def failures(self) -> list[str]:
-        out = []
-        if not self.inv_inductive:
-            out.append("inv_inductive")
-        if not self.r2:
-            out.append("r2_step_simulation")
-        if not self.r3:
-            out.append("r3_safety_transport")
-        return out
-
 
 def check_refinement_init(c: ImplConstants, b: AbstractionBundle) -> InitVerdict:
     """Initial obligation: the invariant holds at init and the abstracted
@@ -258,6 +257,92 @@ def check_refinement_init(c: ImplConstants, b: AbstractionBundle) -> InitVerdict
     return InitVerdict(True)
 
 
+def first_failing_step(
+    c: ImplConstants,
+    states: list[ImplState],
+    alphabet: tuple[Action, ...],
+    detail: str,
+    post_fails: Callable[[ImplState], bool],
+    step_fails: Callable[[ImplState, Action, ImplEvent, ImplState], bool],
+) -> StepCounterexample | None:
+    """The first step (s, a, e, s2) out of ``states``, in their order and
+    then the alphabet's, whose post-state ``post_fails`` and that
+    ``step_fails``; None when no step fails both.
+
+    impl_next answers a rejected action with the pre-state object itself,
+    so every stutter out of s has the post-state s: ``post_fails`` judges
+    it at most once per state, while ``step_fails`` sees every step.
+    """
+    for s in states:
+        stutter_fails: bool | None = None
+        for a in alphabet:
+            for e, s2 in impl_next(c, s, a):
+                if s2 is not s:
+                    fails = post_fails(s2)
+                elif stutter_fails is None:
+                    fails = stutter_fails = post_fails(s)
+                else:
+                    fails = stutter_fails
+                if fails and step_fails(s, a, e, s2):
+                    return StepCounterexample(s, a, e, s2, detail)
+    return None
+
+
+def step_obligations(
+    c: ImplConstants,
+    b: AbstractionBundle,
+    alphabet: tuple[Action, ...],
+    states: list[ImplState],
+    *,
+    next_relation=spec_next,
+    safety=spec_safety,
+) -> Iterator[tuple[str, StepCounterexample | None]]:
+    """The step obligations over the admitted ``states``, in the order
+    inv_inductive, r2_step_simulation, r3_safety_transport: each as its
+    name and its first counterexample, None when it holds. Each obligation
+    is searched only when the iteration reaches it, so a caller that stops
+    at a failure searches none after it.
+
+    The invariant obligation uses the bundle's declared invariant, however
+    the states were admitted.
+    """
+    yield "inv_inductive", first_failing_step(
+        c, states, alphabet, "declared invariant not re-established", lambda s2: not b.inv(c, s2), lambda *_: True
+    )
+    ca = b.constants_abs(c)
+
+    def matched(s: ImplState, a: Action, e: ImplEvent, s2: ImplState) -> bool:
+        # A relation may match a stutter under one action and not under
+        # another, so the match is judged for every step. The matched
+        # abstract step must use the identical action value the concrete
+        # step consumed; never a canonicalized or re-parsed stand-in.
+        abs_pre = b.variables_abs(s)
+        query_action = a
+        abs_succs = next_relation(ca, abs_pre, query_action)
+        assert query_action == a
+        abs_post = abs_pre if s2 is s else b.variables_abs(s2)
+        return (b.event_abs(e), abs_post) in abs_succs
+
+    yield "r2_step_simulation", first_failing_step(
+        c,
+        states,
+        alphabet,
+        "no abstract step matches the abstracted event and post-state",
+        lambda _s2: True,
+        lambda *step: not matched(*step),
+    )
+    # Transport is judged first: the match costs an abstract step query,
+    # and only a step that fails transport needs it.
+    yield "r3_safety_transport", first_failing_step(
+        c,
+        states,
+        alphabet,
+        "abstract safety holds at the matched post-state but concrete safety fails",
+        lambda s2: safety(ca, b.variables_abs(s2)) and not impl_safety(c, s2),
+        matched,
+    )
+
+
 def check_refinement_next(
     c: ImplConstants,
     b: AbstractionBundle,
@@ -267,101 +352,29 @@ def check_refinement_next(
     next_relation=spec_next,
     safety=spec_safety,
     assume_inv: InvPredicate | None = None,
-    domain: StepDomain | None = None,
-    lazy: bool = False,
 ) -> RefinementVerdict:
-    """Step obligations over every admitted state and every alphabet action.
+    """Every step obligation over every admitted state and every alphabet
+    action.
 
     ``assume_inv`` filters the states obligations are checked from; it
     defaults to the bundle's invariant. The invariant obligation on the
     post-state always uses the bundle's declared invariant, so assuming a
     weaker predicate than the declared one must fail unless the declared
-    invariant demanded nothing. ``domain`` is the ``step_domain`` the
-    admitted states are taken from; it is built here when not given.
-
-    By default every obligation is judged over the whole pass. With
-    ``lazy``, the check stops judging an obligation once one before it in
-    the order inv_inductive, r2_step_simulation, r3_safety_transport has
-    failed, and stops after the state of the first inv_inductive failure.
-    The first failed obligation, and each one before it, keeps the verdict
-    and counterexample of the full pass; the ones after it report only
-    what was judged before the check stopped.
+    invariant demanded nothing.
     """
-    assume = assume_inv if assume_inv is not None else b.inv
-    ca = b.constants_abs(c)
-    if domain is None:
-        domain = step_domain(c, alphabet, depth, reachable_layers(c, alphabet, depth))
-    explored = [s for s in domain.candidates if assume(c, s)]
-
-    inv_ok, r2_ok, r3_ok = True, True, True
-    inv_cx: StepCounterexample | None = None
-    r2_cx: StepCounterexample | None = None
-    r3_cx: StepCounterexample | None = None
-
-    for s in explored:
-        abs_pre = b.variables_abs(s)
-        # impl_next answers a rejected action with the pre-state object
-        # itself, so every stutter out of s has the post-state s: its
-        # abstraction is abs_pre, and its invariant and safety-transport
-        # verdicts are computed at most once, by the first stutter that
-        # needs them. Effected steps are judged one by one.
-        stutter_inv: bool | None = None
-        stutter_transported: bool | None = None
-        for a in alphabet:
-            for e, s2 in impl_next(c, s, a):
-                stutter = s2 is s
-                if inv_ok:
-                    if not stutter:
-                        inv_holds = b.inv(c, s2)
-                    else:
-                        if stutter_inv is None:
-                            stutter_inv = b.inv(c, s)
-                        inv_holds = stutter_inv
-                    if not inv_holds:
-                        inv_ok = False
-                        inv_cx = StepCounterexample(s, a, e, s2, "declared invariant not re-established")
-                # The abstract match decides r2, and r3 on matched steps; it
-                # is skipped once neither can change what is reported.
-                if not ((inv_ok and r2_ok) if lazy else (r2_ok or r3_ok)):
-                    continue
-                # The matched abstract step must use the identical action
-                # value the concrete step consumed; never a canonicalized
-                # or re-parsed stand-in.
-                query_action = a
-                abs_succs = next_relation(ca, abs_pre, query_action)
-                assert query_action == a
-                abs_post = abs_pre if stutter else b.variables_abs(s2)
-                if (b.event_abs(e), abs_post) not in abs_succs:
-                    if r2_ok:
-                        r2_ok = False
-                        r2_cx = StepCounterexample(
-                            s, a, e, s2, "no abstract step matches the abstracted event and post-state"
-                        )
-                elif r3_ok:
-                    if not stutter:
-                        transported = not safety(ca, abs_post) or impl_safety(c, s2)
-                    else:
-                        if stutter_transported is None:
-                            stutter_transported = not safety(ca, abs_pre) or impl_safety(c, s)
-                        transported = stutter_transported
-                    if not transported:
-                        r3_ok = False
-                        r3_cx = StepCounterexample(
-                            s, a, e, s2, "abstract safety holds at the matched post-state but concrete safety fails"
-                        )
-        if not inv_ok and (lazy or not (r2_ok or r3_ok)):
-            break
-
+    domain = step_domain(c, alphabet, depth, reachable_layers(c, alphabet, depth))
+    states = domain.admitted(c, assume_inv or b.inv)
+    cx = dict(step_obligations(c, b, alphabet, states, next_relation=next_relation, safety=safety))
     return RefinementVerdict(
-        r2=r2_ok,
-        r3=r3_ok,
-        inv_inductive=inv_ok,
-        explored_states=len(explored),
+        r2=cx["r2_step_simulation"] is None,
+        r3=cx["r3_safety_transport"] is None,
+        inv_inductive=cx["inv_inductive"] is None,
+        explored_states=len(states),
         reachable_states=domain.reachable_states,
         depth=depth,
-        r2_counterexample=r2_cx,
-        r3_counterexample=r3_cx,
-        inv_counterexample=inv_cx,
+        r2_counterexample=cx["r2_step_simulation"],
+        r3_counterexample=cx["r3_safety_transport"],
+        inv_counterexample=cx["inv_inductive"],
     )
 
 

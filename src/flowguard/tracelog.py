@@ -140,7 +140,7 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
     try:
         header = json.loads(lines[0])
         rows = [json.loads(ln) for ln in lines[1:]]
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise TraceLogError(f"not valid JSON lines: {e}") from e
     if not isinstance(header, dict) or not isinstance(header.get("constants_digest"), str):
         raise TraceLogError("trace-log header must be an object with a constants_digest string")

@@ -25,6 +25,7 @@ from flowguard.fixtures import read_agent
 from flowguard.flowfile import from_fixture, serialize_flow
 from flowguard.gates import (
     SEEDED_ERRORS,
+    CheckRun,
     default_spec_bundle,
     gate_discrimination,
     gate_vacuity,
@@ -156,23 +157,22 @@ def test_criterion_3_soundness_composition(agent):
 def test_criterion_4_gate_behavior(agent):
     c = agent.constants
     bundle = default_spec_bundle(c, agent.provenance)
+    run = CheckRun(c, agent.alphabet, 4)
 
-    g2 = gate_vacuity(c, bundle, agent.alphabet, 4)
+    g2 = gate_vacuity(run, bundle)
     assert g2.passed, g2
 
     killed = {}
     for mid, mutation in SEEDED_ERRORS.items():
-        verdict, result = gate_discrimination(c, bundle, mutation, agent.alphabet, 4)
+        verdict, result = gate_discrimination(run, bundle, mutation)
         assert verdict.passed and result.killed, (mid, result)
         killed[mid] = result.killed_by
     assert len(killed) == 4
 
-    identity_verdict, identity_result = gate_discrimination(
-        c, bundle, identity_mutation(), agent.alphabet, 4
-    )
+    identity_verdict, identity_result = gate_discrimination(run, bundle, identity_mutation())
     assert not identity_verdict.passed and not identity_result.killed
 
-    floor = gate_vacuity(c, bundle, agent.alphabet, 0)
+    floor = gate_vacuity(CheckRun(c, agent.alphabet, 0), bundle)
     assert not floor.passed and "configuration floor" in floor.detail
 
     report(

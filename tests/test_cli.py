@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 import flowguard.gates as gates
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
-from flowguard.flowfile import from_fixture, serialize_flow
+from flowguard.flowfile import FlowFileError, from_fixture, parse_flow, serialize_flow
 from flowguard.fixtures import rag_flow, read_agent
 from flowguard.tracelog import TraceLogError, parse_trace_log
+
+
+# json gives up on nesting this deep with RecursionError, not a decode error.
+NESTED_TOO_DEEPLY = "[" * 200_000 + "]" * 200_000
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +66,17 @@ def test_run_malformed_flow_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert main(["run", "--flow", str(bad)]) == 2
+
+
+def test_a_flow_nested_too_deeply_exits_two(tmp_path, capsys):
+    flow = tmp_path / "deep.json"
+    flow.write_text(NESTED_TOO_DEEPLY)
+    with pytest.raises(FlowFileError):
+        parse_flow(NESTED_TOO_DEEPLY)
+    for argv in (["run"], ["check"], ["sweep"], ["replay", str(tmp_path / "unread.log")], ["gates"]):
+        capsys.readouterr()
+        assert main([*argv, "--flow", str(flow)]) == 2, argv
+    assert json.loads(capsys.readouterr().out)["gates"]["g1"]["status"] == "fail"
 
 
 def test_run_unknown_strategy_exits_two(flow_file):
@@ -284,6 +299,10 @@ def test_directory_paths_exit_two(flow_file, tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+class Raw(str):
+    """A trace-log line written as it is, not as the JSON of a value."""
+
+
 def _edit_row(n, **fields):
     return lambda header, rows: (header, rows[:n] + [dict(rows[n], **fields)] + rows[n + 1:])
 
@@ -314,6 +333,10 @@ def _edit_row(n, **fields):
         pytest.param(lambda header, rows: (dict(header, strategy=5), rows), id="strategy-number"),
         pytest.param(lambda header, rows: (dict(header, provenance=7), rows), id="provenance-number"),
         pytest.param(lambda header, rows: (dict(header, provenance=None), rows), id="provenance-null"),
+        pytest.param(lambda header, rows: (Raw(NESTED_TOO_DEEPLY), rows), id="header-nested-too-deeply"),
+        pytest.param(
+            lambda header, rows: (header, rows[:1] + [Raw(NESTED_TOO_DEEPLY)] + rows[2:]), id="row-nested-too-deeply"
+        ),
     ],
 )
 def test_unusable_trace_log_is_rejected_with_exit_two(flow_file, tmp_path, capsys, edit):
@@ -321,7 +344,7 @@ def test_unusable_trace_log_is_rejected_with_exit_two(flow_file, tmp_path, capsy
     assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
     header, *rows = [json.loads(ln) for ln in log.read_text().splitlines()]
     header, rows = edit(header, rows)
-    log.write_text("\n".join(json.dumps(x) for x in (header, *rows)) + "\n")
+    log.write_text("\n".join(x if isinstance(x, Raw) else json.dumps(x) for x in (header, *rows)) + "\n")
 
     with pytest.raises(TraceLogError):
         parse_trace_log(log.read_text())

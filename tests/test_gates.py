@@ -13,6 +13,7 @@ from flowguard.refinement import reachable_layers
 from flowguard.gates import (
     SEEDED_ERRORS,
     CheckConfig,
+    CheckRun,
     check_template_fitness,
     default_spec_bundle,
     gate_discrimination,
@@ -34,6 +35,11 @@ def bundle_fingerprint(c, alphabet):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def first_failure(outcome):
+    """The first failed obligation of a ``verify_bundle`` outcome, or None."""
+    return next((o for o in outcome.obligations if not o.passed), None)
+
+
 @pytest.fixture(scope="module")
 def fx():
     return read_agent()
@@ -42,6 +48,11 @@ def fx():
 @pytest.fixture(scope="module")
 def bundle(fx):
     return default_spec_bundle(fx.constants, fx.provenance)
+
+
+@pytest.fixture(scope="module")
+def run(fx):
+    return CheckRun(fx.constants, fx.alphabet, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +115,13 @@ def test_unmutated_bundle_discharges_everything(fx, bundle):
 # G2 vacuity
 
 
-def test_g2_passes_because_the_stub_fails(fx, bundle):
-    verdict = gate_vacuity(fx.constants, bundle, fx.alphabet, 4)
+def test_g2_passes_because_the_stub_fails(run, bundle):
+    verdict = gate_vacuity(run, bundle)
     assert verdict.passed
     assert "inv_inductive" in verdict.detail
 
 
-def test_g2_fails_for_a_bundle_that_never_demanded_structure(fx, bundle):
+def test_g2_fails_for_a_bundle_that_never_demanded_structure(run, bundle):
     """If the declared invariant is already well-formedness only, the stub
     is the original: both verify identically and the gate must fail."""
     import dataclasses
@@ -120,13 +131,13 @@ def test_g2_fails_for_a_bundle_that_never_demanded_structure(fx, bundle):
     wf_bundle = dataclasses.replace(
         bundle, bundle_for_impl=dataclasses.replace(bundle.bundle_for_impl, inv=impl_wf)
     )
-    verdict = gate_vacuity(fx.constants, wf_bundle, fx.alphabet, 4)
+    verdict = gate_vacuity(run, wf_bundle)
     assert not verdict.passed
     assert "vacuity witness" in verdict.detail
 
 
 def test_g2_depth_zero_hits_the_configuration_floor(fx, bundle):
-    verdict = gate_vacuity(fx.constants, bundle, fx.alphabet, 0)
+    verdict = gate_vacuity(CheckRun(fx.constants, fx.alphabet, 0), bundle)
     assert not verdict.passed
     assert "configuration floor" in verdict.detail
 
@@ -135,7 +146,7 @@ def test_stub_keeps_obligations_while_weakening_assumptions(fx, bundle):
     config = permissive_stub().apply(bundle)
     outcome = verify_bundle(fx.constants, config, fx.alphabet, 4)
     assert not outcome.passed
-    failed = outcome.first_failure()
+    failed = first_failure(outcome)
     assert failed is not None and failed.name == "inv_inductive"
 
 
@@ -144,15 +155,13 @@ def test_stub_keeps_obligations_while_weakening_assumptions(fx, bundle):
 
 
 @pytest.mark.parametrize("mutation_id", list(SEEDED_ERRORS))
-def test_every_shipped_seeded_error_is_killed(fx, bundle, mutation_id):
-    verdict, result = gate_discrimination(
-        fx.constants, bundle, SEEDED_ERRORS[mutation_id], fx.alphabet, 4
-    )
+def test_every_shipped_seeded_error_is_killed(run, bundle, mutation_id):
+    verdict, result = gate_discrimination(run, bundle, SEEDED_ERRORS[mutation_id])
     assert verdict.passed, result
     assert result.killed and result.killed_by
 
 
-def test_expected_killers_per_mutant(fx, bundle):
+def test_expected_killers_per_mutant(run, bundle):
     expected = {
         "drop-allowlist-guard": "safety_preserved",
         "step-bound-off-by-one": "safety_preserved",
@@ -160,20 +169,20 @@ def test_expected_killers_per_mutant(fx, bundle):
         "drop-history-clause": "inv_inductive",
     }
     for mid, killer in expected.items():
-        _, result = gate_discrimination(fx.constants, bundle, SEEDED_ERRORS[mid], fx.alphabet, 4)
+        _, result = gate_discrimination(run, bundle, SEEDED_ERRORS[mid])
         assert result.killed_by == killer, (mid, result)
 
 
-def test_identity_mutation_survives(fx, bundle):
-    verdict, result = gate_discrimination(fx.constants, bundle, identity_mutation(), fx.alphabet, 4)
+def test_identity_mutation_survives(run, bundle):
+    verdict, result = gate_discrimination(run, bundle, identity_mutation())
     assert not verdict.passed
     assert not result.killed
     assert "alive" in result.detail
 
 
-def test_g3_rejects_the_stub_kind(fx, bundle):
+def test_g3_rejects_the_stub_kind(run, bundle):
     with pytest.raises(ValueError):
-        gate_discrimination(fx.constants, bundle, permissive_stub(), fx.alphabet, 4)
+        gate_discrimination(run, bundle, permissive_stub())
 
 
 def test_mutations_leave_the_trusted_surface_untouched(fx, bundle):
@@ -187,8 +196,8 @@ def test_mutations_leave_the_trusted_surface_untouched(fx, bundle):
 # template fitness
 
 
-def test_fitness_witnesses_both_sequences_on_read_agent(fx, bundle):
-    report = check_template_fitness(fx.constants, bundle, fx.alphabet, 4)
+def test_fitness_witnesses_both_sequences_on_read_agent(run, bundle):
+    report = check_template_fitness(run, bundle)
     assert report.passed
     statuses = {cf.name: cf.status for cf in report.conjuncts}
     assert statuses == {"ReadPathsRooted": "witnessed", "ToolAllowlisted": "witnessed"}
@@ -197,7 +206,7 @@ def test_fitness_witnesses_both_sequences_on_read_agent(fx, bundle):
 def test_fitness_flags_the_silent_abstention():
     fx = rag_flow(barrier=False)
     bundle = default_spec_bundle(fx.constants, fx.provenance)
-    report = check_template_fitness(fx.constants, bundle, fx.alphabet, 4)
+    report = check_template_fitness(CheckRun(fx.constants, fx.alphabet, 4), bundle)
     assert not report.passed
     assert report.vacuous_conjuncts() == ("ToolAllowlisted",)
     by_name = {cf.name: cf for cf in report.conjuncts}
@@ -207,7 +216,7 @@ def test_fitness_flags_the_silent_abstention():
 def test_fitness_passes_in_barrier_mode():
     fx = rag_flow(barrier=True)
     bundle = default_spec_bundle(fx.constants, fx.provenance)
-    report = check_template_fitness(fx.constants, bundle, fx.alphabet, 4)
+    report = check_template_fitness(CheckRun(fx.constants, fx.alphabet, 4), bundle)
     assert report.passed
     by_name = {cf.name: cf for cf in report.conjuncts}
     # the fetched document ids land in the tool-call sequence

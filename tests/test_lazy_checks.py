@@ -3,10 +3,10 @@ first failed obligation, and one gate run shares its exploration.
 
 ``check_safety_preserved`` and ``check_refinement_next`` are compared in
 every verdict field with the copies in ``refinement_reference.py``, which
-judge every successor and every step; the gates' lazy verdicts, alone and
-shared across one ``run_gates``, are compared with the first failure of
-unshared, full ``verify_bundle`` outcomes. Counting tests pin the work
-saved.
+judge every successor and every step; ``obligations`` stopped at its
+first failure, and the gates' verdicts, alone and shared across one
+``run_gates``, are compared with unshared, full ``verify_bundle``
+outcomes. Counting tests pin the work saved.
 """
 
 from collections import Counter
@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 import flowguard.gates as gates
 import flowguard.refinement as refinement
 import refinement_reference as ref
+from flowguard.actions import NoAction
 from flowguard.fixtures import rag_flow, read_agent
 from flowguard.flowfile import FlowDefinition, from_fixture, serialize_flow, with_prefix_mode
 from flowguard.gates import (
     SEEDED_ERRORS,
     CheckConfig,
+    CheckRun,
     GateVerdict,
     MutantResult,
     check_template_fitness,
@@ -31,13 +33,21 @@ from flowguard.gates import (
     gate_discrimination,
     gate_vacuity,
     identity_mutation,
+    obligations,
     permissive_stub,
     run_gates,
     verify_bundle,
 )
 from flowguard.impl_model import impl_inv, impl_next, impl_wf
-from flowguard.refinement import check_refinement_next, default_bundle, reachable_layers, step_domain
+from flowguard.refinement import (
+    check_refinement_next,
+    default_bundle,
+    first_failing_step,
+    reachable_layers,
+    step_domain,
+)
 from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_next, spec_safety
+from test_gates import first_failure
 from test_sweep import shallow_bounds
 from test_tracelog import FITTING, actions, flow_constants
 
@@ -57,6 +67,13 @@ def lax_safety(c, s):
     return all(k.holds(c, getattr(s, k.field)) for k in POLICY if k is not TOOL_ALLOWLISTED)
 
 
+def stutter_gap(c, s, a):
+    """The shipped relation without the stutter under ``NoAction``, and
+    with it under every other action."""
+    succs = spec_next(c, s, a)
+    return tuple(x for x in succs if x[1] is not s) if a == NoAction() else succs
+
+
 CONFIGS = {
     "default": CheckConfig,
     **{mid: m.apply for mid, m in SEEDED_ERRORS.items()},
@@ -65,22 +82,21 @@ CONFIGS = {
     "lax-safety": lambda b: CheckConfig(replace(b, safety=lax_safety)),
     # fails r2_step_simulation before inv_inductive in the scan order
     "noeffect-stub": lambda b: replace(SEEDED_ERRORS["event-to-noeffect"].apply(b), assume_inv=impl_wf),
+    # r2 must judge a state's stutters action by action: in the reversed
+    # shipped alphabets, NoAction's stutter comes after matched ones
+    "stutter-gap": lambda b: CheckConfig(replace(b, next_relation=stutter_gap)),
 }
 
 
-def decided(verdict):
-    """The step obligations of a verdict, in order, up to and including
-    the first failed one, with the size of the state space."""
-    steps = []
-    for ok, cx in (
-        (verdict.inv_inductive, verdict.inv_counterexample),
-        (verdict.r2, verdict.r2_counterexample),
-        (verdict.r3, verdict.r3_counterexample),
-    ):
-        steps.append((ok, cx))
-        if not ok:
+def through_first_failure(outcomes):
+    """The obligations, in order, up to and including the first failed
+    one; nothing after it is drawn from ``outcomes``."""
+    out = []
+    for o in outcomes:
+        out.append(o)
+        if not o.passed:
             break
-    return steps, verdict.explored_states, verdict.reachable_states
+    return out
 
 
 def assert_checkers_match_reference(c, alphabet, depth):
@@ -95,8 +111,8 @@ def assert_checkers_match_reference(c, alphabet, depth):
         step = (c, b.bundle_for_impl, alphabet, depth)
         full = ref.check_refinement_next(*step, **relation, assume_inv=config.assume_inv)
         assert check_refinement_next(*step, **relation, assume_inv=config.assume_inv) == full, name
-        lazy = check_refinement_next(*step, **relation, assume_inv=config.assume_inv, lazy=True)
-        assert decided(lazy) == decided(full), name
+        stopped = through_first_failure(obligations(CheckRun(c, alphabet, depth), config))
+        assert stopped == through_first_failure(verify_bundle(c, config, alphabet, depth).obligations), name
 
 
 def expected_gates(c, alphabet, depth, mutations):
@@ -108,14 +124,14 @@ def expected_gates(c, alphabet, depth, mutations):
     for mutation in mutations:
         outcome = verify_bundle(c, mutation.apply(bundle), alphabet, depth)
         assert tuple(o.name for o in outcome.obligations) == OBLIGATION_ORDER
-        failed = outcome.first_failure()
+        failed = first_failure(outcome)
         if failed is None:
             results.append(MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged"))
         else:
             results.append(MutantResult(mutation.mutation_id, True, failed.name, failed.detail))
     if depth < 1:
         return None, results
-    failed = verify_bundle(c, permissive_stub().apply(bundle), alphabet, depth).first_failure()
+    failed = first_failure(verify_bundle(c, permissive_stub().apply(bundle), alphabet, depth))
     if failed is None:
         g2 = GateVerdict("g2", "fail", "vacuity witness: the stub discharged " + ", ".join(OBLIGATION_ORDER))
     else:
@@ -127,9 +143,10 @@ def assert_gates_stop_at_first_failure(c, alphabet, depth):
     bundle = default_spec_bundle(c, "test")
     mutations = (*SEEDED_ERRORS.values(), identity_mutation())
     g2, results = expected_gates(c, alphabet, depth, mutations)
-    assert [gate_discrimination(c, bundle, m, alphabet, depth)[1] for m in mutations] == results
+    run = CheckRun(c, alphabet, depth)
+    assert [gate_discrimination(run, bundle, m)[1] for m in mutations] == results
     if g2 is not None:
-        assert gate_vacuity(c, bundle, alphabet, depth) == g2
+        assert gate_vacuity(run, bundle) == g2
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,7 +191,7 @@ def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, prefi
     else:
         assert report.g2 == g2
     assert list(report.mutants) == results
-    assert report.fitness == check_template_fitness(c, default_spec_bundle(c, "test"), alphabet, depth)
+    assert report.fitness == check_template_fitness(CheckRun(c, alphabet, depth), default_spec_bundle(c, "test"))
 
 
 @pytest.mark.parametrize("order", ["as-shipped", "reversed"])
@@ -244,16 +261,18 @@ def test_refinement_judges_a_stutter_post_state_once_per_state():
 
 
 def test_gates_skip_the_step_check_of_mutants_killed_earlier(monkeypatch):
-    """The permissive stub, ``event-to-noeffect`` and
-    ``drop-history-clause`` reach the step check; the two relation edits
-    die at ``safety_preserved`` before it."""
-    calls = []
+    """Each step obligation is a search of its own, run only when a gate
+    reaches it. The permissive stub and ``drop-history-clause`` search
+    ``inv_inductive`` only, ``event-to-noeffect`` searches it and
+    ``r2_step_simulation``, and the two relation edits die at
+    ``safety_preserved`` before any search."""
+    searches = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return check_refinement_next(*args, **kwargs)
+    def counting(c, states, alphabet, detail, *args, **kwargs):
+        searches.append(detail)
+        return first_failing_step(c, states, alphabet, detail, *args, **kwargs)
 
-    monkeypatch.setattr(gates, "check_refinement_next", counting)
+    monkeypatch.setattr(refinement, "first_failing_step", counting)
     report = run_gates(serialize_flow(from_fixture(read_agent())), 4)
     assert report.passed
     assert {m.mutation_id: m.killed_by for m in report.mutants} == {
@@ -262,7 +281,8 @@ def test_gates_skip_the_step_check_of_mutants_killed_earlier(monkeypatch):
         "event-to-noeffect": "r2_step_simulation",
         "drop-history-clause": "inv_inductive",
     }
-    assert len(calls) == 3
+    inv, r2 = "declared invariant not re-established", "no abstract step matches the abstracted event and post-state"
+    assert searches == [inv, inv, r2, inv]
 
 
 def test_one_gate_run_explores_once_and_judges_each_relation_once(monkeypatch):
@@ -323,6 +343,6 @@ def test_the_stub_step_check_stops_after_its_first_inv_failure(monkeypatch):
         check()
         return {order[s] for s in judged if s in order}
 
-    lazy = judged_states(lambda: gate_vacuity(c, bundle, alphabet, 4))
+    lazy = judged_states(lambda: gate_vacuity(CheckRun(c, alphabet, 4), bundle))
     eager = judged_states(lambda: verify_bundle(c, permissive_stub().apply(bundle), alphabet, 4))
     assert max(lazy) == order[first_failure.state] < max(eager) == len(admitted) - 1
