@@ -19,12 +19,12 @@ import dataclasses
 import itertools
 
 from flowguard import (
+    Bundle,
     ScriptedOracle,
     Trace,
     check_refinement_init,
     check_refinement_next,
     check_soundness,
-    default_bundle,
     drive,
     read_agent,
 )
@@ -32,10 +32,11 @@ from flowguard.havoc import TraceStep
 
 fixture = read_agent()
 c = fixture.constants
+bundle = Bundle()  # the shipped abstraction, relation, safety predicate and invariant
 
-verdict = check_refinement_next(c, default_bundle(), fixture.alphabet, 4)
+verdict = check_refinement_next(c, bundle, fixture.alphabet, 4)
 print("refinement at depth 4:")
-print(f"  init matching (R1):    {'pass' if check_refinement_init(c, default_bundle()).passed else 'FAIL'}")
+print(f"  init matching (R1):    {'pass' if check_refinement_init(c, bundle).passed else 'FAIL'}")
 print(f"  invariant obligation:  {'pass' if verdict.inv_inductive else 'FAIL'}")
 print(f"  step simulation (R2):  {'pass' if verdict.r2 else 'FAIL'}")
 print(f"  safety transport (R3): {'pass' if verdict.r3 else 'FAIL'}")
@@ -47,7 +48,7 @@ traces = [
     for d in range(4)
     for script in itertools.product(fixture.alphabet, repeat=d)
 ]
-assert all(check_soundness(c, default_bundle(), t).passed for t in traces)
+assert all(check_soundness(c, bundle, t).passed for t in traces)
 print(f"trace soundness holds on all {len(traces)} traces of length <= 3")
 print()
 
@@ -56,5 +57,5 @@ sample = next(t for t in traces if len(t) == 1 and t.steps[0].event.dispatch is 
 step = sample.steps[0]
 bad_post = dataclasses.replace(step.post_state, read_paths=("/etc/shadow",))
 corrupted = Trace((TraceStep(step.pre_state, step.action, step.event, bad_post),))
-v = check_soundness(c, default_bundle(), corrupted)
+v = check_soundness(c, bundle, corrupted)
 print(f"corrupted trace: passed={v.passed}, stage={v.stage}, detail={v.detail!r}")

@@ -32,9 +32,7 @@ from .gates import (
     SEEDED_ERRORS,
     CheckRun,
     GateReport,
-    SpecBundle,
     check_template_fitness,
-    default_spec_bundle,
     gate_discrimination,
     gate_resolution,
     gate_vacuity,
@@ -63,13 +61,12 @@ from .impl_model import (
     impl_safety,
 )
 from .refinement import (
-    AbstractionBundle,
+    Bundle,
     RefinementVerdict,
     SoundnessVerdict,
     check_refinement_init,
     check_refinement_next,
     check_soundness,
-    default_bundle,
 )
 from .spec_model import (
     SpecConstants,

@@ -18,16 +18,10 @@ from pathlib import Path
 
 from .actions import parse_action
 from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow, with_prefix_mode
-from .gates import (
-    CheckConfig,
-    GateReport,
-    default_spec_bundle,
-    mutation_by_id,
-    run_gates,
-    verify_bundle,
-)
+from .gates import GateReport, mutation_by_id, run_gates, verify_bundle
 from .havoc import AdversarialOracle, ScriptedOracle, SeededRandomOracle, drive, sweep
 from .impl_model import FlowGraphError, event_in_policy
+from .refinement import Bundle
 from .tracelog import TraceLogError, render_trace_log, replay_trace_log
 
 REPORT_SCHEMA_VERSION = 1
@@ -96,10 +90,9 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     defn = _load(args)
     c = defn.impl_constants
-    bundle = default_spec_bundle(c, defn.provenance)
-    config = mutation_by_id(args.mutation).apply(bundle) if args.mutation else CheckConfig(bundle)
+    bundle = mutation_by_id(args.mutation).apply(Bundle()) if args.mutation else Bundle()
 
-    outcome = verify_bundle(c, config, defn.alphabet, args.depth)
+    outcome = verify_bundle(c, bundle, defn.alphabet, args.depth)
     sweep_verdict = sweep(c, defn.alphabet, args.depth)
 
     obligations = [

@@ -75,7 +75,7 @@ def parse_flow(text: str) -> FlowDefinition:
         {"schema_version", "provenance", "constants", "graph", "alphabet"},
         "document",
     )
-    if doc["schema_version"] != SCHEMA_VERSION or isinstance(doc["schema_version"], bool):
+    if _typed(doc["schema_version"], int, "schema_version") != SCHEMA_VERSION:
         raise FlowFileError(f"unsupported schema_version: {doc['schema_version']!r}")
 
     cobj = _typed(doc["constants"], dict, "constants")

@@ -1,12 +1,13 @@
 """Specification-validation gates and the template-fitness check.
 
-A bundle (constants, abstract transition relation, safety predicate,
-abstraction functions, invariant) is only trustworthy if it demands real
-structure and can tell a faithful machine from a corrupted one. Three
-gates and a fitness audit enforce that:
+A ``Bundle`` (abstract transition relation, safety predicate, state and
+event abstraction functions, declared and assumed invariant) is only
+trustworthy if it demands real structure and can tell a faithful machine
+from a corrupted one. Three gates and a fitness audit enforce that:
 
-  G1 resolution      -- the bundle loads from its serialized form and all
-                        components validate, within a wall-clock budget.
+  G1 resolution      -- the flow loads from its serialized form, its graph
+                        and alphabet validate, and it serializes back to
+                        itself, within a wall-clock budget.
   G2 vacuity         -- a permissive stub of the bundle must FAIL
                         verification. The stub keeps every obligation but
                         abandons the invariant strengthening: obligations
@@ -38,8 +39,8 @@ are applied to the assumption side only (the obligations keep the
 declared invariant); a symmetric edit to a non-load-bearing clause would
 otherwise be undetectable in principle.
 
-Mutations touch only the bundle: the constants, the concrete machine, and
-the checker configuration are the same before and after. So one
+A mutation replaces one field of the bundle: the constants, the concrete
+machine, the alphabet and the depth are the same before and after. So one
 ``CheckRun`` serves G2, every G3 mutant and fitness: it fixes the
 machine, alphabet and depth they check, explores the concrete side once,
 and judges safety preservation once per distinct abstract relation and
@@ -63,10 +64,8 @@ from .flowfile import (
 )
 from .impl_model import INVARIANT, FlowGraphError, ImplConstants, ImplState, impl_inv, impl_wf
 from .refinement import (
-    AbstractionBundle,
-    InvPredicate,
+    Bundle,
     StepDomain,
-    default_bundle,
     check_refinement_init,
     reachable_layers,
     step_domain,
@@ -76,47 +75,12 @@ from .spec_model import (
     POLICY,
     SEQUENCE_CONJUNCTS,
     PreservationVerdict,
-    SpecConstants,
-    SpecState,
     check_safety_preserved,
     spec_init,
     spec_next,
-    spec_safety,
 )
 
 DEFAULT_GATE_BUDGET_SECONDS = 30.0
-
-
-@dataclass(frozen=True)
-class SpecBundle:
-    """Everything the gates treat as untrusted and mutable: the abstract
-    relation, the safety predicate, and the abstraction bundle. Constants
-    ride along for convenience but are never mutated."""
-
-    constants: SpecConstants
-    next_relation: Callable[[SpecConstants, SpecState, Action], tuple]
-    safety: Callable[[SpecConstants, SpecState], bool]
-    bundle_for_impl: AbstractionBundle
-    provenance: str
-
-
-def default_spec_bundle(c: ImplConstants, provenance: str) -> SpecBundle:
-    return SpecBundle(
-        constants=c.spec,
-        next_relation=spec_next,
-        safety=spec_safety,
-        bundle_for_impl=default_bundle(),
-        provenance=provenance,
-    )
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    """A bundle plus the invariant assumed when selecting obligation
-    states. None means: assume the bundle's own declared invariant."""
-
-    bundle: SpecBundle
-    assume_inv: InvPredicate | None = None
 
 
 @dataclass(frozen=True)
@@ -124,7 +88,7 @@ class Mutation:
     mutation_id: str
     kind: str  # "seeded-error" | "permissive-stub"
     description: str
-    apply: Callable[[SpecBundle], CheckConfig]
+    apply: Callable[[Bundle], Bundle]
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +97,19 @@ class Mutation:
 # the policy table, the event abstraction, or a clause of the invariant.
 
 
-def _edit_policy(name: str, **changes) -> Callable[[SpecBundle], CheckConfig]:
+def _edit_policy(name: str, **changes) -> Callable[[Bundle], Bundle]:
     """The abstract relation of the policy table with conjunct ``name``
     changed; everything else about the bundle is kept."""
     policy = tuple(replace(k, **changes) if k.name == name else k for k in POLICY)
     relation = partial(spec_next, policy=policy)
-    return lambda b: CheckConfig(replace(b, next_relation=relation))
+    return lambda b: replace(b, next_relation=relation)
 
 
-def _drop_invariant_clause(name: str) -> Callable[[SpecBundle], CheckConfig]:
+def _drop_invariant_clause(name: str) -> Callable[[Bundle], Bundle]:
     """The declared invariant without clause ``name``, assumed when the
     obligation states are selected."""
     inv = partial(impl_inv, clauses={n: clause for n, clause in INVARIANT.items() if n != name})
-    return lambda b: CheckConfig(b, assume_inv=inv)
+    return lambda b: replace(b, assume_inv=inv)
 
 
 def _collapse_events_to_noeffect(_e) -> NoEffect:
@@ -157,7 +121,7 @@ def permissive_stub() -> Mutation:
         mutation_id="permissive-stub",
         kind="permissive-stub",
         description="invariant gutted to well-formedness only; obligations kept",
-        apply=lambda b: CheckConfig(b, assume_inv=impl_wf),
+        apply=lambda b: replace(b, assume_inv=impl_wf),
     )
 
 
@@ -166,7 +130,7 @@ def identity_mutation() -> Mutation:
         mutation_id="identity",
         kind="seeded-error",
         description="changes nothing; must survive",
-        apply=lambda b: CheckConfig(b),
+        apply=lambda b: b,
     )
 
 
@@ -189,12 +153,7 @@ SEEDED_ERRORS: dict[str, Mutation] = {
             "event-to-noeffect",
             "seeded-error",
             "event abstraction collapses every emitted event to NoEffect",
-            lambda b: CheckConfig(
-                replace(
-                    b,
-                    bundle_for_impl=replace(b.bundle_for_impl, event_abs=_collapse_events_to_noeffect),
-                )
-            ),
+            lambda b: replace(b, event_abs=_collapse_events_to_noeffect),
         ),
         Mutation(
             "drop-history-clause",
@@ -268,24 +227,24 @@ class CheckRun:
     def domain(self) -> StepDomain:
         return step_domain(self.c, self.alphabet, self.depth, self.layers)
 
-    def safety_preserved(self, b: SpecBundle) -> PreservationVerdict:
-        key = (b.constants, b.next_relation, b.safety)
+    def safety_preserved(self, b: Bundle) -> PreservationVerdict:
+        key = (b.next_relation, b.safety)
         if key not in self._preserved:
             self._preserved[key] = check_safety_preserved(
-                b.constants, self.alphabet, self.depth, next_relation=b.next_relation, safety=b.safety
+                self.c.spec, self.alphabet, self.depth, next_relation=b.next_relation, safety=b.safety
             )
         return self._preserved[key]
 
 
-def obligations(run: CheckRun, config: CheckConfig) -> Iterator[Obligation]:
+def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
     """The full lemma set on a (possibly mutated) bundle, one obligation at
     a time in a fixed order: init_safety, safety_preserved,
     refinement_init, then the step obligations inv_inductive,
     r2_step_simulation and r3_safety_transport. Each check runs only when
     its obligation is reached, so a caller that stops at the first failure
     skips every check after it."""
-    b = config.bundle
-    yield Obligation("init_safety", b.safety(b.constants, spec_init(b.constants)))
+    ca = run.c.spec
+    yield Obligation("init_safety", b.safety(ca, spec_init(ca)))
 
     preserved = run.safety_preserved(b)
     yield Obligation(
@@ -295,27 +254,19 @@ def obligations(run: CheckRun, config: CheckConfig) -> Iterator[Obligation]:
         explored_states=preserved.explored_states,
     )
 
-    ib = b.bundle_for_impl
-    r_init = check_refinement_init(run.c, ib)
+    r_init = check_refinement_init(run.c, b)
     yield Obligation("refinement_init", r_init.passed, r_init.detail)
 
-    states = run.domain.admitted(run.c, config.assume_inv or ib.inv)
-    for name, cx in step_obligations(
-        run.c, ib, run.alphabet, states, next_relation=b.next_relation, safety=b.safety
-    ):
+    states = run.domain.admitted(run.c, b)
+    for name, cx in step_obligations(run.c, b, run.alphabet, states):
         detail = f"{cx.detail}; action {format_action(cx.action)}" if cx else ""
         yield Obligation(name, cx is None, detail, explored_states=len(states))
 
 
-def verify_bundle(
-    c: ImplConstants,
-    config: CheckConfig,
-    alphabet: tuple[Action, ...],
-    depth: int,
-) -> VerificationOutcome:
+def verify_bundle(c: ImplConstants, b: Bundle, alphabet: tuple[Action, ...], depth: int) -> VerificationOutcome:
     """Run the full lemma set on a (possibly mutated) bundle and report
     every obligation."""
-    return VerificationOutcome(tuple(obligations(CheckRun(c, alphabet, depth), config)))
+    return VerificationOutcome(tuple(obligations(CheckRun(c, alphabet, depth), b)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +288,17 @@ class GateVerdict:
 class ResolutionOutcome:
     verdict: GateVerdict
     flow: FlowDefinition | None = None
-    bundle: SpecBundle | None = None
 
 
 def gate_resolution(flow_text: str, timeout_seconds: float = DEFAULT_GATE_BUDGET_SECONDS) -> ResolutionOutcome:
-    """G1: the bundle loads from its serialized form, every component
-    validates, and loading fits the budget."""
+    """G1: the flow loads from its serialized form (which validates its
+    constants, graph and alphabet), serializes back to itself, and loading
+    fits the budget."""
     started = time.monotonic()
     try:
         flow = parse_flow(flow_text)
         if parse_flow(serialize_flow(flow)) != flow:
             raise FlowFileError("serialization does not round-trip")
-        bundle = default_spec_bundle(flow.impl_constants, flow.provenance)
     except (FlowFileError, FlowGraphError, ValueError) as e:
         return ResolutionOutcome(GateVerdict("g1", "fail", str(e)))
     elapsed = time.monotonic() - started
@@ -356,10 +306,10 @@ def gate_resolution(flow_text: str, timeout_seconds: float = DEFAULT_GATE_BUDGET
         return ResolutionOutcome(
             GateVerdict("g1", "fail", f"load exceeded the {timeout_seconds:.0f}s budget")
         )
-    return ResolutionOutcome(GateVerdict("g1", "pass"), flow, bundle)
+    return ResolutionOutcome(GateVerdict("g1", "pass"), flow)
 
 
-def gate_vacuity(run: CheckRun, bundle: SpecBundle) -> GateVerdict:
+def gate_vacuity(run: CheckRun, bundle: Bundle) -> GateVerdict:
     """G2: the permissive stub must fail verification on ``run``'s
     machine, alphabet and depth. Its obligations are checked in order up
     to the first one that fails."""
@@ -386,7 +336,7 @@ class MutantResult:
     detail: str = ""
 
 
-def gate_discrimination(run: CheckRun, bundle: SpecBundle, mutation: Mutation) -> tuple[GateVerdict, MutantResult]:
+def gate_discrimination(run: CheckRun, bundle: Bundle, mutation: Mutation) -> tuple[GateVerdict, MutantResult]:
     """G3 for one mutation: the seeded error must fail verification on
     ``run``'s machine, alphabet and depth. Its obligations are checked in
     order up to the first one that fails, which is the one that kills it."""
@@ -424,7 +374,7 @@ class FitnessReport:
         return tuple(cf.name for cf in self.conjuncts if cf.status == "VACUOUS")
 
 
-def check_template_fitness(run: CheckRun, bundle: SpecBundle) -> FitnessReport:
+def check_template_fitness(run: CheckRun, bundle: Bundle) -> FitnessReport:
     """For each sequence-quantified safety conjunct, find a state of
     ``run``'s reachable layers (within its depth, through the abstraction)
     where the quantified sequence is nonempty. No witness means the
@@ -434,7 +384,7 @@ def check_template_fitness(run: CheckRun, bundle: SpecBundle) -> FitnessReport:
     The scalar step-count conjunct is exempt: it is exercised by any
     effected step, so it cannot silently abstain at depth >= 1.
     """
-    abs_of = bundle.bundle_for_impl.variables_abs
+    abs_of = bundle.variables_abs
     found: dict[str, ConjunctFitness] = {}
     for d, layer in enumerate(run.layers):
         for s in layer:
@@ -507,7 +457,7 @@ def run_gates(
     assert resolution.flow is not None
     flow = with_prefix_mode(resolution.flow, prefix_mode)
     c = flow.impl_constants
-    bundle = default_spec_bundle(c, flow.provenance)
+    bundle = Bundle()
     run = CheckRun(c, flow.alphabet, depth)
 
     g2 = gate_vacuity(run, bundle)

@@ -4,8 +4,11 @@ machine and the abstract policy machine.
 The simulation relation is the graph of an abstraction function over
 states (erase history and node bookkeeping, keep the four boundary
 fields), and the event relation is the graph of an abstraction function
-over events (drop the dispatch annotation). Three obligations are
-discharged by bounded exhaustive checking:
+over events (drop the dispatch annotation). Both functions, the abstract
+relation and safety predicate, and the invariants form one ``Bundle``,
+which every check reads and every seeded error edits; the abstract
+constants are ``c.spec``. Three obligations are discharged by bounded
+exhaustive checking:
 
   * initial-state matching plus the invariant at init,
   * step simulation: every concrete step from an admitted state is matched
@@ -37,7 +40,7 @@ conjuncts on the concrete states. The stage that fails is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 from .actions import Action, BoundaryEvent, ImplEvent, NoAction
@@ -62,25 +65,9 @@ from .spec_model import (
     violated,
 )
 
-ConstantsAbs = Callable[[ImplConstants], SpecConstants]
 VariablesAbs = Callable[[ImplState], SpecState]
 EventAbs = Callable[[ImplEvent], BoundaryEvent]
 InvPredicate = Callable[[ImplConstants, ImplState], bool]
-
-
-@dataclass(frozen=True)
-class AbstractionBundle:
-    """The abstraction functions inducing the state and event relations,
-    plus the inductive invariant the step obligation re-establishes."""
-
-    constants_abs: ConstantsAbs
-    variables_abs: VariablesAbs
-    event_abs: EventAbs
-    inv: InvPredicate
-
-
-def project_constants(c: ImplConstants) -> SpecConstants:
-    return c.spec
 
 
 def project_variables(s: ImplState) -> SpecState:
@@ -96,13 +83,26 @@ def project_event(e: ImplEvent) -> BoundaryEvent:
     return e.effect
 
 
-def default_bundle() -> AbstractionBundle:
-    return AbstractionBundle(
-        constants_abs=project_constants,
-        variables_abs=project_variables,
-        event_abs=project_event,
-        inv=impl_inv,
-    )
+@dataclass(frozen=True)
+class Bundle:
+    """Everything a check treats as untrusted and a seeded error may edit:
+    the abstract relation and safety predicate, the abstraction functions
+    inducing the state and event relations, the declared invariant the
+    step obligation re-establishes, and the invariant assumed when the
+    obligation states are selected (None: assume ``inv``). ``Bundle()`` is
+    the shipped bundle. The abstract constants are always ``c.spec``.
+
+    Each default is this module's binding of the shipped function, read
+    when a bundle is built rather than when the class is defined, so a
+    function rebound at module level (as the benchmark's tracer does)
+    serves every bundle built after."""
+
+    next_relation: Callable[[SpecConstants, SpecState, Action], tuple] = field(default_factory=lambda: spec_next)
+    safety: Callable[[SpecConstants, SpecState], bool] = field(default_factory=lambda: spec_safety)
+    variables_abs: VariablesAbs = field(default_factory=lambda: project_variables)
+    event_abs: EventAbs = field(default_factory=lambda: project_event)
+    inv: InvPredicate = field(default_factory=lambda: impl_inv)
+    assume_inv: InvPredicate | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +180,9 @@ class StepDomain:
     reachable_states: int
     candidates: tuple[ImplState, ...]
 
-    def admitted(self, c: ImplConstants, assume: InvPredicate) -> list[ImplState]:
-        """The candidates the assumed invariant admits, in order."""
+    def admitted(self, c: ImplConstants, b: Bundle) -> list[ImplState]:
+        """The candidates the bundle's assumed invariant admits, in order."""
+        assume = b.assume_inv or b.inv
         return [s for s in self.candidates if assume(c, s)]
 
 
@@ -245,14 +246,13 @@ class RefinementVerdict:
         return self.r2 and self.r3 and self.inv_inductive
 
 
-def check_refinement_init(c: ImplConstants, b: AbstractionBundle) -> InitVerdict:
+def check_refinement_init(c: ImplConstants, b: Bundle) -> InitVerdict:
     """Initial obligation: the invariant holds at init and the abstracted
     initial state equals the abstract initial state."""
     s0 = impl_init(c)
     if not b.inv(c, s0):
         return InitVerdict(False, "invariant fails at the initial state")
-    ca = b.constants_abs(c)
-    if b.variables_abs(s0) != spec_init(ca):
+    if b.variables_abs(s0) != spec_init(c.spec):
         return InitVerdict(False, "abstracted initial state differs from the abstract init")
     return InitVerdict(True)
 
@@ -290,12 +290,9 @@ def first_failing_step(
 
 def step_obligations(
     c: ImplConstants,
-    b: AbstractionBundle,
+    b: Bundle,
     alphabet: tuple[Action, ...],
     states: list[ImplState],
-    *,
-    next_relation=spec_next,
-    safety=spec_safety,
 ) -> Iterator[tuple[str, StepCounterexample | None]]:
     """The step obligations over the admitted ``states``, in the order
     inv_inductive, r2_step_simulation, r3_safety_transport: each as its
@@ -309,7 +306,7 @@ def step_obligations(
     yield "inv_inductive", first_failing_step(
         c, states, alphabet, "declared invariant not re-established", lambda s2: not b.inv(c, s2), lambda *_: True
     )
-    ca = b.constants_abs(c)
+    ca = c.spec
 
     def matched(s: ImplState, a: Action, e: ImplEvent, s2: ImplState) -> bool:
         # A relation may match a stutter under one action and not under
@@ -318,7 +315,7 @@ def step_obligations(
         # step consumed; never a canonicalized or re-parsed stand-in.
         abs_pre = b.variables_abs(s)
         query_action = a
-        abs_succs = next_relation(ca, abs_pre, query_action)
+        abs_succs = b.next_relation(ca, abs_pre, query_action)
         assert query_action == a
         abs_post = abs_pre if s2 is s else b.variables_abs(s2)
         return (b.event_abs(e), abs_post) in abs_succs
@@ -338,33 +335,24 @@ def step_obligations(
         states,
         alphabet,
         "abstract safety holds at the matched post-state but concrete safety fails",
-        lambda s2: safety(ca, b.variables_abs(s2)) and not impl_safety(c, s2),
+        lambda s2: b.safety(ca, b.variables_abs(s2)) and not impl_safety(c, s2),
         matched,
     )
 
 
-def check_refinement_next(
-    c: ImplConstants,
-    b: AbstractionBundle,
-    alphabet: tuple[Action, ...],
-    depth: int,
-    *,
-    next_relation=spec_next,
-    safety=spec_safety,
-    assume_inv: InvPredicate | None = None,
-) -> RefinementVerdict:
+def check_refinement_next(c: ImplConstants, b: Bundle, alphabet: tuple[Action, ...], depth: int) -> RefinementVerdict:
     """Every step obligation over every admitted state and every alphabet
     action.
 
-    ``assume_inv`` filters the states obligations are checked from; it
-    defaults to the bundle's invariant. The invariant obligation on the
-    post-state always uses the bundle's declared invariant, so assuming a
+    The bundle's ``assume_inv`` filters the states obligations are checked
+    from; it defaults to the bundle's invariant. The invariant obligation
+    on the post-state always uses the declared ``inv``, so assuming a
     weaker predicate than the declared one must fail unless the declared
     invariant demanded nothing.
     """
     domain = step_domain(c, alphabet, depth, reachable_layers(c, alphabet, depth))
-    states = domain.admitted(c, assume_inv or b.inv)
-    cx = dict(step_obligations(c, b, alphabet, states, next_relation=next_relation, safety=safety))
+    states = domain.admitted(c, b)
+    cx = dict(step_obligations(c, b, alphabet, states))
     return RefinementVerdict(
         r2=cx["r2_step_simulation"] is None,
         r3=cx["r3_safety_transport"] is None,
@@ -390,14 +378,7 @@ class SoundnessVerdict:
     detail: str = ""
 
 
-def check_soundness(
-    c: ImplConstants,
-    b: AbstractionBundle,
-    trace: Trace,
-    *,
-    next_relation=spec_next,
-    safety=spec_safety,
-) -> SoundnessVerdict:
+def check_soundness(c: ImplConstants, b: Bundle, trace: Trace) -> SoundnessVerdict:
     """Three-stage trace check.
 
     Stage 1 lifts the trace: replaying the action column from the abstract
@@ -406,12 +387,12 @@ def check_soundness(
     lifted run. Stage 3 checks the concrete safety conjuncts on every
     concrete state of the trace.
     """
-    ca = b.constants_abs(c)
+    ca = c.spec
 
     abstract_states: list[SpecState] = [spec_init(ca)]
     for i, t in enumerate(trace.steps):
         ev = b.event_abs(t.event)
-        matched = [(e, m) for e, m in next_relation(ca, abstract_states[-1], t.action) if e == ev]
+        matched = [(e, m) for e, m in b.next_relation(ca, abstract_states[-1], t.action) if e == ev]
         if not matched:
             return SoundnessVerdict(
                 False, stage=1, index=i,
@@ -420,7 +401,7 @@ def check_soundness(
         abstract_states.append(matched[0][1])
 
     for i, m in enumerate(abstract_states):
-        if not safety(ca, m):
+        if not b.safety(ca, m):
             return SoundnessVerdict(
                 False, stage=2, index=i, detail=f"abstract safety fails at lifted state {i}"
             )

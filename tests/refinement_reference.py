@@ -12,7 +12,7 @@ from __future__ import annotations
 from flowguard.actions import Action
 from flowguard.impl_model import ImplConstants, ImplState, impl_next, impl_safety, impl_wf
 from flowguard.refinement import (
-    AbstractionBundle,
+    Bundle,
     InvPredicate,
     RefinementVerdict,
     StepCounterexample,
@@ -69,7 +69,7 @@ def check_safety_preserved(
 
 def check_refinement_next(
     c: ImplConstants,
-    b: AbstractionBundle,
+    b: Bundle,
     alphabet: tuple[Action, ...],
     depth: int,
     *,
@@ -86,7 +86,7 @@ def check_refinement_next(
     invariant demanded nothing.
     """
     assume = assume_inv if assume_inv is not None else b.inv
-    ca = b.constants_abs(c)
+    ca = c.spec
 
     layers = reachable_layers(c, alphabet, depth)
     bases: list[ImplState] = [s for layer in layers[:depth] for s in layer]

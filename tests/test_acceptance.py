@@ -26,7 +26,6 @@ from flowguard.flowfile import from_fixture, serialize_flow
 from flowguard.gates import (
     SEEDED_ERRORS,
     CheckRun,
-    default_spec_bundle,
     gate_discrimination,
     gate_vacuity,
     identity_mutation,
@@ -35,10 +34,10 @@ from flowguard.gates import (
 from flowguard.havoc import Trace, TraceStep, sweep
 from flowguard.impl_model import impl_init
 from flowguard.refinement import (
+    Bundle,
     check_refinement_init,
     check_refinement_next,
     check_soundness,
-    default_bundle,
 )
 from flowguard.spec_model import spec_next
 from test_havoc import havoc_traces
@@ -73,7 +72,7 @@ def test_criterion_1_exhaustive_havoc_safety(agent):
 def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
     counts = {}
     for fx in (agent, rag_barrier, rag_no_barrier):
-        assert check_refinement_init(fx.constants, default_bundle()).passed, fx.provenance
+        assert check_refinement_init(fx.constants, Bundle()).passed, fx.provenance
 
         queried_ids = []
 
@@ -81,7 +80,7 @@ def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
             _seen.append(a)
             return spec_next(c, s, a)
 
-        verdict = check_refinement_next(fx.constants, default_bundle(), fx.alphabet, 4, next_relation=spy_next)
+        verdict = check_refinement_next(fx.constants, Bundle(next_relation=spy_next), fx.alphabet, 4)
         assert verdict.passed, (fx.provenance, verdict)
         assert verdict.explored_states > 0
         # every abstract query used an identical action value from the alphabet
@@ -99,7 +98,7 @@ def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
 
 def test_criterion_3_soundness_composition(agent):
     c = agent.constants
-    b = default_bundle()
+    b = Bundle()
 
     total = 0
     for depth in range(5):
@@ -137,10 +136,8 @@ def test_criterion_3_soundness_composition(agent):
 
     # under an over-permissive abstract relation the same step lifts but the
     # lifted run is abstractly unsafe: stage 2
-    from flowguard.gates import SEEDED_ERRORS, default_spec_bundle
-
-    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"].apply(default_spec_bundle(c, "")).bundle.next_relation
-    v2 = check_soundness(c, b, unmatched, next_relation=drop_allowlist)
+    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"].apply(b)
+    v2 = check_soundness(c, drop_allowlist, unmatched)
     assert (v2.passed, v2.stage) == (False, 2)
 
     report(
@@ -156,7 +153,7 @@ def test_criterion_3_soundness_composition(agent):
 
 def test_criterion_4_gate_behavior(agent):
     c = agent.constants
-    bundle = default_spec_bundle(c, agent.provenance)
+    bundle = Bundle()
     run = CheckRun(c, agent.alphabet, 4)
 
     g2 = gate_vacuity(run, bundle)

@@ -1,11 +1,13 @@
-"""Keep the narrative demo scripts runnable."""
+"""Keep the narrative demo scripts and the README's library tour runnable."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -13,3 +15,11 @@ def test_demo_runs(script, capsys):
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip()
+
+
+def test_readme_library_tour_runs():
+    """The one Python block of the README's "Library tour" section runs,
+    assertions included."""
+    section = (ROOT / "README.md").read_text().split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md (Library tour)", "exec"), {})

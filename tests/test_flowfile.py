@@ -139,6 +139,7 @@ def _set_field(doc: dict, path: str, value) -> None:
         ("graph.edges.0.to", 2),
         ("alphabet", "StepAction"),
         ("alphabet.0", 0),
+        ("schema_version", 1.0),
     ],
 )
 def test_ill_typed_fields_rejected(path, value):

@@ -2,6 +2,7 @@
 template-fitness audit, including the fixture pair that only fitness can
 tell apart."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -9,13 +10,12 @@ import pytest
 
 from flowguard.fixtures import rag_flow, read_agent
 from flowguard.flowfile import FlowDefinition, flow_to_document
-from flowguard.refinement import reachable_layers
+from flowguard.impl_model import impl_wf
+from flowguard.refinement import Bundle, reachable_layers
 from flowguard.gates import (
     SEEDED_ERRORS,
-    CheckConfig,
     CheckRun,
     check_template_fitness,
-    default_spec_bundle,
     gate_discrimination,
     gate_resolution,
     gate_vacuity,
@@ -46,8 +46,8 @@ def fx():
 
 
 @pytest.fixture(scope="module")
-def bundle(fx):
-    return default_spec_bundle(fx.constants, fx.provenance)
+def bundle():
+    return Bundle()
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def run(fx):
 def test_g1_accepts_the_fixture(agent_flow_text):
     outcome = gate_resolution(agent_flow_text)
     assert outcome.verdict.passed
-    assert outcome.flow is not None and outcome.bundle is not None
+    assert outcome.flow is not None
 
 
 def test_g1_rejects_dangling_node_reference(agent_flow_text):
@@ -98,7 +98,7 @@ def test_g1_budget_is_enforced(agent_flow_text):
 
 
 def test_unmutated_bundle_discharges_everything(fx, bundle):
-    outcome = verify_bundle(fx.constants, CheckConfig(bundle), fx.alphabet, 4)
+    outcome = verify_bundle(fx.constants, bundle, fx.alphabet, 4)
     assert outcome.passed
     names = [o.name for o in outcome.obligations]
     assert names == [
@@ -124,13 +124,7 @@ def test_g2_passes_because_the_stub_fails(run, bundle):
 def test_g2_fails_for_a_bundle_that_never_demanded_structure(run, bundle):
     """If the declared invariant is already well-formedness only, the stub
     is the original: both verify identically and the gate must fail."""
-    import dataclasses
-
-    from flowguard.impl_model import impl_wf
-
-    wf_bundle = dataclasses.replace(
-        bundle, bundle_for_impl=dataclasses.replace(bundle.bundle_for_impl, inv=impl_wf)
-    )
+    wf_bundle = dataclasses.replace(bundle, inv=impl_wf)
     verdict = gate_vacuity(run, wf_bundle)
     assert not verdict.passed
     assert "vacuity witness" in verdict.detail
@@ -143,8 +137,7 @@ def test_g2_depth_zero_hits_the_configuration_floor(fx, bundle):
 
 
 def test_stub_keeps_obligations_while_weakening_assumptions(fx, bundle):
-    config = permissive_stub().apply(bundle)
-    outcome = verify_bundle(fx.constants, config, fx.alphabet, 4)
+    outcome = verify_bundle(fx.constants, permissive_stub().apply(bundle), fx.alphabet, 4)
     assert not outcome.passed
     failed = first_failure(outcome)
     assert failed is not None and failed.name == "inv_inductive"
@@ -192,6 +185,27 @@ def test_mutations_leave_the_trusted_surface_untouched(fx, bundle):
         assert bundle_fingerprint(fx.constants, fx.alphabet) == before
 
 
+EDITED_FIELDS = {
+    "drop-allowlist-guard": ["next_relation"],
+    "step-bound-off-by-one": ["next_relation"],
+    "event-to-noeffect": ["event_abs"],
+    "drop-history-clause": ["assume_inv"],
+    "permissive-stub": ["assume_inv"],
+    "identity": [],
+}
+
+
+@pytest.mark.parametrize("mutation_id", list(EDITED_FIELDS))
+def test_each_mutation_edits_one_definition(mutation_id):
+    """A seeded error is an edit of one definition: it replaces exactly one
+    field of the shipped bundle, and identity replaces none."""
+    mutations = {m.mutation_id: m for m in (*SEEDED_ERRORS.values(), permissive_stub(), identity_mutation())}
+    shipped = Bundle()
+    mutant = mutations[mutation_id].apply(shipped)
+    edited = [f.name for f in dataclasses.fields(Bundle) if getattr(mutant, f.name) != getattr(shipped, f.name)]
+    assert edited == EDITED_FIELDS[mutation_id]
+
+
 # ---------------------------------------------------------------------------
 # template fitness
 
@@ -205,8 +219,7 @@ def test_fitness_witnesses_both_sequences_on_read_agent(run, bundle):
 
 def test_fitness_flags_the_silent_abstention():
     fx = rag_flow(barrier=False)
-    bundle = default_spec_bundle(fx.constants, fx.provenance)
-    report = check_template_fitness(CheckRun(fx.constants, fx.alphabet, 4), bundle)
+    report = check_template_fitness(CheckRun(fx.constants, fx.alphabet, 4), Bundle())
     assert not report.passed
     assert report.vacuous_conjuncts() == ("ToolAllowlisted",)
     by_name = {cf.name: cf for cf in report.conjuncts}
@@ -215,8 +228,7 @@ def test_fitness_flags_the_silent_abstention():
 
 def test_fitness_passes_in_barrier_mode():
     fx = rag_flow(barrier=True)
-    bundle = default_spec_bundle(fx.constants, fx.provenance)
-    report = check_template_fitness(CheckRun(fx.constants, fx.alphabet, 4), bundle)
+    report = check_template_fitness(CheckRun(fx.constants, fx.alphabet, 4), Bundle())
     assert report.passed
     by_name = {cf.name: cf for cf in report.conjuncts}
     # the fetched document ids land in the tool-call sequence

@@ -24,12 +24,10 @@ from flowguard.fixtures import rag_flow, read_agent
 from flowguard.flowfile import FlowDefinition, from_fixture, serialize_flow, with_prefix_mode
 from flowguard.gates import (
     SEEDED_ERRORS,
-    CheckConfig,
     CheckRun,
     GateVerdict,
     MutantResult,
     check_template_fitness,
-    default_spec_bundle,
     gate_discrimination,
     gate_vacuity,
     identity_mutation,
@@ -40,8 +38,8 @@ from flowguard.gates import (
 )
 from flowguard.impl_model import impl_inv, impl_next, impl_wf
 from flowguard.refinement import (
+    Bundle,
     check_refinement_next,
-    default_bundle,
     first_failing_step,
     reachable_layers,
     step_domain,
@@ -74,17 +72,17 @@ def stutter_gap(c, s, a):
     return tuple(x for x in succs if x[1] is not s) if a == NoAction() else succs
 
 
-CONFIGS = {
-    "default": CheckConfig,
+EDITS = {
+    "default": lambda b: b,
     **{mid: m.apply for mid, m in SEEDED_ERRORS.items()},
     "permissive-stub": permissive_stub().apply,
     "identity": identity_mutation().apply,
-    "lax-safety": lambda b: CheckConfig(replace(b, safety=lax_safety)),
+    "lax-safety": lambda b: replace(b, safety=lax_safety),
     # fails r2_step_simulation before inv_inductive in the scan order
     "noeffect-stub": lambda b: replace(SEEDED_ERRORS["event-to-noeffect"].apply(b), assume_inv=impl_wf),
     # r2 must judge a state's stutters action by action: in the reversed
     # shipped alphabets, NoAction's stutter comes after matched ones
-    "stutter-gap": lambda b: CheckConfig(replace(b, next_relation=stutter_gap)),
+    "stutter-gap": lambda b: replace(b, next_relation=stutter_gap),
 }
 
 
@@ -100,26 +98,23 @@ def through_first_failure(outcomes):
 
 
 def assert_checkers_match_reference(c, alphabet, depth):
-    bundle = default_spec_bundle(c, "test")
-    for name, make in CONFIGS.items():
-        config = make(bundle)
-        b = config.bundle
+    for name, edit in EDITS.items():
+        b = edit(Bundle())
         relation = {"next_relation": b.next_relation, "safety": b.safety}
-        assert check_safety_preserved(b.constants, alphabet, depth, **relation) == ref.check_safety_preserved(
-            b.constants, alphabet, depth, **relation
+        assert check_safety_preserved(c.spec, alphabet, depth, **relation) == ref.check_safety_preserved(
+            c.spec, alphabet, depth, **relation
         ), name
-        step = (c, b.bundle_for_impl, alphabet, depth)
-        full = ref.check_refinement_next(*step, **relation, assume_inv=config.assume_inv)
-        assert check_refinement_next(*step, **relation, assume_inv=config.assume_inv) == full, name
-        stopped = through_first_failure(obligations(CheckRun(c, alphabet, depth), config))
-        assert stopped == through_first_failure(verify_bundle(c, config, alphabet, depth).obligations), name
+        full = ref.check_refinement_next(c, b, alphabet, depth, **relation, assume_inv=b.assume_inv)
+        assert check_refinement_next(c, b, alphabet, depth) == full, name
+        stopped = through_first_failure(obligations(CheckRun(c, alphabet, depth), b))
+        assert stopped == through_first_failure(verify_bundle(c, b, alphabet, depth).obligations), name
 
 
 def expected_gates(c, alphabet, depth, mutations):
     """G2's verdict (None below its depth floor) and each mutant's result,
     as the first failed obligation of an unshared ``verify_bundle``, which
     judges every obligation over the full pass, names them."""
-    bundle = default_spec_bundle(c, "test")
+    bundle = Bundle()
     results = []
     for mutation in mutations:
         outcome = verify_bundle(c, mutation.apply(bundle), alphabet, depth)
@@ -140,7 +135,7 @@ def expected_gates(c, alphabet, depth, mutations):
 
 
 def assert_gates_stop_at_first_failure(c, alphabet, depth):
-    bundle = default_spec_bundle(c, "test")
+    bundle = Bundle()
     mutations = (*SEEDED_ERRORS.values(), identity_mutation())
     g2, results = expected_gates(c, alphabet, depth, mutations)
     run = CheckRun(c, alphabet, depth)
@@ -176,8 +171,8 @@ def test_checkers_and_gates_match_reference_on_random_flows(c, alphabet, depth):
 )
 def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, prefix_mode, mutation_ids):
     """One ``run_gates`` shares its layers, step domain and safety verdicts
-    across G2, the mutants and fitness, and runs each step check lazily;
-    every verdict, and each mutant's counterexample detail, must still be
+    across G2, the mutants and fitness, and searches each step obligation
+    only when a gate reaches it; every verdict, and each mutant's counterexample detail, must still be
     what unshared, full checks of the same flow give."""
     defn = FlowDefinition("random", c.spec, c.graph, tuple(alphabet))
     report = run_gates(serialize_flow(defn), depth, tuple(mutation_ids), prefix_mode=prefix_mode)
@@ -191,7 +186,7 @@ def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, prefi
     else:
         assert report.g2 == g2
     assert list(report.mutants) == results
-    assert report.fitness == check_template_fitness(CheckRun(c, alphabet, depth), default_spec_bundle(c, "test"))
+    assert report.fitness == check_template_fitness(CheckRun(c, alphabet, depth), Bundle())
 
 
 @pytest.mark.parametrize("order", ["as-shipped", "reversed"])
@@ -250,7 +245,7 @@ def test_refinement_judges_a_stutter_post_state_once_per_state():
         judged.append(s)
         return impl_inv(c, s)
 
-    verdict = check_refinement_next(c, replace(default_bundle(), inv=inv), alphabet, 4, assume_inv=assume)
+    verdict = check_refinement_next(c, Bundle(inv=inv, assume_inv=assume), alphabet, 4)
     assert verdict.passed and verdict.explored_states == len(admitted)
     explored = {id(s) for s in admitted}
     per_state = Counter(id(s) for s in judged if id(s) in explored)
@@ -332,9 +327,8 @@ def test_the_stub_step_check_stops_after_its_first_inv_failure(monkeypatch):
 
     admitted = [s for s in step_domain(c, alphabet, 4, reachable_layers(c, alphabet, 4)).candidates if impl_wf(c, s)]
     order = {s: i for i, s in enumerate(admitted)}
-    first_failure = check_refinement_next(c, default_bundle(), alphabet, 4, assume_inv=impl_wf).inv_counterexample
-    base = default_spec_bundle(c, "test")
-    bundle = replace(base, next_relation=relation, bundle_for_impl=replace(base.bundle_for_impl, inv=inv))
+    first_failure = check_refinement_next(c, Bundle(assume_inv=impl_wf), alphabet, 4).inv_counterexample
+    bundle = Bundle(next_relation=relation, inv=inv)
     monkeypatch.setattr(refinement, "impl_next", step)
 
     def judged_states(check):
@@ -343,6 +337,6 @@ def test_the_stub_step_check_stops_after_its_first_inv_failure(monkeypatch):
         check()
         return {order[s] for s in judged if s in order}
 
-    lazy = judged_states(lambda: gate_vacuity(CheckRun(c, alphabet, 4), bundle))
-    eager = judged_states(lambda: verify_bundle(c, permissive_stub().apply(bundle), alphabet, 4))
-    assert max(lazy) == order[first_failure.state] < max(eager) == len(admitted) - 1
+    stopped = judged_states(lambda: gate_vacuity(CheckRun(c, alphabet, 4), bundle))
+    full = judged_states(lambda: verify_bundle(c, permissive_stub().apply(bundle), alphabet, 4))
+    assert max(stopped) == order[first_failure.state] < max(full) == len(admitted) - 1

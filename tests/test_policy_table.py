@@ -22,10 +22,10 @@ from flowguard.actions import (
     ToolEvent,
 )
 from flowguard.fixtures import rag_flow, read_agent
-from flowguard.gates import SEEDED_ERRORS, default_spec_bundle
+from flowguard.gates import SEEDED_ERRORS
 from flowguard.havoc import action_out_of_policy
 from flowguard.impl_model import ImplConstants, ImplState, event_in_policy, impl_inv, impl_next, impl_safety
-from flowguard.refinement import _failed_conjunct, perturbations
+from flowguard.refinement import Bundle, _failed_conjunct, perturbations
 from flowguard.spec_model import SpecConstants, SpecState, spec_next, spec_safety
 
 GRAPHS = (read_agent().constants.graph, rag_flow(True).constants.graph, rag_flow(False).constants.graph)
@@ -91,8 +91,7 @@ def impl_states(draw, graph):
 
 
 def _mutant(mutation_id: str):
-    bundle = default_spec_bundle(read_agent().constants, "")
-    return SEEDED_ERRORS[mutation_id].apply(bundle)
+    return SEEDED_ERRORS[mutation_id].apply(Bundle())
 
 
 @settings(max_examples=150)
@@ -177,8 +176,8 @@ def test_perturbations_match_reference(case, alphabet):
 @settings(max_examples=150)
 @given(constants, spec_states, actions)
 def test_seeded_relations_match_reference(c, s, a):
-    drop_allowlist = _mutant("drop-allowlist-guard").bundle.next_relation
-    off_by_one = _mutant("step-bound-off-by-one").bundle.next_relation
+    drop_allowlist = _mutant("drop-allowlist-guard").next_relation
+    off_by_one = _mutant("step-bound-off-by-one").next_relation
     assert drop_allowlist(c, s, a) == ref.seeded_next_drop_allowlist(c, s, a)
     assert off_by_one(c, s, a) == ref.seeded_next_bound_off_by_one(c, s, a)
 
