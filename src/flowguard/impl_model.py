@@ -84,6 +84,7 @@ class FlowGraph:
     edges: tuple[tuple[str, str, str], ...]  # (from_node, label, to_node)
     _kind_map: dict = field(init=False, repr=False, compare=False)
     _edge_map: dict = field(init=False, repr=False, compare=False)
+    _nodes: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kinds = tuple(sorted((n, NodeKind(k)) for n, k in self.node_kinds))
@@ -110,10 +111,11 @@ class FlowGraph:
                 raise FlowGraphError(f"non-terminal node {node!r} has no outgoing edge")
         object.__setattr__(self, "_kind_map", kind_map)
         object.__setattr__(self, "_edge_map", edge_map)
+        object.__setattr__(self, "_nodes", frozenset(kind_map))
 
     @property
     def nodes(self) -> frozenset[str]:
-        return frozenset(self._kind_map)
+        return self._nodes
 
     def kind_of(self, node: str) -> NodeKind:
         return self._kind_map[node]

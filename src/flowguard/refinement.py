@@ -314,9 +314,7 @@ def step_obligations(
         # abstract step must use the identical action value the concrete
         # step consumed; never a canonicalized or re-parsed stand-in.
         abs_pre = b.variables_abs(s)
-        query_action = a
-        abs_succs = b.next_relation(ca, abs_pre, query_action)
-        assert query_action == a
+        abs_succs = b.next_relation(ca, abs_pre, a)
         abs_post = abs_pre if s2 is s else b.variables_abs(s2)
         return (b.event_abs(e), abs_post) in abs_succs
 

@@ -13,13 +13,17 @@ no-effect stutter. The stutter option is what
 lets a concrete machine reject an action for reasons the abstract machine
 cannot see (wrong node kind, missing edge) and still refine.
 
+``spec_next`` compiles each (policy, action) pair it meets into a move once
+per ``SpecConstants``, so a step judges only the step bound; that is exact
+because every ``Conjunct`` guard is a pure function of (constants, value).
+
 Safety is deliberately a separate predicate, not a type invariant: unsafe
 states must be representable so checks can reject them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .actions import (
@@ -41,6 +45,7 @@ PREFIX_BARE = "bare"
 @dataclass(frozen=True)
 class SpecConstants:
     """Policy parameters shared by the abstract and concrete machines.
+    ``_moves`` is ``spec_next``'s move table: a cache, not part of the value.
 
     prefix_mode:
       "guarded" -- a path is under the root iff it equals the root or
@@ -58,6 +63,7 @@ class SpecConstants:
     max_steps: int
     prefix_mode: str = PREFIX_GUARDED
     count_all_actions: bool = True
+    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.workspace_root:
@@ -105,8 +111,8 @@ class Conjunct:
     step count before every action that consumes a step.
 
     ``guard`` and ``holds`` must be pure functions of (constants, value):
-    ``impl_model.impl_next`` computes each sequence guard's verdict once
-    per (node, action) pair and keeps it."""
+    ``impl_model.impl_next`` keeps each sequence guard's verdict per (node,
+    action) pair, and ``spec_next`` per (policy, action) pair."""
 
     name: str
     field: str
@@ -146,27 +152,12 @@ def _counts_step(c: SpecConstants, a: Action) -> bool:
 
 
 def admits_value(c: SpecConstants, a: Action, policy: tuple[Conjunct, ...] = POLICY) -> bool:
-    """The static part of ``admits``: do the guards of the sequence
-    conjuncts of ``policy`` accept the value ``a`` carries? It reads the
-    constants and the action only, so a caller may compute it once per
-    action."""
+    """Do the guards of the sequence conjuncts of ``policy`` accept the
+    value ``a`` carries? It reads the constants and the action only, so a
+    caller may compute it once per action."""
     for k in policy:
         if k.action is not None and isinstance(a, k.action) and not k.guard(c, getattr(a, k.arg)):
             return False
-    return True
-
-
-def admits(c: SpecConstants, s, a: Action, policy: tuple[Conjunct, ...] = POLICY) -> bool:
-    """Do the guards of ``policy`` let a transition effect ``a`` at ``s``?
-    ``s`` is any state with a ``step_count``: the static part
-    ``admits_value``, then the step part, which guards the pre-state step
-    count of an action that consumes a step."""
-    if not admits_value(c, a, policy):
-        return False
-    if _counts_step(c, a):
-        for k in policy:
-            if k.action is None and not k.guard(c, s.step_count):
-                return False
     return True
 
 
@@ -208,18 +199,37 @@ def advance(c: SpecConstants, s, reads: tuple, tools: tuple, counts_step: bool) 
 _NO_EFFECT = NoEffect()  # immutable, so one instance serves every stutter
 
 
+def _compile_move(c: SpecConstants, a: Action, policy: tuple[Conjunct, ...]) -> tuple | None:
+    """The move of ``a`` under ``policy``: None when ``a`` stutters at every
+    state (``policy`` rejects its value, or it has no effect), else its
+    ``action_effect`` and the step guards its pre-state step count must pass."""
+    effect = action_effect(c, a) if admits_value(c, a, policy) else None
+    if effect is None:
+        return None
+    return effect + (tuple(k.guard for k in policy if k.action is None) if effect[3] else (),)
+
+
 def spec_next(
     c: SpecConstants, s: SpecState, a: Action, policy: tuple[Conjunct, ...] = POLICY
 ) -> tuple[tuple[BoundaryEvent, SpecState], ...]:
     """All abstract successors of (s, a) under ``policy``. Total by
     construction: the stutter (NoEffect, s) is always available, and it is
     the only successor when the policy rejects the action. The stutter's
-    post-state is ``s`` itself, the same object."""
+    post-state is ``s`` itself, the same object. Each (policy, action) pair
+    is compiled once per ``c``, keyed on the policy's identity; every entry
+    holds the policy, so that id cannot be reused while the table lives."""
     stutter = (_NO_EFFECT, s)
-    effect = action_effect(c, a) if admits(c, s, a, policy) else None
-    if effect is None:
+    key = (id(policy), a)
+    try:
+        move = c._moves[key][1]
+    except KeyError:
+        c._moves[key] = (policy, move := _compile_move(c, a, policy))
+    if move is None:
         return (stutter,)
-    event, reads, tools, counts_step = effect
+    event, reads, tools, counts_step, step_guards = move
+    for guard in step_guards:
+        if not guard(c, s.step_count):
+            return (stutter,)
     return ((event, SpecState(*advance(c, s, reads, tools, counts_step))), stutter)
 
 

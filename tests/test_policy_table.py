@@ -100,6 +100,30 @@ def test_spec_next_matches_reference(c, s, a):
     assert spec_next(c, s, a) == ref.spec_next(c, s, a)
 
 
+@settings(max_examples=60)
+@given(c=constants, data=st.data())
+def test_spec_next_matches_reference_on_a_warm_move_table(c, data):
+    """One ``SpecConstants`` steps every drawn (state, action) pair twice,
+    under the shipped policy and two seeded edits of it, so the moves it
+    compiled for earlier pairs answer later ones: the same (policy, action)
+    at several step counts and halted flags. Every stutter hands back the
+    pre-state object itself."""
+    relations = (
+        (spec_next, ref.spec_next),
+        (_mutant("drop-allowlist-guard").next_relation, ref.seeded_next_drop_allowlist),
+        (_mutant("step-bound-off-by-one").next_relation, ref.seeded_next_bound_off_by_one),
+    )
+    pairs = data.draw(st.lists(st.tuples(spec_states, actions), min_size=1, max_size=6))
+    counters = st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=2, max_size=4)
+    for base, a in pairs + pairs:
+        for step_count, halted in data.draw(counters):
+            s = replace(base, step_count=step_count, halted=halted)
+            for relation, reference in relations:
+                succs = relation(c, s, a)
+                assert succs == reference(c, s, a)
+                assert all(nxt is s for event, nxt in succs if event == NoEffect())
+
+
 @settings(max_examples=150)
 @given(constants, spec_states)
 def test_spec_safety_matches_reference(c, s):

@@ -2,12 +2,15 @@
 two lemma-level checks (initial safety, inductive preservation)."""
 
 import itertools
+from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
 
+import flowguard.spec_model as spec_model
 from flowguard.actions import (
     NoAction,
     NoEffect,
@@ -18,7 +21,13 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
+from flowguard.flowfile import load_flow, with_prefix_mode
+from flowguard.gates import SEEDED_ERRORS
+from flowguard.refinement import Bundle
 from flowguard.spec_model import (
+    READ_PATHS_ROOTED,
+    STEP_BOUNDED,
+    TOOL_ALLOWLISTED,
     SpecConstants,
     SpecState,
     check_safety_preserved,
@@ -28,6 +37,7 @@ from flowguard.spec_model import (
     spec_safety,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 C = SpecConstants("/ws", frozenset({"search"}), 3)
 
 
@@ -248,6 +258,57 @@ def test_events_match_their_state_change(c, s, a):
             assert s2.tool_calls == s.tool_calls + (e.tool,)
         else:
             assert s2.read_paths == s.read_paths and s2.tool_calls == s.tool_calls
+
+
+# ---------------------------------------------------------------------------
+# the move table
+
+
+def test_move_table_never_answers_for_a_dropped_policy():
+    # Each policy is built, used once and dropped, so a table that keyed on
+    # its id without keeping it alive would meet a recycled id.
+    c = SpecConstants("/ws", frozenset({"search"}), 3)
+    s, a = spec_init(c), ToolCallAction("rm")
+    for i in range(40):
+        tool_guard = replace(TOOL_ALLOWLISTED, guard=lambda c, tool, admit=i % 2 == 0: admit)
+        policy = (READ_PATHS_ROOTED, tool_guard, STEP_BOUNDED)
+        effected = len(spec_next(c, s, a, policy)) == 2
+        assert effected == tool_guard.guard(c, a.tool) == (i % 2 == 0)
+        del policy, tool_guard
+
+
+def test_bare_prefix_constants_do_not_inherit_guarded_moves():
+    defn = load_flow(ROOT / "flows" / "read_agent.json")
+    a = ReadPathAction("/wsx/a")
+    assert defn.constants.workspace_root == "/ws"
+    assert spec_next(defn.constants, spec_init(defn.constants), a) == ((NoEffect(), SpecState()),)
+    bare = with_prefix_mode(defn, "bare").constants
+    (event, s2), _stutter = spec_next(bare, spec_init(bare), a)
+    assert event == ReadEvent("/wsx/a") and s2.read_paths == ("/wsx/a",)
+
+
+def test_abstract_check_judges_each_action_statically_once_per_relation(monkeypatch):
+    """Safety preservation at depth 6 on read_agent steps the abstract
+    machine once per (explored state, action), and judges each action's
+    value against the relation's static guards at most once."""
+    defn = load_flow(ROOT / "flows" / "read_agent.json")
+    calls = 0
+    original = spec_model.admits_value
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spec_model, "admits_value", counting)
+    edits = (SEEDED_ERRORS[m].apply(Bundle()) for m in ("drop-allowlist-guard", "step-bound-off-by-one"))
+    explored = []
+    for b in (Bundle(), *edits):
+        calls = 0
+        c = replace(defn.constants)  # a fresh, empty move table
+        explored.append(check_safety_preserved(c, defn.alphabet, 6, next_relation=b.next_relation).explored_states)
+        assert 0 < calls <= len(defn.alphabet)
+    assert explored[0] == 20  # the shipped relation: 20 states x 6 actions = 120 abstract steps
 
 
 def test_constants_validation():
