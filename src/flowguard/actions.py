@@ -5,34 +5,87 @@ adversarial) can influence the contained machine. Events are the modeled
 boundary effects a step produces; a rejected action is represented by a
 ``NoEffect`` event with the state unchanged, so the event stream itself is
 the object the safety checks constrain.
+
+Every action and boundary event is interned: building one through its
+class, keyword or positional, ``dataclasses.replace``, ``copy``,
+``deepcopy`` or ``pickle`` yields the one object that has its class and
+field values, so equal values are the same object. The classes therefore
+keep ``object``'s identity ``__eq__`` and ``__hash__``, which run in C,
+rather than the field-by-field ones a dataclass generates. That is exact:
+two values are equal exactly when they are the same object, so every
+``==``, dict lookup and set lookup answers as structural equality would,
+and only the hashes differ from one process to the next. Nothing in
+the package turns the iteration order of a set or dict of actions,
+events or states into output.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
+
+
+# ---------------------------------------------------------------------------
+# Interning
+
+# (class, *field values) -> the one live object with them. Values are
+# held weakly, so a long run meeting ever new paths keeps only the terms
+# still in use; while one is alive, it is the only one with its values.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _interned(cls):
+    """Intern the frozen, ``eq=False`` dataclass ``cls``, whose instance
+    ``__dict__`` holds its field values in order. Its ``__new__`` looks
+    the positional arguments up as field values; when that finds no
+    object, it builds a candidate with the generated ``__init__`` (which
+    binds and checks the arguments) and returns the table's object for
+    the candidate's field values, adding the candidate when it is the
+    first. The ``__init__`` that runs after ``__new__`` does nothing, so
+    the returned object is never written twice. ``__reduce__`` rebuilds
+    through the class, which makes ``copy``, ``deepcopy`` and ``pickle``
+    return the interned object."""
+    init = cls.__init__
+
+    def __new__(klass, *args, **kwargs):
+        term = None if kwargs else _INTERNED.get((klass, *args))
+        if term is None:
+            term = object.__new__(klass)
+            init(term, *args, **kwargs)
+            term = _INTERNED.setdefault((klass, *vars(term).values()), term)
+        return term
+
+    cls.__new__ = staticmethod(__new__)
+    cls.__init__ = lambda self, *args, **kwargs: None
+    cls.__reduce__ = lambda self: (type(self), tuple(vars(self).values()))
+    return cls
 
 
 # ---------------------------------------------------------------------------
 # Actions
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False)
 class NoAction:
     pass
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False)
 class ReadPathAction:
     path: str
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False)
 class ToolCallAction:
     tool: str
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False)
 class StepAction:
     pass
 
@@ -90,22 +143,26 @@ def parse_action(text: str) -> Action:
 # Boundary events (abstract vocabulary)
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False)
 class ReadEvent:
     path: str
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False)
 class ToolEvent:
     tool: str
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False)
 class StepEvent:
     pass
 
 
-@dataclass(frozen=True)
+@_interned
+@dataclass(frozen=True, eq=False)
 class NoEffect:
     pass
 

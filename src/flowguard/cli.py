@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,13 @@ def _emit(args, document: dict) -> None:
         sys.stdout.write(text)
 
 
+# A ``scripted:`` body is action literals separated by ``;``, in which
+# ``\;`` is a literal ``;`` and ``\\`` a literal ``\``; any other ``\`` dangles.
+_SCRIPT = re.compile(r"(?:[^\\]|\\[;\\])*")
+_LITERAL = re.compile(r"(?:[^;\\]|\\[;\\])+")
+_ESCAPE = re.compile(r"\\([;\\])")
+
+
 def _build_strategy(args, defn: FlowDefinition):
     spec = args.strategy
     if spec == "random":
@@ -50,7 +58,10 @@ def _build_strategy(args, defn: FlowDefinition):
     if spec == "adversarial":
         return AdversarialOracle(args.seed, defn.alphabet, defn.constants), "adversarial"
     if spec.startswith("scripted:"):
-        literals = [piece for piece in spec[len("scripted:"):].split(";") if piece]
+        body = spec[len("scripted:"):]
+        if not _SCRIPT.fullmatch(body):
+            raise FlowFileError(f"dangling \\ in {spec!r} (only \\; and \\\\ are escapes)")
+        literals = [_ESCAPE.sub(r"\1", piece) for piece in _LITERAL.findall(body)]
         script = [parse_action(lit) for lit in literals]
         return ScriptedOracle(script), "scripted"
     raise FlowFileError(f"unknown strategy: {spec!r} (use random, adversarial, or scripted:<lit>;<lit>)")
@@ -277,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--strategy",
         default="random",
-        help="random | adversarial | scripted:<action>;<action>;...",
+        help="random | adversarial | scripted:<action>;<action>;... (a script writes ; as \\; "
+        "and \\ as \\\\ inside a literal; any other \\ is an error)",
     )
     p_run.set_defaults(fn=cmd_run)
 

@@ -24,6 +24,7 @@ from .actions import (
     format_action,
 )
 from .impl_model import (
+    STUTTER,
     ImplConstants,
     ImplState,
     event_in_policy,
@@ -182,17 +183,19 @@ def sweep(
 
     The scripts are the leaves of a prefix tree, walked depth first with
     children in alphabet order, so each prefix is stepped once: with n
-    actions that is n + n^2 + ... + n^depth step calls. The state checks
-    judge each distinct post-state once. A stutter (``next_fn`` returns
-    its pre-state object itself) out of a judged state is skipped before
-    it is hashed; any other post-state is added to the set of judged
-    states, and checked only if the add found it new. Init is judged only
-    once it is reached as a post-state. The verdict is the one replaying
-    every script from init in ``itertools.product`` order would give:
-    ``sequences`` counts the scripts up to and including the first
-    violating one, whose reported script is the violating prefix padded
-    with ``alphabet[0]``. That equivalence needs a deterministic
-    ``next_fn``, and state checks that are functions of the state.
+    actions that is n + n^2 + ... + n^depth step calls. The event check
+    skips ``STUTTER``, which always complies, and judges every other
+    event. The state checks judge each distinct post-state once, whatever
+    its event. A stutter (``next_fn`` returns its pre-state object itself)
+    out of a judged state is skipped before it is hashed; any other
+    post-state is added to the set of judged states, and checked only if
+    the add found it new. Init is judged only once it is reached as a
+    post-state. The verdict is the one replaying every script from init
+    in ``itertools.product`` order would give: ``sequences`` counts the
+    scripts up to and including the first violating one, whose reported
+    script is the violating prefix padded with ``alphabet[0]``. That
+    equivalence needs a deterministic ``next_fn``, and state checks that
+    are functions of the state.
 
     ``next_fn`` exists so tests can inject a deliberately broken step
     function and watch the sweep catch it; production callers leave it
@@ -220,7 +223,7 @@ def sweep(
         state = states[k]
         ((event, nxt),) = next_fn(c, state, alphabet[digits[k]])
         detail = None
-        if not event_in_policy(c, state, event):
+        if event is not STUTTER and not event_in_policy(c, state, event):
             detail = f"out-of-policy event {event.effect!r}"
         elif nxt is not state or k == 0:  # states[k > 0] were judged on their way in
             size = len(judged)

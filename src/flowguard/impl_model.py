@@ -163,7 +163,7 @@ _KIND_FOR_ACTION = {
 }
 
 
-_NO_EFFECT = ImplEvent(NoEffect())  # immutable, so one instance serves every stutter
+STUTTER = ImplEvent(NoEffect())  # the one event every stutter of impl_next returns
 
 
 class _Route(NamedTuple):
@@ -202,14 +202,14 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
     first met (see the module docstring); that needs every guard of
     ``spec_model.POLICY`` to be a pure function of (constants, value)."""
     if s.halted:
-        return ((_NO_EFFECT, s),)
+        return ((STUTTER, s),)
     key = (s.current_node, a)
     try:
         route = c._routes[key]
     except KeyError:
         route = c._routes[key] = _compile_route(c, s.current_node, a)
     if route is None or (route.counts_step and not STEP_BOUNDED.guard(c.spec, s.step_count)):
-        return ((_NO_EFFECT, s),)
+        return ((STUTTER, s),)
     fields = advance(c.spec, s, route.reads, route.tools, route.counts_step)
     return ((route.event, ImplState(route.target, *fields, s.history + (key,), s.current_node, a)),)
 
@@ -249,7 +249,7 @@ def event_in_policy(c: ImplConstants, pre: ImplState, event: ImplEvent | Boundar
     """Does an emitted event comply with the boundary policy, judged at its
     pre-state by the guard of the conjunct its action variant answers to?
     Stutters always comply."""
-    if event is _NO_EFFECT:
+    if event is STUTTER:
         return True
     effect = event.effect if isinstance(event, ImplEvent) else event
     match effect:

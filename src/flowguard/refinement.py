@@ -312,7 +312,8 @@ def step_obligations(
         # A relation may match a stutter under one action and not under
         # another, so the match is judged for every step. The matched
         # abstract step must use the identical action value the concrete
-        # step consumed; never a canonicalized or re-parsed stand-in.
+        # step consumed. Actions are interned, so a re-parsed literal is
+        # that same object; an action with other field values never is.
         abs_pre = b.variables_abs(s)
         abs_succs = b.next_relation(ca, abs_pre, a)
         abs_post = abs_pre if s2 is s else b.variables_abs(s2)

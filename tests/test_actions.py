@@ -1,3 +1,10 @@
+import copy
+import dataclasses
+import json
+import pickle
+import weakref
+from pathlib import Path
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -91,3 +98,120 @@ def test_impl_event_annotation_rules():
         ImplEvent(NoEffect(), Dispatch("a", "read", "b"))
     with pytest.raises(ValueError):
         ImplEvent(StepEvent())
+
+
+# ---------------------------------------------------------------------------
+# Interning: one object per (class, field values)
+
+UNARY = (ReadPathAction, ToolCallAction, ReadEvent, ToolEvent)
+NULLARY = (NoAction, StepAction, StepEvent, NoEffect)
+VOCABULARY = UNARY + NULLARY
+
+GOLDEN_FLOW = Path(__file__).resolve().parent / "golden" / "tracelog" / "cyclic_reads.json"
+# The golden flow's read paths, one of them with a quote and a non-ASCII
+# character.
+GOLDEN_PATHS = tuple(
+    parse_action(lit).path for lit in json.loads(GOLDEN_FLOW.read_text())["alphabet"] if lit.startswith("ReadPathAction")
+)
+values = st.sampled_from(GOLDEN_PATHS) | st.text()
+unary_terms = st.builds(lambda cls, value: cls(value), st.sampled_from(UNARY), values)
+terms = unary_terms | st.sampled_from(NULLARY).map(lambda cls: cls())
+
+
+def _fields(term) -> dict:
+    return {f.name: getattr(term, f.name) for f in dataclasses.fields(term)}
+
+
+@given(terms)
+def test_every_way_of_building_a_term_yields_the_one_object(term):
+    cls, fields = type(term), _fields(term)
+    rebuilt = [
+        cls(*fields.values()),
+        cls(**fields),
+        dataclasses.replace(term),
+        dataclasses.replace(term, **fields),
+        copy.copy(term),
+        copy.deepcopy(term),
+        copy.deepcopy([term, term])[1],
+    ]
+    rebuilt += [pickle.loads(pickle.dumps(term, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    if cls in (NoAction, ReadPathAction, ToolCallAction, StepAction):
+        rebuilt.append(parse_action(format_action(term)))
+    for other in rebuilt:
+        assert other is term
+        assert _fields(other) == fields
+
+
+@given(terms, terms)
+def test_equal_exactly_when_identical(a, b):
+    """Equality is identity, and it answers as field-by-field equality."""
+    assert (a == b) is (a is b)
+    assert (a == b) is (type(a) is type(b) and _fields(a) == _fields(b))
+    assert (a != b) is (a is not b)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(st.sampled_from(UNARY), values)
+def test_replace_with_a_new_value_yields_that_values_object(cls, value):
+    name = dataclasses.fields(cls)[0].name
+    assert dataclasses.replace(cls("/seed"), **{name: value}) is cls(value)
+
+
+@given(terms)
+def test_repr_and_pattern_matching_are_unchanged(term):
+    fields = ", ".join(f"{name}={value!r}" for name, value in _fields(term).items())
+    assert repr(term) == f"{type(term).__name__}({fields})"
+    match term:
+        case ReadPathAction(path) | ReadEvent(path):
+            assert path == term.path
+        case ToolCallAction(tool) | ToolEvent(tool):
+            assert tool == term.tool
+        case NoAction() | StepAction() | StepEvent() | NoEffect():
+            assert not _fields(term)
+        case _:
+            pytest.fail(f"no case matched {term!r}")
+
+
+def test_the_quoted_golden_path_keeps_its_repr():
+    path = '/ws/"quoted" \u00e9'
+    assert path in GOLDEN_PATHS
+    assert repr(ReadPathAction(path)) == "ReadPathAction(path='/ws/\"quoted\" \u00e9')"
+
+
+def test_building_a_term_leaves_earlier_terms_intact():
+    a = ReadPathAction("/a")
+    assert copy.deepcopy(a) is a
+    b = ReadPathAction("/b")
+    assert copy.deepcopy(b) is b
+    assert (a.path, b.path) == ("/a", "/b")
+    assert ReadPathAction("/a") is a and ReadPathAction(path="/b") is b
+
+
+def test_the_table_keeps_no_term_alive():
+    """The intern table holds its objects weakly: a term nothing else
+    refers to is freed, so a long run does not keep every path it met."""
+    term = ReadPathAction("/only/here")
+    ref = weakref.ref(term)
+    del term
+    assert ref() is None
+    assert ReadPathAction("/only/here").path == "/only/here"
+
+
+def test_bad_arguments_still_raise():
+    with pytest.raises(TypeError):
+        ReadPathAction()
+    with pytest.raises(TypeError):
+        NoAction("x")
+    with pytest.raises(TypeError):
+        ToolCallAction(path="x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ReadPathAction("/a").path = "/b"
+
+
+@pytest.mark.parametrize("cls", VOCABULARY, ids=lambda cls: cls.__name__)
+def test_vocabulary_compares_and_hashes_by_identity(cls):
+    """``object``'s ``__eq__`` and ``__hash__`` run in C; a generated
+    field-by-field pair must not come back."""
+    assert cls.__eq__ is object.__eq__
+    assert cls.__hash__ is object.__hash__

@@ -83,6 +83,25 @@ def test_run_unknown_strategy_exits_two(flow_file):
     assert main(["run", "--flow", flow_file, "--strategy", "psychic"]) == 2
 
 
+def test_scripted_escapes_semicolons_and_backslashes(tmp_path, capsys):
+    r"""In a script, ``\;`` is a literal ``;`` and ``\\`` a literal ``\``,
+    so any path in the alphabet can be scripted; any other ``\`` exits 2."""
+    defn = parse_flow((Path(__file__).resolve().parent / "golden" / "tracelog" / "cyclic_reads.json").read_text())
+    odd = (ReadPathAction("/ws/a;b"), ReadPathAction("/ws/c\\d;"))
+    flow = tmp_path / "odd.json"
+    flow.write_text(serialize_flow(dataclasses.replace(defn, alphabet=defn.alphabet + odd)))
+    out = tmp_path / "odd.log"
+    script = r"scripted:ReadPathAction(/ws/a\;b);;ReadPathAction(/ws/c\\d\;)"
+    assert main(["run", "--flow", str(flow), "--strategy", script, "--steps", "2", "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [row["event"] for row in rows] == ["ReadEvent(/ws/a;b)[r0-read->r1]", "ReadEvent(/ws/c\\d;)[r1-read->r2]"]
+    assert main(["replay", "--flow", str(flow), str(out)]) == 0
+    for dangling in (r"ReadPathAction(/ws/a\b)", "ReadPathAction(/ws/a)\\", r"ReadPathAction(/ws/a)\;\ "):
+        capsys.readouterr()
+        assert main(["run", "--flow", str(flow), "--strategy", f"scripted:{dangling}"]) == 2, dangling
+        assert "dangling" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # check
 
