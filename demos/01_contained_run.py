@@ -8,14 +8,16 @@ side: forbidden actions do not error, they simply produce NoEffect events
 and leave the state untouched.
 """
 
-from flowguard import ReadPathAction, ScriptedOracle, ToolCallAction, StepAction, drive, read_agent
+from pathlib import Path
+
+from flowguard import ReadPathAction, ScriptedOracle, ToolCallAction, StepAction, drive, load_flow
 from flowguard.actions import format_action, format_impl_event
 
-fixture = read_agent()
-print(f"machine: {fixture.provenance}")
-print(f"  root={fixture.constants.spec.workspace_root}"
-      f"  tools={sorted(fixture.constants.spec.allowed_tools)}"
-      f"  max_steps={fixture.constants.spec.max_steps}")
+flow = load_flow(Path(__file__).resolve().parent.parent / "flows" / "read_agent.json")
+print(f"machine: {flow.provenance}")
+print(f"  root={flow.constants.workspace_root}"
+      f"  tools={sorted(flow.constants.allowed_tools)}"
+      f"  max_steps={flow.constants.max_steps}")
 print()
 
 script = [
@@ -26,7 +28,7 @@ script = [
     StepAction(),                      # permitted: capacity remains
 ]
 
-record = drive(fixture.constants, ScriptedOracle(script), len(script))
+record = drive(flow.impl_constants, ScriptedOracle(script), len(script))
 
 for step, event in zip(record.trace.steps, record.emitted_events):
     verdict = "rejected" if event.dispatch is None else "effected"

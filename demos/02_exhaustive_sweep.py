@@ -10,14 +10,16 @@ check skipped) and watch it produce a concrete violating script.
 
 import dataclasses
 import time
+from pathlib import Path
 
-from flowguard import ToolCallAction, read_agent, sweep
+from flowguard import ToolCallAction, load_flow, sweep
 from flowguard.impl_model import impl_next
 
-fixture = read_agent()
+flow = load_flow(Path(__file__).resolve().parent.parent / "flows" / "read_agent.json")
+c = flow.impl_constants
 
 started = time.monotonic()
-verdict = sweep(fixture.constants, fixture.alphabet, 4)
+verdict = sweep(c, flow.alphabet, 4)
 elapsed = time.monotonic() - started
 print(f"swept {verdict.sequences} sequences in {elapsed:.2f}s: "
       f"{'all clean' if verdict.passed else 'VIOLATION'}")
@@ -35,7 +37,7 @@ def sabotaged_next(c, s, a):
     return impl_next(c, s, a)
 
 
-broken = sweep(fixture.constants, fixture.alphabet, 3, next_fn=sabotaged_next)
+broken = sweep(c, flow.alphabet, 3, next_fn=sabotaged_next)
 print(f"sweep of the sabotaged machine: {'clean (!!)' if broken.passed else 'violation found'}")
 assert broken.violation is not None
 print(f"  violating script: {list(broken.violation.script)}")

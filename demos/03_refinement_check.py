@@ -17,6 +17,7 @@ the stage that breaks.
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 from flowguard import (
     Bundle,
@@ -26,15 +27,15 @@ from flowguard import (
     check_refinement_next,
     check_soundness,
     drive,
-    read_agent,
+    load_flow,
 )
 from flowguard.havoc import TraceStep
 
-fixture = read_agent()
-c = fixture.constants
+flow = load_flow(Path(__file__).resolve().parent.parent / "flows" / "read_agent.json")
+c = flow.impl_constants
 bundle = Bundle()  # the shipped abstraction, relation, safety predicate and invariant
 
-verdict = check_refinement_next(c, bundle, fixture.alphabet, 4)
+verdict = check_refinement_next(c, bundle, flow.alphabet, 4)
 print("refinement at depth 4:")
 print(f"  init matching (R1):    {'pass' if check_refinement_init(c, bundle).passed else 'FAIL'}")
 print(f"  invariant obligation:  {'pass' if verdict.inv_inductive else 'FAIL'}")
@@ -46,7 +47,7 @@ print()
 traces = [
     drive(c, ScriptedOracle(script), d).trace
     for d in range(4)
-    for script in itertools.product(fixture.alphabet, repeat=d)
+    for script in itertools.product(flow.alphabet, repeat=d)
 ]
 assert all(check_soundness(c, bundle, t).passed for t in traces)
 print(f"trace soundness holds on all {len(traces)} traces of length <= 3")

@@ -7,17 +7,20 @@ seeds concrete modeling errors and demands each one is killed; an
 identity mutation is expected to survive (and the gate to say so).
 
 The template-fitness audit catches a subtler disease the gates cannot:
-a machine that never writes a policed field at all. The retrieval-flow
-fixture ships in two modes that differ only in whether document fetches
-pass through the tool allowlist. Both modes sail through every gate;
+a machine that never writes a policed field at all. The retrieval flow
+ships in two files that differ only in whether document fetches pass
+through the tool allowlist. Both modes sail through every gate;
 only fitness separates them.
 """
 
-from flowguard import rag_flow, read_agent, run_gates
-from flowguard.flowfile import from_fixture, serialize_flow
+from pathlib import Path
+
+from flowguard import run_gates
+
+FLOWS = Path(__file__).resolve().parent.parent / "flows"
 
 print("— gates on the read-agent —")
-report = run_gates(serialize_flow(from_fixture(read_agent())), depth=4)
+report = run_gates((FLOWS / "read_agent.json").read_text(), depth=4)
 print(f"g1 resolution:     {report.g1.status}")
 print(f"g2 vacuity:        {report.g2.status}   ({report.g2.detail})")
 print(f"g3 discrimination: {report.g3.status}")
@@ -27,11 +30,10 @@ print(f"fitness:           {report.fitness_verdict.status}")
 print()
 
 print("— the fitness separation —")
-for barrier in (True, False):
-    fx = rag_flow(barrier=barrier)
-    r = run_gates(serialize_flow(from_fixture(fx)), depth=4)
+for name in ("rag_barrier.json", "rag_no_barrier.json"):
+    r = run_gates((FLOWS / name).read_text(), depth=4)
     gates_line = f"g1={r.g1.status} g2={r.g2.status} g3={r.g3.status} fitness={r.fitness_verdict.status}"
-    print(f"{fx.provenance:24} {gates_line}")
+    print(f"{r.flow.provenance:24} {gates_line}")
     if r.fitness is not None:
         for cf in r.fitness.conjuncts:
             suffix = f"witnessed at depth {cf.witness_depth}: {list(cf.witness_value)}" \

@@ -11,14 +11,12 @@ different machine) is caught immediately.
 import tempfile
 from pathlib import Path
 
-from flowguard import SeededRandomOracle, drive, read_agent
-from flowguard.flowfile import from_fixture
+from flowguard import SeededRandomOracle, drive, load_flow
 from flowguard.tracelog import render_trace_log, replay_trace_log
 
-fixture = read_agent()
-defn = from_fixture(fixture)
+defn = load_flow(Path(__file__).resolve().parent.parent / "flows" / "read_agent.json")
 
-record = drive(fixture.constants, SeededRandomOracle(seed=42, alphabet=fixture.alphabet), 8)
+record = drive(defn.impl_constants, SeededRandomOracle(seed=42, alphabet=defn.alphabet), 8)
 log_text = render_trace_log(defn, record, strategy="random", seed=42)
 
 print("— the log —")

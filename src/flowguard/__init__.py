@@ -26,8 +26,7 @@ from .actions import (
     format_action,
     parse_action,
 )
-from .fixtures import Fixture, rag_flow, read_agent
-from .flowfile import FlowDefinition, FlowFileError, from_fixture, load_flow, parse_flow, serialize_flow
+from .flowfile import FlowDefinition, FlowFileError, load_flow, parse_flow, serialize_flow
 from .gates import (
     SEEDED_ERRORS,
     CheckRun,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .actions import parse_action
 from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow, with_prefix_mode
-from .gates import GateReport, mutation_by_id, run_gates, verify_bundle
+from .gates import GateReport, mutation_by_id, run_gates, step_bound_floor_note, verify_bundle
 from .havoc import AdversarialOracle, ScriptedOracle, SeededRandomOracle, drive, sweep
 from .impl_model import FlowGraphError, event_in_policy
 from .refinement import Bundle
@@ -130,6 +130,8 @@ def cmd_check(args) -> int:
     warnings = []
     if args.depth < 1:
         warnings.append("depth 0: step obligations were not exercised")
+    if note := step_bound_floor_note(c, args.depth):
+        warnings.append(f"{note}, so a step-bound error passes this check")
 
     ok = outcome.passed and sweep_verdict.passed
     report = {

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .actions import Action, format_action, parse_action
-from .fixtures import Fixture
 from .impl_model import FlowGraph, ImplConstants, NodeKind
 from .spec_model import SpecConstants
 
@@ -171,11 +170,3 @@ def flow_digest(defn: FlowDefinition) -> str:
 def load_flow(path: str | Path) -> FlowDefinition:
     return parse_flow(Path(path).read_text())
 
-
-def from_fixture(fixture: Fixture) -> FlowDefinition:
-    return FlowDefinition(
-        provenance=fixture.provenance,
-        constants=fixture.constants.spec,
-        graph=fixture.constants.graph,
-        alphabet=fixture.alphabet,
-    )

@@ -95,21 +95,22 @@ class Mutation:
 # The seeded-error library. Each mutant is a deliberate, small, plausible
 # modeling error, written as a named edit of one definition: a conjunct of
 # the policy table, the event abstraction, or a clause of the invariant.
+# An edit reads the function it edits from this module when it is applied,
+# as ``Bundle``'s defaults do, so a rebinding (the tracer's) reaches it.
 
 
 def _edit_policy(name: str, **changes) -> Callable[[Bundle], Bundle]:
     """The abstract relation of the policy table with conjunct ``name``
-    changed; everything else about the bundle is kept."""
+    changed. The table is built once: ``spec_next`` compiles it per object."""
     policy = tuple(replace(k, **changes) if k.name == name else k for k in POLICY)
-    relation = partial(spec_next, policy=policy)
-    return lambda b: replace(b, next_relation=relation)
+    return lambda b: replace(b, next_relation=partial(spec_next, policy=policy))
 
 
 def _drop_invariant_clause(name: str) -> Callable[[Bundle], Bundle]:
     """The declared invariant without clause ``name``, assumed when the
     obligation states are selected."""
-    inv = partial(impl_inv, clauses={n: clause for n, clause in INVARIANT.items() if n != name})
-    return lambda b: replace(b, assume_inv=inv)
+    clauses = {n: clause for n, clause in INVARIANT.items() if n != name}
+    return lambda b: replace(b, assume_inv=partial(impl_inv, clauses=clauses))
 
 
 def _collapse_events_to_noeffect(_e) -> NoEffect:
@@ -210,8 +211,8 @@ class CheckRun:
     """The work that every bundle checked on one concrete machine, alphabet
     and depth shares: the reachable layers, the step domain, and the
     safety-preservation verdict of each distinct (next_relation, safety)
-    pair. Each is computed when first needed. The relation edits are
-    built once at import, so identity keys those verdicts soundly.
+    pair. Each is computed when first needed. Keying those verdicts by
+    identity is sound because the cache keeps its keys alive.
     Successor states and abstract steps are not kept across bundles:
     holding them costs more memory than recomputing them costs time."""
 
@@ -267,6 +268,18 @@ def verify_bundle(c: ImplConstants, b: Bundle, alphabet: tuple[Action, ...], dep
     """Run the full lemma set on a (possibly mutated) bundle and report
     every obligation."""
     return VerificationOutcome(tuple(obligations(CheckRun(c, alphabet, depth), b)))
+
+
+def step_bound_floor_note(c: ImplConstants, depth: int) -> str | None:
+    """Why ``depth`` is too shallow to tell a step-bound error apart, or
+    None when it is not: a step beyond the bound needs ``max_steps + 1``."""
+    m = c.spec.max_steps
+    if depth > m:
+        return None
+    return (
+        f"configuration floor: depth >= {m + 1} required (a step beyond the bound "
+        f"max_steps={m} cannot be reached at depth {depth})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +480,8 @@ def run_gates(
         g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")
     else:
         detail = "surviving mutants: " + ", ".join(m.mutation_id for m in mutants if not m.killed)
-        floor = c.spec.max_steps + 1
-        if depth < floor:
-            detail += (
-                f"; configuration floor: depth >= {floor} required (a step beyond the bound "
-                f"max_steps={c.spec.max_steps} cannot be reached at depth {depth})"
-            )
+        if note := step_bound_floor_note(c, depth):
+            detail += f"; {note}"
         g3 = GateVerdict("g3", "fail", detail)
 
     fitness = check_template_fitness(run, bundle)

@@ -61,26 +61,8 @@ class Trace:
         return (self.steps[0].pre_state,) + tuple(t.post_state for t in self.steps)
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One record of a run history. The final entry of the history handed to
-    a strategy carries the state awaiting a choice, with action and event
-    still None, so the history a strategy sees is always nonempty."""
-
-    state: ImplState
-    action: Action | None
-    event: ImplEvent | None
-
-
-def action_out_of_policy(c: SpecConstants, a: Action) -> bool:
-    """Static policy complement: a read or tool call whose value the guard
-    of its sequence conjunct rejects. Step capacity is state-dependent and
-    not judged here."""
-    return not admits_value(c, a)
-
-
 # ---------------------------------------------------------------------------
-# Strategies: any object with ``choose(history) -> Action``
+# Strategies: any object with ``choose(i, state) -> Action`` for step i from state
 
 
 class ScriptedOracle:
@@ -89,8 +71,7 @@ class ScriptedOracle:
     def __init__(self, script: Sequence[Action]):
         self.script = tuple(script)
 
-    def choose(self, history: Sequence[HistoryEntry]) -> Action:
-        i = len(history) - 1  # completed steps so far
+    def choose(self, i: int, state: ImplState) -> Action:
         return self.script[i] if i < len(self.script) else NoAction()
 
 
@@ -101,7 +82,7 @@ class SeededRandomOracle:
         self.alphabet = tuple(alphabet)
         self._rng = random.Random(seed)
 
-    def choose(self, history: Sequence[HistoryEntry]) -> Action:
+    def choose(self, i: int, state: ImplState) -> Action:
         return self.alphabet[self._rng.randrange(len(self.alphabet))]
 
 
@@ -113,12 +94,10 @@ class AdversarialOracle:
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         self.alphabet = tuple(alphabet)
-        self.weights = tuple(
-            boost if action_out_of_policy(constants, a) else 1.0 for a in self.alphabet
-        )
+        self.weights = tuple(1.0 if admits_value(constants, a) else boost for a in self.alphabet)
         self._rng = random.Random(seed)
 
-    def choose(self, history: Sequence[HistoryEntry]) -> Action:
+    def choose(self, i: int, state: ImplState) -> Action:
         return self._rng.choices(self.alphabet, weights=self.weights, k=1)[0]
 
 
@@ -139,16 +118,14 @@ def drive(c: ImplConstants, strategy, steps: int) -> RunRecord:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     state = impl_init(c)
-    done: list[HistoryEntry] = []
     recorded: list[TraceStep] = []
     events: list[ImplEvent] = []
     rejected = 0
-    for _ in range(steps):
-        action = strategy.choose(tuple(done) + (HistoryEntry(state, None, None),))
+    for i in range(steps):
+        action = strategy.choose(i, state)
         ((event, nxt),) = impl_next(c, state, action)
         if isinstance(event.effect, NoEffect) and not isinstance(action, NoAction):
             rejected += 1
-        done.append(HistoryEntry(state, action, event))
         recorded.append(TraceStep(state, action, event, nxt))
         events.append(event)
         state = nxt

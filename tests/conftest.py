@@ -1,34 +1,42 @@
+from pathlib import Path
+
 import pytest
 
-from flowguard.fixtures import rag_flow, read_agent
-from flowguard.flowfile import from_fixture, serialize_flow
+from flowguard.flowfile import FlowDefinition, load_flow
+
+FLOWS = Path(__file__).resolve().parent.parent / "flows"
+
+
+def shipped(name: str) -> FlowDefinition:
+    """The shipped flow ``flows/<name>.json``."""
+    return load_flow(FLOWS / f"{name}.json")
 
 
 @pytest.fixture(scope="session")
 def agent():
-    return read_agent()
+    return shipped("read_agent")
 
 
 @pytest.fixture(scope="session")
 def rag_barrier():
-    return rag_flow(barrier=True)
+    return shipped("rag_barrier")
 
 
 @pytest.fixture(scope="session")
 def rag_no_barrier():
-    return rag_flow(barrier=False)
+    return shipped("rag_no_barrier")
 
 
 @pytest.fixture(scope="session")
-def agent_flow_text(agent):
-    return serialize_flow(from_fixture(agent))
+def agent_flow_text():
+    return (FLOWS / "read_agent.json").read_text()
 
 
 @pytest.fixture(scope="session")
-def rag_barrier_flow_text(rag_barrier):
-    return serialize_flow(from_fixture(rag_barrier))
+def rag_barrier_flow_text():
+    return (FLOWS / "rag_barrier.json").read_text()
 
 
 @pytest.fixture(scope="session")
-def rag_no_barrier_flow_text(rag_no_barrier):
-    return serialize_flow(from_fixture(rag_no_barrier))
+def rag_no_barrier_flow_text():
+    return (FLOWS / "rag_no_barrier.json").read_text()

@@ -21,8 +21,6 @@ from flowguard.actions import (
     ToolEvent,
 )
 from flowguard.cli import main
-from flowguard.fixtures import read_agent
-from flowguard.flowfile import from_fixture, serialize_flow
 from flowguard.gates import (
     SEEDED_ERRORS,
     CheckRun,
@@ -40,6 +38,7 @@ from flowguard.refinement import (
     check_soundness,
 )
 from flowguard.spec_model import spec_next
+from conftest import FLOWS
 from test_havoc import havoc_traces
 
 
@@ -53,7 +52,7 @@ def report(line: str) -> None:
 
 def test_criterion_1_exhaustive_havoc_safety(agent):
     started = time.monotonic()
-    verdict = sweep(agent.constants, agent.alphabet, 4)
+    verdict = sweep(agent.impl_constants, agent.alphabet, 4)
     elapsed = time.monotonic() - started
 
     assert verdict.sequences == 1296
@@ -72,7 +71,8 @@ def test_criterion_1_exhaustive_havoc_safety(agent):
 def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
     counts = {}
     for fx in (agent, rag_barrier, rag_no_barrier):
-        assert check_refinement_init(fx.constants, Bundle()).passed, fx.provenance
+        c = fx.impl_constants
+        assert check_refinement_init(c, Bundle()).passed, fx.provenance
 
         queried_ids = []
 
@@ -80,7 +80,7 @@ def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
             _seen.append(a)
             return spec_next(c, s, a)
 
-        verdict = check_refinement_next(fx.constants, Bundle(next_relation=spy_next), fx.alphabet, 4)
+        verdict = check_refinement_next(c, Bundle(next_relation=spy_next), fx.alphabet, 4)
         assert verdict.passed, (fx.provenance, verdict)
         assert verdict.explored_states > 0
         # every abstract query used an identical action value from the alphabet
@@ -89,7 +89,7 @@ def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
         counts[fx.provenance] = (verdict.explored_states, verdict.reachable_states)
 
     summary = ", ".join(f"{name}: {e} explored ({r} reachable)" for name, (e, r) in counts.items())
-    report(f"[PASS] criterion 2: refinement init+next pass at depth 4 on all fixtures; {summary}")
+    report(f"[PASS] criterion 2: refinement init+next pass at depth 4 on all shipped flows; {summary}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
 
 
 def test_criterion_3_soundness_composition(agent):
-    c = agent.constants
+    c = agent.impl_constants
     b = Bundle()
 
     total = 0
@@ -152,7 +152,7 @@ def test_criterion_3_soundness_composition(agent):
 
 
 def test_criterion_4_gate_behavior(agent):
-    c = agent.constants
+    c = agent.impl_constants
     bundle = Bundle()
     run = CheckRun(c, agent.alphabet, 4)
 
@@ -251,8 +251,7 @@ def _out_of_policy_count(script):
 
 
 def test_criterion_6_rejection_semantics(tmp_path):
-    flow_path = tmp_path / "read_agent.json"
-    flow_path.write_text(serialize_flow(from_fixture(read_agent())))
+    flow_path = FLOWS / "read_agent.json"
     log_path = tmp_path / "mixed.log"
 
     literals = ";".join(
@@ -289,8 +288,7 @@ def test_criterion_6_rejection_semantics(tmp_path):
 
 
 def test_criterion_7_replay_integrity(tmp_path):
-    flow_path = tmp_path / "read_agent.json"
-    flow_path.write_text(serialize_flow(from_fixture(read_agent())))
+    flow_path = FLOWS / "read_agent.json"
     for seed in range(20):
         log_path = tmp_path / f"run_{seed}.log"
         assert (

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import flowguard.gates as gates
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
-from flowguard.flowfile import FlowFileError, from_fixture, parse_flow, serialize_flow
-from flowguard.fixtures import rag_flow, read_agent
+from flowguard.flowfile import FlowFileError, parse_flow, serialize_flow
 from flowguard.tracelog import TraceLogError, parse_trace_log
+from conftest import FLOWS, shipped
 
 
 # json gives up on nesting this deep with RecursionError, not a decode error.
@@ -22,17 +22,13 @@ NESTED_TOO_DEEPLY = "[" * 200_000 + "]" * 200_000
 
 
 @pytest.fixture(scope="module")
-def flow_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("flows") / "read_agent.json"
-    path.write_text(serialize_flow(from_fixture(read_agent())))
-    return str(path)
+def flow_file():
+    return str(FLOWS / "read_agent.json")
 
 
 @pytest.fixture(scope="module")
-def rag_nb_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("flows") / "rag_nb.json"
-    path.write_text(serialize_flow(from_fixture(rag_flow(barrier=False))))
-    return str(path)
+def rag_nb_file():
+    return str(FLOWS / "rag_no_barrier.json")
 
 
 MIXED_SCRIPT = (
@@ -131,6 +127,19 @@ def test_check_depth_zero_warns(flow_file, capsys):
     assert report["warnings"] and "step obligations" in report["warnings"][0]
 
 
+@pytest.mark.parametrize("depth, exit_code", [(3, 0), (4, 1)])
+def test_check_warns_below_the_step_bound_floor(flow_file, capsys, depth, exit_code):
+    """read_agent has max_steps 3: at depth 3 no run tries a fourth step,
+    so the step-bound error passes, and the report says why."""
+    argv = ["check", "--flow", flow_file, "--depth", str(depth), "--mutation", "step-bound-off-by-one"]
+    assert main(argv) == exit_code
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    if depth == 3:
+        assert len(warnings) == 1 and "depth >= 4 required" in warnings[0]
+    else:
+        assert warnings == []
+
+
 def test_check_reports_are_byte_identical(flow_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["check", "--flow", flow_file, "--depth", "3", "--out", str(a)]) == 0
@@ -164,10 +173,8 @@ def test_gates_fail_on_no_barrier_rag(rag_nb_file, capsys):
     assert vacuous == ["ToolAllowlisted"]
 
 
-def test_gates_pass_on_barrier_rag(tmp_path, capsys):
-    path = tmp_path / "rag_b.json"
-    path.write_text(serialize_flow(from_fixture(rag_flow(barrier=True))))
-    assert main(["gates", "--flow", str(path), "--depth", "4"]) == 0
+def test_gates_pass_on_barrier_rag(capsys):
+    assert main(["gates", "--flow", str(FLOWS / "rag_barrier.json"), "--depth", "4"]) == 0
 
 
 def test_gates_malformed_flow_fails_g1(tmp_path, capsys):
@@ -267,7 +274,7 @@ def test_prefix_mode_flag_overrides_file(flow_file, tmp_path, capsys):
 def test_gates_prefix_mode_changes_what_is_verified(tmp_path, capsys):
     # "/wsx/a" is rooted under bare matching only, and it comes first in the
     # alphabet, so the fitness witness shows which mode the gates verified.
-    defn = from_fixture(read_agent())
+    defn = shipped("read_agent")
     i = defn.alphabet.index(ReadPathAction("/ws/x"))
     alphabet = defn.alphabet[:i] + (ReadPathAction("/wsx/a"),) + defn.alphabet[i:]
     path = tmp_path / "wsx.json"

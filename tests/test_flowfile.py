@@ -1,59 +1,35 @@
-"""Flow-definition files: strict parsing, canonical serialization, and
-agreement between the shipped files and the in-code fixture builders."""
+"""Flow-definition files: strict parsing, and canonical serialization of
+the shipped files in ``flows/``, the one definition of each shipped flow."""
 
 import json
-from pathlib import Path
 
 import pytest
 
-from flowguard.fixtures import rag_flow, read_agent
-from flowguard.flowfile import (
-    FlowFileError,
-    flow_digest,
-    from_fixture,
-    load_flow,
-    parse_flow,
-    serialize_flow,
-)
-
-FLOWS_DIR = Path(__file__).resolve().parent.parent / "flows"
-
-BUILTIN_FIXTURES = {
-    "read-agent": read_agent,
-    "rag-flow-barrier": lambda: rag_flow(True),
-    "rag-flow-no-barrier": lambda: rag_flow(False),
-}
+from flowguard.flowfile import FlowFileError, flow_digest, parse_flow, serialize_flow
+from conftest import FLOWS, shipped
 
 SHIPPED = {
-    "read-agent": "read_agent.json",
-    "rag-flow-barrier": "rag_barrier.json",
-    "rag-flow-no-barrier": "rag_no_barrier.json",
+    "read-agent": "read_agent",
+    "rag-flow-barrier": "rag_barrier",
+    "rag-flow-no-barrier": "rag_no_barrier",
 }
-
-
-@pytest.mark.parametrize("name", list(BUILTIN_FIXTURES))
-def test_round_trip(name):
-    defn = from_fixture(BUILTIN_FIXTURES[name]())
-    assert parse_flow(serialize_flow(defn)) == defn
-
-
-@pytest.mark.parametrize("name", list(BUILTIN_FIXTURES))
-def test_serialization_is_canonical(name):
-    defn = from_fixture(BUILTIN_FIXTURES[name]())
-    assert serialize_flow(defn) == serialize_flow(parse_flow(serialize_flow(defn)))
 
 
 @pytest.mark.parametrize("name", list(SHIPPED))
-def test_shipped_files_match_fixture_builders(name):
-    # guards against drift between flows/*.json and the builders
-    on_disk = load_flow(FLOWS_DIR / SHIPPED[name])
-    built = from_fixture(BUILTIN_FIXTURES[name]())
-    assert on_disk == built
-    assert flow_digest(on_disk) == flow_digest(built)
+def test_round_trip(name):
+    defn = shipped(SHIPPED[name])
+    assert defn.provenance == name
+    assert parse_flow(serialize_flow(defn)) == defn
+
+
+@pytest.mark.parametrize("name", list(SHIPPED))
+def test_serialization_is_canonical(name):
+    text = (FLOWS / f"{SHIPPED[name]}.json").read_text()
+    assert serialize_flow(parse_flow(text)) == text
 
 
 def _agent_doc():
-    return json.loads(serialize_flow(from_fixture(BUILTIN_FIXTURES["read-agent"]())))
+    return json.loads((FLOWS / "read_agent.json").read_text())
 
 
 def test_unknown_top_level_keys_rejected():
@@ -104,8 +80,8 @@ def test_not_json_rejected():
 
 
 def test_digest_is_sensitive_to_content():
-    a = from_fixture(BUILTIN_FIXTURES["read-agent"]())
-    b = from_fixture(BUILTIN_FIXTURES["rag-flow-barrier"]())
+    a = shipped("read_agent")
+    b = shipped("rag_barrier")
     assert flow_digest(a) != flow_digest(b)
 
 

@@ -1,6 +1,6 @@
 """Validation gates: resolution, vacuity, discrimination, and the
-template-fitness audit, including the fixture pair that only fitness can
-tell apart."""
+template-fitness audit, including the pair of retrieval flows that only
+fitness can tell apart."""
 
 import dataclasses
 import hashlib
@@ -8,9 +8,10 @@ import json
 
 import pytest
 
-from flowguard.fixtures import rag_flow, read_agent
-from flowguard.flowfile import FlowDefinition, flow_to_document
-from flowguard.impl_model import impl_wf
+import flowguard.gates as gates
+from flowguard.actions import ToolCallAction
+from flowguard.flowfile import flow_to_document
+from flowguard.impl_model import impl_init, impl_inv, impl_wf
 from flowguard.refinement import Bundle, reachable_layers
 from flowguard.gates import (
     SEEDED_ERRORS,
@@ -24,13 +25,13 @@ from flowguard.gates import (
     run_gates,
     verify_bundle,
 )
+from flowguard.spec_model import spec_init, spec_next
 
 
-def bundle_fingerprint(c, alphabet):
+def bundle_fingerprint(flow):
     """Hash of everything mutations must not touch: constants, graph,
     alphabet, and the checker configuration."""
-    defn = FlowDefinition(provenance="", constants=c.spec, graph=c.graph, alphabet=alphabet)
-    doc = flow_to_document(defn)
+    doc = flow_to_document(flow)
     doc["checker"] = {"concrete_machine": "impl_next", "abstract_init": "spec_init"}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -41,18 +42,13 @@ def first_failure(outcome):
 
 
 @pytest.fixture(scope="module")
-def fx():
-    return read_agent()
-
-
-@pytest.fixture(scope="module")
 def bundle():
     return Bundle()
 
 
 @pytest.fixture(scope="module")
-def run(fx):
-    return CheckRun(fx.constants, fx.alphabet, 4)
+def run(agent):
+    return CheckRun(agent.impl_constants, agent.alphabet, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +93,8 @@ def test_g1_budget_is_enforced(agent_flow_text):
 # the verification stand-in
 
 
-def test_unmutated_bundle_discharges_everything(fx, bundle):
-    outcome = verify_bundle(fx.constants, bundle, fx.alphabet, 4)
+def test_unmutated_bundle_discharges_everything(agent, bundle):
+    outcome = verify_bundle(agent.impl_constants, bundle, agent.alphabet, 4)
     assert outcome.passed
     names = [o.name for o in outcome.obligations]
     assert names == [
@@ -130,14 +126,14 @@ def test_g2_fails_for_a_bundle_that_never_demanded_structure(run, bundle):
     assert "vacuity witness" in verdict.detail
 
 
-def test_g2_depth_zero_hits_the_configuration_floor(fx, bundle):
-    verdict = gate_vacuity(CheckRun(fx.constants, fx.alphabet, 0), bundle)
+def test_g2_depth_zero_hits_the_configuration_floor(agent, bundle):
+    verdict = gate_vacuity(CheckRun(agent.impl_constants, agent.alphabet, 0), bundle)
     assert not verdict.passed
     assert "configuration floor" in verdict.detail
 
 
-def test_stub_keeps_obligations_while_weakening_assumptions(fx, bundle):
-    outcome = verify_bundle(fx.constants, permissive_stub().apply(bundle), fx.alphabet, 4)
+def test_stub_keeps_obligations_while_weakening_assumptions(agent, bundle):
+    outcome = verify_bundle(agent.impl_constants, permissive_stub().apply(bundle), agent.alphabet, 4)
     assert not outcome.passed
     failed = first_failure(outcome)
     assert failed is not None and failed.name == "inv_inductive"
@@ -178,11 +174,11 @@ def test_g3_rejects_the_stub_kind(run, bundle):
         gate_discrimination(run, bundle, permissive_stub())
 
 
-def test_mutations_leave_the_trusted_surface_untouched(fx, bundle):
-    before = bundle_fingerprint(fx.constants, fx.alphabet)
+def test_mutations_leave_the_trusted_surface_untouched(agent, bundle):
+    before = bundle_fingerprint(agent)
     for mutation in (*SEEDED_ERRORS.values(), permissive_stub(), identity_mutation()):
         mutation.apply(bundle)
-        assert bundle_fingerprint(fx.constants, fx.alphabet) == before
+        assert bundle_fingerprint(agent) == before
 
 
 EDITED_FIELDS = {
@@ -206,6 +202,27 @@ def test_each_mutation_edits_one_definition(mutation_id):
     assert edited == EDITED_FIELDS[mutation_id]
 
 
+def test_mutants_step_through_the_module_bindings(agent, monkeypatch):
+    """A policy edit calls ``gates.spec_next``, and a dropped invariant
+    clause ``gates.impl_inv``, as bound when the mutation is applied, so
+    a rebinding such as the benchmark tracer's counts their calls."""
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(gates, "spec_next", counting(spec_next))
+    monkeypatch.setattr(gates, "impl_inv", counting(impl_inv))
+    c = agent.impl_constants
+    SEEDED_ERRORS["drop-allowlist-guard"].apply(Bundle()).next_relation(c.spec, spec_init(c.spec), ToolCallAction("rm"))
+    SEEDED_ERRORS["drop-history-clause"].apply(Bundle()).assume_inv(c, impl_init(c))
+    assert calls == ["spec_next", "impl_inv"]
+
+
 # ---------------------------------------------------------------------------
 # template fitness
 
@@ -217,23 +234,23 @@ def test_fitness_witnesses_both_sequences_on_read_agent(run, bundle):
     assert statuses == {"ReadPathsRooted": "witnessed", "ToolAllowlisted": "witnessed"}
 
 
-def test_fitness_flags_the_silent_abstention():
-    fx = rag_flow(barrier=False)
-    report = check_template_fitness(CheckRun(fx.constants, fx.alphabet, 4), Bundle())
+def test_fitness_flags_the_silent_abstention(rag_no_barrier):
+    run = CheckRun(rag_no_barrier.impl_constants, rag_no_barrier.alphabet, 4)
+    report = check_template_fitness(run, Bundle())
     assert not report.passed
     assert report.vacuous_conjuncts() == ("ToolAllowlisted",)
     by_name = {cf.name: cf for cf in report.conjuncts}
     assert by_name["ReadPathsRooted"].status == "witnessed"
 
 
-def test_fitness_passes_in_barrier_mode():
-    fx = rag_flow(barrier=True)
-    report = check_template_fitness(CheckRun(fx.constants, fx.alphabet, 4), Bundle())
+def test_fitness_passes_in_barrier_mode(rag_barrier):
+    run = CheckRun(rag_barrier.impl_constants, rag_barrier.alphabet, 4)
+    report = check_template_fitness(run, Bundle())
     assert report.passed
     by_name = {cf.name: cf for cf in report.conjuncts}
     # the fetched document ids land in the tool-call sequence
     assert by_name["ToolAllowlisted"].witness_value
-    assert all(t in fx.constants.spec.allowed_tools for t in by_name["ToolAllowlisted"].witness_value)
+    assert all(t in rag_barrier.constants.allowed_tools for t in by_name["ToolAllowlisted"].witness_value)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +298,11 @@ def test_pipeline_at_an_extreme_depth_matches_the_closure_depth(fixture, request
     verdict at depth ``max_steps + 2``."""
     fx = request.getfixturevalue(fixture)
     text = request.getfixturevalue(f"{fixture}_flow_text")
-    closed = fx.constants.spec.max_steps + 2
-    layers = reachable_layers(fx.constants, fx.alphabet, 10**6)
-    assert 1 <= len(layers) <= fx.constants.spec.max_steps + 1 and all(layers)
-    assert layers == reachable_layers(fx.constants, fx.alphabet, closed)
+    c = fx.impl_constants
+    closed = c.spec.max_steps + 2
+    layers = reachable_layers(c, fx.alphabet, 10**6)
+    assert 1 <= len(layers) <= c.spec.max_steps + 1 and all(layers)
+    assert layers == reachable_layers(c, fx.alphabet, closed)
 
     def verdicts(report):
         return report.g2, report.g3, report.fitness_verdict, report.mutants, report.fitness

@@ -4,8 +4,6 @@ sweep."""
 import dataclasses
 import itertools
 
-import pytest
-
 from flowguard.actions import (
     NoAction,
     NoEffect,
@@ -16,16 +14,15 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
-from flowguard.fixtures import read_agent
 from flowguard.havoc import (
     AdversarialOracle,
     ScriptedOracle,
     SeededRandomOracle,
-    action_out_of_policy,
     drive,
     sweep,
 )
 from flowguard.impl_model import event_in_policy, impl_init, impl_next
+from flowguard.spec_model import admits_value
 
 
 def havoc_traces(c, alphabet, depth):
@@ -45,14 +42,9 @@ def assert_machine_trace(c, trace):
         state = t.post_state
 
 
-@pytest.fixture(scope="module")
-def fx():
-    return read_agent()
-
-
-def test_scripted_mixed_actions(fx):
+def test_scripted_mixed_actions(agent):
     script = [ReadPathAction("/ws/a"), ReadPathAction("/etc/pw"), ToolCallAction("search")]
-    record = drive(fx.constants, ScriptedOracle(script), 3)
+    record = drive(agent.impl_constants, ScriptedOracle(script), 3)
     effects = [e.effect for e in record.emitted_events]
     assert effects.count(ReadEvent("/ws/a")) == 1
     assert effects.count(ToolEvent("search")) == 1
@@ -60,33 +52,31 @@ def test_scripted_mixed_actions(fx):
     assert record.rejected_count == 1
 
 
-def test_zero_steps_is_empty(fx):
-    record = drive(fx.constants, ScriptedOracle([]), 0)
+def test_zero_steps_is_empty(agent):
+    record = drive(agent.impl_constants, ScriptedOracle([]), 0)
     assert len(record.trace) == 0 and record.rejected_count == 0
 
 
-def test_two_scripted_steps_on_a_step_entry_machine():
-    from flowguard.fixtures import rag_flow
-
-    fx2 = rag_flow(barrier=False)  # plan and fetch are both Step nodes
-    record = drive(fx2.constants, ScriptedOracle([StepAction(), StepAction()]), 2)
+def test_two_scripted_steps_on_a_step_entry_machine(rag_no_barrier):
+    # plan and fetch are both Step nodes
+    record = drive(rag_no_barrier.impl_constants, ScriptedOracle([StepAction(), StepAction()]), 2)
     assert [e.effect for e in record.emitted_events] == [StepEvent(), StepEvent()]
 
 
-def test_script_exhaustion_pads_with_noaction(fx):
-    record = drive(fx.constants, ScriptedOracle([StepAction()]), 4)
+def test_script_exhaustion_pads_with_noaction(agent):
+    record = drive(agent.impl_constants, ScriptedOracle([StepAction()]), 4)
     # the padded NoActions stutter but are not counted as rejections
     assert record.rejected_count == 1  # only the kind-mismatched StepAction
     assert all(isinstance(e.effect, NoEffect) for e in record.emitted_events)
 
 
-def test_drive_trace_validates(fx):
-    record = drive(fx.constants, SeededRandomOracle(5, fx.alphabet), 12)
-    assert_machine_trace(fx.constants, record.trace)
+def test_drive_trace_validates(agent):
+    record = drive(agent.impl_constants, SeededRandomOracle(5, agent.alphabet), 12)
+    assert_machine_trace(agent.impl_constants, record.trace)
 
 
-def test_rejected_count_matches_its_definition(fx):
-    record = drive(fx.constants, SeededRandomOracle(9, fx.alphabet), 30)
+def test_rejected_count_matches_its_definition(agent):
+    record = drive(agent.impl_constants, SeededRandomOracle(9, agent.alphabet), 30)
     recount = sum(
         1
         for step in record.trace.steps
@@ -95,41 +85,42 @@ def test_rejected_count_matches_its_definition(fx):
     assert record.rejected_count == recount
 
 
-def test_adversarial_run_emits_nothing_out_of_policy(fx):
-    record = drive(fx.constants, AdversarialOracle(7, fx.alphabet, fx.constants.spec), 100)
+def test_adversarial_run_emits_nothing_out_of_policy(agent):
+    c = agent.impl_constants
+    record = drive(c, AdversarialOracle(7, agent.alphabet, agent.constants), 100)
     for step in record.trace.steps:
-        assert event_in_policy(fx.constants, step.pre_state, step.event)
+        assert event_in_policy(c, step.pre_state, step.event)
 
 
-def test_adversarial_weights_prefer_out_of_policy_actions(fx):
-    oracle = AdversarialOracle(0, fx.alphabet, fx.constants.spec, boost=4.0)
-    by_action = dict(zip(fx.alphabet, oracle.weights))
+def test_adversarial_weights_prefer_out_of_policy_actions(agent):
+    oracle = AdversarialOracle(0, agent.alphabet, agent.constants, boost=4.0)
+    by_action = dict(zip(agent.alphabet, oracle.weights))
     assert by_action[ReadPathAction("/etc/pw")] == 4.0
     assert by_action[ToolCallAction("rm")] == 4.0
     assert by_action[ReadPathAction("/ws/x")] == 1.0
     assert by_action[NoAction()] == 1.0
 
 
-def test_static_policy_judgment(fx):
-    spec = fx.constants.spec
-    assert action_out_of_policy(spec, ReadPathAction("/etc/pw"))
-    assert not action_out_of_policy(spec, ReadPathAction("/ws/x"))
-    assert action_out_of_policy(spec, ToolCallAction("rm"))
-    assert not action_out_of_policy(spec, StepAction())
+def test_static_policy_judgment(agent):
+    spec = agent.constants
+    assert not admits_value(spec, ReadPathAction("/etc/pw"))
+    assert admits_value(spec, ReadPathAction("/ws/x"))
+    assert not admits_value(spec, ToolCallAction("rm"))
+    assert admits_value(spec, StepAction())
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def test_sweep_passes_and_counts_sequences(fx):
-    verdict = sweep(fx.constants, fx.alphabet, 3)
+def test_sweep_passes_and_counts_sequences(agent):
+    verdict = sweep(agent.impl_constants, agent.alphabet, 3)
     assert verdict.passed
     assert verdict.sequences == 6**3
 
 
-def test_sweep_depth_zero(fx):
-    verdict = sweep(fx.constants, fx.alphabet, 0)
+def test_sweep_depth_zero(agent):
+    verdict = sweep(agent.impl_constants, agent.alphabet, 0)
     assert verdict.passed and verdict.sequences == 1
 
 
@@ -143,23 +134,23 @@ def broken_next(c, s, a):
     return impl_next(c, s, a)
 
 
-def test_sweep_catches_a_machine_with_the_guard_removed(fx):
+def test_sweep_catches_a_machine_with_the_guard_removed(agent):
     """Inject a broken step function (allowlist check skipped) and the
     sweep must report the violating sequence verbatim."""
-    verdict = sweep(fx.constants, fx.alphabet, 3, next_fn=broken_next)
+    verdict = sweep(agent.impl_constants, agent.alphabet, 3, next_fn=broken_next)
     assert not verdict.passed
     assert verdict.violation is not None
     assert any("ToolCallAction(rm)" in lit for lit in verdict.violation.script)
 
 
-def test_sweep_visits_a_superset_of_any_strategy(fx):
+def test_sweep_visits_a_superset_of_any_strategy(agent):
     """Oracle independence: everything a single strategy can reach in at
     most d steps, the depth-d sweep has already visited."""
-    verdict = sweep(fx.constants, fx.alphabet, 4)
+    verdict = sweep(agent.impl_constants, agent.alphabet, 4)
     for seed in range(5):
-        record = drive(fx.constants, SeededRandomOracle(seed, fx.alphabet), 4)
+        record = drive(agent.impl_constants, SeededRandomOracle(seed, agent.alphabet), 4)
         for step in record.trace.steps:
             assert step.post_state in verdict.visited_states
-    adv = drive(fx.constants, AdversarialOracle(3, fx.alphabet, fx.constants.spec), 4)
+    adv = drive(agent.impl_constants, AdversarialOracle(3, agent.alphabet, agent.constants), 4)
     for step in adv.trace.steps:
         assert step.post_state in verdict.visited_states

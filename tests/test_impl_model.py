@@ -18,7 +18,6 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
-from flowguard.fixtures import rag_flow, read_agent
 from flowguard.impl_model import (
     FlowGraph,
     FlowGraphError,
@@ -35,8 +34,8 @@ from flowguard.spec_model import SpecConstants
 
 
 @pytest.fixture(scope="module")
-def c():
-    return read_agent().constants
+def c(agent):
+    return agent.impl_constants
 
 
 def only(succs):
@@ -131,18 +130,18 @@ def test_out_of_policy_read_stutters(c):
     assert event.effect == NoEffect() and s2 == s0
 
 
-def test_halted_state_absorbs_everything(c):
+def test_halted_state_absorbs_everything(c, agent):
     halted = dataclasses.replace(impl_init(c), halted=True, step_count=3)
-    for a in read_agent().alphabet:
+    for a in agent.alphabet:
         event, s2 = only(impl_next(c, halted, a))
         assert event.effect == NoEffect() and s2 == halted
 
 
-def test_terminal_node_absorbs_everything():
-    fx = rag_flow(barrier=True)
-    s = dataclasses.replace(impl_init(fx.constants), current_node="done")
-    for a in fx.alphabet:
-        event, s2 = only(impl_next(fx.constants, s, a))
+def test_terminal_node_absorbs_everything(rag_barrier):
+    c = rag_barrier.impl_constants
+    s = dataclasses.replace(impl_init(c), current_node="done")
+    for a in rag_barrier.alphabet:
+        event, s2 = only(impl_next(c, s, a))
         assert event.effect == NoEffect() and s2 == s
 
 
@@ -196,11 +195,11 @@ def test_safety_rejects_unlisted_tool_record(c):
     assert not impl_safety(c, s)
 
 
-def test_every_state_reachable_within_depth_5_is_safe(c):
+def test_every_state_reachable_within_depth_5_is_safe(c, agent):
     # exhaustive reachability is the oracle
     from flowguard.refinement import reachable_layers
 
-    layers = reachable_layers(c, read_agent().alphabet, 5)
+    layers = reachable_layers(c, agent.alphabet, 5)
     states = [s for layer in layers for s in layer]
     assert len(states) >= 4
     assert all(impl_safety(c, s) for s in states)
@@ -235,11 +234,11 @@ script_st = st.lists(
 
 
 @given(script_st)
-def test_events_couple_to_records(script):
+def test_events_couple_to_records(agent, script):
     """A ReadEvent is emitted iff a path was appended in that step, a
     ToolEvent iff a tool was appended, a StepEvent iff the counter moved,
     and NoEffect iff the state is unchanged."""
-    c = read_agent().constants
+    c = agent.impl_constants
     s = impl_init(c)
     for a in script:
         event, s2 = only(impl_next(c, s, a))
@@ -257,8 +256,8 @@ def test_events_couple_to_records(script):
 
 
 @given(script_st)
-def test_inv_is_inductive_along_runs(script):
-    c = read_agent().constants
+def test_inv_is_inductive_along_runs(agent, script):
+    c = agent.impl_constants
     s = impl_init(c)
     assert impl_inv(c, s)
     for a in script:
@@ -267,8 +266,8 @@ def test_inv_is_inductive_along_runs(script):
 
 
 @given(script_st)
-def test_history_records_the_dispatching_node(script):
-    c = read_agent().constants
+def test_history_records_the_dispatching_node(agent, script):
+    c = agent.impl_constants
     s = impl_init(c)
     for a in script:
         pre = s

@@ -20,8 +20,7 @@ import flowguard.gates as gates
 import flowguard.refinement as refinement
 import refinement_reference as ref
 from flowguard.actions import NoAction
-from flowguard.fixtures import rag_flow, read_agent
-from flowguard.flowfile import FlowDefinition, from_fixture, serialize_flow, with_prefix_mode
+from flowguard.flowfile import FlowDefinition, serialize_flow, with_prefix_mode
 from flowguard.gates import (
     SEEDED_ERRORS,
     CheckRun,
@@ -45,6 +44,7 @@ from flowguard.refinement import (
     step_domain,
 )
 from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_next, spec_safety
+from conftest import shipped
 from test_gates import first_failure
 from test_sweep import shallow_bounds
 from test_tracelog import FITTING, actions, flow_constants
@@ -190,25 +190,21 @@ def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, prefi
 
 
 @pytest.mark.parametrize("order", ["as-shipped", "reversed"])
-@pytest.mark.parametrize(
-    "fixture",
-    [read_agent, lambda: rag_flow(barrier=True), lambda: rag_flow(barrier=False)],
-    ids=["read_agent", "rag_barrier", "rag_no_barrier"],
-)
-def test_checkers_and_gates_match_reference_on_shipped_flows(fixture, order):
-    fx = fixture()
+@pytest.mark.parametrize("flow", ["read_agent", "rag_barrier", "rag_no_barrier"])
+def test_checkers_and_gates_match_reference_on_shipped_flows(flow, order):
+    fx = shipped(flow)
+    c = fx.impl_constants
     alphabet = fx.alphabet if order == "as-shipped" else fx.alphabet[::-1]
-    for depth in sorted({0, 1, 2, 3, 4, fx.constants.spec.max_steps + 1}):
-        assert_checkers_match_reference(fx.constants, alphabet, depth)
-        assert_gates_stop_at_first_failure(fx.constants, alphabet, depth)
+    for depth in sorted({0, 1, 2, 3, 4, fx.constants.max_steps + 1}):
+        assert_checkers_match_reference(c, alphabet, depth)
+        assert_gates_stop_at_first_failure(c, alphabet, depth)
 
 
 # ---------------------------------------------------------------------------
 # Work counts
 
 
-def test_safety_preserved_judges_each_state_once():
-    fx = read_agent()
+def test_safety_preserved_judges_each_state_once(agent):
     judged: dict[str, list] = {"now": [], "reference": []}
 
     def counting(key):
@@ -218,20 +214,19 @@ def test_safety_preserved_judges_each_state_once():
 
         return safety
 
-    spec = fx.constants.spec
-    assert check_safety_preserved(spec, fx.alphabet, 4, safety=counting("now")).passed
-    assert ref.check_safety_preserved(spec, fx.alphabet, 4, safety=counting("reference")).passed
+    spec = agent.constants
+    assert check_safety_preserved(spec, agent.alphabet, 4, safety=counting("now")).passed
+    assert ref.check_safety_preserved(spec, agent.alphabet, 4, safety=counting("reference")).passed
     assert len(judged["now"]) == len(set(judged["now"])) == len(set(judged["reference"]))
     assert len(judged["reference"]) > len(judged["now"])
 
 
-def test_refinement_judges_a_stutter_post_state_once_per_state():
+def test_refinement_judges_a_stutter_post_state_once_per_state(agent):
     """``b.inv`` runs at most once per explored state (at its first
     stutter, whose post-state is the state itself) plus once per effected
     step. The initial obligation is ``check_refinement_init``'s, so the
     step check never judges init for it."""
-    fx = read_agent()
-    c, alphabet = fx.constants, fx.alphabet
+    c, alphabet = agent.impl_constants, agent.alphabet
     admitted = []  # the explored states, kept alive so that their ids stay theirs
     judged = []
 
@@ -255,7 +250,7 @@ def test_refinement_judges_a_stutter_post_state_once_per_state():
     assert len(judged) < len(admitted) * len(alphabet)
 
 
-def test_gates_skip_the_step_check_of_mutants_killed_earlier(monkeypatch):
+def test_gates_skip_the_step_check_of_mutants_killed_earlier(agent_flow_text, monkeypatch):
     """Each step obligation is a search of its own, run only when a gate
     reaches it. The permissive stub and ``drop-history-clause`` search
     ``inv_inductive`` only, ``event-to-noeffect`` searches it and
@@ -268,7 +263,7 @@ def test_gates_skip_the_step_check_of_mutants_killed_earlier(monkeypatch):
         return first_failing_step(c, states, alphabet, detail, *args, **kwargs)
 
     monkeypatch.setattr(refinement, "first_failing_step", counting)
-    report = run_gates(serialize_flow(from_fixture(read_agent())), 4)
+    report = run_gates(agent_flow_text, 4)
     assert report.passed
     assert {m.mutation_id: m.killed_by for m in report.mutants} == {
         "drop-allowlist-guard": "safety_preserved",
@@ -280,7 +275,7 @@ def test_gates_skip_the_step_check_of_mutants_killed_earlier(monkeypatch):
     assert searches == [inv, inv, r2, inv]
 
 
-def test_one_gate_run_explores_once_and_judges_each_relation_once(monkeypatch):
+def test_one_gate_run_explores_once_and_judges_each_relation_once(agent_flow_text, monkeypatch):
     """The stub, ``event-to-noeffect`` and ``drop-history-clause`` keep the
     shipped (next_relation, safety) pair, and each relation edit has its
     own: three safety-preservation checks for five bundles, and one set of
@@ -298,18 +293,17 @@ def test_one_gate_run_explores_once_and_judges_each_relation_once(monkeypatch):
     monkeypatch.setattr(gates, "reachable_layers", counting_layers)
     monkeypatch.setattr(refinement, "reachable_layers", counting_layers)
     monkeypatch.setattr(gates, "check_safety_preserved", counting_preserved)
-    report = run_gates(serialize_flow(from_fixture(read_agent())), 4)
+    report = run_gates(agent_flow_text, 4)
     assert report.passed and len(report.mutants) == 4
     assert len(layer_calls) == 1
     assert len(preserved) == len(set(preserved)) == 3
 
 
-def test_the_stub_step_check_stops_after_its_first_inv_failure(monkeypatch):
+def test_the_stub_step_check_stops_after_its_first_inv_failure(agent, monkeypatch):
     """G2 judges no admitted state after the one where the stub first fails
     ``inv_inductive``: neither ``b.inv`` nor ``next_relation`` is called
     while a later state's steps are taken. ``verify_bundle`` goes on."""
-    fx = read_agent()
-    c, alphabet = fx.constants, fx.alphabet
+    c, alphabet = agent.impl_constants, agent.alphabet
     stepping: list = [None]  # the state whose steps are being taken
     judged: list = []  # that state, at each call of b.inv or next_relation
 

@@ -11,6 +11,7 @@ each of them must exist.
 import ast
 import functools
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -107,3 +108,32 @@ def test_every_function_the_tracer_wraps_exists(table):
         if not callable(getattr(importlib.import_module(f"flowguard.{module}"), name, None))
     ]
     assert entries and not missing, f"{table} names functions flowguard lacks: {missing}"
+
+
+def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys):
+    """The tracer's hooks still see the work they measure: the sweep
+    through its ``next_fn`` keyword, ``drive`` through the fields of its
+    ``RunRecord``, replay through its rows, and a policy-edit mutant's
+    abstract steps through the rebound ``spec_next``."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cli = importlib.import_module("flowguard.cli")  # loads every module the tracer wraps
+    flow, log = str(ROOT / "flows" / "read_agent.json"), str(tmp_path / "run.log")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["check", "--flow", flow, "--depth", "2"])]
+        before = tracer.counts["spec_model.spec_next.calls"]
+        codes.append(cli.main(["check", "--flow", flow, "--depth", "4", "--mutation", "drop-allowlist-guard"]))
+        mutant_steps = tracer.counts["spec_model.spec_next.calls"] - before
+        codes.append(cli.main(["run", "--flow", flow, "--steps", "5", "--out", log]))
+        codes.append(cli.main(["replay", "--flow", flow, log]))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 1, 0, 0]
+    assert tracer.counts["havoc.sweep.next_calls"] > 0
+    assert tracer.counts["havoc.drive.steps"] == 5
+    assert tracer.counts["tracelog.replay_trace_log.rows"] == 5
+    assert mutant_steps > 0

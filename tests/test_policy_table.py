@@ -21,14 +21,14 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
-from flowguard.fixtures import rag_flow, read_agent
 from flowguard.gates import SEEDED_ERRORS
-from flowguard.havoc import action_out_of_policy
 from flowguard.impl_model import ImplConstants, ImplState, event_in_policy, impl_inv, impl_next, impl_safety
 from flowguard.refinement import Bundle, _failed_conjunct, perturbations
-from flowguard.spec_model import SpecConstants, SpecState, spec_next, spec_safety
+from flowguard.spec_model import SpecConstants, SpecState, admits_value, spec_next, spec_safety
+from conftest import shipped
 
-GRAPHS = (read_agent().constants.graph, rag_flow(True).constants.graph, rag_flow(False).constants.graph)
+FLOWS = tuple(shipped(name) for name in ("read_agent", "rag_barrier", "rag_no_barrier"))
+GRAPHS = tuple(flow.graph for flow in FLOWS)
 
 paths = st.sampled_from(("/ws", "/ws/", "/ws/a", "/wsx/a", "/etc/pw", "/", "")) | st.text(max_size=6)
 tools = st.sampled_from(("search", "rm", "__unlisted__", "")) | st.text(max_size=4)
@@ -64,7 +64,7 @@ boundary_events = st.one_of(
 
 @st.composite
 def impl_cases(draw):
-    """Constants over one of the fixture graphs and a state on that graph."""
+    """Constants over one of the shipped graphs and a state on that graph."""
     graph = draw(st.sampled_from(GRAPHS))
     return ImplConstants(draw(constants), graph), draw(impl_states(graph))
 
@@ -139,7 +139,7 @@ def test_impl_next_matches_reference(case, a):
 
 @settings(max_examples=60)
 @given(
-    fixture=st.sampled_from((read_agent(), rag_flow(True), rag_flow(False))),
+    fixture=st.sampled_from(FLOWS),
     spec=constants,
     data=st.data(),
 )
@@ -149,7 +149,7 @@ def test_impl_next_matches_reference_on_a_warm_route_table(fixture, spec, data):
     (node, action) at several step counts and halted flags, with actions
     from the flow's alphabet and from outside it. Every stutter hands back
     the pre-state object itself."""
-    graph = fixture.constants.graph
+    graph = fixture.graph
     c = ImplConstants(spec, graph)
     flow_actions = st.sampled_from(fixture.alphabet)
     routes = data.draw(
@@ -187,7 +187,7 @@ def test_event_in_policy_matches_reference(case, effect, wrapped):
 @settings(max_examples=150)
 @given(constants, actions)
 def test_action_out_of_policy_matches_reference(c, a):
-    assert action_out_of_policy(c, a) == ref.action_out_of_policy(c, a)
+    assert (not admits_value(c, a)) == ref.action_out_of_policy(c, a)
 
 
 @settings(max_examples=100)

@@ -15,7 +15,6 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
-from flowguard.fixtures import rag_flow, read_agent
 from flowguard.gates import SEEDED_ERRORS
 from flowguard.havoc import ScriptedOracle, Trace, TraceStep, drive
 from flowguard.impl_model import impl_init, impl_next, impl_safety, impl_wf
@@ -32,13 +31,13 @@ from test_havoc import havoc_traces
 
 
 @pytest.fixture(scope="module")
-def agent_c():
-    return read_agent().constants
+def agent_c(agent):
+    return agent.impl_constants
 
 
 @pytest.fixture(scope="module")
-def alphabet():
-    return read_agent().alphabet
+def alphabet(agent):
+    return agent.alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +113,15 @@ def test_refinement_next_passes_on_read_agent(agent_c, alphabet):
     assert v.explored_states > v.reachable_states > 0
 
 
-def test_refinement_next_passes_on_both_rag_modes():
-    for barrier in (True, False):
-        fx = rag_flow(barrier)
-        v = check_refinement_next(fx.constants, Bundle(), fx.alphabet, 4)
-        assert v.passed, (barrier, v)
+def test_refinement_next_passes_on_both_rag_modes(rag_barrier, rag_no_barrier):
+    for fx in (rag_barrier, rag_no_barrier):
+        v = check_refinement_next(fx.impl_constants, Bundle(), fx.alphabet, 4)
+        assert v.passed, (fx.provenance, v)
 
 
-def test_refinement_passes_in_step_only_accounting_mode():
-    fx = read_agent()
-    spec = dataclasses.replace(fx.constants.spec, count_all_actions=False)
-    c = dataclasses.replace(fx.constants, spec=spec)
-    v = check_refinement_next(c, Bundle(), fx.alphabet, 4)
+def test_refinement_passes_in_step_only_accounting_mode(agent):
+    flow = dataclasses.replace(agent, constants=dataclasses.replace(agent.constants, count_all_actions=False))
+    v = check_refinement_next(flow.impl_constants, Bundle(), flow.alphabet, 4)
     assert v.passed, v
 
 

@@ -18,11 +18,11 @@ import flowguard.impl_model as impl_model
 import sweep_reference as ref
 from flowguard.actions import NoAction, ReadPathAction, StepAction
 from flowguard.cli import main
-from flowguard.fixtures import rag_flow, read_agent
-from flowguard.flowfile import from_fixture, serialize_flow
+from flowguard.flowfile import serialize_flow
 from flowguard.havoc import sweep
 from flowguard.impl_model import STUTTER, ImplState, impl_init, impl_next
 from test_havoc import broken_next
+from conftest import shipped
 from test_tracelog import FITTING, _equal_copy, flow_constants
 
 
@@ -90,26 +90,26 @@ def test_sweep_matches_brute_force_on_random_flows(machine, stutter, c, alphabet
     assert sweep(c, alphabet, depth, next_fn=next_fn) == ref.sweep(c, alphabet, depth, next_fn=next_fn)
 
 
-FIXTURES = {"read_agent": read_agent(), "rag_barrier": rag_flow(barrier=True), "rag_no_barrier": rag_flow(barrier=False)}
+SHIPPED = {name: shipped(name) for name in ("read_agent", "rag_barrier", "rag_no_barrier")}
 
 
 @pytest.mark.parametrize("machine", MACHINES)
-@pytest.mark.parametrize("fixture", FIXTURES)
-def test_sweep_matches_brute_force_on_shipped_flows(fixture, machine):
-    fx = FIXTURES[fixture]
+@pytest.mark.parametrize("flow", SHIPPED)
+def test_sweep_matches_brute_force_on_shipped_flows(flow, machine):
+    fx = SHIPPED[flow]
+    c = fx.impl_constants
     next_fn = MACHINES[machine]
     for alphabet in (fx.alphabet, fx.alphabet[::-1]):
         for depth in range(5):
-            assert sweep(fx.constants, alphabet, depth, next_fn=next_fn) == ref.sweep(
-                fx.constants, alphabet, depth, next_fn=next_fn
-            )
+            assert sweep(c, alphabet, depth, next_fn=next_fn) == ref.sweep(c, alphabet, depth, next_fn=next_fn)
 
 
 def test_broken_machines_fail_with_every_detail():
     """The broken machines above reach each of the sweep's three checks."""
-    fx = read_agent()
+    fx = shipped("read_agent")
+    c = fx.impl_constants
     details = {
-        machine: sweep(fx.constants, fx.alphabet, 5, next_fn=MACHINES[machine]).violation.detail
+        machine: sweep(c, fx.alphabet, 5, next_fn=MACHINES[machine]).violation.detail
         for machine in ("broken_next", "overstepping_next", "forgetful_next", "hushed_next")
     }
     assert details["broken_next"].startswith("out-of-policy event")
@@ -131,9 +131,10 @@ def _counting(fn):
 
 
 def test_sweep_steps_each_prefix_once():
-    fx = read_agent()
+    fx = shipped("read_agent")
+    c = fx.impl_constants
     next_fn = _counting(impl_next)
-    assert sweep(fx.constants, fx.alphabet, 4, next_fn=next_fn).passed
+    assert sweep(c, fx.alphabet, 4, next_fn=next_fn).passed
     assert next_fn.calls == sum(6**k for k in range(1, 5)) == 1554
 
 
@@ -170,13 +171,14 @@ def test_stutters_skip_only_the_state_checks_already_made(monkeypatch):
     stutter out of a judged state, identical or an equal copy, runs
     neither again. Init is judged only once some step reaches it as a
     post-state, which a Read at the entry node never does."""
-    fx = read_agent()
-    init = impl_init(fx.constants)
+    fx = shipped("read_agent")
+    c = fx.impl_constants
+    init = impl_init(c)
     cases = ((fx.alphabet, True), ((ReadPathAction("/ws/x"),), False))
     for stutter, (alphabet, init_reached) in itertools.product(STUTTERS.values(), cases):
         safety, inv = _judging(monkeypatch)
         next_fn = _recording(stutter(impl_next))
-        assert sweep(fx.constants, alphabet, 4, next_fn=next_fn).passed
+        assert sweep(c, alphabet, 4, next_fn=next_fn).passed
         post_states = {post for _pre, post in next_fn.steps}
         assert safety == inv
         assert len(safety) == len(post_states) and set(safety) == post_states
@@ -188,7 +190,8 @@ def test_sweep_hashes_no_identity_stutter_and_judges_each_state_once(monkeypatch
     calls, most of them stutters): only the post-states of effected steps
     are hashed, each once, besides init; and each visited state, init
     included, runs each state predicate once."""
-    fx = read_agent()
+    fx = shipped("read_agent")
+    c = fx.impl_constants
     hashed = []
     state_hash = ImplState.__hash__
 
@@ -199,7 +202,7 @@ def test_sweep_hashes_no_identity_stutter_and_judges_each_state_once(monkeypatch
     monkeypatch.setattr(ImplState, "__hash__", recording_hash)
     safety, inv = _judging(monkeypatch)
     next_fn = _recording(impl_next)  # its steps keep every post-state alive, so ids stay theirs
-    verdict = sweep(fx.constants, fx.alphabet, 6, next_fn=next_fn)
+    verdict = sweep(c, fx.alphabet, 6, next_fn=next_fn)
     assert verdict.passed
     assert len(next_fn.steps) == sum(6**k for k in range(1, 7)) == 55986
     init = next_fn.steps[0][0]
@@ -215,7 +218,8 @@ def test_sweep_judges_the_events_of_effected_steps_only(monkeypatch):
     """The sweep skips the event check for ``STUTTER``, which always
     passes it: of the 55,986 step calls of a depth-6 sweep, only the
     9,033 effected ones run it."""
-    fx = read_agent()
+    fx = shipped("read_agent")
+    c = fx.impl_constants
     checks = _counting(impl_model.event_in_policy)
     monkeypatch.setattr(havoc, "event_in_policy", checks)
     events = []
@@ -225,7 +229,7 @@ def test_sweep_judges_the_events_of_effected_steps_only(monkeypatch):
         events.append(result[0][0])
         return result
 
-    assert sweep(fx.constants, fx.alphabet, 6, next_fn=next_fn).passed
+    assert sweep(c, fx.alphabet, 6, next_fn=next_fn).passed
     assert len(events) == 55986
     assert checks.calls == sum(event is not STUTTER for event in events) == 9033
 
@@ -233,8 +237,8 @@ def test_sweep_judges_the_events_of_effected_steps_only(monkeypatch):
 def test_a_stutter_out_of_init_is_checked(monkeypatch):
     """Init has not been checked as a post-state, so a stutter out of it
     is, and so is an equal copy of init."""
-    fx = read_agent()
-    init = impl_init(fx.constants)
+    c = shipped("read_agent").impl_constants
+    init = impl_init(c)
 
     def not_init(c, s):
         return s != init
@@ -243,22 +247,22 @@ def test_a_stutter_out_of_init_is_checked(monkeypatch):
     monkeypatch.setattr(ref, "impl_safety", not_init)
     for stutter in STUTTERS.values():
         next_fn = stutter(impl_next)
-        verdict = sweep(fx.constants, (NoAction(),), 3, next_fn=next_fn)
-        assert verdict == ref.sweep(fx.constants, (NoAction(),), 3, next_fn=next_fn)
+        verdict = sweep(c, (NoAction(),), 3, next_fn=next_fn)
+        assert verdict == ref.sweep(c, (NoAction(),), 3, next_fn=next_fn)
         assert verdict.violation.step_index == 0
         assert verdict.violation.detail == "safety predicate violated"
 
 
 def test_empty_alphabet():
-    fx = read_agent()
+    c = shipped("read_agent").impl_constants
     for depth in range(3):
-        assert sweep(fx.constants, (), depth) == ref.sweep(fx.constants, (), depth)
-    assert sweep(fx.constants, (), 1).sequences == 0
+        assert sweep(c, (), depth) == ref.sweep(c, (), depth)
+    assert sweep(c, (), 1).sequences == 0
 
 
 def test_sweep_at_depth_5000_does_not_recurse(tmp_path):
     path = tmp_path / "step_only.json"
-    path.write_text(serialize_flow(dataclasses.replace(from_fixture(read_agent()), alphabet=(StepAction(),))))
+    path.write_text(serialize_flow(dataclasses.replace(shipped("read_agent"), alphabet=(StepAction(),))))
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--flow", str(path), "--depth", "5000", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
