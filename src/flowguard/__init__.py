@@ -29,7 +29,6 @@ from .actions import (
 from .flowfile import FlowDefinition, FlowFileError, load_flow, parse_flow, serialize_flow
 from .gates import (
     SEEDED_ERRORS,
-    CheckRun,
     GateReport,
     check_template_fitness,
     gate_discrimination,
@@ -61,6 +60,7 @@ from .impl_model import (
 )
 from .refinement import (
     Bundle,
+    CheckRun,
     RefinementVerdict,
     SoundnessVerdict,
     check_refinement_init,

@@ -103,7 +103,7 @@ def cmd_check(args) -> int:
     c = defn.impl_constants
     bundle = mutation_by_id(args.mutation).apply(Bundle()) if args.mutation else Bundle()
 
-    outcome = verify_bundle(c, bundle, defn.alphabet, args.depth)
+    verified = verify_bundle(c, bundle, defn.alphabet, args.depth)
     sweep_verdict = sweep(c, defn.alphabet, args.depth)
 
     obligations = [
@@ -113,7 +113,7 @@ def cmd_check(args) -> int:
             **({"detail": o.detail} if o.detail else {}),
             **({"explored_states": o.explored_states} if o.explored_states is not None else {}),
         }
-        for o in outcome.obligations
+        for o in verified
     ]
     obligations.append(
         {
@@ -133,7 +133,7 @@ def cmd_check(args) -> int:
     if note := step_bound_floor_note(c, args.depth):
         warnings.append(f"{note}, so a step-bound error passes this check")
 
-    ok = outcome.passed and sweep_verdict.passed
+    ok = all(o.passed for o in verified) and sweep_verdict.passed
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": "check-report",

@@ -25,36 +25,21 @@ from a corrupted one. Three gates and a fitness audit enforce that:
                         is vacuously true along every reachable state:
                         the machine never writes the field it polices.
 
-"Verification" for gate purposes is the full lemma set: initial safety,
-inductive safety preservation, initial refinement matching, and the step
-simulation with its invariant obligation. ``obligations`` runs them in
-that fixed order, each check only when its obligation is reached, and
-each step obligation is a search of its own. G2 and G3 stop at the first
-failed obligation (the one their verdict names), so they search none
-after it, while ``verify_bundle``, and so ``flowguard check``, judges
-and reports all six. A flow that fails G1 is unusable input: ``flowguard
-gates`` then exits 2 with a report holding only the G1 verdict.
-Enumeration checks truth, not proof effort, so bundle-invariant edits
-are applied to the assumption side only (the obligations keep the
-declared invariant); a symmetric edit to a non-load-bearing clause would
-otherwise be undetectable in principle.
-
-A mutation replaces one field of the bundle: the constants, the concrete
-machine, the alphabet and the depth are the same before and after. So one
-``CheckRun`` serves G2, every G3 mutant and fitness: it fixes the
-machine, alphabet and depth they check, explores the concrete side once,
-and judges safety preservation once per distinct abstract relation and
-safety predicate.
+G2 and G3 verify each bundle with ``refinement.obligations`` over one
+shared ``refinement.CheckRun`` and stop at the first one that fails,
+which their verdict names. A flow that fails G1 is unusable input:
+``flowguard gates`` then exits 2 with a report holding only the G1
+verdict.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable
 
-from .actions import Action, NoEffect, format_action, format_boundary_event
+from .actions import Action, NoEffect
 from .flowfile import (
     FlowDefinition,
     FlowFileError,
@@ -62,23 +47,9 @@ from .flowfile import (
     serialize_flow,
     with_prefix_mode,
 )
-from .impl_model import INVARIANT, FlowGraphError, ImplConstants, ImplState, impl_inv, impl_wf
-from .refinement import (
-    Bundle,
-    StepDomain,
-    check_refinement_init,
-    reachable_layers,
-    step_domain,
-    step_obligations,
-)
-from .spec_model import (
-    POLICY,
-    SEQUENCE_CONJUNCTS,
-    PreservationVerdict,
-    check_safety_preserved,
-    spec_init,
-    spec_next,
-)
+from .impl_model import INVARIANT, FlowGraphError, ImplConstants, impl_inv, impl_wf
+from .refinement import Bundle, CheckRun, Obligation, obligations
+from .spec_model import POLICY, SEQUENCE_CONJUNCTS, spec_next
 
 DEFAULT_GATE_BUDGET_SECONDS = 30.0
 
@@ -177,97 +148,13 @@ def mutation_by_id(mutation_id: str) -> Mutation:
 
 
 # ---------------------------------------------------------------------------
-# The verification stand-in the gates run mutants through
+# Verification
 
 
-@dataclass(frozen=True)
-class Obligation:
-    name: str
-    passed: bool
-    detail: str = ""
-    explored_states: int | None = None
-
-
-@dataclass(frozen=True)
-class VerificationOutcome:
-    obligations: tuple[Obligation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(o.passed for o in self.obligations)
-
-
-def _describe_preservation(v: PreservationVerdict) -> str:
-    if v.passed or v.counterexample is None:
-        return ""
-    cx = v.counterexample
-    return (
-        f"unsafe successor via {format_action(cx.action)} "
-        f"emitting {format_boundary_event(cx.event)}"
-    )
-
-
-class CheckRun:
-    """The work that every bundle checked on one concrete machine, alphabet
-    and depth shares: the reachable layers, the step domain, and the
-    safety-preservation verdict of each distinct (next_relation, safety)
-    pair. Each is computed when first needed. Keying those verdicts by
-    identity is sound because the cache keeps its keys alive.
-    Successor states and abstract steps are not kept across bundles:
-    holding them costs more memory than recomputing them costs time."""
-
-    def __init__(self, c: ImplConstants, alphabet: tuple[Action, ...], depth: int):
-        self.c, self.alphabet, self.depth = c, alphabet, depth
-        self._preserved: dict[tuple, PreservationVerdict] = {}
-
-    @cached_property
-    def layers(self) -> list[list[ImplState]]:
-        return reachable_layers(self.c, self.alphabet, self.depth)
-
-    @cached_property
-    def domain(self) -> StepDomain:
-        return step_domain(self.c, self.alphabet, self.depth, self.layers)
-
-    def safety_preserved(self, b: Bundle) -> PreservationVerdict:
-        key = (b.next_relation, b.safety)
-        if key not in self._preserved:
-            self._preserved[key] = check_safety_preserved(
-                self.c.spec, self.alphabet, self.depth, next_relation=b.next_relation, safety=b.safety
-            )
-        return self._preserved[key]
-
-
-def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
-    """The full lemma set on a (possibly mutated) bundle, one obligation at
-    a time in a fixed order: init_safety, safety_preserved,
-    refinement_init, then the step obligations inv_inductive,
-    r2_step_simulation and r3_safety_transport. Each check runs only when
-    its obligation is reached, so a caller that stops at the first failure
-    skips every check after it."""
-    ca = run.c.spec
-    yield Obligation("init_safety", b.safety(ca, spec_init(ca)))
-
-    preserved = run.safety_preserved(b)
-    yield Obligation(
-        "safety_preserved",
-        preserved.passed,
-        _describe_preservation(preserved),
-        explored_states=preserved.explored_states,
-    )
-
-    r_init = check_refinement_init(run.c, b)
-    yield Obligation("refinement_init", r_init.passed, r_init.detail)
-
-    states = run.domain.admitted(run.c, b)
-    for name, cx in step_obligations(run.c, b, run.alphabet, states):
-        detail = f"{cx.detail}; action {format_action(cx.action)}" if cx else ""
-        yield Obligation(name, cx is None, detail, explored_states=len(states))
-
-
-def verify_bundle(c: ImplConstants, b: Bundle, alphabet: tuple[Action, ...], depth: int) -> VerificationOutcome:
+def verify_bundle(c: ImplConstants, b: Bundle, alphabet: tuple[Action, ...], depth: int) -> tuple[Obligation, ...]:
     """Run the full lemma set on a (possibly mutated) bundle and report
     every obligation."""
-    return VerificationOutcome(tuple(obligations(CheckRun(c, alphabet, depth), b)))
+    return tuple(obligations(CheckRun(c, alphabet, depth), b))
 
 
 def step_bound_floor_note(c: ImplConstants, depth: int) -> str | None:
@@ -303,10 +190,10 @@ class ResolutionOutcome:
     flow: FlowDefinition | None = None
 
 
-def gate_resolution(flow_text: str, timeout_seconds: float = DEFAULT_GATE_BUDGET_SECONDS) -> ResolutionOutcome:
+def gate_resolution(flow_text: str) -> ResolutionOutcome:
     """G1: the flow loads from its serialized form (which validates its
     constants, graph and alphabet), serializes back to itself, and loading
-    fits the budget."""
+    fits ``DEFAULT_GATE_BUDGET_SECONDS``."""
     started = time.monotonic()
     try:
         flow = parse_flow(flow_text)
@@ -315,9 +202,9 @@ def gate_resolution(flow_text: str, timeout_seconds: float = DEFAULT_GATE_BUDGET
     except (FlowFileError, FlowGraphError, ValueError) as e:
         return ResolutionOutcome(GateVerdict("g1", "fail", str(e)))
     elapsed = time.monotonic() - started
-    if elapsed > timeout_seconds:
+    if elapsed > DEFAULT_GATE_BUDGET_SECONDS:
         return ResolutionOutcome(
-            GateVerdict("g1", "fail", f"load exceeded the {timeout_seconds:.0f}s budget")
+            GateVerdict("g1", "fail", f"load exceeded the {DEFAULT_GATE_BUDGET_SECONDS:.0f}s budget")
         )
     return ResolutionOutcome(GateVerdict("g1", "pass"), flow)
 
@@ -349,7 +236,7 @@ class MutantResult:
     detail: str = ""
 
 
-def gate_discrimination(run: CheckRun, bundle: Bundle, mutation: Mutation) -> tuple[GateVerdict, MutantResult]:
+def gate_discrimination(run: CheckRun, bundle: Bundle, mutation: Mutation) -> MutantResult:
     """G3 for one mutation: the seeded error must fail verification on
     ``run``'s machine, alphabet and depth. Its obligations are checked in
     order up to the first one that fails, which is the one that kills it."""
@@ -357,10 +244,8 @@ def gate_discrimination(run: CheckRun, bundle: Bundle, mutation: Mutation) -> tu
         raise ValueError(f"G3 takes seeded errors, got kind {mutation.kind!r}")
     failed = next((o for o in obligations(run, mutation.apply(bundle)) if not o.passed), None)
     if failed is None:
-        result = MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged")
-        return GateVerdict("g3", "fail", f"surviving mutant {mutation.mutation_id}"), result
-    result = MutantResult(mutation.mutation_id, True, killed_by=failed.name, detail=failed.detail)
-    return GateVerdict("g3", "pass", f"mutant {mutation.mutation_id} killed by {failed.name}"), result
+        return MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged")
+    return MutantResult(mutation.mutation_id, True, killed_by=failed.name, detail=failed.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +328,6 @@ def run_gates(
     flow_text: str,
     depth: int,
     mutation_ids: tuple[str, ...] | None = None,
-    timeout_seconds: float = DEFAULT_GATE_BUDGET_SECONDS,
     prefix_mode: str | None = None,
 ) -> GateReport:
     """G1 -> G2 -> G3 -> fitness, short-circuiting after a G1 failure.
@@ -458,7 +342,7 @@ def run_gates(
         raise ValueError("depth must be >= 0")
     ids = mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS)
     mutations = [mutation_by_id(mid) for mid in ids]
-    resolution = gate_resolution(flow_text, timeout_seconds)
+    resolution = gate_resolution(flow_text)
     if not resolution.verdict.passed:
         skipped = GateVerdict("g2", "skipped", "g1 failed")
         return GateReport(
@@ -475,7 +359,7 @@ def run_gates(
 
     g2 = gate_vacuity(run, bundle)
 
-    mutants = [gate_discrimination(run, bundle, m)[1] for m in mutations]
+    mutants = [gate_discrimination(run, bundle, m) for m in mutations]
     if all(m.killed for m in mutants):
         g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")
     else:

@@ -86,15 +86,18 @@ class SeededRandomOracle:
         return self.alphabet[self._rng.randrange(len(self.alphabet))]
 
 
-class AdversarialOracle:
-    """Seeded sampler with extra weight on statically out-of-policy values,
-    so rejection paths are hit early."""
+ADVERSARIAL_BOOST = 4.0
 
-    def __init__(self, seed: int, alphabet: Sequence[Action], constants: SpecConstants, boost: float = 4.0):
+
+class AdversarialOracle:
+    """Seeded sampler with ``ADVERSARIAL_BOOST`` times the weight on
+    statically out-of-policy values, so rejection paths are hit early."""
+
+    def __init__(self, seed: int, alphabet: Sequence[Action], constants: SpecConstants):
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         self.alphabet = tuple(alphabet)
-        self.weights = tuple(1.0 if admits_value(constants, a) else boost for a in self.alphabet)
+        self.weights = tuple(1.0 if admits_value(constants, a) else ADVERSARIAL_BOOST for a in self.alphabet)
         self._rng = random.Random(seed)
 
     def choose(self, i: int, state: ImplState) -> Action:

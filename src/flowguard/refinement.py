@@ -31,6 +31,25 @@ is its own search for a first counterexample over the admitted states, in
 that order, run only when a caller asks for it: ``check_refinement_next``
 asks for all three, and a gate stops asking at the first failure.
 
+Verification is the full lemma set: initial safety, inductive safety
+preservation, initial refinement matching, and the step simulation with
+its invariant obligation. ``obligations`` runs them in that fixed order,
+each check only when its obligation is reached. The validation gates stop
+at the first failed obligation (the one their verdict names), so they
+search none after it, while ``flowguard check`` judges and reports all
+six. Enumeration checks truth, not proof effort, so bundle-invariant
+edits are applied to the assumption side only (the obligations keep the
+declared invariant); a symmetric edit to a non-load-bearing clause would
+otherwise be undetectable in principle.
+
+One ``CheckRun`` fixes the concrete machine, alphabet and depth and holds
+the one exploration of the concrete side that every bundle checked there
+shares: the reachable layers, the step obligations' candidate states, and
+a safety-preservation verdict per distinct abstract relation and safety
+predicate. A seeded error replaces one field of the bundle and leaves the
+machine, alphabet and depth as they were, so one run serves the
+unmutated bundle, every mutant and the fitness audit.
+
 A trace-level soundness check composes the same ingredients in three
 stages: lift the concrete trace to an abstract run by replaying actions
 and abstracted events from the abstract initial state, check abstract
@@ -41,9 +60,10 @@ conjuncts on the concrete states. The stage that fails is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterator
 
-from .actions import Action, BoundaryEvent, ImplEvent, NoAction
+from .actions import Action, BoundaryEvent, ImplEvent, NoAction, format_action, format_boundary_event
 from .havoc import Trace
 from .impl_model import (
     NO_NODE,
@@ -57,8 +77,10 @@ from .impl_model import (
 )
 from .spec_model import (
     SEQUENCE_CONJUNCTS,
+    PreservationVerdict,
     SpecConstants,
     SpecState,
+    check_safety_preserved,
     spec_init,
     spec_next,
     spec_safety,
@@ -169,42 +191,53 @@ def reachable_layers(c: ImplConstants, alphabet: tuple[Action, ...], depth: int)
     return layers
 
 
-@dataclass(frozen=True)
-class StepDomain:
-    """The states the step obligations range over before the assumed
-    invariant filters them: the states reachable in fewer than ``depth``
-    steps and their perturbations, each once in order of first appearance,
-    keeping the well-formed ones. It depends on the concrete machine only,
-    so every bundle checked at one depth can share it."""
+class CheckRun:
+    """The work that every bundle checked on one concrete machine, alphabet
+    and depth shares: the reachable layers, the step obligations'
+    candidate states, and the safety-preservation verdict of each distinct
+    (next_relation, safety) pair. Each is computed when first needed.
+    Keying those verdicts by identity is sound because the cache keeps its
+    keys alive. Successor states and abstract steps are not kept across
+    bundles: holding them costs more memory than recomputing them costs
+    time."""
 
-    reachable_states: int
-    candidates: tuple[ImplState, ...]
+    def __init__(self, c: ImplConstants, alphabet: tuple[Action, ...], depth: int):
+        self.c, self.alphabet, self.depth = c, alphabet, depth
+        self._preserved: dict[tuple, PreservationVerdict] = {}
 
-    def admitted(self, c: ImplConstants, b: Bundle) -> list[ImplState]:
+    @cached_property
+    def layers(self) -> list[list[ImplState]]:
+        return reachable_layers(self.c, self.alphabet, self.depth)
+
+    @cached_property
+    def candidates(self) -> tuple[ImplState, ...]:
+        """The states the step obligations range over before the assumed
+        invariant filters them: the states reachable in fewer than
+        ``depth`` steps and their perturbations, each once in order of
+        first appearance, keeping the well-formed ones."""
+        out: list[ImplState] = []
+        seen: set[ImplState] = set()
+        for layer in self.layers[: self.depth]:
+            for base in layer:
+                for candidate in (base,) + perturbations(self.c, base, self.alphabet):
+                    if candidate not in seen:
+                        seen.add(candidate)
+                        if impl_wf(self.c, candidate):
+                            out.append(candidate)
+        return tuple(out)
+
+    def admitted(self, b: Bundle) -> list[ImplState]:
         """The candidates the bundle's assumed invariant admits, in order."""
         assume = b.assume_inv or b.inv
-        return [s for s in self.candidates if assume(c, s)]
+        return [s for s in self.candidates if assume(self.c, s)]
 
-
-def step_domain(
-    c: ImplConstants,
-    alphabet: tuple[Action, ...],
-    depth: int,
-    layers: list[list[ImplState]],
-) -> StepDomain:
-    """The step domain at ``depth``, given ``layers``, the
-    ``reachable_layers(c, alphabet, depth)``."""
-    bases = [s for layer in layers[:depth] for s in layer]
-    candidates: list[ImplState] = []
-    seen: set[ImplState] = set()
-    for base in bases:
-        for candidate in (base,) + perturbations(c, base, alphabet):
-            if candidate in seen:
-                continue
-            seen.add(candidate)
-            if impl_wf(c, candidate):
-                candidates.append(candidate)
-    return StepDomain(len(bases), tuple(candidates))
+    def safety_preserved(self, b: Bundle) -> PreservationVerdict:
+        key = (b.next_relation, b.safety)
+        if key not in self._preserved:
+            self._preserved[key] = check_safety_preserved(
+                self.c.spec, self.alphabet, self.depth, next_relation=b.next_relation, safety=b.safety
+            )
+        return self._preserved[key]
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +254,11 @@ class StepCounterexample:
 
 
 @dataclass(frozen=True)
-class InitVerdict:
+class Obligation:
+    name: str
     passed: bool
     detail: str = ""
+    explored_states: int | None = None
 
 
 @dataclass(frozen=True)
@@ -246,15 +281,15 @@ class RefinementVerdict:
         return self.r2 and self.r3 and self.inv_inductive
 
 
-def check_refinement_init(c: ImplConstants, b: Bundle) -> InitVerdict:
+def check_refinement_init(c: ImplConstants, b: Bundle) -> Obligation:
     """Initial obligation: the invariant holds at init and the abstracted
     initial state equals the abstract initial state."""
     s0 = impl_init(c)
     if not b.inv(c, s0):
-        return InitVerdict(False, "invariant fails at the initial state")
+        return Obligation("refinement_init", False, "invariant fails at the initial state")
     if b.variables_abs(s0) != spec_init(c.spec):
-        return InitVerdict(False, "abstracted initial state differs from the abstract init")
-    return InitVerdict(True)
+        return Obligation("refinement_init", False, "abstracted initial state differs from the abstract init")
+    return Obligation("refinement_init", True)
 
 
 def first_failing_step(
@@ -349,20 +384,56 @@ def check_refinement_next(c: ImplConstants, b: Bundle, alphabet: tuple[Action, .
     weaker predicate than the declared one must fail unless the declared
     invariant demanded nothing.
     """
-    domain = step_domain(c, alphabet, depth, reachable_layers(c, alphabet, depth))
-    states = domain.admitted(c, b)
+    run = CheckRun(c, alphabet, depth)
+    states = run.admitted(b)
     cx = dict(step_obligations(c, b, alphabet, states))
     return RefinementVerdict(
         r2=cx["r2_step_simulation"] is None,
         r3=cx["r3_safety_transport"] is None,
         inv_inductive=cx["inv_inductive"] is None,
         explored_states=len(states),
-        reachable_states=domain.reachable_states,
+        reachable_states=sum(map(len, run.layers[:depth])),
         depth=depth,
         r2_counterexample=cx["r2_step_simulation"],
         r3_counterexample=cx["r3_safety_transport"],
         inv_counterexample=cx["inv_inductive"],
     )
+
+
+def _describe_preservation(v: PreservationVerdict) -> str:
+    if v.passed or v.counterexample is None:
+        return ""
+    cx = v.counterexample
+    return (
+        f"unsafe successor via {format_action(cx.action)} "
+        f"emitting {format_boundary_event(cx.event)}"
+    )
+
+
+def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
+    """The full lemma set on a (possibly mutated) bundle, one obligation at
+    a time in a fixed order: init_safety, safety_preserved,
+    refinement_init, then the step obligations inv_inductive,
+    r2_step_simulation and r3_safety_transport. Each check runs only when
+    its obligation is reached, so a caller that stops at the first failure
+    skips every check after it."""
+    ca = run.c.spec
+    yield Obligation("init_safety", b.safety(ca, spec_init(ca)))
+
+    preserved = run.safety_preserved(b)
+    yield Obligation(
+        "safety_preserved",
+        preserved.passed,
+        _describe_preservation(preserved),
+        explored_states=preserved.explored_states,
+    )
+
+    yield check_refinement_init(run.c, b)
+
+    states = run.admitted(b)
+    for name, cx in step_obligations(run.c, b, run.alphabet, states):
+        detail = f"{cx.detail}; action {format_action(cx.action)}" if cx else ""
+        yield Obligation(name, cx is None, detail, explored_states=len(states))
 
 
 # ---------------------------------------------------------------------------

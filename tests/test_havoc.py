@@ -93,7 +93,7 @@ def test_adversarial_run_emits_nothing_out_of_policy(agent):
 
 
 def test_adversarial_weights_prefer_out_of_policy_actions(agent):
-    oracle = AdversarialOracle(0, agent.alphabet, agent.constants, boost=4.0)
+    oracle = AdversarialOracle(0, agent.alphabet, agent.constants)
     by_action = dict(zip(agent.alphabet, oracle.weights))
     assert by_action[ReadPathAction("/etc/pw")] == 4.0
     assert by_action[ToolCallAction("rm")] == 4.0

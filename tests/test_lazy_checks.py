@@ -16,21 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flowguard.gates as gates
 import flowguard.refinement as refinement
 import refinement_reference as ref
 from flowguard.actions import NoAction
 from flowguard.flowfile import FlowDefinition, serialize_flow, with_prefix_mode
 from flowguard.gates import (
     SEEDED_ERRORS,
-    CheckRun,
     GateVerdict,
     MutantResult,
     check_template_fitness,
     gate_discrimination,
     gate_vacuity,
     identity_mutation,
-    obligations,
     permissive_stub,
     run_gates,
     verify_bundle,
@@ -38,10 +35,12 @@ from flowguard.gates import (
 from flowguard.impl_model import impl_inv, impl_next, impl_wf
 from flowguard.refinement import (
     Bundle,
+    CheckRun,
     check_refinement_next,
     first_failing_step,
+    obligations,
+    perturbations,
     reachable_layers,
-    step_domain,
 )
 from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_next, spec_safety
 from conftest import shipped
@@ -107,7 +106,7 @@ def assert_checkers_match_reference(c, alphabet, depth):
         full = ref.check_refinement_next(c, b, alphabet, depth, **relation, assume_inv=b.assume_inv)
         assert check_refinement_next(c, b, alphabet, depth) == full, name
         stopped = through_first_failure(obligations(CheckRun(c, alphabet, depth), b))
-        assert stopped == through_first_failure(verify_bundle(c, b, alphabet, depth).obligations), name
+        assert stopped == through_first_failure(verify_bundle(c, b, alphabet, depth)), name
 
 
 def expected_gates(c, alphabet, depth, mutations):
@@ -118,7 +117,7 @@ def expected_gates(c, alphabet, depth, mutations):
     results = []
     for mutation in mutations:
         outcome = verify_bundle(c, mutation.apply(bundle), alphabet, depth)
-        assert tuple(o.name for o in outcome.obligations) == OBLIGATION_ORDER
+        assert tuple(o.name for o in outcome) == OBLIGATION_ORDER
         failed = first_failure(outcome)
         if failed is None:
             results.append(MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged"))
@@ -139,7 +138,7 @@ def assert_gates_stop_at_first_failure(c, alphabet, depth):
     mutations = (*SEEDED_ERRORS.values(), identity_mutation())
     g2, results = expected_gates(c, alphabet, depth, mutations)
     run = CheckRun(c, alphabet, depth)
-    assert [gate_discrimination(run, bundle, m)[1] for m in mutations] == results
+    assert [gate_discrimination(run, bundle, m) for m in mutations] == results
     if g2 is not None:
         assert gate_vacuity(run, bundle) == g2
 
@@ -170,7 +169,7 @@ def test_checkers_and_gates_match_reference_on_random_flows(c, alphabet, depth):
     ),
 )
 def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, prefix_mode, mutation_ids):
-    """One ``run_gates`` shares its layers, step domain and safety verdicts
+    """One ``run_gates`` shares its layers, candidate states and safety verdicts
     across G2, the mutants and fitness, and searches each step obligation
     only when a gate reaches it; every verdict, and each mutant's counterexample detail, must still be
     what unshared, full checks of the same flow give."""
@@ -275,12 +274,13 @@ def test_gates_skip_the_step_check_of_mutants_killed_earlier(agent_flow_text, mo
     assert searches == [inv, inv, r2, inv]
 
 
-def test_one_gate_run_explores_once_and_judges_each_relation_once(agent_flow_text, monkeypatch):
+def test_one_gate_run_explores_once_and_judges_each_relation_once(agent, agent_flow_text, monkeypatch):
     """The stub, ``event-to-noeffect`` and ``drop-history-clause`` keep the
     shipped (next_relation, safety) pair, and each relation edit has its
-    own: three safety-preservation checks for five bundles, and one set of
-    reachable layers for G2, G3 and fitness."""
-    layer_calls, preserved = [], []
+    own: three safety-preservation checks for five bundles, one set of
+    reachable layers for G2, G3 and fitness, and one perturbation pass over
+    its base states. ``check_refinement_next`` explores once too."""
+    layer_calls, preserved, perturbed = [], [], []
 
     def counting_layers(*args):
         layer_calls.append(args)
@@ -290,13 +290,24 @@ def test_one_gate_run_explores_once_and_judges_each_relation_once(agent_flow_tex
         preserved.append((kwargs["next_relation"], kwargs["safety"]))
         return check_safety_preserved(*args, **kwargs)
 
-    monkeypatch.setattr(gates, "reachable_layers", counting_layers)
+    def counting_perturbations(c, s, alphabet):
+        perturbed.append(s)
+        return perturbations(c, s, alphabet)
+
     monkeypatch.setattr(refinement, "reachable_layers", counting_layers)
-    monkeypatch.setattr(gates, "check_safety_preserved", counting_preserved)
+    monkeypatch.setattr(refinement, "check_safety_preserved", counting_preserved)
+    monkeypatch.setattr(refinement, "perturbations", counting_perturbations)
     report = run_gates(agent_flow_text, 4)
     assert report.passed and len(report.mutants) == 4
     assert len(layer_calls) == 1
     assert len(preserved) == len(set(preserved)) == 3
+    assert perturbed == [s for layer in reachable_layers(*layer_calls[0])[:4] for s in layer]
+
+    layer_calls.clear()
+    perturbed.clear()
+    verdict = check_refinement_next(agent.impl_constants, Bundle(), agent.alphabet, 4)
+    assert verdict.passed and len(layer_calls) == 1
+    assert len(perturbed) == len(set(perturbed)) == verdict.reachable_states
 
 
 def test_the_stub_step_check_stops_after_its_first_inv_failure(agent, monkeypatch):
@@ -319,7 +330,7 @@ def test_the_stub_step_check_stops_after_its_first_inv_failure(agent, monkeypatc
         judged.append(stepping[0])
         return spec_next(c, s, a)
 
-    admitted = [s for s in step_domain(c, alphabet, 4, reachable_layers(c, alphabet, 4)).candidates if impl_wf(c, s)]
+    admitted = [s for s in CheckRun(c, alphabet, 4).candidates if impl_wf(c, s)]
     order = {s: i for i, s in enumerate(admitted)}
     first_failure = check_refinement_next(c, Bundle(assume_inv=impl_wf), alphabet, 4).inv_counterexample
     bundle = Bundle(next_relation=relation, inv=inv)

@@ -5,7 +5,7 @@ module, and every public method and property of its top-level classes,
 must be referenced outside its own definition: by other code in ``src/``
 (the ``__init__`` exports do not count), by a demo, by the benchmark, or
 by the README. The benchmark's tracer wraps the functions it names, so
-each of them must exist.
+each of them must exist. No module imports a name it does not use.
 """
 
 import ast
@@ -83,6 +83,21 @@ def test_every_top_level_name_is_used_outside_the_tests(module):
             if name not in used | own_module and not re.search(rf"\b{re.escape(name)}\b", readme):
                 unused.append(name)
     assert not unused, f"{module.name}: only tests use {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_every_module_level_import_is_used(module):
+    """A name a module imports at module level is used in that module, so
+    that moving code out of a module takes its imports along."""
+    tree = ast.parse(module.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", None) != "__future__"
+        for alias in stmt.names
+    }
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not imported - used, f"{module.name}: unused imports {sorted(imported - used)}"
 
 
 def tracer_table(name: str) -> tuple[tuple[str, str], ...]:
