@@ -36,12 +36,31 @@ def _load(args) -> FlowDefinition:
     return with_prefix_mode(load_flow(args.flow), args.prefix_mode)
 
 
-def _emit(args, document: dict) -> None:
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+def _write(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _report(args, kind: str, defn: FlowDefinition | None, **fields) -> None:
+    """Write one report: the shared header, then ``fields``. The flow's
+    digest and provenance are in the header when a flow was loaded."""
+    header = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, "depth": args.depth}
+    if defn is not None:
+        header.update(flow_digest=flow_digest(defn), provenance=defn.provenance)
+    _write(args, json.dumps({**header, **fields}, indent=2, sort_keys=True) + "\n")
+
+
+def _verdict(v, **extra) -> dict:
+    return {"status": v.status, "detail": v.detail, **extra}
+
+
+def _sweep_fields(verdict) -> dict:
+    fields = {"sequences": verdict.sequences}
+    if verdict.violation:
+        fields.update(violating_script=list(verdict.violation.script), detail=verdict.violation.detail)
+    return fields
 
 
 # A ``scripted:`` body is action literals separated by ``;``, in which
@@ -76,11 +95,7 @@ def cmd_run(args) -> int:
     strategy, label = _build_strategy(args, defn)
     record = drive(defn.impl_constants, strategy, args.steps)
     seed = args.seed if label in ("random", "adversarial") else None
-    text = render_trace_log(defn, record, strategy=args.strategy, seed=seed)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, render_trace_log(defn, record, strategy=args.strategy, seed=seed))
 
     c = defn.impl_constants
     violations = [
@@ -116,16 +131,7 @@ def cmd_check(args) -> int:
         for o in verified
     ]
     obligations.append(
-        {
-            "name": "havoc_sweep",
-            "status": "pass" if sweep_verdict.passed else "fail",
-            "sequences": sweep_verdict.sequences,
-            **(
-                {"violating_script": list(sweep_verdict.violation.script), "detail": sweep_verdict.violation.detail}
-                if sweep_verdict.violation
-                else {}
-            ),
-        }
+        {"name": "havoc_sweep", "status": "pass" if sweep_verdict.passed else "fail", **_sweep_fields(sweep_verdict)}
     )
     warnings = []
     if args.depth < 1:
@@ -134,18 +140,15 @@ def cmd_check(args) -> int:
         warnings.append(f"{note}, so a step-bound error passes this check")
 
     ok = all(o.passed for o in verified) and sweep_verdict.passed
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "check-report",
-        "flow_digest": flow_digest(defn),
-        "provenance": defn.provenance,
-        "depth": args.depth,
-        "mutation": args.mutation or None,
-        "obligations": obligations,
-        "warnings": warnings,
-        "overall": "pass" if ok else "fail",
-    }
-    _emit(args, report)
+    _report(
+        args,
+        "check-report",
+        defn,
+        mutation=args.mutation or None,
+        obligations=obligations,
+        warnings=warnings,
+        overall="pass" if ok else "fail",
+    )
     if not ok:
         first = next(o for o in obligations if o["status"] == "fail")
         print(f"check failed: {first['name']}: {first.get('detail', '')}", file=sys.stderr)
@@ -153,48 +156,32 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _gate_report_document(defn: FlowDefinition, depth: int, report: GateReport) -> dict:
-    doc = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "gate-report",
-        "flow_digest": flow_digest(defn),
-        "provenance": defn.provenance,
-        "depth": depth,
+def _gate_fields(report: GateReport) -> dict:
+    mutants = [
+        {"id": m.mutation_id, "killed": m.killed, **({"killed_by": m.killed_by} if m.killed_by else {})}
+        for m in report.mutants
+    ]
+    conjuncts = [
+        {
+            "name": cf.name,
+            "status": cf.status,
+            **(
+                {"witness_depth": cf.witness_depth, "witness": list(cf.witness_value)}
+                if cf.status == "witnessed"
+                else {}
+            ),
+        }
+        for cf in (report.fitness.conjuncts if report.fitness else ())
+    ]
+    return {
         "gates": {
-            "g1": {"status": report.g1.status, "detail": report.g1.detail},
-            "g2": {"status": report.g2.status, "detail": report.g2.detail},
-            "g3": {
-                "status": report.g3.status,
-                "detail": report.g3.detail,
-                "mutants": [
-                    {
-                        "id": m.mutation_id,
-                        "killed": m.killed,
-                        **({"killed_by": m.killed_by} if m.killed_by else {}),
-                    }
-                    for m in report.mutants
-                ],
-            },
-            "fitness": {
-                "status": report.fitness_verdict.status,
-                "detail": report.fitness_verdict.detail,
-                "conjuncts": [
-                    {
-                        "name": cf.name,
-                        "status": cf.status,
-                        **(
-                            {"witness_depth": cf.witness_depth, "witness": list(cf.witness_value)}
-                            if cf.status == "witnessed"
-                            else {}
-                        ),
-                    }
-                    for cf in (report.fitness.conjuncts if report.fitness else ())
-                ],
-            },
+            "g1": _verdict(report.g1),
+            "g2": _verdict(report.g2),
+            "g3": _verdict(report.g3, mutants=mutants),
+            "fitness": _verdict(report.fitness_verdict, conjuncts=conjuncts),
         },
         "overall": "pass" if report.passed else "fail",
     }
-    return doc
 
 
 def cmd_gates(args) -> int:
@@ -202,22 +189,13 @@ def cmd_gates(args) -> int:
     mutation_ids = tuple(args.mutation.split(",")) if args.mutation else None
     report = run_gates(text, args.depth, mutation_ids, prefix_mode=args.prefix_mode)
 
-    # On a G1 failure there is no verified flow: emit a reduced document,
-    # and exit as for any unusable flow file.
+    # On a G1 failure there is no verified flow: the report holds only the
+    # G1 verdict, and the exit is as for any unusable flow file.
     if report.flow is None:
-        _emit(
-            args,
-            {
-                "schema_version": REPORT_SCHEMA_VERSION,
-                "kind": "gate-report",
-                "depth": args.depth,
-                "gates": {"g1": {"status": "fail", "detail": report.g1.detail}},
-                "overall": "fail",
-            },
-        )
+        _report(args, "gate-report", None, gates={"g1": _verdict(report.g1)}, overall="fail")
         print("failing gates: g1", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, _gate_report_document(report.flow, args.depth, report))
+    _report(args, "gate-report", report.flow, **_gate_fields(report))
     if not report.passed:
         print("failing gates: " + ", ".join(report.failing_gates()), file=sys.stderr)
         return EXIT_PROPERTY_FAILURE
@@ -227,22 +205,14 @@ def cmd_gates(args) -> int:
 def cmd_sweep(args) -> int:
     defn = _load(args)
     verdict = sweep(defn.impl_constants, defn.alphabet, args.depth)
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "kind": "sweep-report",
-        "flow_digest": flow_digest(defn),
-        "provenance": defn.provenance,
-        "depth": args.depth,
-        "sequences": verdict.sequences,
-        "visited_states": len(verdict.visited_states),
-        "overall": "pass" if verdict.passed else "fail",
-        **(
-            {"violating_script": list(verdict.violation.script), "detail": verdict.violation.detail}
-            if verdict.violation
-            else {}
-        ),
-    }
-    _emit(args, report)
+    _report(
+        args,
+        "sweep-report",
+        defn,
+        visited_states=len(verdict.visited_states),
+        overall="pass" if verdict.passed else "fail",
+        **_sweep_fields(verdict),
+    )
     return EXIT_OK if verdict.passed else EXIT_PROPERTY_FAILURE
 
 

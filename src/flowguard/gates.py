@@ -57,8 +57,6 @@ DEFAULT_GATE_BUDGET_SECONDS = 30.0
 @dataclass(frozen=True)
 class Mutation:
     mutation_id: str
-    kind: str  # "seeded-error" | "permissive-stub"
-    description: str
     apply: Callable[[Bundle], Bundle]
 
 
@@ -88,51 +86,27 @@ def _collapse_events_to_noeffect(_e) -> NoEffect:
     return NoEffect()
 
 
-def permissive_stub() -> Mutation:
-    return Mutation(
-        mutation_id="permissive-stub",
-        kind="permissive-stub",
-        description="invariant gutted to well-formedness only; obligations kept",
-        apply=lambda b: replace(b, assume_inv=impl_wf),
-    )
+def permissive_stub(b: Bundle) -> Bundle:
+    """G2's stub of ``b``: the assumed invariant gutted to well-formedness,
+    every obligation kept."""
+    return replace(b, assume_inv=impl_wf)
 
 
 def identity_mutation() -> Mutation:
-    return Mutation(
-        mutation_id="identity",
-        kind="seeded-error",
-        description="changes nothing; must survive",
-        apply=lambda b: b,
-    )
+    return Mutation("identity", lambda b: b)  # changes nothing; must survive
 
 
 SEEDED_ERRORS: dict[str, Mutation] = {
     m.mutation_id: m
     for m in (
-        Mutation(
-            "drop-allowlist-guard",
-            "seeded-error",
-            "abstract relation admits any tool call",
-            _edit_policy("ToolAllowlisted", guard=lambda c, tool: True),
-        ),
-        Mutation(
-            "step-bound-off-by-one",
-            "seeded-error",
-            "abstract relation admits one step beyond the bound",
-            _edit_policy("StepBounded", guard=lambda c, count: count <= c.max_steps),  # "<" became "<="
-        ),
-        Mutation(
-            "event-to-noeffect",
-            "seeded-error",
-            "event abstraction collapses every emitted event to NoEffect",
-            lambda b: replace(b, event_abs=_collapse_events_to_noeffect),
-        ),
-        Mutation(
-            "drop-history-clause",
-            "seeded-error",
-            "assumed invariant loses the history-length alignment clause",
-            _drop_invariant_clause("history_length"),
-        ),
+        # The abstract relation admits any tool call.
+        Mutation("drop-allowlist-guard", _edit_policy("ToolAllowlisted", guard=lambda c, tool: True)),
+        # The abstract relation admits one step beyond the bound: "<" became "<=".
+        Mutation("step-bound-off-by-one", _edit_policy("StepBounded", guard=lambda c, count: count <= c.max_steps)),
+        # The event abstraction collapses every emitted event to NoEffect.
+        Mutation("event-to-noeffect", lambda b: replace(b, event_abs=_collapse_events_to_noeffect)),
+        # The assumed invariant loses the history-length alignment clause.
+        Mutation("drop-history-clause", _drop_invariant_clause("history_length")),
     )
 }
 
@@ -221,7 +195,7 @@ def gate_vacuity(run: CheckRun, bundle: Bundle) -> GateVerdict:
             "so the stub trivially verifies)",
         )
     discharged: list[str] = []
-    for o in obligations(run, permissive_stub().apply(bundle)):
+    for o in obligations(run, permissive_stub(bundle)):
         if not o.passed:
             return GateVerdict("g2", "pass", f"permissive stub failed at {o.name}")
         discharged.append(o.name)
@@ -240,8 +214,6 @@ def gate_discrimination(run: CheckRun, bundle: Bundle, mutation: Mutation) -> Mu
     """G3 for one mutation: the seeded error must fail verification on
     ``run``'s machine, alphabet and depth. Its obligations are checked in
     order up to the first one that fails, which is the one that kills it."""
-    if mutation.kind != "seeded-error":
-        raise ValueError(f"G3 takes seeded errors, got kind {mutation.kind!r}")
     failed = next((o for o in obligations(run, mutation.apply(bundle)) if not o.passed), None)
     if failed is None:
         return MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged")

@@ -444,7 +444,6 @@ def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
 class SoundnessVerdict:
     passed: bool
     stage: int | None = None  # 1 = lift, 2 = abstract safety, 3 = concrete safety
-    index: int | None = None
     detail: str = ""
 
 
@@ -464,24 +463,17 @@ def check_soundness(c: ImplConstants, b: Bundle, trace: Trace) -> SoundnessVerdi
         ev = b.event_abs(t.event)
         matched = [(e, m) for e, m in b.next_relation(ca, abstract_states[-1], t.action) if e == ev]
         if not matched:
-            return SoundnessVerdict(
-                False, stage=1, index=i,
-                detail=f"step {i}: no abstract step emits {ev!r} for {t.action!r}",
-            )
+            return SoundnessVerdict(False, stage=1, detail=f"step {i}: no abstract step emits {ev!r} for {t.action!r}")
         abstract_states.append(matched[0][1])
 
     for i, m in enumerate(abstract_states):
         if not b.safety(ca, m):
-            return SoundnessVerdict(
-                False, stage=2, index=i, detail=f"abstract safety fails at lifted state {i}"
-            )
+            return SoundnessVerdict(False, stage=2, detail=f"abstract safety fails at lifted state {i}")
 
     for i, s in enumerate(trace.states()):
         if not impl_safety(c, s):
             which = _failed_conjunct(c, s)
-            return SoundnessVerdict(
-                False, stage=3, index=i, detail=f"concrete safety fails at state {i}: {which}"
-            )
+            return SoundnessVerdict(False, stage=3, detail=f"concrete safety fails at state {i}: {which}")
 
     return SoundnessVerdict(True)
 

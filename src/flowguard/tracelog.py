@@ -134,6 +134,9 @@ def render_trace_log(
 
 
 def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
+    """The header and rows of a trace log, each row's action literal parsed
+    to its ``Action``. Raises TraceLogError for a log that cannot be
+    replayed: malformed JSON, an ill-typed field or an unknown action."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise TraceLogError("empty trace log")
@@ -160,6 +163,10 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
         for key in ("pre", "action", "event", "post"):
             if not isinstance(row.get(key), str):
                 raise TraceLogError(f"row {n}: {key!r} must be a string")
+        try:
+            row["action"] = parse_action(row["action"])
+        except ValueError as e:
+            raise TraceLogError(f"row {n}: bad action literal: {e}") from e
     return header, rows
 
 
@@ -168,7 +175,6 @@ class ReplayVerdict:
     passed: bool
     steps: int
     detail: str = ""
-    mismatch_index: int | None = None
 
 
 def replay_trace_log(defn: FlowDefinition, text: str) -> ReplayVerdict:
@@ -184,21 +190,14 @@ def replay_trace_log(defn: FlowDefinition, text: str) -> ReplayVerdict:
     digest = RunDigester()
     for i, row in enumerate(rows):
         if row["i"] != i:
-            return ReplayVerdict(False, i, f"row index {row['i']!r} out of order", i)
-        try:
-            action = parse_action(row["action"])
-        except ValueError as e:
-            return ReplayVerdict(False, i, f"bad action literal at row {i}: {e}", i)
+            return ReplayVerdict(False, i, f"row index {row['i']!r} out of order")
         if digest(state) != row["pre"]:
-            return ReplayVerdict(False, i, f"pre-state digest mismatch at row {i}", i)
-        ((event, nxt),) = impl_next(c, state, action)
-        if format_impl_event(event) != row["event"]:
-            return ReplayVerdict(
-                False, i,
-                f"event mismatch at row {i}: replay emits {format_impl_event(event)}, log says {row['event']!r}",
-                i,
-            )
+            return ReplayVerdict(False, i, f"pre-state digest mismatch at row {i}")
+        ((event, nxt),) = impl_next(c, state, row["action"])
+        if (emitted := format_impl_event(event)) != row["event"]:
+            detail = f"event mismatch at row {i}: replay emits {emitted}, log says {row['event']!r}"
+            return ReplayVerdict(False, i, detail)
         if digest(nxt) != row["post"]:
-            return ReplayVerdict(False, i, f"post-state digest mismatch at row {i}", i)
+            return ReplayVerdict(False, i, f"post-state digest mismatch at row {i}")
         state = nxt
     return ReplayVerdict(True, len(rows))

@@ -185,6 +185,32 @@ def test_gates_malformed_flow_fails_g1(tmp_path, capsys):
     assert report["gates"]["g1"]["status"] == "fail"
 
 
+G1_FAILURE_REPORT = """\
+{
+  "depth": 4,
+  "gates": {
+    "g1": {
+      "detail": "missing keys in document: ['alphabet', 'constants', 'graph', 'provenance']",
+      "status": "fail"
+    }
+  },
+  "kind": "gate-report",
+  "overall": "fail",
+  "schema_version": 1
+}
+"""
+
+
+def test_a_g1_failure_report_holds_the_header_and_the_g1_verdict_only(tmp_path, capsys):
+    """No flow was loaded, so the header has no flow digest or provenance."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": 1}')
+    assert main(["gates", "--flow", str(bad), "--depth", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == G1_FAILURE_REPORT
+    assert captured.err == "failing gates: g1\n"
+
+
 def test_gates_reject_an_unknown_mutation_id_before_any_gate_runs(flow_file, monkeypatch, capsys):
     ran = []
 
@@ -325,6 +351,26 @@ def test_directory_paths_exit_two(flow_file, tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--depth", "4"],
+        ["gates", "--depth", "4"],
+        ["sweep", "--depth", "4"],
+        ["run", "--strategy", "random", "--seed", "5", "--steps", "6"],
+    ],
+    ids=["check", "gates", "sweep", "run"],
+)
+def test_out_receives_the_bytes_stdout_would(flow_file, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([*argv, "--flow", flow_file])
+    printed = capsys.readouterr().out
+    assert main([*argv, "--flow", flow_file, "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 class Raw(str):
     """A trace-log line written as it is, not as the JSON of a value."""
 
@@ -348,6 +394,7 @@ def _edit_row(n, **fields):
         pytest.param(lambda header, rows: (dict(header, schema_version=True), rows), id="schema-version-bool"),
         pytest.param(_edit_row(1, pre=0), id="pre-not-a-string"),
         pytest.param(_edit_row(1, action=["StepAction"]), id="action-not-a-string"),
+        pytest.param(_edit_row(1, action="FooAction(x)"), id="action-outside-the-vocabulary"),
         pytest.param(_edit_row(1, event=None), id="event-not-a-string"),
         pytest.param(_edit_row(1, post=1), id="post-not-a-string"),
         pytest.param(lambda header, rows: (dict(header, seed="x"), rows), id="seed-string"),

@@ -74,7 +74,7 @@ def stutter_gap(c, s, a):
 EDITS = {
     "default": lambda b: b,
     **{mid: m.apply for mid, m in SEEDED_ERRORS.items()},
-    "permissive-stub": permissive_stub().apply,
+    "permissive-stub": permissive_stub,
     "identity": identity_mutation().apply,
     "lax-safety": lambda b: replace(b, safety=lax_safety),
     # fails r2_step_simulation before inv_inductive in the scan order
@@ -125,7 +125,7 @@ def expected_gates(c, alphabet, depth, mutations):
             results.append(MutantResult(mutation.mutation_id, True, failed.name, failed.detail))
     if depth < 1:
         return None, results
-    failed = first_failure(verify_bundle(c, permissive_stub().apply(bundle), alphabet, depth))
+    failed = first_failure(verify_bundle(c, permissive_stub(bundle), alphabet, depth))
     if failed is None:
         g2 = GateVerdict("g2", "fail", "vacuity witness: the stub discharged " + ", ".join(OBLIGATION_ORDER))
     else:
@@ -343,5 +343,5 @@ def test_the_stub_step_check_stops_after_its_first_inv_failure(agent, monkeypatc
         return {order[s] for s in judged if s in order}
 
     stopped = judged_states(lambda: gate_vacuity(CheckRun(c, alphabet, 4), bundle))
-    full = judged_states(lambda: verify_bundle(c, permissive_stub().apply(bundle), alphabet, 4))
+    full = judged_states(lambda: verify_bundle(c, permissive_stub(bundle), alphabet, 4))
     assert max(stopped) == order[first_failure.state] < max(full) == len(admitted) - 1

@@ -169,7 +169,7 @@ def test_replay_rejects_golden_log_with_one_post_digest_changed(strategy, tmp_pa
 
     verdict = replay_trace_log(load_flow(FLOW), tampered)
     assert not verdict.passed
-    assert verdict.mismatch_index == row
+    assert verdict.steps == row
     assert verdict.detail == f"post-state digest mismatch at row {row}"
     log = tmp_path / "tampered.log"
     log.write_text(tampered)
