@@ -2,7 +2,7 @@
 step check as they stood before they learned to skip work whose verdict
 is already known: ``check_safety_preserved`` judges every successor, seen
 or not, and ``check_refinement_next`` judges every step's post-state,
-stutter or not. The differential tests in test_lazy_checks.py check the
+stutter or not. The differential tests in test_shared_checks.py check the
 library's checkers against them. Nothing in the library imports this
 module.
 """
