@@ -22,6 +22,7 @@ from pathlib import Path
 from flowguard import (
     Bundle,
     ScriptedOracle,
+    Step,
     Trace,
     check_refinement_init,
     check_refinement_next,
@@ -29,19 +30,22 @@ from flowguard import (
     drive,
     load_flow,
 )
-from flowguard.havoc import TraceStep
 
 flow = load_flow(Path(__file__).resolve().parent.parent / "flows" / "read_agent.json")
 c = flow.impl_constants
 bundle = Bundle()  # the shipped abstraction, relation, safety predicate and invariant
 
-verdict = check_refinement_next(c, bundle, flow.alphabet, 4)
+LABELS = {
+    "refinement_init": "init matching (R1)",
+    "inv_inductive": "invariant obligation",
+    "r2_step_simulation": "step simulation (R2)",
+    "r3_safety_transport": "safety transport (R3)",
+}
+step_obligations = check_refinement_next(c, bundle, flow.alphabet, 4)
 print("refinement at depth 4:")
-print(f"  init matching (R1):    {'pass' if check_refinement_init(c, bundle).passed else 'FAIL'}")
-print(f"  invariant obligation:  {'pass' if verdict.inv_inductive else 'FAIL'}")
-print(f"  step simulation (R2):  {'pass' if verdict.r2 else 'FAIL'}")
-print(f"  safety transport (R3): {'pass' if verdict.r3 else 'FAIL'}")
-print(f"  states: {verdict.reachable_states} reachable, {verdict.explored_states} explored with perturbations")
+for o in (check_refinement_init(c, bundle), *step_obligations):
+    print(f"  {LABELS[o.name] + ':':<22} {'pass' if o.passed else 'FAIL ' + o.detail}")
+print(f"  states: {step_obligations[0].explored_states} explored (reachable ones and their perturbations)")
 print()
 
 traces = [
@@ -57,6 +61,6 @@ print()
 sample = next(t for t in traces if len(t) == 1 and t.steps[0].event.dispatch is not None)
 step = sample.steps[0]
 bad_post = dataclasses.replace(step.post_state, read_paths=("/etc/shadow",))
-corrupted = Trace((TraceStep(step.pre_state, step.action, step.event, bad_post),))
+corrupted = Trace((Step(step.pre_state, step.action, step.event, bad_post),))
 v = check_soundness(c, bundle, corrupted)
 print(f"corrupted trace: passed={v.passed}, stage={v.stage}, detail={v.detail!r}")

@@ -61,15 +61,16 @@ from .impl_model import (
 from .refinement import (
     Bundle,
     CheckRun,
-    RefinementVerdict,
     SoundnessVerdict,
     check_refinement_init,
     check_refinement_next,
     check_soundness,
 )
 from .spec_model import (
+    Obligation,
     SpecConstants,
     SpecState,
+    Step,
     check_safety_preserved,
     spec_init,
     spec_next,

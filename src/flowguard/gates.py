@@ -48,8 +48,8 @@ from .flowfile import (
     with_prefix_mode,
 )
 from .impl_model import INVARIANT, FlowGraphError, ImplConstants, impl_inv, impl_wf
-from .refinement import Bundle, CheckRun, Obligation, obligations
-from .spec_model import POLICY, SEQUENCE_CONJUNCTS, spec_next
+from .refinement import Bundle, CheckRun, obligations
+from .spec_model import POLICY, SEQUENCE_CONJUNCTS, Obligation, spec_next
 
 DEFAULT_GATE_BUDGET_SECONDS = 30.0
 

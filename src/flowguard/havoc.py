@@ -33,23 +33,15 @@ from .impl_model import (
     impl_next,
     impl_safety,
 )
-from .spec_model import SpecConstants, admits_value
+from .spec_model import SpecConstants, Step, admits_value
 
 # ---------------------------------------------------------------------------
 # Runs as values
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    pre_state: ImplState
-    action: Action
-    event: ImplEvent
-    post_state: ImplState
-
-
-@dataclass(frozen=True)
 class Trace:
-    steps: tuple[TraceStep, ...]
+    steps: tuple[Step, ...]
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -121,7 +113,7 @@ def drive(c: ImplConstants, strategy, steps: int) -> RunRecord:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     state = impl_init(c)
-    recorded: list[TraceStep] = []
+    recorded: list[Step] = []
     events: list[ImplEvent] = []
     rejected = 0
     for i in range(steps):
@@ -129,7 +121,7 @@ def drive(c: ImplConstants, strategy, steps: int) -> RunRecord:
         ((event, nxt),) = impl_next(c, state, action)
         if isinstance(event.effect, NoEffect) and not isinstance(action, NoAction):
             rejected += 1
-        recorded.append(TraceStep(state, action, event, nxt))
+        recorded.append(Step(state, action, event, nxt))
         events.append(event)
         state = nxt
     return RunRecord(Trace(tuple(recorded)), tuple(events), rejected, state)

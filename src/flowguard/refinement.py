@@ -20,11 +20,15 @@ exhaustive checking:
 
 Admitted states are the reachable states within the depth bound plus a
 fixed library of structured perturbations of them, filtered by the
-assumed invariant. The perturbations stand in for the universal state
-quantification of a deductive proof: they exhibit exactly the junk states
-a weakened invariant would be forced to handle. With the full invariant
-assumed, every perturbed state it admits still discharges all
-obligations, so the extra states never cause spurious failures.
+assumed invariant. The library is a hand-written set of junk states, one
+edit per invariant clause or safety conjunct, not the universal state
+quantification of a deductive proof: a weakened assumption is caught only
+where an edit it admits breaks a step. On the three shipped flows at
+depth 6, assuming the invariant without its ``step_bounded`` clause, or
+without ``well_formed``, still discharges every obligation. ROADMAP.md
+item 2 plans a finite quotient of every state in its place. With the
+full invariant assumed, every perturbed state it admits still discharges
+all obligations, so the extra states never cause spurious failures.
 
 Each step obligation (the invariant, step simulation, safety transport)
 is its own search for a first counterexample over the admitted states, in
@@ -63,7 +67,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .actions import Action, BoundaryEvent, ImplEvent, NoAction, format_action, format_boundary_event
+from .actions import Action, BoundaryEvent, ImplEvent, NoAction, format_action
 from .havoc import Trace
 from .impl_model import (
     NO_NODE,
@@ -77,9 +81,10 @@ from .impl_model import (
 )
 from .spec_model import (
     SEQUENCE_CONJUNCTS,
-    PreservationVerdict,
+    Obligation,
     SpecConstants,
     SpecState,
+    Step,
     check_safety_preserved,
     spec_init,
     spec_next,
@@ -202,8 +207,10 @@ class CheckRun:
     time."""
 
     def __init__(self, c: ImplConstants, alphabet: tuple[Action, ...], depth: int):
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         self.c, self.alphabet, self.depth = c, alphabet, depth
-        self._preserved: dict[tuple, PreservationVerdict] = {}
+        self._preserved: dict[tuple, Obligation] = {}
 
     @cached_property
     def layers(self) -> list[list[ImplState]]:
@@ -231,7 +238,7 @@ class CheckRun:
         assume = b.assume_inv or b.inv
         return [s for s in self.candidates if assume(self.c, s)]
 
-    def safety_preserved(self, b: Bundle) -> PreservationVerdict:
+    def safety_preserved(self, b: Bundle) -> Obligation:
         key = (b.next_relation, b.safety)
         if key not in self._preserved:
             self._preserved[key] = check_safety_preserved(
@@ -241,44 +248,7 @@ class CheckRun:
 
 
 # ---------------------------------------------------------------------------
-# Verdicts
-
-
-@dataclass(frozen=True)
-class StepCounterexample:
-    state: ImplState
-    action: Action
-    event: ImplEvent
-    post_state: ImplState
-    detail: str
-
-
-@dataclass(frozen=True)
-class Obligation:
-    name: str
-    passed: bool
-    detail: str = ""
-    explored_states: int | None = None
-
-
-@dataclass(frozen=True)
-class RefinementVerdict:
-    """The step obligations; ``check_refinement_init`` judges the initial
-    one."""
-
-    r2: bool
-    r3: bool
-    inv_inductive: bool
-    explored_states: int
-    reachable_states: int
-    depth: int
-    r2_counterexample: StepCounterexample | None = None
-    r3_counterexample: StepCounterexample | None = None
-    inv_counterexample: StepCounterexample | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.r2 and self.r3 and self.inv_inductive
+# The lemma set
 
 
 def check_refinement_init(c: ImplConstants, b: Bundle) -> Obligation:
@@ -296,10 +266,9 @@ def first_failing_step(
     c: ImplConstants,
     states: list[ImplState],
     alphabet: tuple[Action, ...],
-    detail: str,
     post_fails: Callable[[ImplState], bool],
     step_fails: Callable[[ImplState, Action, ImplEvent, ImplState], bool],
-) -> StepCounterexample | None:
+) -> Step | None:
     """The first step (s, a, e, s2) out of ``states``, in their order and
     then the alphabet's, whose post-state ``post_fails`` and that
     ``step_fails``; None when no step fails both.
@@ -319,7 +288,7 @@ def first_failing_step(
                 else:
                     fails = stutter_fails
                 if fails and step_fails(s, a, e, s2):
-                    return StepCounterexample(s, a, e, s2, detail)
+                    return Step(s, a, e, s2)
     return None
 
 
@@ -328,18 +297,24 @@ def step_obligations(
     b: Bundle,
     alphabet: tuple[Action, ...],
     states: list[ImplState],
-) -> Iterator[tuple[str, StepCounterexample | None]]:
+) -> Iterator[Obligation]:
     """The step obligations over the admitted ``states``, in the order
-    inv_inductive, r2_step_simulation, r3_safety_transport: each as its
-    name and its first counterexample, None when it holds. Each obligation
-    is searched only when the iteration reaches it, so a caller that stops
-    at a failure searches none after it.
+    inv_inductive, r2_step_simulation, r3_safety_transport, each with its
+    first counterexample. Each obligation is searched only when the
+    iteration reaches it, so a caller that stops at a failure searches
+    none after it.
 
     The invariant obligation uses the bundle's declared invariant, however
     the states were admitted.
     """
-    yield "inv_inductive", first_failing_step(
-        c, states, alphabet, "declared invariant not re-established", lambda s2: not b.inv(c, s2), lambda *_: True
+
+    def judged(name: str, failure: str, post_fails, step_fails) -> Obligation:
+        cx = first_failing_step(c, states, alphabet, post_fails, step_fails)
+        detail = f"{failure}; action {format_action(cx.action)}" if cx else ""
+        return Obligation(name, cx is None, detail, len(states), cx)
+
+    yield judged(
+        "inv_inductive", "declared invariant not re-established", lambda s2: not b.inv(c, s2), lambda *_: True
     )
     ca = c.spec
 
@@ -354,29 +329,27 @@ def step_obligations(
         abs_post = abs_pre if s2 is s else b.variables_abs(s2)
         return (b.event_abs(e), abs_post) in abs_succs
 
-    yield "r2_step_simulation", first_failing_step(
-        c,
-        states,
-        alphabet,
+    yield judged(
+        "r2_step_simulation",
         "no abstract step matches the abstracted event and post-state",
         lambda _s2: True,
         lambda *step: not matched(*step),
     )
     # Transport is judged first: the match costs an abstract step query,
     # and only a step that fails transport needs it.
-    yield "r3_safety_transport", first_failing_step(
-        c,
-        states,
-        alphabet,
+    yield judged(
+        "r3_safety_transport",
         "abstract safety holds at the matched post-state but concrete safety fails",
         lambda s2: b.safety(ca, b.variables_abs(s2)) and not impl_safety(c, s2),
         matched,
     )
 
 
-def check_refinement_next(c: ImplConstants, b: Bundle, alphabet: tuple[Action, ...], depth: int) -> RefinementVerdict:
+def check_refinement_next(
+    c: ImplConstants, b: Bundle, alphabet: tuple[Action, ...], depth: int
+) -> tuple[Obligation, ...]:
     """Every step obligation over every admitted state and every alphabet
-    action.
+    action, in ``step_obligations`` order.
 
     The bundle's ``assume_inv`` filters the states obligations are checked
     from; it defaults to the bundle's invariant. The invariant obligation
@@ -384,30 +357,7 @@ def check_refinement_next(c: ImplConstants, b: Bundle, alphabet: tuple[Action, .
     weaker predicate than the declared one must fail unless the declared
     invariant demanded nothing.
     """
-    run = CheckRun(c, alphabet, depth)
-    states = run.admitted(b)
-    cx = dict(step_obligations(c, b, alphabet, states))
-    return RefinementVerdict(
-        r2=cx["r2_step_simulation"] is None,
-        r3=cx["r3_safety_transport"] is None,
-        inv_inductive=cx["inv_inductive"] is None,
-        explored_states=len(states),
-        reachable_states=sum(map(len, run.layers[:depth])),
-        depth=depth,
-        r2_counterexample=cx["r2_step_simulation"],
-        r3_counterexample=cx["r3_safety_transport"],
-        inv_counterexample=cx["inv_inductive"],
-    )
-
-
-def _describe_preservation(v: PreservationVerdict) -> str:
-    if v.passed or v.counterexample is None:
-        return ""
-    cx = v.counterexample
-    return (
-        f"unsafe successor via {format_action(cx.action)} "
-        f"emitting {format_boundary_event(cx.event)}"
-    )
+    return tuple(step_obligations(c, b, alphabet, CheckRun(c, alphabet, depth).admitted(b)))
 
 
 def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
@@ -419,21 +369,9 @@ def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
     skips every check after it."""
     ca = run.c.spec
     yield Obligation("init_safety", b.safety(ca, spec_init(ca)))
-
-    preserved = run.safety_preserved(b)
-    yield Obligation(
-        "safety_preserved",
-        preserved.passed,
-        _describe_preservation(preserved),
-        explored_states=preserved.explored_states,
-    )
-
+    yield run.safety_preserved(b)
     yield check_refinement_init(run.c, b)
-
-    states = run.admitted(b)
-    for name, cx in step_obligations(run.c, b, run.alphabet, states):
-        detail = f"{cx.detail}; action {format_action(cx.action)}" if cx else ""
-        yield Obligation(name, cx is None, detail, explored_states=len(states))
+    yield from step_obligations(run.c, b, run.alphabet, run.admitted(b))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +393,11 @@ def check_soundness(c: ImplConstants, b: Bundle, trace: Trace) -> SoundnessVerdi
     abstract step. Stage 2 checks abstract safety pointwise along the
     lifted run. Stage 3 checks the concrete safety conjuncts on every
     concrete state of the trace.
+
+    Stages 2 and 3 judge each state's whole read and tool sequences, so a
+    trace of n steps costs O(n^2) guard calls once its sequences grow
+    with it. On 1000-step runs of a cyclic synthetic flow this took about
+    20 times as long as ``drive`` took to produce the run.
     """
     ca = c.spec
 

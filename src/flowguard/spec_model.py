@@ -36,6 +36,8 @@ from .actions import (
     StepEvent,
     ToolCallAction,
     ToolEvent,
+    format_action,
+    format_boundary_event,
 )
 
 PREFIX_GUARDED = "guarded"
@@ -238,22 +240,31 @@ def spec_safety(c: SpecConstants, s: SpecState) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lemma-level checks: initial safety and inductive preservation
+# Lemma-level records and checks: initial safety and inductive preservation
 
 
 @dataclass(frozen=True)
-class PreservationCounterexample:
-    state: SpecState
+class Step:
+    """One transition of either machine: a step of a driven run, or the
+    counterexample an obligation reports."""
+
+    pre_state: Any
     action: Action
-    event: BoundaryEvent
-    post_state: SpecState
+    event: Any
+    post_state: Any
 
 
 @dataclass(frozen=True)
-class PreservationVerdict:
+class Obligation:
+    """The verdict of one lemma: its name, whether it holds, why not, how
+    many states it ranged over (None when it judges init alone), and its
+    first failing step."""
+
+    name: str
     passed: bool
-    explored_states: int
-    counterexample: PreservationCounterexample | None = None
+    detail: str = ""
+    explored_states: int | None = None
+    counterexample: Step | None = None
 
 
 def check_safety_preserved(
@@ -263,12 +274,12 @@ def check_safety_preserved(
     *,
     next_relation=spec_next,
     safety=spec_safety,
-) -> PreservationVerdict:
+) -> Obligation:
     """Inductive step of abstract safety, checked exhaustively: every
     successor of every safe state reachable within ``depth`` is safe.
 
-    States at distance < depth are expanded; the first violating
-    (state, action, event, post_state) quadruple in BFS order is reported.
+    States at distance < depth are expanded; the first violating step in
+    BFS order is the counterexample of the ``safety_preserved`` obligation.
     A state enters ``seen`` only after it passed ``safety``, so a successor
     already in ``seen`` is not judged again; a successor that is its
     pre-state object itself is skipped before it is hashed.
@@ -286,12 +297,11 @@ def check_safety_preserved(
                     if s2 is s or s2 in seen:
                         continue
                     if not safety(c, s2):
-                        return PreservationVerdict(
-                            False, explored, PreservationCounterexample(s, a, e, s2)
-                        )
+                        detail = f"unsafe successor via {format_action(a)} emitting {format_boundary_event(e)}"
+                        return Obligation("safety_preserved", False, detail, explored, Step(s, a, e, s2))
                     seen.add(s2)
                     nxt_frontier.append(s2)
         frontier = nxt_frontier
         if not frontier:
             break
-    return PreservationVerdict(True, explored)
+    return Obligation("safety_preserved", True, explored_states=explored)

@@ -9,9 +9,11 @@ checker verifies.
 A state's digest is the first 16 hex characters of the SHA-256 of
 ``json.dumps(state_document(s), sort_keys=True)`` (``state_digest``).
 Rendering and replaying a log digest its states through a
-``RunDigester``, which serialises only what a step added to the previous
-state, so their Python-level work is linear in the number of rows; only
-the C-level hashing of each state's document grows with its history.
+``RunDigester``, which JSON-encodes each list entry once, when a step
+appends it. The rest of a digest still grows with the state's history:
+each list field is sliced and compared with the previous state's, each
+list's JSON string and the whole document are rebuilt, and the document
+is hashed, so a run of n rows does O(n^2) string work, at C speed.
 """
 
 from __future__ import annotations

@@ -9,21 +9,19 @@ module.
 
 from __future__ import annotations
 
-from flowguard.actions import Action
+from flowguard.actions import Action, format_action, format_boundary_event
 from flowguard.impl_model import ImplConstants, ImplState, impl_next, impl_safety, impl_wf
 from flowguard.refinement import (
     Bundle,
     InvPredicate,
-    RefinementVerdict,
-    StepCounterexample,
     perturbations,
     reachable_layers,
 )
 from flowguard.spec_model import (
-    PreservationCounterexample,
-    PreservationVerdict,
+    Obligation,
     SpecConstants,
     SpecState,
+    Step,
     spec_init,
     spec_next,
     spec_safety,
@@ -37,12 +35,12 @@ def check_safety_preserved(
     *,
     next_relation=spec_next,
     safety=spec_safety,
-) -> PreservationVerdict:
+) -> Obligation:
     """Inductive step of abstract safety, checked exhaustively: every
     successor of every safe state reachable within ``depth`` is safe.
 
     States at distance < depth are expanded; the first violating
-    (state, action, event, post_state) quadruple in BFS order is reported.
+    (state, action, event, post_state) step in BFS order is reported.
     """
     init = spec_init(c)
     frontier: list[SpecState] = [init] if safety(c, init) else []
@@ -55,16 +53,15 @@ def check_safety_preserved(
             for a in alphabet:
                 for e, s2 in next_relation(c, s, a):
                     if not safety(c, s2):
-                        return PreservationVerdict(
-                            False, explored, PreservationCounterexample(s, a, e, s2)
-                        )
+                        detail = f"unsafe successor via {format_action(a)} emitting {format_boundary_event(e)}"
+                        return Obligation("safety_preserved", False, detail, explored, Step(s, a, e, s2))
                     if s2 not in seen:
                         seen.add(s2)
                         nxt_frontier.append(s2)
         frontier = nxt_frontier
         if not frontier:
             break
-    return PreservationVerdict(True, explored)
+    return Obligation("safety_preserved", True, explored_states=explored)
 
 
 def check_refinement_next(
@@ -76,8 +73,9 @@ def check_refinement_next(
     next_relation=spec_next,
     safety=spec_safety,
     assume_inv: InvPredicate | None = None,
-) -> RefinementVerdict:
-    """Step obligations over every admitted state and every alphabet action.
+) -> tuple[Obligation, ...]:
+    """Step obligations over every admitted state and every alphabet
+    action: inv_inductive, r2_step_simulation and r3_safety_transport.
 
     ``assume_inv`` filters the states obligations are checked from; it
     defaults to the bundle's invariant. The invariant obligation on the
@@ -90,7 +88,6 @@ def check_refinement_next(
 
     layers = reachable_layers(c, alphabet, depth)
     bases: list[ImplState] = [s for layer in layers[:depth] for s in layer]
-    reachable_count = len(bases)
 
     explored: list[ImplState] = []
     seen: set[ImplState] = set()
@@ -103,9 +100,9 @@ def check_refinement_next(
                 explored.append(candidate)
 
     inv_ok, r2_ok, r3_ok = True, True, True
-    inv_cx: StepCounterexample | None = None
-    r2_cx: StepCounterexample | None = None
-    r3_cx: StepCounterexample | None = None
+    inv_cx: Step | None = None
+    r2_cx: Step | None = None
+    r3_cx: Step | None = None
 
     for s in explored:
         abs_pre = b.variables_abs(s)
@@ -113,7 +110,7 @@ def check_refinement_next(
             for e, s2 in impl_next(c, s, a):
                 if inv_ok and not b.inv(c, s2):
                     inv_ok = False
-                    inv_cx = StepCounterexample(s, a, e, s2, "declared invariant not re-established")
+                    inv_cx = Step(s, a, e, s2)
                 # The matched abstract step must use the identical action
                 # value the concrete step consumed; never a canonicalized
                 # or re-parsed stand-in.
@@ -124,25 +121,21 @@ def check_refinement_next(
                 if wanted in abs_succs:
                     if r3_ok and safety(ca, wanted[1]) and not impl_safety(c, s2):
                         r3_ok = False
-                        r3_cx = StepCounterexample(
-                            s, a, e, s2, "abstract safety holds at the matched post-state but concrete safety fails"
-                        )
+                        r3_cx = Step(s, a, e, s2)
                 elif r2_ok:
                     r2_ok = False
-                    r2_cx = StepCounterexample(
-                        s, a, e, s2, "no abstract step matches the abstracted event and post-state"
-                    )
+                    r2_cx = Step(s, a, e, s2)
         if not (inv_ok or r2_ok or r3_ok):
             break
 
-    return RefinementVerdict(
-        r2=r2_ok,
-        r3=r3_ok,
-        inv_inductive=inv_ok,
-        explored_states=len(explored),
-        reachable_states=reachable_count,
-        depth=depth,
-        r2_counterexample=r2_cx,
-        r3_counterexample=r3_cx,
-        inv_counterexample=inv_cx,
+    def obligation(name: str, cx: Step | None, failure: str) -> Obligation:
+        detail = f"{failure}; action {format_action(cx.action)}" if cx else ""
+        return Obligation(name, cx is None, detail, len(explored), cx)
+
+    return (
+        obligation("inv_inductive", inv_cx, "declared invariant not re-established"),
+        obligation("r2_step_simulation", r2_cx, "no abstract step matches the abstracted event and post-state"),
+        obligation(
+            "r3_safety_transport", r3_cx, "abstract safety holds at the matched post-state but concrete safety fails"
+        ),
     )

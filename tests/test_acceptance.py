@@ -28,7 +28,7 @@ from flowguard.gates import (
     identity_mutation,
     run_gates,
 )
-from flowguard.havoc import Trace, TraceStep, sweep
+from flowguard.havoc import Trace, sweep
 from flowguard.impl_model import impl_init
 from flowguard.refinement import (
     Bundle,
@@ -36,8 +36,9 @@ from flowguard.refinement import (
     check_refinement_init,
     check_refinement_next,
     check_soundness,
+    reachable_layers,
 )
-from flowguard.spec_model import spec_next
+from flowguard.spec_model import Step, spec_next
 from conftest import FLOWS
 from test_havoc import havoc_traces
 
@@ -81,12 +82,13 @@ def test_criterion_2_refinement_discharge(agent, rag_barrier, rag_no_barrier):
             return spec_next(c, s, a)
 
         verdict = check_refinement_next(c, Bundle(next_relation=spy_next), fx.alphabet, 4)
-        assert verdict.passed, (fx.provenance, verdict)
-        assert verdict.explored_states > 0
+        assert all(o.passed for o in verdict), (fx.provenance, verdict)
+        explored = verdict[0].explored_states
+        assert explored > 0
         # every abstract query used an identical action value from the alphabet
         assert queried_ids
         assert all(any(q is a for a in fx.alphabet) for q in queried_ids)
-        counts[fx.provenance] = (verdict.explored_states, verdict.reachable_states)
+        counts[fx.provenance] = (explored, sum(map(len, reachable_layers(c, fx.alphabet, 4)[:4])))
 
     summary = ", ".join(f"{name}: {e} explored ({r} reachable)" for name, (e, r) in counts.items())
     report(f"[PASS] criterion 2: refinement init+next pass at depth 4 on all shipped flows; {summary}")
@@ -117,7 +119,7 @@ def test_criterion_3_soundness_composition(agent):
 
     def corrupted(field, value):
         bad_post = dataclasses.replace(read_step.post_state, **{field: value})
-        return Trace((TraceStep(read_step.pre_state, read_step.action, read_step.event, bad_post),))
+        return Trace((Step(read_step.pre_state, read_step.action, read_step.event, bad_post),))
 
     stages = {
         "read_paths": check_soundness(c, b, corrupted("read_paths", ("/etc/pw",))).stage,
@@ -129,7 +131,7 @@ def test_criterion_3_soundness_composition(agent):
     # an event/action pair no abstract step matches fails at the lift stage
     s0 = impl_init(c)
     unmatched = Trace(
-        (TraceStep(s0, ToolCallAction("rm"), ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick")), s0),)
+        (Step(s0, ToolCallAction("rm"), ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick")), s0),)
     )
     v1 = check_soundness(c, b, unmatched)
     assert (v1.passed, v1.stage) == (False, 1)

@@ -128,8 +128,9 @@ def test_every_function_the_tracer_wraps_exists(table):
 def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys):
     """The tracer's hooks still see the work they measure: the sweep
     through its ``next_fn`` keyword, ``drive`` through the fields of its
-    ``RunRecord``, replay through its rows, and a policy-edit mutant's
-    abstract steps through the rebound ``spec_next``."""
+    ``RunRecord``, safety preservation through its verdict's
+    ``explored_states``, replay through its rows, and a policy-edit
+    mutant's abstract steps through the rebound ``spec_next``."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -149,6 +150,7 @@ def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys):
     capsys.readouterr()
     assert codes == [0, 1, 0, 0]
     assert tracer.counts["havoc.sweep.next_calls"] > 0
+    assert tracer.counts["spec_model.check_safety_preserved.explored_states"] > 0
     assert tracer.counts["havoc.drive.steps"] == 5
     assert tracer.counts["tracelog.replay_trace_log.rows"] == 5
     assert mutant_steps > 0

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+import flowguard.gates as gates
 import flowguard.refinement as refinement
 from flowguard.actions import (
     Dispatch,
@@ -14,19 +15,25 @@ from flowguard.actions import (
     ReadPathAction,
     ToolCallAction,
     ToolEvent,
+    format_action,
 )
-from flowguard.gates import SEEDED_ERRORS
-from flowguard.havoc import ScriptedOracle, Trace, TraceStep, drive
+from flowguard.cli import main
+from flowguard.gates import SEEDED_ERRORS, permissive_stub
+from flowguard.havoc import ScriptedOracle, Trace, drive
 from flowguard.impl_model import impl_init, impl_next, impl_safety, impl_wf
 from flowguard.refinement import (
     Bundle,
+    CheckRun,
     check_refinement_init,
     check_refinement_next,
     check_soundness,
+    obligations,
     perturbations,
     project_variables,
+    reachable_layers,
 )
-from flowguard.spec_model import spec_init, spec_next
+from flowguard.spec_model import Step, spec_init, spec_next, spec_safety
+from conftest import FLOWS, shipped
 from test_havoc import havoc_traces
 
 
@@ -109,27 +116,29 @@ def test_refinement_init_tolerates_empty_projection_at_init(agent_c):
 
 def test_refinement_next_passes_on_read_agent(agent_c, alphabet):
     v = check_refinement_next(agent_c, Bundle(), alphabet, 4)
-    assert v.passed, v
-    assert v.explored_states > v.reachable_states > 0
+    assert all(o.passed for o in v), v
+    reachable = sum(map(len, reachable_layers(agent_c, alphabet, 4)[:4]))
+    assert {o.explored_states for o in v} == {v[0].explored_states}
+    assert v[0].explored_states > reachable > 0
 
 
 def test_refinement_next_passes_on_both_rag_modes(rag_barrier, rag_no_barrier):
     for fx in (rag_barrier, rag_no_barrier):
         v = check_refinement_next(fx.impl_constants, Bundle(), fx.alphabet, 4)
-        assert v.passed, (fx.provenance, v)
+        assert all(o.passed for o in v), (fx.provenance, v)
 
 
 def test_refinement_passes_in_step_only_accounting_mode(agent):
     flow = dataclasses.replace(agent, constants=dataclasses.replace(agent.constants, count_all_actions=False))
     v = check_refinement_next(flow.impl_constants, Bundle(), flow.alphabet, 4)
-    assert v.passed, v
+    assert all(o.passed for o in v), v
 
 
 def test_event_collapse_breaks_step_simulation(agent_c, alphabet):
     b = Bundle(event_abs=lambda e: NoEffect())
-    v = check_refinement_next(agent_c, b, alphabet, 4)
-    assert not v.r2
-    cx = v.r2_counterexample
+    _inv, r2, _r3 = check_refinement_next(agent_c, b, alphabet, 4)
+    assert not r2.passed
+    cx = r2.counterexample
     # the collapsed event claims a stutter, but the post-state moved
     assert cx is not None and not isinstance(cx.event.effect, NoEffect)
 
@@ -138,10 +147,10 @@ def test_gutted_inv_fails_the_invariant_obligation(agent_c, alphabet):
     """Assuming well-formedness only while still owing the declared
     invariant must fail: the widened state set contains junk the declared
     invariant rejects."""
-    v = check_refinement_next(agent_c, Bundle(assume_inv=impl_wf), alphabet, 4)
-    assert not v.inv_inductive
-    assert v.r2  # the simulation itself is indifferent to the widening
-    assert v.inv_counterexample is not None
+    inv, r2, _r3 = check_refinement_next(agent_c, Bundle(assume_inv=impl_wf), alphabet, 4)
+    assert not inv.passed
+    assert r2.passed  # the simulation itself is indifferent to the widening
+    assert inv.counterexample is not None
 
 
 def test_weakened_safety_breaks_transport(agent_c, alphabet):
@@ -152,9 +161,9 @@ def test_weakened_safety_breaks_transport(agent_c, alphabet):
     def lax_safety(c, s):
         return all(p.startswith(c.workspace_root) for p in s.read_paths) and s.step_count <= c.max_steps
 
-    v = check_refinement_next(agent_c, Bundle(safety=lax_safety), alphabet, 4)
-    assert not v.r3
-    cx = v.r3_counterexample
+    _inv, _r2, r3 = check_refinement_next(agent_c, Bundle(safety=lax_safety), alphabet, 4)
+    assert not r3.passed
+    cx = r3.counterexample
     assert cx is not None and not impl_safety(agent_c, cx.post_state)
 
 
@@ -180,7 +189,57 @@ def test_perturbations_are_deterministic_and_wellformed(agent_c, alphabet):
 
 def test_depth_zero_checks_init_only(agent_c, alphabet):
     v = check_refinement_next(agent_c, Bundle(), alphabet, 0)
-    assert v.passed and v.explored_states == 0
+    assert all(o.passed and o.explored_states == 0 for o in v)
+
+
+def test_a_negative_depth_is_refused_before_any_check(agent_c, alphabet, agent_flow_text, monkeypatch, capsys):
+    """A negative depth would slice the reachable layers from their end and
+    pass with nothing explored. ``CheckRun`` refuses it, so ``check --depth
+    -1`` exits 2 before it judges any obligation, and ``run_gates`` still
+    refuses it before G1 loads the flow."""
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        CheckRun(agent_c, alphabet, -1)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        check_refinement_next(agent_c, Bundle(), alphabet, -1)
+
+    judged = []
+
+    def counting_safety(c, s):
+        judged.append(s)
+        return spec_safety(c, s)
+
+    monkeypatch.setattr(refinement, "spec_safety", counting_safety)
+    monkeypatch.setattr(gates, "gate_resolution", lambda *args, **kwargs: judged.append(args))
+    assert main(["check", "--flow", str(FLOWS / "read_agent.json"), "--depth", "-1"]) == 2
+    assert "error: depth must be >= 0" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        gates.run_gates(agent_flow_text, -1)
+    assert judged == []
+
+
+@pytest.mark.parametrize("flow", ["read_agent", "rag_barrier", "rag_no_barrier"])
+def test_each_counterexample_is_a_real_transition(flow):
+    """The first failed obligation of the permissive stub and of each seeded
+    error, at the step-bound floor, reports a ``Step`` that its machine
+    takes: a concrete step for the step obligations, a step of the
+    (mutated) abstract relation for ``safety_preserved``. Its detail names
+    the step's action."""
+    fx = shipped(flow)
+    c = fx.impl_constants
+    run = CheckRun(c, fx.alphabet, fx.constants.max_steps + 1)
+    edits = {"permissive-stub": permissive_stub, **{mid: m.apply for mid, m in SEEDED_ERRORS.items()}}
+    for name, edit in edits.items():
+        b = edit(Bundle())
+        failed = next(o for o in obligations(run, b) if not o.passed)
+        cx = failed.counterexample
+        assert isinstance(cx, Step), (name, failed)
+        if failed.name == "safety_preserved":
+            successors = b.next_relation(c.spec, cx.pre_state, cx.action)
+        else:
+            assert failed.name in ("inv_inductive", "r2_step_simulation", "r3_safety_transport"), (name, failed)
+            successors = impl_next(c, cx.pre_state, cx.action)
+        assert (cx.event, cx.post_state) in successors, (name, failed)
+        assert format_action(cx.action) in failed.detail, (name, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +266,7 @@ def test_corrupt_read_paths_fails_at_concrete_stage(agent_c):
     trace = _single_read_trace(agent_c)
     s = trace.steps[0]
     bad = Trace(
-        (TraceStep(s.pre_state, s.action, s.event, dataclasses.replace(s.post_state, read_paths=("/etc/pw",))),)
+        (Step(s.pre_state, s.action, s.event, dataclasses.replace(s.post_state, read_paths=("/etc/pw",))),)
     )
     v = check_soundness(agent_c, Bundle(), bad)
     assert (v.passed, v.stage) == (False, 3)
@@ -218,7 +277,7 @@ def test_corrupt_tool_calls_fails_at_concrete_stage(agent_c):
     trace = _single_read_trace(agent_c)
     s = trace.steps[0]
     bad_state = dataclasses.replace(s.post_state, tool_calls=("rm",))
-    bad = Trace((TraceStep(s.pre_state, s.action, s.event, bad_state),))
+    bad = Trace((Step(s.pre_state, s.action, s.event, bad_state),))
     v = check_soundness(agent_c, Bundle(), bad)
     assert (v.stage, "tool call" in v.detail) == (3, True)
 
@@ -227,7 +286,7 @@ def test_corrupt_step_count_fails_at_concrete_stage(agent_c):
     trace = _single_read_trace(agent_c)
     s = trace.steps[0]
     bad_state = dataclasses.replace(s.post_state, step_count=99)
-    bad = Trace((TraceStep(s.pre_state, s.action, s.event, bad_state),))
+    bad = Trace((Step(s.pre_state, s.action, s.event, bad_state),))
     v = check_soundness(agent_c, Bundle(), bad)
     assert (v.stage, "step count" in v.detail) == (3, True)
 
@@ -235,7 +294,7 @@ def test_corrupt_step_count_fails_at_concrete_stage(agent_c):
 def test_unliftable_step_fails_at_lift_stage(agent_c):
     s0 = impl_init(agent_c)
     ev = ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick"))
-    bad = Trace((TraceStep(s0, ToolCallAction("rm"), ev, s0),))
+    bad = Trace((Step(s0, ToolCallAction("rm"), ev, s0),))
     v = check_soundness(agent_c, Bundle(), bad)
     assert (v.passed, v.stage) == (False, 1)
 
@@ -245,7 +304,7 @@ def test_overpermissive_relation_fails_at_abstract_stage(agent_c):
     lifted run violates abstract safety: stage 2."""
     s0 = impl_init(agent_c)
     ev = ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick"))
-    bad = Trace((TraceStep(s0, ToolCallAction("rm"), ev, s0),))
+    bad = Trace((Step(s0, ToolCallAction("rm"), ev, s0),))
     drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"].apply(Bundle())
     v = check_soundness(agent_c, drop_allowlist, bad)
     assert (v.passed, v.stage) == (False, 2)
@@ -254,7 +313,7 @@ def test_overpermissive_relation_fails_at_abstract_stage(agent_c):
 def test_refinement_plus_soundness_matches_sweep(agent_c, alphabet):
     """Cross-check two independent routes: the refinement verdict plus
     per-trace soundness on one side, direct safety scanning on the other."""
-    assert check_refinement_next(agent_c, Bundle(), alphabet, 3).passed
+    assert all(o.passed for o in check_refinement_next(agent_c, Bundle(), alphabet, 3))
     for trace in havoc_traces(agent_c, alphabet, 3):
         assert all(impl_safety(agent_c, s) for s in trace.states())
         assert check_soundness(agent_c, Bundle(), trace).passed

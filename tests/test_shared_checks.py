@@ -41,6 +41,7 @@ from flowguard.refinement import (
     obligations,
     perturbations,
     reachable_layers,
+    step_obligations,
 )
 from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_next, spec_safety
 from conftest import shipped
@@ -240,7 +241,7 @@ def test_refinement_judges_a_stutter_post_state_once_per_state(agent):
         return impl_inv(c, s)
 
     verdict = check_refinement_next(c, Bundle(inv=inv, assume_inv=assume), alphabet, 4)
-    assert verdict.passed and verdict.explored_states == len(admitted)
+    assert all(o.passed and o.explored_states == len(admitted) for o in verdict)
     explored = {id(s) for s in admitted}
     per_state = Counter(id(s) for s in judged if id(s) in explored)
     assert per_state and max(per_state.values()) == 1
@@ -255,13 +256,19 @@ def test_gates_skip_the_step_check_of_mutants_killed_earlier(agent_flow_text, mo
     ``inv_inductive`` only, ``event-to-noeffect`` searches it and
     ``r2_step_simulation``, and the two relation edits die at
     ``safety_preserved`` before any search."""
-    searches = []
+    searches, drawn = [], []
 
-    def counting(c, states, alphabet, detail, *args, **kwargs):
-        searches.append(detail)
-        return first_failing_step(c, states, alphabet, detail, *args, **kwargs)
+    def counting(*args):
+        searches.append(len(drawn))  # the obligations drawn before this search
+        return first_failing_step(*args)
+
+    def drawing(*args):
+        for o in step_obligations(*args):
+            drawn.append(o.name)
+            yield o
 
     monkeypatch.setattr(refinement, "first_failing_step", counting)
+    monkeypatch.setattr(refinement, "step_obligations", drawing)
     report = run_gates(agent_flow_text, 4)
     assert report.passed
     assert {m.mutation_id: m.killed_by for m in report.mutants} == {
@@ -270,8 +277,8 @@ def test_gates_skip_the_step_check_of_mutants_killed_earlier(agent_flow_text, mo
         "event-to-noeffect": "r2_step_simulation",
         "drop-history-clause": "inv_inductive",
     }
-    inv, r2 = "declared invariant not re-established", "no abstract step matches the abstracted event and post-state"
-    assert searches == [inv, inv, r2, inv]
+    assert drawn == ["inv_inductive", "inv_inductive", "r2_step_simulation", "inv_inductive"]
+    assert searches == list(range(len(drawn)))
 
 
 def test_one_gate_run_explores_once_and_judges_each_relation_once(agent, agent_flow_text, monkeypatch):
@@ -306,8 +313,8 @@ def test_one_gate_run_explores_once_and_judges_each_relation_once(agent, agent_f
     layer_calls.clear()
     perturbed.clear()
     verdict = check_refinement_next(agent.impl_constants, Bundle(), agent.alphabet, 4)
-    assert verdict.passed and len(layer_calls) == 1
-    assert len(perturbed) == len(set(perturbed)) == verdict.reachable_states
+    assert all(o.passed for o in verdict) and len(layer_calls) == 1
+    assert perturbed == [s for layer in reachable_layers(*layer_calls[0])[:4] for s in layer]
 
 
 def test_the_stub_step_check_stops_after_its_first_inv_failure(agent, monkeypatch):
@@ -332,7 +339,7 @@ def test_the_stub_step_check_stops_after_its_first_inv_failure(agent, monkeypatc
 
     admitted = [s for s in CheckRun(c, alphabet, 4).candidates if impl_wf(c, s)]
     order = {s: i for i, s in enumerate(admitted)}
-    first_failure = check_refinement_next(c, Bundle(assume_inv=impl_wf), alphabet, 4).inv_counterexample
+    inv_inductive = check_refinement_next(c, Bundle(assume_inv=impl_wf), alphabet, 4)[0]
     bundle = Bundle(next_relation=relation, inv=inv)
     monkeypatch.setattr(refinement, "impl_next", step)
 
@@ -344,4 +351,4 @@ def test_the_stub_step_check_stops_after_its_first_inv_failure(agent, monkeypatc
 
     stopped = judged_states(lambda: gate_vacuity(CheckRun(c, alphabet, 4), bundle))
     full = judged_states(lambda: verify_bundle(c, permissive_stub(bundle), alphabet, 4))
-    assert max(stopped) == order[first_failure.state] < max(full) == len(admitted) - 1
+    assert max(stopped) == order[inv_inductive.counterexample.pre_state] < max(full) == len(admitted) - 1
