@@ -9,19 +9,21 @@ checker verifies.
 A state's digest is the first 16 hex characters of the SHA-256 of
 ``json.dumps(state_document(s), sort_keys=True)`` (``state_digest``).
 Rendering and replaying a log digest its states through a
-``RunDigester``, which JSON-encodes each list entry once, when a step
-appends it. The rest of a digest still grows with the state's history:
-each list field is sliced and compared with the previous state's, each
-list's JSON string and the whole document are rebuilt, and the document
-is hashed, so a run of n rows does O(n^2) string work, at C speed.
+``RunDigester``, and JSON-encode each distinct action, event, path, tool
+and node name once per call. So each row costs O(1) Python work, plus C
+work that grows with the state's history: a comparison of each list
+field with the previous state's, one copy of the state document and the
+document's SHA-256. A run of n rows therefore still does O(n^2) work at
+C speed, most of it hashing; only a digest that chains the rows (a new
+log schema) removes it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .actions import Action, format_action, format_impl_event, parse_action
 from .flowfile import FlowDefinition, flow_digest
@@ -54,8 +56,14 @@ def state_digest(s: ImplState) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _history_entry(entry: tuple[str, Action]) -> str:
-    return json.dumps([entry[0], format_action(entry[1])])
+def _field_json(value: str | None | Action | tuple[str, Action]) -> bytes:
+    """The JSON that ``state_document`` gives a node name (or no node), an
+    action, or a history entry, as ASCII bytes."""
+    if isinstance(value, tuple):
+        value = [value[0], format_action(value[1])]
+    elif value is not None and not isinstance(value, str):
+        value = format_action(value)
+    return json.dumps(value).encode()
 
 
 class RunDigester:
@@ -65,41 +73,51 @@ class RunDigester:
     and an effected step appends at most one entry to each of ``history``,
     ``read_paths`` and ``tool_calls``. So the digester returns the cached
     digest for the state it saw last, and keeps the JSON of each list
-    field's entries, serialising only an appended entry. A state that does
-    not extend the previous one is serialised afresh, so any sequence of
-    states gets exactly ``state_digest``'s answer.
+    field in a ``bytearray`` that an appended entry extends. Each distinct
+    list entry, node name and action is JSON-encoded once per digester. A
+    state that does not extend the previous one has its lists encoded
+    afresh, so any sequence of states gets exactly ``state_digest``'s
+    answer. The document is joined in one C-level copy and hashed by one
+    ``hashlib.sha256`` call.
     """
 
     def __init__(self) -> None:
         self._last: ImplState | None = None
         self._digest = ""
-        self._lists: dict[str, tuple[tuple, str]] = {}
+        self._json = functools.cache(_field_json)
+        self._lists = {name: ((), bytearray()) for name in ("history", "read_paths", "tool_calls")}
 
     def __call__(self, s: ImplState) -> str:
         if s is self._last:
             return self._digest
-        history = self._json_list("history", s.history, _history_entry)
-        reads = self._json_list("read_paths", s.read_paths, json.dumps)
-        tools = self._json_list("tool_calls", s.tool_calls, json.dumps)
-        blob = (
-            f'{{"current_node": {json.dumps(s.current_node)}, "halted": {json.dumps(s.halted)}, '
-            f'"history": {history}, "last_action": {json.dumps(format_action(s.last_action))}, '
-            f'"last_node": {json.dumps(s.last_node)}, "read_paths": {reads}, '
-            f'"step_count": {json.dumps(s.step_count)}, "tool_calls": {tools}}}'
-        )
-        self._last, self._digest = s, hashlib.sha256(blob.encode()).hexdigest()[:16]
+        js = self._json
+        blob = b"".join((
+            b'{"current_node": ', js(s.current_node),
+            b', "halted": ', b"true" if s.halted else b"false",
+            b', "history": [', self._json_list("history", s.history),
+            b'], "last_action": ', js(s.last_action),
+            b', "last_node": ', js(s.last_node),
+            b', "read_paths": [', self._json_list("read_paths", s.read_paths),
+            b'], "step_count": ', b"%d" % s.step_count,
+            b', "tool_calls": [', self._json_list("tool_calls", s.tool_calls),
+            b"]}",
+        ))
+        self._last, self._digest = s, hashlib.sha256(blob).hexdigest()[:16]
         return self._digest
 
-    def _json_list(self, name: str, items: tuple, encode: Callable[[object], str]) -> str:
-        prev, inner = self._lists.get(name, ((), ""))
+    def _json_list(self, name: str, items: tuple) -> bytearray:
+        """The JSON of ``items`` without its brackets."""
+        prev, inner = self._lists[name]
         # Along a run the shared entries are the same objects, so this
         # comparison never calls an entry's __eq__.
         if len(items) == len(prev) + 1 and items[:-1] == prev:
-            inner = f"{inner}, {encode(items[-1])}" if prev else encode(items[-1])
+            if prev:
+                inner += b", "
+            inner += self._json(items[-1])
         elif items != prev:
-            inner = ", ".join(map(encode, items))
+            inner = bytearray(b", ".join(map(self._json, items)))
         self._lists[name] = (items, inner)
-        return f"[{inner}]"
+        return inner
 
 
 def render_trace_log(
@@ -119,18 +137,15 @@ def render_trace_log(
     }
     lines = [json.dumps(header, sort_keys=True)]
     digest = RunDigester()
+    actions = functools.cache(lambda a: json.dumps(format_action(a)))
+    events = functools.cache(lambda e: json.dumps(format_impl_event(e)))
+    # json.dumps(row, sort_keys=True) for the row {"i", "pre", "action",
+    # "event", "post"}; a digest is hex, which JSON writes as it is.
     for i, step in enumerate(record.trace.steps):
+        pre, post = digest(step.pre_state), digest(step.post_state)
         lines.append(
-            json.dumps(
-                {
-                    "i": i,
-                    "pre": digest(step.pre_state),
-                    "action": format_action(step.action),
-                    "event": format_impl_event(step.event),
-                    "post": digest(step.post_state),
-                },
-                sort_keys=True,
-            )
+            f'{{"action": {actions(step.action)}, "event": {events(step.event)}, '
+            f'"i": {i}, "post": "{post}", "pre": "{pre}"}}'
         )
     return "\n".join(lines) + "\n"
 
@@ -145,7 +160,7 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
     try:
         header = json.loads(lines[0])
         rows = [json.loads(ln) for ln in lines[1:]]
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as e:  # also an integer too long to convert, or nesting too deep
         raise TraceLogError(f"not valid JSON lines: {e}") from e
     if not isinstance(header, dict) or not isinstance(header.get("constants_digest"), str):
         raise TraceLogError("trace-log header must be an object with a constants_digest string")
@@ -157,6 +172,7 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
     seed = header.get("seed", "")  # a missing seed is not a null one
     if seed is not None and type(seed) is not int:
         raise TraceLogError("trace-log header 'seed' must be an integer or null")
+    actions = functools.cache(parse_action)
     for n, row in enumerate(rows):
         if not isinstance(row, dict):
             raise TraceLogError("every trace-log row must be an object")
@@ -166,7 +182,7 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
             if not isinstance(row.get(key), str):
                 raise TraceLogError(f"row {n}: {key!r} must be a string")
         try:
-            row["action"] = parse_action(row["action"])
+            row["action"] = actions(row["action"])
         except ValueError as e:
             raise TraceLogError(f"row {n}: bad action literal: {e}") from e
     return header, rows
@@ -190,13 +206,14 @@ def replay_trace_log(defn: FlowDefinition, text: str) -> ReplayVerdict:
     c = defn.impl_constants
     state = impl_init(c)
     digest = RunDigester()
+    events = functools.cache(format_impl_event)
     for i, row in enumerate(rows):
         if row["i"] != i:
             return ReplayVerdict(False, i, f"row index {row['i']!r} out of order")
         if digest(state) != row["pre"]:
             return ReplayVerdict(False, i, f"pre-state digest mismatch at row {i}")
         ((event, nxt),) = impl_next(c, state, row["action"])
-        if (emitted := format_impl_event(event)) != row["event"]:
+        if (emitted := events(event)) != row["event"]:
             detail = f"event mismatch at row {i}: replay emits {emitted}, log says {row['event']!r}"
             return ReplayVerdict(False, i, detail)
         if digest(nxt) != row["post"]:

@@ -12,6 +12,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -125,17 +126,29 @@ def test_every_function_the_tracer_wraps_exists(table):
     assert entries and not missing, f"{table} names functions flowguard lacks: {missing}"
 
 
-def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys):
+def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys, monkeypatch):
     """The tracer's hooks still see the work they measure: the sweep
     through its ``next_fn`` keyword, ``drive`` through the fields of its
     ``RunRecord``, safety preservation through its verdict's
-    ``explored_states``, replay through its rows, and a policy-edit
-    mutant's abstract steps through the rebound ``spec_next``."""
+    ``explored_states``, replay through its rows, a policy-edit mutant's
+    abstract steps through the rebound ``spec_next``, and every byte the
+    trace-log digests hash through ``tracelog.hashlib``."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     cli = importlib.import_module("flowguard.cli")  # loads every module the tracer wraps
+    tracelog = importlib.import_module("flowguard.tracelog")
     flow, log = str(ROOT / "flows" / "read_agent.json"), str(tmp_path / "run.log")
+
+    fed = {}  # command -> the states given to its digesters, in order
+
+    class Recording(tracelog.RunDigester):
+        def __call__(self, s):
+            fed[command].append(s)
+            return super().__call__(s)
+
+    monkeypatch.setattr(tracelog, "RunDigester", Recording)
+    hashed = {}
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -143,12 +156,19 @@ def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys):
         before = tracer.counts["spec_model.spec_next.calls"]
         codes.append(cli.main(["check", "--flow", flow, "--depth", "4", "--mutation", "drop-allowlist-guard"]))
         mutant_steps = tracer.counts["spec_model.spec_next.calls"] - before
-        codes.append(cli.main(["run", "--flow", flow, "--steps", "5", "--out", log]))
-        codes.append(cli.main(["replay", "--flow", flow, log]))
+        for command, argv in (("run", ["--steps", "5", "--out", log]), ("replay", [log])):
+            fed[command], before = [], tracer.counts["tracelog.state_digest.bytes_hashed"]
+            codes.append(cli.main([command, "--flow", flow, *argv]))
+            hashed[command] = tracer.counts["tracelog.state_digest.bytes_hashed"] - before
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert codes == [0, 1, 0, 0]
+    for command, states in fed.items():
+        # A digester hashes each state it is given, except the one it was given last.
+        digested = [s for k, s in enumerate(states) if k == 0 or s is not states[k - 1]]
+        assert len(digested) > 1
+        assert hashed[command] == sum(len(json.dumps(tracelog.state_document(s), sort_keys=True)) for s in digested)
     assert tracer.counts["havoc.sweep.next_calls"] > 0
     assert tracer.counts["spec_model.check_safety_preserved.explored_states"] > 0
     assert tracer.counts["havoc.drive.steps"] == 5

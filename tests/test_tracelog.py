@@ -1,7 +1,9 @@
-"""Trace-log digests: the run-scoped digester agrees with ``state_digest``
-on every sequence of states, logs captured before it existed still come
-out of ``run`` byte for byte and still replay, and render plus replay
-format a number of actions linear in the number of rows.
+"""Trace-log digests and rows: the run-scoped digester agrees with
+``state_digest`` on every sequence of states, every rendered row is the
+sorted-key JSON of its fields and replays, logs captured before the
+digester existed still come out of ``run`` byte for byte and still
+replay, and render plus replay encode and parse a number of literals
+linear in the number of rows.
 
 ``tests/golden/tracelog/`` holds a small cyclic flow of Read nodes
 (``cyclic_reads.json``, its step budget above the run length, so the
@@ -18,13 +20,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowguard.tracelog as tracelog
-from flowguard.actions import NoAction, ReadPathAction, StepAction, ToolCallAction
+from flowguard.actions import (
+    NoAction,
+    ReadPathAction,
+    StepAction,
+    ToolCallAction,
+    format_action,
+    format_impl_event,
+)
 from flowguard.cli import main
-from flowguard.flowfile import load_flow
+from flowguard.flowfile import FlowDefinition, load_flow
 from flowguard.havoc import ScriptedOracle, drive
 from flowguard.impl_model import FlowGraph, ImplConstants, ImplState, impl_init, impl_next
 from flowguard.spec_model import SpecConstants
-from flowguard.tracelog import RunDigester, render_trace_log, replay_trace_log, state_digest
+from flowguard.tracelog import (
+    ReplayVerdict,
+    RunDigester,
+    TraceLogError,
+    parse_trace_log,
+    render_trace_log,
+    replay_trace_log,
+    state_digest,
+)
 from test_cli import JSON_TYPES, PY_TYPES, scalar
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tracelog"
@@ -35,9 +52,11 @@ STRATEGIES = ("random", "adversarial")
 # Random small flows and runs on them
 
 KINDS = {"Read": "read", "Tool": "tool", "Step": "step", "Terminal": None}
-rooted = st.sampled_from(("/ws", "/ws/a", "/ws/\"q\" é")) | st.text(max_size=4).map("/ws/".__add__)
-paths = rooted | st.sampled_from(("/wsx/a", "/etc/pw")) | st.text(max_size=5)
-tools = st.sampled_from(("search", "rm", "t\\☃")) | st.text(max_size=4)
+# Values JSON escapes: a quote, a backslash, non-ASCII text and a lone surrogate.
+ESCAPED = ("/ws/\"q\" é", "/ws/b\\c", "/ws/\ud800")
+rooted = st.sampled_from(("/ws", "/ws/a") + ESCAPED) | st.text(max_size=4).map("/ws/".__add__)
+paths = rooted | st.sampled_from(("/wsx/a", "/etc/pw", "\ud800")) | st.text(max_size=5)
+tools = st.sampled_from(("search", "rm", "t\\☃", "\"q\"", "\ud800")) | st.text(max_size=4)
 actions = st.one_of(
     st.just(NoAction()),
     st.just(StepAction()),
@@ -75,17 +94,24 @@ def flow_constants(draw):
 
 
 @st.composite
+def scripts(draw):
+    """Constants from ``flow_constants`` and a script of 1-25 actions, most
+    of them fitting the node the run has reached."""
+    c = draw(flow_constants())
+    state, script = impl_init(c), []
+    for _ in range(draw(st.integers(1, 25))):
+        script.append(draw(FITTING[c.graph.kind_of(state.current_node).value] | actions))
+        ((_, state),) = impl_next(c, state, script[-1])
+    return c, script
+
+
+@st.composite
 def runs(draw):
     """Constants from ``flow_constants`` and the states of a run on them,
     in row order: pre-state, post-state, pre-state..."""
-    c = draw(flow_constants())
-    pre, states = impl_init(c), []
-    for _ in range(draw(st.integers(1, 25))):
-        a = draw(FITTING[c.graph.kind_of(pre.current_node).value] | actions)
-        ((_, post),) = impl_next(c, pre, a)
-        states += [pre, post]
-        pre = post
-    return c, states
+    c, script = draw(scripts())
+    record = drive(c, ScriptedOracle(script), len(script))
+    return c, [s for step in record.trace.steps for s in (step.pre_state, step.post_state)]
 
 
 def _equal_copy(s: ImplState) -> ImplState:
@@ -137,6 +163,30 @@ def test_digester_matches_state_digest(order, run, data):
     assert [digest(s) for s in sequence] == [state_digest(s) for s in sequence]
 
 
+@settings(max_examples=60, deadline=None)
+@given(run=scripts())
+def test_every_rendered_row_is_the_sorted_json_of_its_fields(run):
+    c, script = run
+    defn = FlowDefinition('a "random" flow \\ é \ud800', c.spec, c.graph, (NoAction(),))
+    record = drive(c, ScriptedOracle(script), len(script))
+    text = render_trace_log(defn, record, strategy="scripted", seed=None)
+    expected = [
+        json.dumps(
+            {
+                "i": i,
+                "pre": state_digest(step.pre_state),
+                "action": format_action(step.action),
+                "event": format_impl_event(step.event),
+                "post": state_digest(step.post_state),
+            },
+            sort_keys=True,
+        )
+        for i, step in enumerate(record.trace.steps)
+    ]
+    assert text.split("\n")[1:] == expected + [""]
+    assert replay_trace_log(defn, text) == ReplayVerdict(True, len(script))
+
+
 # ---------------------------------------------------------------------------
 # Golden logs
 
@@ -181,27 +231,52 @@ def test_replay_rejects_golden_log_with_one_post_digest_changed(strategy, tmp_pa
 
 
 def test_render_and_replay_format_a_linear_number_of_actions(monkeypatch):
+    """Every step of the run is effected, so the history grows all run
+    long; the literals are still encoded and parsed once each."""
     n = 400
     defn = load_flow(FLOW)
     record = drive(defn.impl_constants, ScriptedOracle([ReadPathAction("/ws/a")] * n), n)
     assert len(record.final_state.history) == n  # every step effected
 
-    calls = 0
-    original = tracelog.format_action
+    calls = {"format_action": 0, "dumps": 0, "parse_action": 0}
 
-    def counting(a):
-        nonlocal calls
-        calls += 1
-        return original(a)
+    def counting(name, original):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(tracelog, "format_action", counting)
+        return count
+
+    monkeypatch.setattr(tracelog, "format_action", counting("format_action", tracelog.format_action))
+    monkeypatch.setattr(tracelog, "parse_action", counting("parse_action", tracelog.parse_action))
+    monkeypatch.setattr(json, "dumps", counting("dumps", json.dumps))
     text = render_trace_log(defn, record, strategy="scripted", seed=None)
     assert replay_trace_log(defn, text).passed
-    assert calls <= 8 * n
+
+    literals = {json.loads(ln)["action"] for ln in text.splitlines()[1:]}
+    assert calls["format_action"] <= 8 * n
+    assert 0 < calls["dumps"] <= n
+    assert 0 < calls["parse_action"] <= len(literals)
 
 
 # ---------------------------------------------------------------------------
 # Damaged logs
+
+
+@pytest.mark.parametrize("line", [0, 1], ids=["header", "row"])
+def test_an_integer_too_long_to_convert_is_an_unusable_log(line, tmp_path, capsys):
+    """``json.loads`` refuses an integer of more than 4,300 digits with a
+    plain ValueError; replay reports it as a log it cannot replay."""
+    lines = _log("random").read_text().splitlines()
+    lines[line] = '{"i": %s}' % ("9" * 5000)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(TraceLogError, match="not valid JSON lines"):
+        parse_trace_log(text)
+    log = tmp_path / "long-int.log"
+    log.write_text(text)
+    assert main(["replay", "--flow", str(FLOW), str(log)]) == 2
+    assert capsys.readouterr().err.startswith("cannot replay: not valid JSON lines: ")
+
 
 GOLDEN_LINES = _log("random").read_text().splitlines()
 
