@@ -15,7 +15,6 @@ trace; we check each one, then corrupt a trace and see the checker name
 the stage that breaks.
 """
 
-import dataclasses
 import itertools
 from pathlib import Path
 
@@ -60,7 +59,7 @@ print()
 # now corrupt one recorded state and watch the checker localize it
 sample = next(t for t in traces if len(t) == 1 and t.steps[0].event.dispatch is not None)
 step = sample.steps[0]
-bad_post = dataclasses.replace(step.post_state, read_paths=("/etc/shadow",))
+bad_post = step.post_state._replace(read_paths=("/etc/shadow",))
 corrupted = Trace((Step(step.pre_state, step.action, step.event, bad_post),))
 v = check_soundness(c, bundle, corrupted)
 print(f"corrupted trace: passed={v.passed}, stage={v.stage}, detail={v.detail!r}")

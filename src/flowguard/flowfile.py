@@ -64,7 +64,9 @@ def _strings(value, where: str) -> list[str]:
 def parse_flow(text: str) -> FlowDefinition:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
+    # ValueError covers JSONDecodeError and an integer too long to convert;
+    # RecursionError a document nested too deeply.
+    except (ValueError, RecursionError) as e:
         raise FlowFileError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FlowFileError("top-level document must be an object")

@@ -135,8 +135,14 @@ class ImplConstants:
     _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class ImplState:
+class ImplState(NamedTuple):
+    """A state of the concrete machine: an immutable tuple record, built by
+    ``tuple.__new__`` and hashed and compared in C. Two states are equal
+    exactly when their field values are, and a state also equals a plain
+    tuple of the same values; no code path compares a state with anything
+    but a state. A step builds its post-state, and ``s._replace(...)`` an
+    edited copy."""
+
     current_node: str
     read_paths: tuple[str, ...] = ()
     tool_calls: tuple[str, ...] = ()
@@ -211,7 +217,8 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
     if route is None or (route.counts_step and not STEP_BOUNDED.guard(c.spec, s.step_count)):
         return ((STUTTER, s),)
     fields = advance(c.spec, s, route.reads, route.tools, route.counts_step)
-    return ((route.event, ImplState(route.target, *fields, s.history + (key,), s.current_node, a)),)
+    post = tuple.__new__(ImplState, (route.target, *fields, s.history + (key,), s.current_node, a))
+    return ((route.event, post),)
 
 
 InvClause = Callable[[ImplConstants, ImplState], bool]

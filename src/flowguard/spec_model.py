@@ -24,7 +24,7 @@ states must be representable so checks can reject them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .actions import (
     Action,
@@ -47,7 +47,8 @@ PREFIX_BARE = "bare"
 @dataclass(frozen=True)
 class SpecConstants:
     """Policy parameters shared by the abstract and concrete machines.
-    ``_moves`` is ``spec_next``'s move table: a cache, not part of the value.
+    ``_moves`` is ``spec_next``'s move table and ``_holds`` is
+    ``violated``'s verdict table: caches, not part of the value.
 
     prefix_mode:
       "guarded" -- a path is under the root iff it equals the root or
@@ -66,6 +67,7 @@ class SpecConstants:
     prefix_mode: str = PREFIX_GUARDED
     count_all_actions: bool = True
     _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _holds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.workspace_root:
@@ -76,8 +78,13 @@ class SpecConstants:
             raise ValueError(f"unknown prefix_mode: {self.prefix_mode!r}")
 
 
-@dataclass(frozen=True)
-class SpecState:
+class SpecState(NamedTuple):
+    """A state of the abstract machine: an immutable tuple record of the
+    four boundary-visible variables, built by ``tuple.__new__`` and hashed
+    and compared in C. Two states are equal exactly when their field
+    values are, and a state also equals a plain tuple of the same values;
+    no code path compares a state with anything but a state."""
+
     read_paths: tuple[str, ...] = ()
     tool_calls: tuple[str, ...] = ()
     step_count: int = 0
@@ -114,7 +121,9 @@ class Conjunct:
 
     ``guard`` and ``holds`` must be pure functions of (constants, value):
     ``impl_model.impl_next`` keeps each sequence guard's verdict per (node,
-    action) pair, and ``spec_next`` per (policy, action) pair."""
+    action) pair, ``spec_next`` per (policy, action) pair, and ``violated``
+    keeps each ``holds`` verdict per value in the constants' ``_holds``
+    table."""
 
     name: str
     field: str
@@ -165,9 +174,20 @@ def admits_value(c: SpecConstants, a: Action, policy: tuple[Conjunct, ...] = POL
 
 def violated(c: SpecConstants, s) -> Conjunct | None:
     """The first conjunct of the policy that ``s`` breaks, or None when
-    ``s`` is safe. ``s`` is any state with the policed fields."""
+    ``s`` is safe. ``s`` is any state with the policed fields. Each
+    conjunct's verdict on a field value is computed once per ``c`` and
+    kept in ``c._holds``, one table per ``holds`` function; that is exact
+    because ``holds`` is a pure function of (constants, value). States
+    that share a sequence share its verdict, so judging a known value
+    costs a hash of it rather than a guard call per element."""
+    tables = c._holds
     for k in POLICY:
-        if not k.holds(c, getattr(s, k.field)):
+        value = getattr(s, k.field)
+        try:
+            ok = tables[k.holds][value]
+        except KeyError:
+            ok = tables.setdefault(k.holds, {})[value] = k.holds(c, value)
+        if not ok:
             return k
     return None
 
@@ -232,7 +252,7 @@ def spec_next(
     for guard in step_guards:
         if not guard(c, s.step_count):
             return (stutter,)
-    return ((event, SpecState(*advance(c, s, reads, tools, counts_step))), stutter)
+    return ((event, tuple.__new__(SpecState, advance(c, s, reads, tools, counts_step))), stutter)
 
 
 def spec_safety(c: SpecConstants, s: SpecState) -> bool:

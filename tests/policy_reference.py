@@ -7,7 +7,6 @@ library imports this module.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from flowguard.actions import (
     Action,
@@ -51,12 +50,12 @@ def _effected(c: SpecConstants, s: SpecState, a: Action) -> tuple[BoundaryEvent,
             if not path_under_root(c.workspace_root, path, c.prefix_mode):
                 return None
             event: BoundaryEvent = ReadEvent(path)
-            nxt = replace(s, read_paths=s.read_paths + (path,))
+            nxt = s._replace(read_paths=s.read_paths + (path,))
         case ToolCallAction(tool):
             if tool not in c.allowed_tools:
                 return None
             event = ToolEvent(tool)
-            nxt = replace(s, tool_calls=s.tool_calls + (tool,))
+            nxt = s._replace(tool_calls=s.tool_calls + (tool,))
         case StepAction():
             event = StepEvent()
             nxt = s
@@ -66,7 +65,7 @@ def _effected(c: SpecConstants, s: SpecState, a: Action) -> tuple[BoundaryEvent,
         if s.step_count >= c.max_steps:
             return None
         count = s.step_count + 1
-        nxt = replace(nxt, step_count=count, halted=count >= c.max_steps)
+        nxt = nxt._replace(step_count=count, halted=count >= c.max_steps)
     return event, nxt
 
 
@@ -129,18 +128,17 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
     match a:
         case ReadPathAction(path):
             effect: BoundaryEvent = ReadEvent(path)
-            nxt = replace(s, read_paths=s.read_paths + (path,))
+            nxt = s._replace(read_paths=s.read_paths + (path,))
         case ToolCallAction(tool):
             effect = ToolEvent(tool)
-            nxt = replace(s, tool_calls=s.tool_calls + (tool,))
+            nxt = s._replace(tool_calls=s.tool_calls + (tool,))
         case _:
             effect = StepEvent()
             nxt = s
     if c.spec.count_all_actions or isinstance(a, StepAction):
         count = s.step_count + 1
-        nxt = replace(nxt, step_count=count, halted=count >= c.spec.max_steps)
-    nxt = replace(
-        nxt,
+        nxt = nxt._replace(step_count=count, halted=count >= c.spec.max_steps)
+    nxt = nxt._replace(
         history=s.history + ((s.current_node, a),),
         current_node=target,
         last_node=s.current_node,
@@ -210,12 +208,12 @@ def action_out_of_policy(c: SpecConstants, a: Action) -> bool:
 def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) -> tuple[ImplState, ...]:
     out: list[ImplState] = []
     if s.history:
-        out.append(replace(s, history=s.history[:-1]))
-        out.append(replace(s, history=s.history + s.history[-1:]))
-    out.append(replace(s, step_count=s.step_count + 1))
+        out.append(s._replace(history=s.history[:-1]))
+        out.append(s._replace(history=s.history + s.history[-1:]))
+    out.append(s._replace(step_count=s.step_count + 1))
     if s.step_count > 0:
-        out.append(replace(s, step_count=s.step_count - 1))
-    out.append(replace(s, halted=not s.halted))
+        out.append(s._replace(step_count=s.step_count - 1))
+    out.append(s._replace(halted=not s.halted))
 
     sc = c.spec
     unrooted = next(
@@ -228,7 +226,7 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
         None,
     )
     if unrooted is not None:
-        out.append(replace(s, read_paths=s.read_paths + (unrooted,)))
+        out.append(s._replace(read_paths=s.read_paths + (unrooted,)))
     unlisted = next(
         (a.tool for a in alphabet if isinstance(a, ToolCallAction) and a.tool not in sc.allowed_tools),
         None,
@@ -236,14 +234,14 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
     if unlisted is None and "__unlisted__" not in sc.allowed_tools:
         unlisted = "__unlisted__"
     if unlisted is not None:
-        out.append(replace(s, tool_calls=s.tool_calls + (unlisted,)))
+        out.append(s._replace(tool_calls=s.tool_calls + (unlisted,)))
 
     if s.last_node is not NO_NODE:
-        out.append(replace(s, last_node=NO_NODE, last_action=NoAction()))
-        out.append(replace(s, last_action=NoAction()))
+        out.append(s._replace(last_node=NO_NODE, last_action=NoAction()))
+        out.append(s._replace(last_action=NoAction()))
     for node in sorted(c.graph.nodes):
         if node != s.current_node:
-            out.append(replace(s, current_node=node))
+            out.append(s._replace(current_node=node))
     return tuple(out)
 
 
@@ -268,9 +266,9 @@ def seeded_next_drop_allowlist(c: SpecConstants, s: SpecState, a: Action) -> tup
         case ReadPathAction(path):
             if not path_under_root(c.workspace_root, path, c.prefix_mode):
                 return (stutter,)
-            event, nxt = ReadEvent(path), replace(s, read_paths=s.read_paths + (path,))
+            event, nxt = ReadEvent(path), s._replace(read_paths=s.read_paths + (path,))
         case ToolCallAction(tool):
-            event, nxt = ToolEvent(tool), replace(s, tool_calls=s.tool_calls + (tool,))
+            event, nxt = ToolEvent(tool), s._replace(tool_calls=s.tool_calls + (tool,))
         case StepAction():
             event, nxt = StepEvent(), s
         case _:
@@ -279,7 +277,7 @@ def seeded_next_drop_allowlist(c: SpecConstants, s: SpecState, a: Action) -> tup
         if s.step_count >= c.max_steps:
             return (stutter,)
         count = s.step_count + 1
-        nxt = replace(nxt, step_count=count, halted=count >= c.max_steps)
+        nxt = nxt._replace(step_count=count, halted=count >= c.max_steps)
     return ((event, nxt), stutter)
 
 
@@ -289,11 +287,11 @@ def seeded_next_bound_off_by_one(c: SpecConstants, s: SpecState, a: Action) -> t
         case ReadPathAction(path):
             if not path_under_root(c.workspace_root, path, c.prefix_mode):
                 return (stutter,)
-            event, nxt = ReadEvent(path), replace(s, read_paths=s.read_paths + (path,))
+            event, nxt = ReadEvent(path), s._replace(read_paths=s.read_paths + (path,))
         case ToolCallAction(tool):
             if tool not in c.allowed_tools:
                 return (stutter,)
-            event, nxt = ToolEvent(tool), replace(s, tool_calls=s.tool_calls + (tool,))
+            event, nxt = ToolEvent(tool), s._replace(tool_calls=s.tool_calls + (tool,))
         case StepAction():
             event, nxt = StepEvent(), s
         case _:
@@ -302,7 +300,7 @@ def seeded_next_bound_off_by_one(c: SpecConstants, s: SpecState, a: Action) -> t
         if s.step_count > c.max_steps:
             return (stutter,)
         count = s.step_count + 1
-        nxt = replace(nxt, step_count=count, halted=count >= c.max_steps)
+        nxt = nxt._replace(step_count=count, halted=count >= c.max_steps)
     return ((event, nxt), stutter)
 
 

@@ -7,7 +7,6 @@ sweep, exact sequence counts, exact gate pass/fail patterns, exact
 conjunct names, and byte-exact replay across 20 seeded runs.
 """
 
-import dataclasses
 import json
 import time
 
@@ -118,7 +117,7 @@ def test_criterion_3_soundness_composition(agent):
     assert read_step is not None
 
     def corrupted(field, value):
-        bad_post = dataclasses.replace(read_step.post_state, **{field: value})
+        bad_post = read_step.post_state._replace(**{field: value})
         return Trace((Step(read_step.pre_state, read_step.action, read_step.event, bad_post),))
 
     stages = {

@@ -75,6 +75,18 @@ def test_a_flow_nested_too_deeply_exits_two(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["gates"]["g1"]["status"] == "fail"
 
 
+def test_an_integer_too_long_to_convert_is_not_valid_json(tmp_path, capsys):
+    """``json.loads`` refuses an integer of more than 4,300 digits with a
+    plain ValueError; a flow file holding one is reported as invalid JSON."""
+    flow = tmp_path / "long-int.json"
+    flow.write_text('{"schema_version": %s}' % ("9" * 5000))
+    assert main(["check", "--flow", str(flow)]) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
+    assert main(["gates", "--flow", str(flow)]) == 2
+    g1 = json.loads(capsys.readouterr().out)["gates"]["g1"]
+    assert g1["status"] == "fail" and g1["detail"].startswith("not valid JSON: ")
+
+
 def test_run_unknown_strategy_exits_two(flow_file):
     assert main(["run", "--flow", flow_file, "--strategy", "psychic"]) == 2
 

@@ -1,8 +1,6 @@
 """Concrete dispatch machine: policy-gated dispatch, rejection semantics,
 the inductive invariant, and graph validation."""
 
-import dataclasses
-
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -131,7 +129,7 @@ def test_out_of_policy_read_stutters(c):
 
 
 def test_halted_state_absorbs_everything(c, agent):
-    halted = dataclasses.replace(impl_init(c), halted=True, step_count=3)
+    halted = impl_init(c)._replace(halted=True, step_count=3)
     for a in agent.alphabet:
         event, s2 = only(impl_next(c, halted, a))
         assert event.effect == NoEffect() and s2 == halted
@@ -139,7 +137,7 @@ def test_halted_state_absorbs_everything(c, agent):
 
 def test_terminal_node_absorbs_everything(rag_barrier):
     c = rag_barrier.impl_constants
-    s = dataclasses.replace(impl_init(c), current_node="done")
+    s = impl_init(c)._replace(current_node="done")
     for a in rag_barrier.alphabet:
         event, s2 = only(impl_next(c, s, a))
         assert event.effect == NoEffect() and s2 == s
@@ -171,27 +169,27 @@ def test_reaching_the_bound_halts(c):
 
 
 def test_inv_rejects_history_count_mismatch(c):
-    s = dataclasses.replace(impl_init(c), step_count=3)
+    s = impl_init(c)._replace(step_count=3)
     assert not impl_inv(c, s)  # |history| == 0 != 3
 
 
 def test_inv_rejects_premature_halt(c):
-    s = dataclasses.replace(impl_init(c), halted=True, step_count=1)
+    s = impl_init(c)._replace(halted=True, step_count=1)
     assert not impl_inv(c, s)  # halted requires count >= max (3)
 
 
 def test_inv_rejects_inconsistent_last_node(c):
-    s = dataclasses.replace(impl_init(c), last_node="scan")
+    s = impl_init(c)._replace(last_node="scan")
     assert not impl_inv(c, s)  # empty history cannot witness last_node
 
 
 def test_wf_is_weaker_than_inv(c):
-    junk = dataclasses.replace(impl_init(c), step_count=99)
+    junk = impl_init(c)._replace(step_count=99)
     assert impl_wf(c, junk) and not impl_inv(c, junk)
 
 
 def test_safety_rejects_unlisted_tool_record(c):
-    s = dataclasses.replace(impl_init(c), tool_calls=("rm",))
+    s = impl_init(c)._replace(tool_calls=("rm",))
     assert not impl_safety(c, s)
 
 
@@ -213,7 +211,7 @@ def test_event_policy_judgment(c):
     assert event_in_policy(c, s0, ToolEvent("search"))
     assert not event_in_policy(c, s0, ToolEvent("rm"))
     assert event_in_policy(c, s0, StepEvent())
-    at_bound = dataclasses.replace(s0, step_count=3)
+    at_bound = s0._replace(step_count=3)
     assert not event_in_policy(c, at_bound, StepEvent())
     assert event_in_policy(c, at_bound, NoEffect())
 

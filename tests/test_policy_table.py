@@ -1,10 +1,13 @@
 """Differential tests for the policy table: every guard, state predicate and
 seeded error derived from ``spec_model.POLICY`` (and the invariant derived
 from ``impl_model.INVARIANT``) agrees with the hand-written definitions in
-policy_reference.py over random small constants, states and actions."""
+policy_reference.py over random small constants, states and actions.
+The last section pins the contract of the state records and of the caches
+the constants carry."""
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +24,29 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
+from flowguard.flowfile import flow_digest, parse_flow, serialize_flow, with_prefix_mode
 from flowguard.gates import SEEDED_ERRORS
-from flowguard.impl_model import ImplConstants, ImplState, event_in_policy, impl_inv, impl_next, impl_safety
-from flowguard.refinement import Bundle, _failed_conjunct, perturbations
-from flowguard.spec_model import SpecConstants, SpecState, admits_value, spec_next, spec_safety
+from flowguard.impl_model import (
+    ImplConstants,
+    ImplState,
+    event_in_policy,
+    impl_init,
+    impl_inv,
+    impl_next,
+    impl_safety,
+)
+from flowguard.refinement import Bundle, CheckRun, _failed_conjunct, obligations, perturbations, project_variables
+from flowguard.spec_model import (
+    POLICY,
+    READ_PATHS_ROOTED,
+    SpecConstants,
+    SpecState,
+    admits_value,
+    spec_init,
+    spec_next,
+    spec_safety,
+    violated,
+)
 from conftest import shipped
 
 FLOWS = tuple(shipped(name) for name in ("read_agent", "rag_barrier", "rag_no_barrier"))
@@ -117,7 +139,7 @@ def test_spec_next_matches_reference_on_a_warm_move_table(c, data):
     counters = st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=2, max_size=4)
     for base, a in pairs + pairs:
         for step_count, halted in data.draw(counters):
-            s = replace(base, step_count=step_count, halted=halted)
+            s = base._replace(step_count=step_count, halted=halted)
             for relation, reference in relations:
                 succs = relation(c, s, a)
                 assert succs == reference(c, s, a)
@@ -158,7 +180,7 @@ def test_impl_next_matches_reference_on_a_warm_route_table(fixture, spec, data):
     counters = st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=2, max_size=4)
     for base, a in routes + routes:
         for step_count, halted in data.draw(counters):
-            s = replace(base, step_count=step_count, halted=halted)
+            s = base._replace(step_count=step_count, halted=halted)
             ((event, nxt),) = impl_next(c, s, a)
             assert ((event, nxt),) == ref.impl_next(c, s, a)
             assert (nxt is s) == (event.effect == NoEffect())
@@ -212,3 +234,118 @@ def test_seeded_invariant_matches_reference(case):
     c, s = case
     assume_inv = _mutant("drop-history-clause").assume_inv
     assert assume_inv(c, s) == ref.inv_without_history_length(c, s)
+
+
+def _first_failing(c: SpecConstants, s):
+    """The first conjunct of the policy whose ``holds`` rejects its field
+    of ``s``, judged directly, without the verdict table."""
+    return next((k for k in POLICY if not k.holds(c, getattr(s, k.field))), None)
+
+
+@st.composite
+def verdict_cases(draw):
+    """A shipped flow with random guarded constants, and states on its graph
+    whose paths lie under the root, outside it, or under the sibling
+    ``root + "x/"``, whose tools are listed or not, and whose step counts
+    lie around ``max_steps``."""
+    flow = draw(st.sampled_from(FLOWS))
+    root = draw(st.sampled_from(("/ws", "/rag", "/ws/a")))
+    listed = ("search", "fetch", "grep")
+    allowed = draw(st.frozensets(st.sampled_from(listed), max_size=2))
+    max_steps = draw(st.integers(0, 4))
+    c = SpecConstants(root, allowed, max_steps, "guarded", draw(st.booleans()))
+    paths = st.sampled_from(
+        (root, root + "/", root + "/a", root + "/a/b", root + "x/a", root + "x", root[:-1], "/etc/pw")
+    )
+    states = st.builds(
+        ImplState,
+        current_node=st.sampled_from(sorted(flow.graph.nodes)),
+        read_paths=st.lists(paths, max_size=3).map(tuple),
+        tool_calls=st.lists(st.sampled_from(listed + ("rm", "__unlisted__")), max_size=3).map(tuple),
+        step_count=st.integers(max(0, max_steps - 2), max_steps + 2),
+        halted=st.booleans(),
+        history=st.just(()),
+        last_node=st.none(),
+        last_action=st.just(NoAction()),
+    )
+    return replace(flow, constants=c), draw(st.lists(states, min_size=1, max_size=6))
+
+
+@settings(max_examples=60)
+@given(verdict_cases())
+def test_violated_matches_the_conjuncts_on_a_warm_verdict_table(case):
+    """One constants object judges every drawn state twice, so the verdicts
+    its ``_holds`` table kept for earlier values answer later ones; under
+    both prefix modes, ``violated`` and ``impl_safety`` agree with the
+    first conjunct whose ``holds`` fails when called directly. The bare
+    constants are derived from the guarded flow after its table is warm,
+    and must not answer with its verdicts: ``root + "x/a"`` is outside the
+    root when guarded and under it when bare."""
+    defn, states = case
+    sibling = ImplState(defn.graph.entry, read_paths=(defn.constants.workspace_root + "x/a",))
+    for mode in ("guarded", "bare"):
+        defn = with_prefix_mode(defn, mode)
+        c = defn.impl_constants
+        for s in states + [sibling] + states:
+            expected = _first_failing(c.spec, s)
+            assert violated(c.spec, s) is expected
+            assert impl_safety(c, s) is (expected is None)
+        assert c.spec._holds
+        assert violated(c.spec, sibling) is (READ_PATHS_ROOTED if mode == "guarded" else None)
+
+
+# ---------------------------------------------------------------------------
+# State records and the constants' caches
+
+
+def test_states_are_immutable():
+    for s in (ImplState("a", ("/ws/a",)), SpecState(("/ws/a",))):
+        for name in s._fields:
+            with pytest.raises(AttributeError):
+                setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError):
+            s.extra = 1
+
+
+@pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.provenance)
+def test_equal_states_built_along_different_paths_are_equal_with_equal_hashes(flow):
+    """A step's post-state, the same values through the keyword
+    constructor and through ``_replace`` of the initial state, and the
+    reference model's post-state are equal and hash alike; so are the
+    abstract post-state, the abstraction of the concrete one, and their
+    rebuilt copies."""
+    c = flow.impl_constants
+    reachable = [s for layer in CheckRun(c, flow.alphabet, 3).layers for s in layer]
+    for s in reachable:
+        for a in flow.alphabet:
+            ((_event, post),) = impl_next(c, s, a)
+            ((_ref_event, ref_post),) = ref.impl_next(c, s, a)
+            fields = post._asdict()
+            concrete = (post, ref_post, ImplState(**fields), impl_init(c)._replace(**fields))
+            # The first abstract successor is the effected one, if any.
+            abstract_post = spec_next(c.spec, project_variables(s), a)[0][1]
+            abstract_fields = abstract_post._asdict()
+            abstract = (
+                abstract_post,
+                ref.spec_next(c.spec, project_variables(s), a)[0][1],
+                SpecState(**abstract_fields),
+                spec_init(c.spec)._replace(**abstract_fields),
+            ) + ((project_variables(post),) if post is not s else ())
+            for states in (concrete, abstract):
+                assert all(x == states[0] and hash(x) == hash(states[0]) for x in states)
+
+
+@pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.provenance)
+def test_warm_caches_leave_the_constants_value_alone(flow):
+    """Running every obligation fills ``_moves``, ``_routes`` and ``_holds``;
+    the constants still equal a fresh parse of the same flow, print the
+    same and give the same flow digest."""
+    fresh = parse_flow(serialize_flow(flow))
+    before = (repr(flow.constants), flow_digest(flow))
+    c = flow.impl_constants
+    assert all(o.passed for o in obligations(CheckRun(c, flow.alphabet, 4), Bundle()))
+    assert c._routes and c.spec._moves and c.spec._holds
+    assert not (fresh.constants._moves or fresh.constants._holds)
+    assert flow.constants == fresh.constants and hash(flow.constants) == hash(fresh.constants)
+    assert c == fresh.impl_constants and repr(c) == repr(fresh.impl_constants)
+    assert (repr(flow.constants), flow_digest(flow)) == before == (repr(fresh.constants), flow_digest(fresh))

@@ -106,7 +106,7 @@ def test_refinement_init_fails_for_contradictory_inv(agent_c):
 
 def test_refinement_init_tolerates_empty_projection_at_init(agent_c):
     # a projection that forgets read_paths still matches at init: both empty
-    b = Bundle(variables_abs=lambda s: dataclasses.replace(project_variables(s), read_paths=()))
+    b = Bundle(variables_abs=lambda s: project_variables(s)._replace(read_paths=()))
     assert check_refinement_init(agent_c, b).passed
 
 
@@ -266,7 +266,7 @@ def test_corrupt_read_paths_fails_at_concrete_stage(agent_c):
     trace = _single_read_trace(agent_c)
     s = trace.steps[0]
     bad = Trace(
-        (Step(s.pre_state, s.action, s.event, dataclasses.replace(s.post_state, read_paths=("/etc/pw",))),)
+        (Step(s.pre_state, s.action, s.event, s.post_state._replace(read_paths=("/etc/pw",))),)
     )
     v = check_soundness(agent_c, Bundle(), bad)
     assert (v.passed, v.stage) == (False, 3)
@@ -276,7 +276,7 @@ def test_corrupt_read_paths_fails_at_concrete_stage(agent_c):
 def test_corrupt_tool_calls_fails_at_concrete_stage(agent_c):
     trace = _single_read_trace(agent_c)
     s = trace.steps[0]
-    bad_state = dataclasses.replace(s.post_state, tool_calls=("rm",))
+    bad_state = s.post_state._replace(tool_calls=("rm",))
     bad = Trace((Step(s.pre_state, s.action, s.event, bad_state),))
     v = check_soundness(agent_c, Bundle(), bad)
     assert (v.stage, "tool call" in v.detail) == (3, True)
@@ -285,7 +285,7 @@ def test_corrupt_tool_calls_fails_at_concrete_stage(agent_c):
 def test_corrupt_step_count_fails_at_concrete_stage(agent_c):
     trace = _single_read_trace(agent_c)
     s = trace.steps[0]
-    bad_state = dataclasses.replace(s.post_state, step_count=99)
+    bad_state = s.post_state._replace(step_count=99)
     bad = Trace((Step(s.pre_state, s.action, s.event, bad_state),))
     v = check_soundness(agent_c, Bundle(), bad)
     assert (v.stage, "step count" in v.detail) == (3, True)

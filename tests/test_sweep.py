@@ -34,7 +34,7 @@ def overstepping_next(c, s, a):
 def forgetful_next(c, s, a):
     """``impl_next`` that drops the history of every effected step."""
     ((event, nxt),) = impl_next(c, s, a)
-    return ((event, nxt if nxt is s else dataclasses.replace(nxt, history=())),)
+    return ((event, nxt if nxt is s else nxt._replace(history=())),)
 
 
 def hushed_next(c, s, a):

@@ -11,7 +11,6 @@ history grows all run long) and the logs of ``run --seed 7 --steps 300``
 on it, one per strategy (``cyclic_reads.<strategy>.log``).
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -135,7 +134,7 @@ def _last_entry_changed(s: ImplState) -> list[ImplState]:
         return [s]
     node, a = s.history[-1]
     other = StepAction() if a == NoAction() else NoAction()
-    return [s, dataclasses.replace(s, history=s.history[:-1] + ((node, other),))]
+    return [s, s._replace(history=s.history[:-1] + ((node, other),))]
 
 
 def _insert_repeat(c, states, data):
