@@ -34,8 +34,7 @@ for name in ("rag_barrier.json", "rag_no_barrier.json"):
     r = run_gates((FLOWS / name).read_text(), depth=4)
     gates_line = f"g1={r.g1.status} g2={r.g2.status} g3={r.g3.status} fitness={r.fitness_verdict.status}"
     print(f"{r.flow.provenance:24} {gates_line}")
-    if r.fitness is not None:
-        for cf in r.fitness.conjuncts:
-            suffix = f"witnessed at depth {cf.witness_depth}: {list(cf.witness_value)}" \
-                if cf.status == "witnessed" else "VACUOUS (field never written)"
-            print(f"    {cf.name:18} {suffix}")
+    for cf in r.fitness:
+        suffix = f"witnessed at depth {cf.witness_depth}: {list(cf.witness_value)}" \
+            if cf.status == "witnessed" else "VACUOUS (field never written)"
+        print(f"    {cf.name:18} {suffix}")

@@ -34,7 +34,6 @@ from .gates import (
     gate_discrimination,
     gate_resolution,
     gate_vacuity,
-    identity_mutation,
     permissive_stub,
     run_gates,
 )

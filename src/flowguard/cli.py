@@ -116,7 +116,7 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     defn = _load(args)
     c = defn.impl_constants
-    bundle = mutation_by_id(args.mutation).apply(Bundle()) if args.mutation else Bundle()
+    bundle = mutation_by_id(args.mutation)(Bundle()) if args.mutation is not None else Bundle()
 
     verified = verify_bundle(c, bundle, defn.alphabet, args.depth)
     sweep_verdict = sweep(c, defn.alphabet, args.depth)
@@ -144,7 +144,7 @@ def cmd_check(args) -> int:
         args,
         "check-report",
         defn,
-        mutation=args.mutation or None,
+        mutation=args.mutation,
         obligations=obligations,
         warnings=warnings,
         overall="pass" if ok else "fail",
@@ -171,7 +171,7 @@ def _gate_fields(report: GateReport) -> dict:
                 else {}
             ),
         }
-        for cf in (report.fitness.conjuncts if report.fitness else ())
+        for cf in report.fitness
     ]
     return {
         "gates": {
@@ -186,7 +186,7 @@ def _gate_fields(report: GateReport) -> dict:
 
 def cmd_gates(args) -> int:
     text = Path(args.flow).read_text()
-    mutation_ids = tuple(args.mutation.split(",")) if args.mutation else None
+    mutation_ids = tuple(args.mutation.split(",")) if args.mutation is not None else None
     report = run_gates(text, args.depth, mutation_ids, prefix_mode=args.prefix_mode)
 
     # On a G1 failure there is no verified flow: the report holds only the

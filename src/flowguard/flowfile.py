@@ -2,9 +2,9 @@
 
 A flow definition is a JSON document with four sections: constants,
 graph, alphabet, and a provenance label. Parsing is strict (unknown keys
-rejected at every level) and serialization is canonical (sorted keys,
-normalized graph ordering), so parse(serialize(x)) == x and equal
-definitions produce byte-identical files.
+rejected at every level, no tool or action literal listed twice) and
+serialization is canonical (sorted keys, normalized graph ordering), so
+parse(serialize(x)) == x and equal definitions produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -58,7 +58,12 @@ def _typed(value, kind: type, where: str):
 
 
 def _strings(value, where: str) -> list[str]:
-    return [_typed(v, str, f"{where} entries") for v in _typed(value, list, where)]
+    """``value`` if it is a list of distinct strings, else FlowFileError."""
+    strings = [_typed(v, str, f"{where} entries") for v in _typed(value, list, where)]
+    if len(set(strings)) < len(strings):
+        repeated = next(v for i, v in enumerate(strings) if v in strings[:i])
+        raise FlowFileError(f"repeated entry in {where}: {json.dumps(repeated)}")
+    return strings
 
 
 def parse_flow(text: str) -> FlowDefinition:

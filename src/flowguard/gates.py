@@ -15,15 +15,20 @@ from a corrupted one. Three gates and a fitness audit enforce that:
                         the declared invariant must still be
                         re-established. If that stub verifies, the
                         declared invariant never demanded anything.
-  G3 discrimination  -- each seeded modeling error (a small concrete edit
-                        to the bundle) must FAIL verification. A surviving
-                        mutant means the checks cannot distinguish the
-                        faithful bundle from a corrupted one.
+  G3 discrimination  -- each seeded modeling error must FAIL
+                        verification. A surviving mutant means the checks
+                        cannot distinguish the faithful bundle from a
+                        corrupted one.
   fitness            -- every safety conjunct that quantifies over a state
                         sequence must have a reachable state in which that
                         sequence is nonempty. A conjunct with no witness
                         is vacuously true along every reachable state:
                         the machine never writes the field it polices.
+
+Every mutation id names an entry of one table of bundle edits, each a
+function from ``Bundle`` to ``Bundle``: the seeded errors
+(``SEEDED_ERRORS``, G3's default set), and ``identity``, the survivor
+entry, which changes nothing and must survive.
 
 G2 and G3 verify each bundle with ``refinement.obligations`` over one
 shared ``refinement.CheckRun`` and stop at the first one that fails,
@@ -52,12 +57,6 @@ from .refinement import Bundle, CheckRun, obligations
 from .spec_model import POLICY, SEQUENCE_CONJUNCTS, Obligation, spec_next
 
 DEFAULT_GATE_BUDGET_SECONDS = 30.0
-
-
-@dataclass(frozen=True)
-class Mutation:
-    mutation_id: str
-    apply: Callable[[Bundle], Bundle]
 
 
 # ---------------------------------------------------------------------------
@@ -92,33 +91,27 @@ def permissive_stub(b: Bundle) -> Bundle:
     return replace(b, assume_inv=impl_wf)
 
 
-def identity_mutation() -> Mutation:
-    return Mutation("identity", lambda b: b)  # changes nothing; must survive
-
-
-SEEDED_ERRORS: dict[str, Mutation] = {
-    m.mutation_id: m
-    for m in (
-        # The abstract relation admits any tool call.
-        Mutation("drop-allowlist-guard", _edit_policy("ToolAllowlisted", guard=lambda c, tool: True)),
-        # The abstract relation admits one step beyond the bound: "<" became "<=".
-        Mutation("step-bound-off-by-one", _edit_policy("StepBounded", guard=lambda c, count: count <= c.max_steps)),
-        # The event abstraction collapses every emitted event to NoEffect.
-        Mutation("event-to-noeffect", lambda b: replace(b, event_abs=_collapse_events_to_noeffect)),
-        # The assumed invariant loses the history-length alignment clause.
-        Mutation("drop-history-clause", _drop_invariant_clause("history_length")),
-    )
+SEEDED_ERRORS: dict[str, Callable[[Bundle], Bundle]] = {
+    # The abstract relation admits any tool call.
+    "drop-allowlist-guard": _edit_policy("ToolAllowlisted", guard=lambda c, tool: True),
+    # The abstract relation admits one step beyond the bound: "<" became "<=".
+    "step-bound-off-by-one": _edit_policy("StepBounded", guard=lambda c, count: count <= c.max_steps),
+    # The event abstraction collapses every emitted event to NoEffect.
+    "event-to-noeffect": lambda b: replace(b, event_abs=_collapse_events_to_noeffect),
+    # The assumed invariant loses the history-length alignment clause.
+    "drop-history-clause": _drop_invariant_clause("history_length"),
 }
 
+# The table of every edit a mutation id names.
+_MUTATIONS: dict[str, Callable[[Bundle], Bundle]] = {**SEEDED_ERRORS, "identity": lambda b: b}
 
-def mutation_by_id(mutation_id: str) -> Mutation:
-    """The mutation ``mutation_id`` names: ``identity`` or one of the
+
+def mutation_by_id(mutation_id: str) -> Callable[[Bundle], Bundle]:
+    """The bundle edit ``mutation_id`` names: ``identity`` or one of the
     ``SEEDED_ERRORS``. Raises ValueError for any other id."""
-    if mutation_id == "identity":
-        return identity_mutation()
-    if mutation_id in SEEDED_ERRORS:
-        return SEEDED_ERRORS[mutation_id]
-    raise ValueError(f"unknown mutation id: {mutation_id!r}")
+    if mutation_id not in _MUTATIONS:
+        raise ValueError(f"unknown mutation id: {mutation_id!r}")
+    return _MUTATIONS[mutation_id]
 
 
 # ---------------------------------------------------------------------------
@@ -158,29 +151,22 @@ class GateVerdict:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class ResolutionOutcome:
-    verdict: GateVerdict
-    flow: FlowDefinition | None = None
-
-
-def gate_resolution(flow_text: str) -> ResolutionOutcome:
+def gate_resolution(flow_text: str) -> tuple[GateVerdict, FlowDefinition | None]:
     """G1: the flow loads from its serialized form (which validates its
     constants, graph and alphabet), serializes back to itself, and loading
-    fits ``DEFAULT_GATE_BUDGET_SECONDS``."""
+    fits ``DEFAULT_GATE_BUDGET_SECONDS``. Returns the verdict, and the
+    loaded flow when it passed (else None)."""
     started = time.monotonic()
     try:
         flow = parse_flow(flow_text)
         if parse_flow(serialize_flow(flow)) != flow:
             raise FlowFileError("serialization does not round-trip")
     except (FlowFileError, FlowGraphError, ValueError) as e:
-        return ResolutionOutcome(GateVerdict("g1", "fail", str(e)))
+        return GateVerdict("g1", "fail", str(e)), None
     elapsed = time.monotonic() - started
     if elapsed > DEFAULT_GATE_BUDGET_SECONDS:
-        return ResolutionOutcome(
-            GateVerdict("g1", "fail", f"load exceeded the {DEFAULT_GATE_BUDGET_SECONDS:.0f}s budget")
-        )
-    return ResolutionOutcome(GateVerdict("g1", "pass"), flow)
+        return GateVerdict("g1", "fail", f"load exceeded the {DEFAULT_GATE_BUDGET_SECONDS:.0f}s budget"), None
+    return GateVerdict("g1", "pass"), flow
 
 
 def gate_vacuity(run: CheckRun, bundle: Bundle) -> GateVerdict:
@@ -210,14 +196,15 @@ class MutantResult:
     detail: str = ""
 
 
-def gate_discrimination(run: CheckRun, bundle: Bundle, mutation: Mutation) -> MutantResult:
-    """G3 for one mutation: the seeded error must fail verification on
-    ``run``'s machine, alphabet and depth. Its obligations are checked in
-    order up to the first one that fails, which is the one that kills it."""
-    failed = next((o for o in obligations(run, mutation.apply(bundle)) if not o.passed), None)
+def gate_discrimination(run: CheckRun, bundle: Bundle, mutation_id: str) -> MutantResult:
+    """G3 for one mutation: the edit ``mutation_id`` names must fail
+    verification on ``run``'s machine, alphabet and depth. Its obligations
+    are checked in order up to the first one that fails, which is the one
+    that kills it."""
+    failed = next((o for o in obligations(run, mutation_by_id(mutation_id)(bundle)) if not o.passed), None)
     if failed is None:
-        return MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged")
-    return MutantResult(mutation.mutation_id, True, killed_by=failed.name, detail=failed.detail)
+        return MutantResult(mutation_id, False, detail="alive mutation: all obligations discharged")
+    return MutantResult(mutation_id, True, killed_by=failed.name, detail=failed.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +219,7 @@ class ConjunctFitness:
     witness_value: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FitnessReport:
-    conjuncts: tuple[ConjunctFitness, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(cf.status == "witnessed" for cf in self.conjuncts)
-
-    def vacuous_conjuncts(self) -> tuple[str, ...]:
-        return tuple(cf.name for cf in self.conjuncts if cf.status == "VACUOUS")
-
-
-def check_template_fitness(run: CheckRun, bundle: Bundle) -> FitnessReport:
+def check_template_fitness(run: CheckRun, bundle: Bundle) -> tuple[ConjunctFitness, ...]:
     """For each sequence-quantified safety conjunct, find a state of
     ``run``'s reachable layers (within its depth, through the abstraction)
     where the quantified sequence is nonempty. No witness means the
@@ -268,8 +243,7 @@ def check_template_fitness(run: CheckRun, bundle: Bundle) -> FitnessReport:
         if len(found) == len(SEQUENCE_CONJUNCTS):
             break
 
-    conjuncts = tuple(found.get(k.name, ConjunctFitness(k.name, "VACUOUS")) for k in SEQUENCE_CONJUNCTS)
-    return FitnessReport(conjuncts)
+    return tuple(found.get(k.name, ConjunctFitness(k.name, "VACUOUS")) for k in SEQUENCE_CONJUNCTS)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +253,11 @@ def check_template_fitness(run: CheckRun, bundle: Bundle) -> FitnessReport:
 @dataclass(frozen=True)
 class GateReport:
     g1: GateVerdict
-    g2: GateVerdict
-    g3: GateVerdict
-    fitness_verdict: GateVerdict
+    g2: GateVerdict = GateVerdict("g2", "skipped", "g1 failed")
+    g3: GateVerdict = GateVerdict("g3", "skipped", "g1 failed")
+    fitness_verdict: GateVerdict = GateVerdict("fitness", "skipped", "g1 failed")
     mutants: tuple[MutantResult, ...] = ()
-    fitness: FitnessReport | None = None
+    fitness: tuple[ConjunctFitness, ...] = ()
     flow: FlowDefinition | None = None  # the definition G2, G3 and fitness verified
 
     @property
@@ -307,54 +281,42 @@ def run_gates(
     G1 judges ``flow_text`` as written; the other gates verify the
     definition it loads, with ``prefix_mode`` in place of the file's mode
     when one is given, and share one ``CheckRun``. Bad arguments (a
-    negative depth, an unknown mutation id) raise ValueError before any
-    gate runs.
+    negative depth, an unknown or repeated mutation id) raise ValueError
+    before any gate runs.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     ids = mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS)
-    mutations = [mutation_by_id(mid) for mid in ids]
-    resolution = gate_resolution(flow_text)
-    if not resolution.verdict.passed:
-        skipped = GateVerdict("g2", "skipped", "g1 failed")
-        return GateReport(
-            g1=resolution.verdict,
-            g2=skipped,
-            g3=GateVerdict("g3", "skipped", "g1 failed"),
-            fitness_verdict=GateVerdict("fitness", "skipped", "g1 failed"),
-        )
-    assert resolution.flow is not None
-    flow = with_prefix_mode(resolution.flow, prefix_mode)
+    for i, mid in enumerate(ids):
+        mutation_by_id(mid)
+        if mid in ids[:i]:
+            raise ValueError(f"repeated mutation id: {mid!r}")
+    g1, loaded = gate_resolution(flow_text)
+    if loaded is None:
+        return GateReport(g1)
+    flow = with_prefix_mode(loaded, prefix_mode)
     c = flow.impl_constants
     bundle = Bundle()
     run = CheckRun(c, flow.alphabet, depth)
 
     g2 = gate_vacuity(run, bundle)
 
-    mutants = [gate_discrimination(run, bundle, m) for m in mutations]
-    if all(m.killed for m in mutants):
+    mutants = tuple(gate_discrimination(run, bundle, mid) for mid in ids)
+    survivors = [m.mutation_id for m in mutants if not m.killed]
+    if not survivors:
         g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")
     else:
-        detail = "surviving mutants: " + ", ".join(m.mutation_id for m in mutants if not m.killed)
-        if note := step_bound_floor_note(c, depth):
+        detail = "surviving mutants: " + ", ".join(survivors)
+        if "step-bound-off-by-one" in survivors and (note := step_bound_floor_note(c, depth)):
             detail += f"; {note}"
         g3 = GateVerdict("g3", "fail", detail)
 
     fitness = check_template_fitness(run, bundle)
-    fitness_verdict = GateVerdict(
-        "fitness",
-        "pass" if fitness.passed else "fail",
-        "all sequence conjuncts witnessed"
-        if fitness.passed
-        else "VACUOUS: " + ", ".join(fitness.vacuous_conjuncts()),
+    vacuous = [cf.name for cf in fitness if cf.status == "VACUOUS"]
+    fitness_verdict = (
+        GateVerdict("fitness", "fail", "VACUOUS: " + ", ".join(vacuous))
+        if vacuous
+        else GateVerdict("fitness", "pass", "all sequence conjuncts witnessed")
     )
 
-    return GateReport(
-        g1=resolution.verdict,
-        g2=g2,
-        g3=g3,
-        fitness_verdict=fitness_verdict,
-        mutants=tuple(mutants),
-        fitness=fitness,
-        flow=flow,
-    )
+    return GateReport(g1, g2, g3, fitness_verdict, mutants, fitness, flow)

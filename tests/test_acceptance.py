@@ -24,7 +24,6 @@ from flowguard.gates import (
     SEEDED_ERRORS,
     gate_discrimination,
     gate_vacuity,
-    identity_mutation,
     run_gates,
 )
 from flowguard.havoc import Trace, sweep
@@ -137,7 +136,7 @@ def test_criterion_3_soundness_composition(agent):
 
     # under an over-permissive abstract relation the same step lifts but the
     # lifted run is abstractly unsafe: stage 2
-    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"].apply(b)
+    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"](b)
     v2 = check_soundness(c, drop_allowlist, unmatched)
     assert (v2.passed, v2.stage) == (False, 2)
 
@@ -161,13 +160,13 @@ def test_criterion_4_gate_behavior(agent):
     assert g2.passed, g2
 
     killed = {}
-    for mid, mutation in SEEDED_ERRORS.items():
-        result = gate_discrimination(run, bundle, mutation)
+    for mid in SEEDED_ERRORS:
+        result = gate_discrimination(run, bundle, mid)
         assert result.killed, (mid, result)
         killed[mid] = result.killed_by
     assert len(killed) == 4
 
-    identity_result = gate_discrimination(run, bundle, identity_mutation())
+    identity_result = gate_discrimination(run, bundle, "identity")
     assert not identity_result.killed
 
     floor = gate_vacuity(CheckRun(c, agent.alphabet, 0), bundle)
@@ -187,8 +186,7 @@ def test_criterion_5_fitness_separation(rag_barrier_flow_text, rag_no_barrier_fl
     no_barrier = run_gates(rag_no_barrier_flow_text, 4)
     assert no_barrier.g1.passed and no_barrier.g2.passed and no_barrier.g3.passed
     assert no_barrier.failing_gates() == ("fitness",)
-    assert no_barrier.fitness is not None
-    assert no_barrier.fitness.vacuous_conjuncts() == ("ToolAllowlisted",)
+    assert [cf.name for cf in no_barrier.fitness if cf.status == "VACUOUS"] == ["ToolAllowlisted"]
 
     barrier = run_gates(rag_barrier_flow_text, 4)
     assert barrier.passed

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowguard.cli as cli
 import flowguard.gates as gates
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
@@ -253,6 +254,57 @@ def test_check_and_gates_reject_an_unknown_mutation_id_alike(flow_file, capsys):
     assert errors == ["error: unknown mutation id: 'bogus'\n"] * 2
 
 
+@pytest.mark.parametrize(
+    "command, mutation, error",
+    [
+        ("check", "--mutation=", "unknown mutation id: ''"),
+        ("gates", "--mutation=", "unknown mutation id: ''"),
+        ("gates", "--mutation=drop-allowlist-guard,", "unknown mutation id: ''"),
+        ("gates", "--mutation=identity,identity", "repeated mutation id: 'identity'"),
+        ("gates", "--mutation=event-to-noeffect,identity,event-to-noeffect", "repeated mutation id: 'event-to-noeffect'"),
+    ],
+)
+def test_an_empty_or_repeated_mutation_id_exits_two_before_any_check(
+    flow_file, monkeypatch, capsys, command, mutation, error
+):
+    """An empty ``--mutation`` names no edit: it is neither the unmutated
+    bundle nor the default set. A repeated id would be judged and reported
+    twice."""
+    ran = []
+    for module, name in ((gates, "gate_resolution"), (gates, "gate_vacuity"), (cli, "verify_bundle"), (cli, "sweep")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: ran.append(name))
+    assert main([command, "--flow", flow_file, "--depth", "4", mutation]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "section, entry, error",
+    [
+        ("alphabet", "NoAction", 'repeated entry in alphabet: "NoAction"'),
+        ("allowed_tools", "search", 'repeated entry in constants.allowed_tools: "search"'),
+    ],
+)
+def test_a_flow_that_lists_a_literal_or_tool_twice_is_unusable(tmp_path, capsys, section, entry, error):
+    """A repeated action would be swept as a distinct one, and a repeated
+    tool vanish into the allowlist's set, so the file would not round-trip.
+    ``check`` exits 2, and G1 fails with the same reason."""
+    doc = json.loads((FLOWS / "read_agent.json").read_text())
+    (doc if section == "alphabet" else doc["constants"])[section].append(entry)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+
+    assert main(["check", "--flow", str(path), "--depth", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
+
+    assert main(["gates", "--flow", str(path), "--depth", "3"]) == 2
+    g1 = json.loads(capsys.readouterr().out)["gates"]["g1"]
+    assert g1 == {"status": "fail", "detail": error}
+
+
 # ---------------------------------------------------------------------------
 # sweep and replay
 
@@ -338,6 +390,20 @@ def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
 
     assert main(["gates", "--flow", flow_file, "--depth", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["gates"]["g3"]["detail"] == "4 mutants killed"
+
+    # The note blames the depth for the step-bound error alone: at depth 2
+    # the default set still carries it, and identity, which survives at
+    # every depth, does not.
+    assert main(["gates", "--flow", flow_file, "--depth", "2"]) == 1
+    g3 = json.loads(capsys.readouterr().out)["gates"]["g3"]
+    assert g3["detail"] == (
+        "surviving mutants: step-bound-off-by-one; configuration floor: depth >= 4 required "
+        "(a step beyond the bound max_steps=3 cannot be reached at depth 2)"
+    )
+
+    assert main(["gates", "--flow", flow_file, "--depth", "2", "--mutation", "identity"]) == 1
+    g3 = json.loads(capsys.readouterr().out)["gates"]["g3"]
+    assert g3["detail"] == "surviving mutants: identity"
 
 
 

@@ -74,6 +74,15 @@ def test_empty_alphabet_rejected():
         parse_flow(json.dumps(doc))
 
 
+@pytest.mark.parametrize("section", ["alphabet", "allowed_tools"])
+def test_a_repeated_alphabet_literal_or_tool_is_rejected(section):
+    doc = _agent_doc()
+    entries = doc["alphabet"] if section == "alphabet" else doc["constants"]["allowed_tools"]
+    entries.insert(1, entries[0])
+    with pytest.raises(FlowFileError, match=f"repeated entry in .*{section}: {json.dumps(entries[0])}"):
+        parse_flow(json.dumps(doc))
+
+
 def test_not_json_rejected():
     with pytest.raises(FlowFileError):
         parse_flow("{oops")

@@ -19,7 +19,7 @@ from flowguard.gates import (
     gate_discrimination,
     gate_resolution,
     gate_vacuity,
-    identity_mutation,
+    mutation_by_id,
     permissive_stub,
     run_gates,
     verify_bundle,
@@ -55,38 +55,39 @@ def run(agent):
 
 
 def test_g1_accepts_the_fixture(agent_flow_text):
-    outcome = gate_resolution(agent_flow_text)
-    assert outcome.verdict.passed
-    assert outcome.flow is not None
+    verdict, flow = gate_resolution(agent_flow_text)
+    assert verdict.passed
+    assert flow is not None
 
 
 def test_g1_rejects_dangling_node_reference(agent_flow_text):
     doc = json.loads(agent_flow_text)
     doc["graph"]["edges"][0]["to"] = "ghost"
-    outcome = gate_resolution(json.dumps(doc))
-    assert not outcome.verdict.passed
-    assert "ghost" in outcome.verdict.detail
+    verdict, _ = gate_resolution(json.dumps(doc))
+    assert not verdict.passed
+    assert "ghost" in verdict.detail
 
 
 def test_g1_rejects_unknown_action_variant(agent_flow_text):
     doc = json.loads(agent_flow_text)
     doc["alphabet"].append("TeleportAction(moon)")
-    outcome = gate_resolution(json.dumps(doc))
-    assert not outcome.verdict.passed
-    assert "TeleportAction" in outcome.verdict.detail
+    verdict, _ = gate_resolution(json.dumps(doc))
+    assert not verdict.passed
+    assert "TeleportAction" in verdict.detail
 
 
 def test_g1_rejects_unknown_keys(agent_flow_text):
     doc = json.loads(agent_flow_text)
     doc["surprise"] = True
-    assert not gate_resolution(json.dumps(doc)).verdict.passed
+    verdict, _ = gate_resolution(json.dumps(doc))
+    assert not verdict.passed
 
 
 def test_g1_budget_is_enforced(agent_flow_text, monkeypatch):
     monkeypatch.setattr(gates, "DEFAULT_GATE_BUDGET_SECONDS", 0.0)
-    outcome = gate_resolution(agent_flow_text)
-    assert not outcome.verdict.passed
-    assert "budget" in outcome.verdict.detail
+    verdict, _ = gate_resolution(agent_flow_text)
+    assert not verdict.passed
+    assert "budget" in verdict.detail
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def test_stub_keeps_obligations_while_weakening_assumptions(agent, bundle):
 
 @pytest.mark.parametrize("mutation_id", list(SEEDED_ERRORS))
 def test_every_shipped_seeded_error_is_killed(run, bundle, mutation_id):
-    result = gate_discrimination(run, bundle, SEEDED_ERRORS[mutation_id])
+    result = gate_discrimination(run, bundle, mutation_id)
     assert result.killed and result.killed_by, result
 
 
@@ -157,19 +158,19 @@ def test_expected_killers_per_mutant(run, bundle):
         "drop-history-clause": "inv_inductive",
     }
     for mid, killer in expected.items():
-        result = gate_discrimination(run, bundle, SEEDED_ERRORS[mid])
+        result = gate_discrimination(run, bundle, mid)
         assert result.killed_by == killer, (mid, result)
 
 
 def test_identity_mutation_survives(run, bundle):
-    result = gate_discrimination(run, bundle, identity_mutation())
+    result = gate_discrimination(run, bundle, "identity")
     assert not result.killed
     assert "alive" in result.detail
 
 
 def test_mutations_leave_the_trusted_surface_untouched(agent, bundle):
     before = bundle_fingerprint(agent)
-    for edit in (*(m.apply for m in SEEDED_ERRORS.values()), permissive_stub, identity_mutation().apply):
+    for edit in (*SEEDED_ERRORS.values(), permissive_stub, mutation_by_id("identity")):
         edit(bundle)
         assert bundle_fingerprint(agent) == before
 
@@ -188,8 +189,7 @@ EDITED_FIELDS = {
 def test_each_mutation_edits_one_definition(mutation_id):
     """A seeded error is an edit of one definition: it replaces exactly one
     field of the shipped bundle, and identity replaces none."""
-    edits = {m.mutation_id: m.apply for m in (*SEEDED_ERRORS.values(), identity_mutation())}
-    edits["permissive-stub"] = permissive_stub
+    edits = {**SEEDED_ERRORS, "identity": mutation_by_id("identity"), "permissive-stub": permissive_stub}
     shipped = Bundle()
     mutant = edits[mutation_id](shipped)
     edited = [f.name for f in dataclasses.fields(Bundle) if getattr(mutant, f.name) != getattr(shipped, f.name)]
@@ -212,8 +212,8 @@ def test_mutants_step_through_the_module_bindings(agent, monkeypatch):
     monkeypatch.setattr(gates, "spec_next", counting(spec_next))
     monkeypatch.setattr(gates, "impl_inv", counting(impl_inv))
     c = agent.impl_constants
-    SEEDED_ERRORS["drop-allowlist-guard"].apply(Bundle()).next_relation(c.spec, spec_init(c.spec), ToolCallAction("rm"))
-    SEEDED_ERRORS["drop-history-clause"].apply(Bundle()).assume_inv(c, impl_init(c))
+    SEEDED_ERRORS["drop-allowlist-guard"](Bundle()).next_relation(c.spec, spec_init(c.spec), ToolCallAction("rm"))
+    SEEDED_ERRORS["drop-history-clause"](Bundle()).assume_inv(c, impl_init(c))
     assert calls == ["spec_next", "impl_inv"]
 
 
@@ -222,26 +222,24 @@ def test_mutants_step_through_the_module_bindings(agent, monkeypatch):
 
 
 def test_fitness_witnesses_both_sequences_on_read_agent(run, bundle):
-    report = check_template_fitness(run, bundle)
-    assert report.passed
-    statuses = {cf.name: cf.status for cf in report.conjuncts}
+    fitness = check_template_fitness(run, bundle)
+    statuses = {cf.name: cf.status for cf in fitness}
     assert statuses == {"ReadPathsRooted": "witnessed", "ToolAllowlisted": "witnessed"}
 
 
 def test_fitness_flags_the_silent_abstention(rag_no_barrier):
     run = CheckRun(rag_no_barrier.impl_constants, rag_no_barrier.alphabet, 4)
-    report = check_template_fitness(run, Bundle())
-    assert not report.passed
-    assert report.vacuous_conjuncts() == ("ToolAllowlisted",)
-    by_name = {cf.name: cf for cf in report.conjuncts}
+    fitness = check_template_fitness(run, Bundle())
+    assert [cf.name for cf in fitness if cf.status == "VACUOUS"] == ["ToolAllowlisted"]
+    by_name = {cf.name: cf for cf in fitness}
     assert by_name["ReadPathsRooted"].status == "witnessed"
 
 
 def test_fitness_passes_in_barrier_mode(rag_barrier):
     run = CheckRun(rag_barrier.impl_constants, rag_barrier.alphabet, 4)
-    report = check_template_fitness(run, Bundle())
-    assert report.passed
-    by_name = {cf.name: cf for cf in report.conjuncts}
+    fitness = check_template_fitness(run, Bundle())
+    assert all(cf.status == "witnessed" for cf in fitness)
+    by_name = {cf.name: cf for cf in fitness}
     # the fetched document ids land in the tool-call sequence
     assert by_name["ToolAllowlisted"].witness_value
     assert all(t in rag_barrier.constants.allowed_tools for t in by_name["ToolAllowlisted"].witness_value)
@@ -266,16 +264,16 @@ def test_pipeline_separates_the_rag_pair(rag_barrier_flow_text, rag_no_barrier_f
     # the three gates pass; only fitness separates the two modes
     assert no_barrier.g1.passed and no_barrier.g2.passed and no_barrier.g3.passed
     assert no_barrier.failing_gates() == ("fitness",)
-    assert no_barrier.fitness is not None
-    assert no_barrier.fitness.vacuous_conjuncts() == ("ToolAllowlisted",)
+    assert [cf.name for cf in no_barrier.fitness if cf.status == "VACUOUS"] == ["ToolAllowlisted"]
 
 
 def test_pipeline_short_circuits_after_g1(agent_flow_text):
     report = run_gates("{not json", 4)
     assert not report.g1.passed
-    assert report.g2.status == "skipped"
-    assert report.g3.status == "skipped"
-    assert report.fitness_verdict.status == "skipped"
+    for verdict in (report.g2, report.g3, report.fitness_verdict):
+        assert (verdict.status, verdict.detail) == ("skipped", "g1 failed")
+    assert report.failing_gates() == ("g1",)
+    assert (report.mutants, report.fitness, report.flow) == ((), (), None)
 
 
 def test_pipeline_accepts_an_explicit_mutation_list(agent_flow_text):
@@ -307,3 +305,10 @@ def test_pipeline_at_an_extreme_depth_matches_the_closure_depth(fixture, request
 def test_pipeline_rejects_unknown_mutation_ids(agent_flow_text):
     with pytest.raises(ValueError):
         run_gates(agent_flow_text, 4, mutation_ids=("zap-everything",))
+
+
+@pytest.mark.parametrize("mutation_ids", [("identity", "identity"), ("drop-history-clause", "identity", "drop-history-clause")])
+def test_pipeline_rejects_a_repeated_mutation_id_before_g1(mutation_ids, monkeypatch):
+    monkeypatch.setattr(gates, "gate_resolution", lambda *args: pytest.fail("G1 ran"))
+    with pytest.raises(ValueError, match="repeated mutation id"):
+        run_gates("{not json", 4, mutation_ids=mutation_ids)

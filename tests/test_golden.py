@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from flowguard.cli import main
+from flowguard.gates import SEEDED_ERRORS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.json"))
@@ -32,8 +33,7 @@ def test_golden_reports_cover_every_flow_and_mutant():
     names = {p.name for p in GOLDEN}
     for flow in ("read_agent", "rag_barrier", "rag_no_barrier"):
         assert {f"{flow}.{cmd}.json" for cmd in ("check", "gates", "sweep")} <= names
-    mutants = ("drop-allowlist-guard", "step-bound-off-by-one", "event-to-noeffect", "drop-history-clause")
-    assert {f"read_agent.check.{m}.json" for m in mutants} <= names
+    assert {f"read_agent.check.{m}.json" for m in SEEDED_ERRORS} <= names
 
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=lambda p: p.stem)

@@ -113,7 +113,7 @@ def impl_states(draw, graph):
 
 
 def _mutant(mutation_id: str):
-    return SEEDED_ERRORS[mutation_id].apply(Bundle())
+    return SEEDED_ERRORS[mutation_id](Bundle())
 
 
 @settings(max_examples=150)

@@ -227,7 +227,7 @@ def test_each_counterexample_is_a_real_transition(flow):
     fx = shipped(flow)
     c = fx.impl_constants
     run = CheckRun(c, fx.alphabet, fx.constants.max_steps + 1)
-    edits = {"permissive-stub": permissive_stub, **{mid: m.apply for mid, m in SEEDED_ERRORS.items()}}
+    edits = {"permissive-stub": permissive_stub, **SEEDED_ERRORS}
     for name, edit in edits.items():
         b = edit(Bundle())
         failed = next(o for o in obligations(run, b) if not o.passed)
@@ -305,7 +305,7 @@ def test_overpermissive_relation_fails_at_abstract_stage(agent_c):
     s0 = impl_init(agent_c)
     ev = ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick"))
     bad = Trace((Step(s0, ToolCallAction("rm"), ev, s0),))
-    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"].apply(Bundle())
+    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"](Bundle())
     v = check_soundness(agent_c, drop_allowlist, bad)
     assert (v.passed, v.stage) == (False, 2)
 

@@ -27,7 +27,7 @@ from flowguard.gates import (
     check_template_fitness,
     gate_discrimination,
     gate_vacuity,
-    identity_mutation,
+    mutation_by_id,
     permissive_stub,
     run_gates,
     verify_bundle,
@@ -74,12 +74,12 @@ def stutter_gap(c, s, a):
 
 EDITS = {
     "default": lambda b: b,
-    **{mid: m.apply for mid, m in SEEDED_ERRORS.items()},
+    **SEEDED_ERRORS,
     "permissive-stub": permissive_stub,
-    "identity": identity_mutation().apply,
+    "identity": mutation_by_id("identity"),
     "lax-safety": lambda b: replace(b, safety=lax_safety),
     # fails r2_step_simulation before inv_inductive in the scan order
-    "noeffect-stub": lambda b: replace(SEEDED_ERRORS["event-to-noeffect"].apply(b), assume_inv=impl_wf),
+    "noeffect-stub": lambda b: replace(SEEDED_ERRORS["event-to-noeffect"](b), assume_inv=impl_wf),
     # r2 must judge a state's stutters action by action: in the reversed
     # shipped alphabets, NoAction's stutter comes after matched ones
     "stutter-gap": lambda b: replace(b, next_relation=stutter_gap),
@@ -110,20 +110,20 @@ def assert_checkers_match_reference(c, alphabet, depth):
         assert stopped == through_first_failure(verify_bundle(c, b, alphabet, depth)), name
 
 
-def expected_gates(c, alphabet, depth, mutations):
+def expected_gates(c, alphabet, depth, mutation_ids):
     """G2's verdict (None below its depth floor) and each mutant's result,
     as the first failed obligation of an unshared ``verify_bundle``, which
     judges every obligation over the full pass, names them."""
     bundle = Bundle()
     results = []
-    for mutation in mutations:
-        outcome = verify_bundle(c, mutation.apply(bundle), alphabet, depth)
+    for mid in mutation_ids:
+        outcome = verify_bundle(c, mutation_by_id(mid)(bundle), alphabet, depth)
         assert tuple(o.name for o in outcome) == OBLIGATION_ORDER
         failed = first_failure(outcome)
         if failed is None:
-            results.append(MutantResult(mutation.mutation_id, False, detail="alive mutation: all obligations discharged"))
+            results.append(MutantResult(mid, False, detail="alive mutation: all obligations discharged"))
         else:
-            results.append(MutantResult(mutation.mutation_id, True, failed.name, failed.detail))
+            results.append(MutantResult(mid, True, failed.name, failed.detail))
     if depth < 1:
         return None, results
     failed = first_failure(verify_bundle(c, permissive_stub(bundle), alphabet, depth))
@@ -136,10 +136,10 @@ def expected_gates(c, alphabet, depth, mutations):
 
 def assert_gates_stop_at_first_failure(c, alphabet, depth):
     bundle = Bundle()
-    mutations = (*SEEDED_ERRORS.values(), identity_mutation())
-    g2, results = expected_gates(c, alphabet, depth, mutations)
+    mutation_ids = (*SEEDED_ERRORS, "identity")
+    g2, results = expected_gates(c, alphabet, depth, mutation_ids)
     run = CheckRun(c, alphabet, depth)
-    assert [gate_discrimination(run, bundle, m) for m in mutations] == results
+    assert [gate_discrimination(run, bundle, mid) for mid in mutation_ids] == results
     if g2 is not None:
         assert gate_vacuity(run, bundle) == g2
 
@@ -179,8 +179,7 @@ def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, prefi
     verified = with_prefix_mode(defn, prefix_mode)
     assert report.g1.passed and report.flow == verified
     c, alphabet = verified.impl_constants, verified.alphabet
-    mutations = [identity_mutation() if mid == "identity" else SEEDED_ERRORS[mid] for mid in mutation_ids]
-    g2, results = expected_gates(c, alphabet, depth, mutations)
+    g2, results = expected_gates(c, alphabet, depth, mutation_ids)
     if g2 is None:
         assert report.g2.status == "fail" and "configuration floor" in report.g2.detail
     else:

@@ -192,7 +192,7 @@ def test_guard_dropping_mutation_fails_preservation():
     from flowguard.gates import SEEDED_ERRORS
     from flowguard.refinement import Bundle
 
-    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"].apply(Bundle()).next_relation
+    drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"](Bundle()).next_relation
     verdict = check_safety_preserved(C, ALPHABET, 4, next_relation=drop_allowlist)
     assert not verdict.passed
     cx = verdict.counterexample
@@ -301,7 +301,7 @@ def test_abstract_check_judges_each_action_statically_once_per_relation(monkeypa
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spec_model, "admits_value", counting)
-    edits = (SEEDED_ERRORS[m].apply(Bundle()) for m in ("drop-allowlist-guard", "step-bound-off-by-one"))
+    edits = (SEEDED_ERRORS[m](Bundle()) for m in ("drop-allowlist-guard", "step-bound-off-by-one"))
     explored = []
     for b in (Bundle(), *edits):
         calls = 0
