@@ -8,7 +8,6 @@ invariant. Then we hand the sweep a sabotaged step function (allowlist
 check skipped) and watch it produce a concrete violating script.
 """
 
-import dataclasses
 import time
 from pathlib import Path
 
@@ -30,9 +29,7 @@ print()
 def sabotaged_next(c, s, a):
     """impl_next with the tool allowlist effectively disabled."""
     if isinstance(a, ToolCallAction) and not s.halted and s.step_count < c.spec.max_steps:
-        widened = dataclasses.replace(
-            c, spec=dataclasses.replace(c.spec, allowed_tools=c.spec.allowed_tools | {a.tool})
-        )
+        widened = c._replace(spec=c.spec._replace(allowed_tools=c.spec.allowed_tools | {a.tool}))
         return impl_next(widened, s, a)
     return impl_next(c, s, a)
 

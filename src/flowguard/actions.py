@@ -7,87 +7,118 @@ boundary effects a step produces; a rejected action is represented by a
 the object the safety checks constrain.
 
 Every action and boundary event is interned: building one through its
-class, keyword or positional, ``dataclasses.replace``, ``copy``,
-``deepcopy`` or ``pickle`` yields the one object that has its class and
-field values, so equal values are the same object. The classes therefore
-keep ``object``'s identity ``__eq__`` and ``__hash__``, which run in C,
-rather than the field-by-field ones a dataclass generates. That is exact:
-two values are equal exactly when they are the same object, so every
-``==``, dict lookup and set lookup answers as structural equality would,
-and only the hashes differ from one process to the next. Nothing in
-the package turns the iteration order of a set or dict of actions,
-events or states into output.
+class, keyword or positional, ``_replace``, ``copy``, ``deepcopy`` or
+``pickle`` yields the one object that has its class and field values, so
+equal values are the same object. The classes therefore keep ``object``'s
+identity ``__eq__`` and ``__hash__``, which run in C, rather than
+field-by-field ones. That is exact: two values are equal exactly when they
+are the same object, so every ``==``, dict lookup and set lookup answers
+as structural equality would, and only the hashes differ from one process
+to the next. Nothing in the package turns the iteration order of a set or
+dict of actions, events or states into output.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
-# Interning
+# Records and interning
 
-# (class, *field values) -> the one live object with them. Values are
-# held weakly, so a long run meeting ever new paths keeps only the terms
-# still in use; while one is alive, it is the only one with its values.
+
+class Record:
+    """Base of the package's slotted, immutable classes. The slots named by
+    ``__match_args__`` are an instance's fields, in order, and ``_key``
+    holds their values as one tuple; any other slot is a cache, no part of
+    the value. Equality and hash go by the class and ``_key``, ``repr`` is
+    the one a dataclass writes, assignment raises AttributeError,
+    ``_replace`` builds a copy with some fields changed through the
+    constructor, and ``copy``, ``deepcopy`` and ``pickle`` rebuild through
+    the constructor too, with fresh caches."""
+
+    __slots__ = ("_key",)
+    __match_args__: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Fill the slots in order, fields then caches (constructors only)."""
+        object.__setattr__(self, "_key", values[: len(self.__match_args__)])
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self.__match_args__, self._key), **changes))
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# (class, *field values) -> the one live term with them. Values are held
+# weakly, so a long run meeting ever new paths keeps only the terms still
+# in use; while one is alive, it is the only one with its values.
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _interned(cls):
-    """Intern the frozen, ``eq=False`` dataclass ``cls``, whose instance
-    ``__dict__`` holds its field values in order. Its ``__new__`` looks
-    the positional arguments up as field values; when that finds no
-    object, it builds a candidate with the generated ``__init__`` (which
-    binds and checks the arguments) and returns the table's object for
-    the candidate's field values, adding the candidate when it is the
-    first. The ``__init__`` that runs after ``__new__`` does nothing, so
-    the returned object is never written twice. ``__reduce__`` rebuilds
-    through the class, which makes ``copy``, ``deepcopy`` and ``pickle``
-    return the interned object."""
-    init = cls.__init__
+class _Term(Record):
+    """Base of the vocabulary: ``__new__`` binds its arguments to the
+    fields and returns the table's term for them, adding a new one when
+    there is none. Equality and hash are ``object``'s identity."""
 
-    def __new__(klass, *args, **kwargs):
-        term = None if kwargs else _INTERNED.get((klass, *args))
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, *args, **kwargs):
+        term = None if kwargs else _INTERNED.get((cls, *args))
         if term is None:
-            term = object.__new__(klass)
-            init(term, *args, **kwargs)
-            term = _INTERNED.setdefault((klass, *vars(term).values()), term)
+            names = cls.__match_args__
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+            if kwargs or len(args) != len(names):
+                raise TypeError(f"{cls.__name__} takes the fields {names}, got {args} and {kwargs}")
+            term = _INTERNED.get((cls, *args))
+            if term is None:
+                term = object.__new__(cls)
+                term._set(*args)
+                _INTERNED[(cls, *args)] = term
         return term
-
-    cls.__new__ = staticmethod(__new__)
-    cls.__init__ = lambda self, *args, **kwargs: None
-    cls.__reduce__ = lambda self: (type(self), tuple(vars(self).values()))
-    return cls
 
 
 # ---------------------------------------------------------------------------
 # Actions
 
 
-@_interned
-@dataclass(frozen=True, eq=False)
-class NoAction:
-    pass
+class NoAction(_Term):
+    __slots__ = ()
 
 
-@_interned
-@dataclass(frozen=True, eq=False)
-class ReadPathAction:
-    path: str
+class ReadPathAction(_Term):
+    __slots__ = __match_args__ = ("path",)
 
 
-@_interned
-@dataclass(frozen=True, eq=False)
-class ToolCallAction:
-    tool: str
+class ToolCallAction(_Term):
+    __slots__ = __match_args__ = ("tool",)
 
 
-@_interned
-@dataclass(frozen=True, eq=False)
-class StepAction:
-    pass
+class StepAction(_Term):
+    __slots__ = ()
 
 
 Action = NoAction | ReadPathAction | ToolCallAction | StepAction
@@ -143,28 +174,20 @@ def parse_action(text: str) -> Action:
 # Boundary events (abstract vocabulary)
 
 
-@_interned
-@dataclass(frozen=True, eq=False)
-class ReadEvent:
-    path: str
+class ReadEvent(_Term):
+    __slots__ = __match_args__ = ("path",)
 
 
-@_interned
-@dataclass(frozen=True, eq=False)
-class ToolEvent:
-    tool: str
+class ToolEvent(_Term):
+    __slots__ = __match_args__ = ("tool",)
 
 
-@_interned
-@dataclass(frozen=True, eq=False)
-class StepEvent:
-    pass
+class StepEvent(_Term):
+    __slots__ = ()
 
 
-@_interned
-@dataclass(frozen=True, eq=False)
-class NoEffect:
-    pass
+class NoEffect(_Term):
+    __slots__ = ()
 
 
 BoundaryEvent = ReadEvent | ToolEvent | StepEvent | NoEffect
@@ -187,8 +210,7 @@ def format_boundary_event(e: BoundaryEvent) -> str:
 # Concrete events: boundary effect plus dispatch bookkeeping
 
 
-@dataclass(frozen=True)
-class Dispatch:
+class Dispatch(NamedTuple):
     """Edge taken by a non-stutter step: (from_node, edge_label, to_node)."""
 
     from_node: str
@@ -196,23 +218,22 @@ class Dispatch:
     to_node: str
 
 
-@dataclass(frozen=True)
-class ImplEvent:
+class ImplEvent(Record):
     """A concrete emitted event.
 
     ``dispatch`` is present exactly when the effect is not NoEffect; a
     missing annotation is the stutter marker.
     """
 
-    effect: BoundaryEvent
-    dispatch: Dispatch | None = None
+    __slots__ = __match_args__ = ("effect", "dispatch")
 
-    def __post_init__(self) -> None:
-        is_stutter = isinstance(self.effect, NoEffect)
-        if is_stutter and self.dispatch is not None:
+    def __init__(self, effect: BoundaryEvent, dispatch: Dispatch | None = None) -> None:
+        is_stutter = isinstance(effect, NoEffect)
+        if is_stutter and dispatch is not None:
             raise ValueError("stutter events carry no dispatch annotation")
-        if not is_stutter and self.dispatch is None:
+        if not is_stutter and dispatch is None:
             raise ValueError("non-stutter events require a dispatch annotation")
+        self._set(effect, dispatch)
 
 
 def format_impl_event(e: ImplEvent) -> str:

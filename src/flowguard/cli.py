@@ -15,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
 
 from .actions import parse_action
 from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow, with_prefix_mode
@@ -38,7 +37,8 @@ def _load(args) -> FlowDefinition:
 
 def _write(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -185,7 +185,8 @@ def _gate_fields(report: GateReport) -> dict:
 
 
 def cmd_gates(args) -> int:
-    text = Path(args.flow).read_text()
+    with open(args.flow) as f:
+        text = f.read()
     mutation_ids = tuple(args.mutation.split(",")) if args.mutation is not None else None
     report = run_gates(text, args.depth, mutation_ids, prefix_mode=args.prefix_mode)
 
@@ -219,7 +220,8 @@ def cmd_sweep(args) -> int:
 def cmd_replay(args) -> int:
     defn = _load(args)
     try:
-        text = Path(args.log).read_text()
+        with open(args.log) as f:
+            text = f.read()
         verdict = replay_trace_log(defn, text)
     except (OSError, TraceLogError) as e:
         print(f"cannot replay: {e}", file=sys.stderr)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
-from pathlib import Path
+import os
+from typing import NamedTuple
 
 from .actions import Action, format_action, parse_action
 from .impl_model import FlowGraph, ImplConstants, NodeKind
@@ -25,8 +25,7 @@ class FlowFileError(ValueError):
     """Malformed flow-definition document."""
 
 
-@dataclass(frozen=True)
-class FlowDefinition:
+class FlowDefinition(NamedTuple):
     provenance: str
     constants: SpecConstants
     graph: FlowGraph
@@ -140,7 +139,7 @@ def with_prefix_mode(defn: FlowDefinition, prefix_mode: str | None) -> FlowDefin
     """``defn`` with its workspace-prefix mode replaced; unchanged for None."""
     if prefix_mode is None:
         return defn
-    return replace(defn, constants=replace(defn.constants, prefix_mode=prefix_mode))
+    return defn._replace(constants=defn.constants._replace(prefix_mode=prefix_mode))
 
 
 def flow_to_document(defn: FlowDefinition) -> dict:
@@ -174,6 +173,7 @@ def flow_digest(defn: FlowDefinition) -> str:
     return hashlib.sha256(serialize_flow(defn).encode()).hexdigest()[:16]
 
 
-def load_flow(path: str | Path) -> FlowDefinition:
-    return parse_flow(Path(path).read_text())
+def load_flow(path: str | os.PathLike[str]) -> FlowDefinition:
+    with open(path) as f:
+        return parse_flow(f.read())
 

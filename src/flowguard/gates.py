@@ -40,9 +40,8 @@ verdict.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .actions import Action, NoEffect
 from .flowfile import (
@@ -54,7 +53,7 @@ from .flowfile import (
 )
 from .impl_model import INVARIANT, FlowGraphError, ImplConstants, impl_inv, impl_wf
 from .refinement import Bundle, CheckRun, obligations
-from .spec_model import POLICY, SEQUENCE_CONJUNCTS, Obligation, spec_next
+from .spec_model import POLICY, PREFIX_BARE, PREFIX_GUARDED, SEQUENCE_CONJUNCTS, Obligation, spec_next
 
 DEFAULT_GATE_BUDGET_SECONDS = 30.0
 
@@ -70,15 +69,15 @@ DEFAULT_GATE_BUDGET_SECONDS = 30.0
 def _edit_policy(name: str, **changes) -> Callable[[Bundle], Bundle]:
     """The abstract relation of the policy table with conjunct ``name``
     changed. The table is built once: ``spec_next`` compiles it per object."""
-    policy = tuple(replace(k, **changes) if k.name == name else k for k in POLICY)
-    return lambda b: replace(b, next_relation=partial(spec_next, policy=policy))
+    policy = tuple(k._replace(**changes) if k.name == name else k for k in POLICY)
+    return lambda b: b._replace(next_relation=partial(spec_next, policy=policy))
 
 
 def _drop_invariant_clause(name: str) -> Callable[[Bundle], Bundle]:
     """The declared invariant without clause ``name``, assumed when the
     obligation states are selected."""
     clauses = {n: clause for n, clause in INVARIANT.items() if n != name}
-    return lambda b: replace(b, assume_inv=partial(impl_inv, clauses=clauses))
+    return lambda b: b._replace(assume_inv=partial(impl_inv, clauses=clauses))
 
 
 def _collapse_events_to_noeffect(_e) -> NoEffect:
@@ -88,7 +87,7 @@ def _collapse_events_to_noeffect(_e) -> NoEffect:
 def permissive_stub(b: Bundle) -> Bundle:
     """G2's stub of ``b``: the assumed invariant gutted to well-formedness,
     every obligation kept."""
-    return replace(b, assume_inv=impl_wf)
+    return b._replace(assume_inv=impl_wf)
 
 
 SEEDED_ERRORS: dict[str, Callable[[Bundle], Bundle]] = {
@@ -97,7 +96,7 @@ SEEDED_ERRORS: dict[str, Callable[[Bundle], Bundle]] = {
     # The abstract relation admits one step beyond the bound: "<" became "<=".
     "step-bound-off-by-one": _edit_policy("StepBounded", guard=lambda c, count: count <= c.max_steps),
     # The event abstraction collapses every emitted event to NoEffect.
-    "event-to-noeffect": lambda b: replace(b, event_abs=_collapse_events_to_noeffect),
+    "event-to-noeffect": lambda b: b._replace(event_abs=_collapse_events_to_noeffect),
     # The assumed invariant loses the history-length alignment clause.
     "drop-history-clause": _drop_invariant_clause("history_length"),
 }
@@ -140,8 +139,7 @@ def step_bound_floor_note(c: ImplConstants, depth: int) -> str | None:
 # Gates
 
 
-@dataclass(frozen=True)
-class GateVerdict:
+class GateVerdict(NamedTuple):
     gate: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
@@ -188,8 +186,7 @@ def gate_vacuity(run: CheckRun, bundle: Bundle) -> GateVerdict:
     return GateVerdict("g2", "fail", f"vacuity witness: the stub discharged {', '.join(discharged)}")
 
 
-@dataclass(frozen=True)
-class MutantResult:
+class MutantResult(NamedTuple):
     mutation_id: str
     killed: bool
     killed_by: str = ""
@@ -211,8 +208,7 @@ def gate_discrimination(run: CheckRun, bundle: Bundle, mutation_id: str) -> Muta
 # Template fitness
 
 
-@dataclass(frozen=True)
-class ConjunctFitness:
+class ConjunctFitness(NamedTuple):
     name: str
     status: str  # "witnessed" | "VACUOUS"
     witness_depth: int | None = None
@@ -250,8 +246,7 @@ def check_template_fitness(run: CheckRun, bundle: Bundle) -> tuple[ConjunctFitne
 # The composed gate pipeline
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(NamedTuple):
     g1: GateVerdict
     g2: GateVerdict = GateVerdict("g2", "skipped", "g1 failed")
     g3: GateVerdict = GateVerdict("g3", "skipped", "g1 failed")
@@ -281,12 +276,16 @@ def run_gates(
     G1 judges ``flow_text`` as written; the other gates verify the
     definition it loads, with ``prefix_mode`` in place of the file's mode
     when one is given, and share one ``CheckRun``. Bad arguments (a
-    negative depth, an unknown or repeated mutation id) raise ValueError
-    before any gate runs.
+    negative depth, an empty mutation set, an unknown or repeated mutation
+    id, an unknown prefix mode) raise ValueError before any gate runs.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if prefix_mode not in (None, PREFIX_GUARDED, PREFIX_BARE):
+        raise ValueError(f"unknown prefix_mode: {prefix_mode!r}")
     ids = mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS)
+    if not ids:
+        raise ValueError("mutation_ids is empty: G3 would judge no mutant")
     for i, mid in enumerate(ids):
         mutation_by_id(mid)
         if mid in ids[:i]:

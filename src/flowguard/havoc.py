@@ -13,8 +13,7 @@ from init as long as the step function is deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .actions import (
     Action,
@@ -39,8 +38,12 @@ from .spec_model import SpecConstants, Step, admits_value
 # Runs as values
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
+    """The steps of one run, in order. ``len(trace)`` counts the steps, not
+    the record's one field, so ``_replace`` and ``_make``, which check the
+    field count with ``len``, fail on a trace of other than one step: build
+    a new ``Trace`` instead."""
+
     steps: tuple[Step, ...]
 
     def __len__(self) -> int:
@@ -100,8 +103,7 @@ class AdversarialOracle:
 # Driving and sweeping
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     trace: Trace
     emitted_events: tuple[ImplEvent, ...]
     rejected_count: int
@@ -127,15 +129,13 @@ def drive(c: ImplConstants, strategy, steps: int) -> RunRecord:
     return RunRecord(Trace(tuple(recorded)), tuple(events), rejected, state)
 
 
-@dataclass(frozen=True)
-class SweepViolation:
+class SweepViolation(NamedTuple):
     script: tuple[str, ...]  # action literals, verbatim
     step_index: int
     detail: str
 
 
-@dataclass(frozen=True)
-class SweepVerdict:
+class SweepVerdict(NamedTuple):
     passed: bool
     sequences: int
     violation: SweepViolation | None

@@ -27,7 +27,6 @@ or tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -40,6 +39,7 @@ from .actions import (
     NoEffect,
     ReadEvent,
     ReadPathAction,
+    Record,
     StepAction,
     StepEvent,
     ToolCallAction,
@@ -71,32 +71,30 @@ class FlowGraphError(ValueError):
     """The graph violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(Record):
     """Directed graph of kinded nodes with labeled dispatch edges.
 
     node_kinds and edges are normalized to sorted tuples so equal graphs
     compare and serialize identically.
     """
 
-    entry: str
-    node_kinds: tuple[tuple[str, NodeKind], ...]
-    edges: tuple[tuple[str, str, str], ...]  # (from_node, label, to_node)
-    _kind_map: dict = field(init=False, repr=False, compare=False)
-    _edge_map: dict = field(init=False, repr=False, compare=False)
-    _nodes: frozenset = field(init=False, repr=False, compare=False)
+    __match_args__ = ("entry", "node_kinds", "edges")
+    __slots__ = __match_args__ + ("_kind_map", "_edge_map", "_nodes")
 
-    def __post_init__(self) -> None:
-        kinds = tuple(sorted((n, NodeKind(k)) for n, k in self.node_kinds))
-        edges = tuple(sorted(self.edges))
-        object.__setattr__(self, "node_kinds", kinds)
-        object.__setattr__(self, "edges", edges)
+    def __init__(
+        self,
+        entry: str,
+        node_kinds: tuple[tuple[str, NodeKind], ...],
+        edges: tuple[tuple[str, str, str], ...],  # (from_node, label, to_node)
+    ) -> None:
+        kinds = tuple(sorted((n, NodeKind(k)) for n, k in node_kinds))
+        edges = tuple(sorted(edges))
 
         kind_map = dict(kinds)
         if len(kind_map) != len(kinds):
             raise FlowGraphError("duplicate node names")
-        if self.entry not in kind_map:
-            raise FlowGraphError(f"entry node {self.entry!r} not in graph")
+        if entry not in kind_map:
+            raise FlowGraphError(f"entry node {entry!r} not in graph")
         edge_map: dict[tuple[str, str], str] = {}
         for frm, label, to in edges:
             if frm not in kind_map:
@@ -109,9 +107,7 @@ class FlowGraph:
         for node, kind in kinds:
             if kind is not NodeKind.TERMINAL and not any(f == node for f, _, _ in edges):
                 raise FlowGraphError(f"non-terminal node {node!r} has no outgoing edge")
-        object.__setattr__(self, "_kind_map", kind_map)
-        object.__setattr__(self, "_edge_map", edge_map)
-        object.__setattr__(self, "_nodes", frozenset(kind_map))
+        self._set(entry, kinds, edges, kind_map, edge_map, frozenset(kind_map))
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -124,15 +120,16 @@ class FlowGraph:
         return self._edge_map.get((node, label))
 
 
-@dataclass(frozen=True)
-class ImplConstants:
+class ImplConstants(Record):
     """The policy parameters and the flow graph. ``_routes`` is the route
     table ``impl_next`` fills as it meets (node, action) pairs; it is a
     cache, not part of the constants' value."""
 
-    spec: SpecConstants
-    graph: FlowGraph
-    _routes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __match_args__ = ("spec", "graph")
+    __slots__ = __match_args__ + ("_routes",)
+
+    def __init__(self, spec: SpecConstants, graph: FlowGraph) -> None:
+        self._set(spec, graph, {})
 
 
 class ImplState(NamedTuple):

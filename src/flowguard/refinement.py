@@ -63,11 +63,10 @@ conjuncts on the concrete states. The stage that fails is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .actions import Action, BoundaryEvent, ImplEvent, NoAction, format_action
+from .actions import Action, BoundaryEvent, ImplEvent, NoAction, Record, format_action
 from .havoc import Trace
 from .impl_model import (
     NO_NODE,
@@ -105,26 +104,39 @@ def project_event(e: ImplEvent) -> BoundaryEvent:
     return e.effect
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Record):
     """Everything a check treats as untrusted and a seeded error may edit:
     the abstract relation and safety predicate, the abstraction functions
     inducing the state and event relations, the declared invariant the
     step obligation re-establishes, and the invariant assumed when the
     obligation states are selected (None: assume ``inv``). ``Bundle()`` is
-    the shipped bundle. The abstract constants are always ``c.spec``.
+    the shipped bundle, and ``b._replace(field=...)`` an edited copy of
+    ``b``. The abstract constants are always ``c.spec``.
 
-    Each default is this module's binding of the shipped function, read
-    when a bundle is built rather than when the class is defined, so a
-    function rebound at module level (as the benchmark's tracer does)
-    serves every bundle built after."""
+    A field left out (or None) is this module's binding of the shipped
+    function, read when the bundle is built rather than when the class is
+    defined, so a function rebound at module level (as the benchmark's
+    tracer does) serves every bundle built after."""
 
-    next_relation: Callable[[SpecConstants, SpecState, Action], tuple] = field(default_factory=lambda: spec_next)
-    safety: Callable[[SpecConstants, SpecState], bool] = field(default_factory=lambda: spec_safety)
-    variables_abs: VariablesAbs = field(default_factory=lambda: project_variables)
-    event_abs: EventAbs = field(default_factory=lambda: project_event)
-    inv: InvPredicate = field(default_factory=lambda: impl_inv)
-    assume_inv: InvPredicate | None = None
+    __slots__ = __match_args__ = ("next_relation", "safety", "variables_abs", "event_abs", "inv", "assume_inv")
+
+    def __init__(
+        self,
+        next_relation: Callable[[SpecConstants, SpecState, Action], tuple] | None = None,
+        safety: Callable[[SpecConstants, SpecState], bool] | None = None,
+        variables_abs: VariablesAbs | None = None,
+        event_abs: EventAbs | None = None,
+        inv: InvPredicate | None = None,
+        assume_inv: InvPredicate | None = None,
+    ) -> None:
+        self._set(
+            next_relation or spec_next,
+            safety or spec_safety,
+            variables_abs or project_variables,
+            event_abs or project_event,
+            inv or impl_inv,
+            assume_inv,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +385,7 @@ def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
 # Trace-level soundness
 
 
-@dataclass(frozen=True)
-class SoundnessVerdict:
+class SoundnessVerdict(NamedTuple):
     passed: bool
     stage: int | None = None  # 1 = lift, 2 = abstract safety, 3 = concrete safety
     detail: str = ""

@@ -23,7 +23,6 @@ states must be representable so checks can reject them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 from .actions import (
@@ -32,6 +31,7 @@ from .actions import (
     NoEffect,
     ReadEvent,
     ReadPathAction,
+    Record,
     StepAction,
     StepEvent,
     ToolCallAction,
@@ -44,8 +44,7 @@ PREFIX_GUARDED = "guarded"
 PREFIX_BARE = "bare"
 
 
-@dataclass(frozen=True)
-class SpecConstants:
+class SpecConstants(Record):
     """Policy parameters shared by the abstract and concrete machines.
     ``_moves`` is ``spec_next``'s move table and ``_holds`` is
     ``violated``'s verdict table: caches, not part of the value.
@@ -61,21 +60,24 @@ class SpecConstants:
       False -- only StepAction consumes steps.
     """
 
-    workspace_root: str
-    allowed_tools: frozenset[str]
-    max_steps: int
-    prefix_mode: str = PREFIX_GUARDED
-    count_all_actions: bool = True
-    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _holds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __match_args__ = ("workspace_root", "allowed_tools", "max_steps", "prefix_mode", "count_all_actions")
+    __slots__ = __match_args__ + ("_moves", "_holds")
 
-    def __post_init__(self) -> None:
-        if not self.workspace_root:
+    def __init__(
+        self,
+        workspace_root: str,
+        allowed_tools: frozenset[str],
+        max_steps: int,
+        prefix_mode: str = PREFIX_GUARDED,
+        count_all_actions: bool = True,
+    ) -> None:
+        if not workspace_root:
             raise ValueError("workspace_root must be nonempty")
-        if self.max_steps < 0:
+        if max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if self.prefix_mode not in (PREFIX_GUARDED, PREFIX_BARE):
-            raise ValueError(f"unknown prefix_mode: {self.prefix_mode!r}")
+        if prefix_mode not in (PREFIX_GUARDED, PREFIX_BARE):
+            raise ValueError(f"unknown prefix_mode: {prefix_mode!r}")
+        self._set(workspace_root, allowed_tools, max_steps, prefix_mode, count_all_actions, {}, {})
 
 
 class SpecState(NamedTuple):
@@ -110,8 +112,7 @@ def spec_init(c: SpecConstants) -> SpecState:
 # The policy, defined once: every other use of its guards is derived from it.
 
 
-@dataclass(frozen=True)
-class Conjunct:
+class Conjunct(NamedTuple):
     """One named conjunct of the boundary policy: the ``guard`` a transition
     checks before it effects an action, and the predicate ``holds`` that
     safety checks on the state's ``field``. A sequence conjunct guards the
@@ -263,8 +264,7 @@ def spec_safety(c: SpecConstants, s: SpecState) -> bool:
 # Lemma-level records and checks: initial safety and inductive preservation
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One transition of either machine: a step of a driven run, or the
     counterexample an obligation reports."""
 
@@ -274,8 +274,7 @@ class Step:
     post_state: Any
 
 
-@dataclass(frozen=True)
-class Obligation:
+class Obligation(NamedTuple):
     """The verdict of one lemma: its name, whether it holds, why not, how
     many states it ranged over (None when it judges init alone), and its
     first failing step."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .actions import Action, format_action, format_impl_event, parse_action
 from .flowfile import FlowDefinition, flow_digest
@@ -188,8 +188,7 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
     return header, rows
 
 
-@dataclass(frozen=True)
-class ReplayVerdict:
+class ReplayVerdict(NamedTuple):
     passed: bool
     steps: int
     detail: str = ""

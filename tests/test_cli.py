@@ -1,8 +1,9 @@
 """The command-line surface: exit codes, report determinism, trace logs,
 and replay."""
 
-import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,28 @@ def flow_file():
 @pytest.fixture(scope="module")
 def rag_nb_file():
     return str(FLOWS / "rag_no_barrier.json")
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+# Modules whose import alone costs about half of a fresh ``flowguard``
+# process's start-up: ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``.
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "pathlib")
+
+
+def test_the_cli_imports_none_of_the_slow_modules():
+    """A fresh interpreter, isolated from the environment and
+    site-packages as the benchmark's start-up probe is, loads
+    ``flowguard.cli`` without any of ``SLOW_IMPORTS``."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); import flowguard.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "flowguard.cli" in loaded
+    assert [m for m in SLOW_IMPORTS if m in loaded] == []
 
 
 MIXED_SCRIPT = (
@@ -98,7 +121,7 @@ def test_scripted_escapes_semicolons_and_backslashes(tmp_path, capsys):
     defn = parse_flow((Path(__file__).resolve().parent / "golden" / "tracelog" / "cyclic_reads.json").read_text())
     odd = (ReadPathAction("/ws/a;b"), ReadPathAction("/ws/c\\d;"))
     flow = tmp_path / "odd.json"
-    flow.write_text(serialize_flow(dataclasses.replace(defn, alphabet=defn.alphabet + odd)))
+    flow.write_text(serialize_flow(defn._replace(alphabet=defn.alphabet + odd)))
     out = tmp_path / "odd.log"
     script = r"scripted:ReadPathAction(/ws/a\;b);;ReadPathAction(/ws/c\\d\;)"
     assert main(["run", "--flow", str(flow), "--strategy", script, "--steps", "2", "--out", str(out)]) == 0
@@ -368,7 +391,7 @@ def test_gates_prefix_mode_changes_what_is_verified(tmp_path, capsys):
     i = defn.alphabet.index(ReadPathAction("/ws/x"))
     alphabet = defn.alphabet[:i] + (ReadPathAction("/wsx/a"),) + defn.alphabet[i:]
     path = tmp_path / "wsx.json"
-    path.write_text(serialize_flow(dataclasses.replace(defn, alphabet=alphabet)))
+    path.write_text(serialize_flow(defn._replace(alphabet=alphabet)))
 
     assert main(["sweep", "--flow", str(path), "--depth", "4", "--prefix-mode", "bare"]) == 0
     assert json.loads(capsys.readouterr().out)["visited_states"] == 7

@@ -2,7 +2,6 @@
 template-fitness audit, including the pair of retrieval flows that only
 fitness can tell apart."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -121,7 +120,7 @@ def test_g2_passes_because_the_stub_fails(run, bundle):
 def test_g2_fails_for_a_bundle_that_never_demanded_structure(run, bundle):
     """If the declared invariant is already well-formedness only, the stub
     is the original: both verify identically and the gate must fail."""
-    wf_bundle = dataclasses.replace(bundle, inv=impl_wf)
+    wf_bundle = bundle._replace(inv=impl_wf)
     verdict = gate_vacuity(run, wf_bundle)
     assert not verdict.passed
     assert "vacuity witness" in verdict.detail
@@ -192,7 +191,7 @@ def test_each_mutation_edits_one_definition(mutation_id):
     edits = {**SEEDED_ERRORS, "identity": mutation_by_id("identity"), "permissive-stub": permissive_stub}
     shipped = Bundle()
     mutant = edits[mutation_id](shipped)
-    edited = [f.name for f in dataclasses.fields(Bundle) if getattr(mutant, f.name) != getattr(shipped, f.name)]
+    edited = [name for name in Bundle.__match_args__ if getattr(mutant, name) != getattr(shipped, name)]
     assert edited == EDITED_FIELDS[mutation_id]
 
 
@@ -312,3 +311,18 @@ def test_pipeline_rejects_a_repeated_mutation_id_before_g1(mutation_ids, monkeyp
     monkeypatch.setattr(gates, "gate_resolution", lambda *args: pytest.fail("G1 ran"))
     with pytest.raises(ValueError, match="repeated mutation id"):
         run_gates("{not json", 4, mutation_ids=mutation_ids)
+
+
+def test_pipeline_rejects_an_empty_mutation_set_before_g1(agent_flow_text, monkeypatch):
+    """An empty set would pass G3 with "0 mutants killed": a discrimination
+    gate that judged nothing."""
+    monkeypatch.setattr(gates, "gate_resolution", lambda *args: pytest.fail("G1 ran"))
+    with pytest.raises(ValueError, match="mutation_ids is empty"):
+        run_gates(agent_flow_text, 4, mutation_ids=())
+
+
+@pytest.mark.parametrize("prefix_mode", ["loose", "", "GUARDED"])
+def test_pipeline_rejects_an_unknown_prefix_mode_before_g1(agent_flow_text, prefix_mode, monkeypatch):
+    monkeypatch.setattr(gates, "gate_resolution", lambda *args: pytest.fail("G1 ran"))
+    with pytest.raises(ValueError, match="unknown prefix_mode"):
+        run_gates(agent_flow_text, 4, prefix_mode=prefix_mode)

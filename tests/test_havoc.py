@@ -2,7 +2,6 @@
 as a labelled transition system (``impl_next`` as its step relation and
 ``drive`` as its oracle-driven run), and the exhaustive sweep."""
 
-import dataclasses
 import itertools
 
 from flowguard.actions import (
@@ -208,9 +207,7 @@ def test_sweep_depth_zero(agent):
 def broken_next(c, s, a):
     """``impl_next`` with the allowlist check skipped."""
     if isinstance(a, ToolCallAction) and not s.halted and s.step_count < c.spec.max_steps:
-        widened = dataclasses.replace(
-            c, spec=dataclasses.replace(c.spec, allowed_tools=c.spec.allowed_tools | {a.tool})
-        )
+        widened = c._replace(spec=c.spec._replace(allowed_tools=c.spec.allowed_tools | {a.tool}))
         return impl_next(widened, s, a)
     return impl_next(c, s, a)
 

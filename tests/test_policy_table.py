@@ -5,7 +5,6 @@ policy_reference.py over random small constants, states and actions.
 The last section pins the contract of the state records and of the caches
 the constants carry."""
 
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -268,7 +267,7 @@ def verdict_cases(draw):
         last_node=st.none(),
         last_action=st.just(NoAction()),
     )
-    return replace(flow, constants=c), draw(st.lists(states, min_size=1, max_size=6))
+    return flow._replace(constants=c), draw(st.lists(states, min_size=1, max_size=6))
 
 
 @settings(max_examples=60)

@@ -1,7 +1,6 @@
 """Refinement obligations, the perturbed exploration universe, and the
 trace-level soundness composition."""
 
-import dataclasses
 
 import pytest
 
@@ -129,7 +128,7 @@ def test_refinement_next_passes_on_both_rag_modes(rag_barrier, rag_no_barrier):
 
 
 def test_refinement_passes_in_step_only_accounting_mode(agent):
-    flow = dataclasses.replace(agent, constants=dataclasses.replace(agent.constants, count_all_actions=False))
+    flow = agent._replace(constants=agent.constants._replace(count_all_actions=False))
     v = check_refinement_next(flow.impl_constants, Bundle(), flow.alphabet, 4)
     assert all(o.passed for o in v), v
 

@@ -10,7 +10,6 @@ outcomes. Counting tests pin the work saved.
 """
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -77,12 +76,12 @@ EDITS = {
     **SEEDED_ERRORS,
     "permissive-stub": permissive_stub,
     "identity": mutation_by_id("identity"),
-    "lax-safety": lambda b: replace(b, safety=lax_safety),
+    "lax-safety": lambda b: b._replace(safety=lax_safety),
     # fails r2_step_simulation before inv_inductive in the scan order
-    "noeffect-stub": lambda b: replace(SEEDED_ERRORS["event-to-noeffect"](b), assume_inv=impl_wf),
+    "noeffect-stub": lambda b: SEEDED_ERRORS["event-to-noeffect"](b)._replace(assume_inv=impl_wf),
     # r2 must judge a state's stutters action by action: in the reversed
     # shipped alphabets, NoAction's stutter comes after matched ones
-    "stutter-gap": lambda b: replace(b, next_relation=stutter_gap),
+    "stutter-gap": lambda b: b._replace(next_relation=stutter_gap),
 }
 
 

@@ -2,7 +2,6 @@
 two lemma-level checks (initial safety, inductive preservation)."""
 
 import itertools
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given
@@ -270,7 +269,7 @@ def test_move_table_never_answers_for_a_dropped_policy():
     c = SpecConstants("/ws", frozenset({"search"}), 3)
     s, a = spec_init(c), ToolCallAction("rm")
     for i in range(40):
-        tool_guard = replace(TOOL_ALLOWLISTED, guard=lambda c, tool, admit=i % 2 == 0: admit)
+        tool_guard = TOOL_ALLOWLISTED._replace(guard=lambda c, tool, admit=i % 2 == 0: admit)
         policy = (READ_PATHS_ROOTED, tool_guard, STEP_BOUNDED)
         effected = len(spec_next(c, s, a, policy)) == 2
         assert effected == tool_guard.guard(c, a.tool) == (i % 2 == 0)
@@ -305,7 +304,7 @@ def test_abstract_check_judges_each_action_statically_once_per_relation(monkeypa
     explored = []
     for b in (Bundle(), *edits):
         calls = 0
-        c = replace(defn.constants)  # a fresh, empty move table
+        c = defn.constants._replace()  # a fresh, empty move table
         explored.append(check_safety_preserved(c, defn.alphabet, 6, next_relation=b.next_relation).explored_states)
         assert 0 < calls <= len(defn.alphabet)
     assert explored[0] == 20  # the shipped relation: 20 states x 6 actions = 120 abstract steps

@@ -4,7 +4,6 @@ random small flows and on broken step functions, at a number of step
 calls that follows the prefix tree and a number of state checks and state
 hashes that follows the distinct states."""
 
-import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -28,7 +27,7 @@ from test_tracelog import FITTING, _equal_copy, flow_constants
 
 def overstepping_next(c, s, a):
     """``impl_next`` with one step more than the bound allows."""
-    return impl_next(dataclasses.replace(c, spec=dataclasses.replace(c.spec, max_steps=c.spec.max_steps + 1)), s, a)
+    return impl_next(c._replace(spec=c.spec._replace(max_steps=c.spec.max_steps + 1)), s, a)
 
 
 def forgetful_next(c, s, a):
@@ -71,7 +70,7 @@ STUTTERS = {"identical": lambda fn: fn, "copied": copying_stutters}
 def shallow_bounds(draw):
     """Flow constants whose step bound a depth-4 sweep can reach."""
     c = draw(flow_constants())
-    return dataclasses.replace(c, spec=dataclasses.replace(c.spec, max_steps=draw(st.integers(0, 4))))
+    return c._replace(spec=c.spec._replace(max_steps=draw(st.integers(0, 4))))
 
 
 @pytest.mark.parametrize("stutter", STUTTERS)
@@ -262,7 +261,7 @@ def test_empty_alphabet():
 
 def test_sweep_at_depth_5000_does_not_recurse(tmp_path):
     path = tmp_path / "step_only.json"
-    path.write_text(serialize_flow(dataclasses.replace(shipped("read_agent"), alphabet=(StepAction(),))))
+    path.write_text(serialize_flow(shipped("read_agent")._replace(alphabet=(StepAction(),))))
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--flow", str(path), "--depth", "5000", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
