@@ -4,14 +4,14 @@ refinement pair.
 The machine tracks only the four boundary-visible variables (read paths,
 tool calls, step count, halted flag). The policy is defined once, as the
 table POLICY of three named conjuncts (rooted reads, allowlisted tools,
-bounded steps); each holds the guard a transition checks and the state
-predicate safety checks. Both machines, every safety check and the
-seeded errors of the gates are derived from it. Under it a rooted read
-appends, an allowlisted tool call appends, a step advances the counter
-while capacity remains, and every (state, action) pair also admits a
-no-effect stutter. The stutter option is what
-lets a concrete machine reject an action for reasons the abstract machine
-cannot see (wrong node kind, missing edge) and still refine.
+bounded steps); each holds the guard a transition checks, and a sequence
+is safe when its guard admits every element. Both machines, every safety
+check and the seeded errors of the gates are derived from it. Under it a
+rooted read appends, an allowlisted tool call appends, a step advances
+the counter while capacity remains, and every (state, action) pair also
+admits a no-effect stutter. The stutter option is what lets a concrete
+machine reject an action for reasons the abstract machine cannot see
+(wrong node kind, missing edge) and still refine.
 
 ``spec_next`` compiles each (policy, action) pair it meets into a move once
 per ``SpecConstants``, so a step judges only the step bound; that is exact
@@ -46,8 +46,8 @@ PREFIX_BARE = "bare"
 
 class SpecConstants(Record):
     """Policy parameters shared by the abstract and concrete machines.
-    ``_moves`` is ``spec_next``'s move table and ``_holds`` is
-    ``violated``'s verdict table: caches, not part of the value.
+    ``_moves`` is ``spec_next``'s move table and ``_holds`` holds
+    ``violated``'s verdict tables: caches, not part of the value.
 
     prefix_mode:
       "guarded" -- a path is under the root iff it equals the root or
@@ -114,25 +114,21 @@ def spec_init(c: SpecConstants) -> SpecState:
 
 class Conjunct(NamedTuple):
     """One named conjunct of the boundary policy: the ``guard`` a transition
-    checks before it effects an action, and the predicate ``holds`` that
-    safety checks on the state's ``field``. A sequence conjunct guards the
-    value ``getattr(a, arg)`` of an ``action``-typed action, which the action
-    appends to ``field``; the step bound (no ``action``) guards the pre-state
-    step count before every action that consumes a step.
-
-    ``guard`` and ``holds`` must be pure functions of (constants, value):
-    ``impl_model.impl_next`` keeps each sequence guard's verdict per (node,
-    action) pair, ``spec_next`` per (policy, action) pair, and ``violated``
-    keeps each ``holds`` verdict per value in the constants' ``_holds``
-    table."""
+    checks before it effects an action. A sequence conjunct guards the
+    value ``getattr(a, arg)`` of an ``action``-typed action, which appends
+    it to ``field``; a state is safe when the guard admits every element.
+    The step bound (no ``action``) guards the pre-state step count before
+    each action that consumes a step; safety checks its ``holds`` instead.
+    Both must be pure functions of (constants, value): ``impl_next``,
+    ``spec_next`` and ``violated`` keep their verdicts (see each)."""
 
     name: str
     field: str
     guard: Callable[[SpecConstants, Any], bool]
-    holds: Callable[[SpecConstants, Any], bool]
     violation: str  # describes a state that breaks the conjunct
     action: type | None = None
     arg: str = ""
+    holds: Callable[[SpecConstants, Any], bool] | None = None  # the step bound's state predicate
 
 
 def _rooted(c: SpecConstants, path: str) -> bool:
@@ -140,13 +136,12 @@ def _rooted(c: SpecConstants, path: str) -> bool:
 
 
 READ_PATHS_ROOTED = Conjunct(
-    "ReadPathsRooted", "read_paths", action=ReadPathAction, arg="path",
-    guard=_rooted, holds=lambda c, paths: all(_rooted(c, p) for p in paths),
+    "ReadPathsRooted", "read_paths", action=ReadPathAction, arg="path", guard=_rooted,
     violation="read path outside the workspace root",
 )
 TOOL_ALLOWLISTED = Conjunct(
     "ToolAllowlisted", "tool_calls", action=ToolCallAction, arg="tool",
-    guard=lambda c, tool: tool in c.allowed_tools, holds=lambda c, tools: c.allowed_tools.issuperset(tools),
+    guard=lambda c, tool: tool in c.allowed_tools,
     violation="tool call outside the allowlist",
 )
 STEP_BOUNDED = Conjunct(
@@ -173,22 +168,40 @@ def admits_value(c: SpecConstants, a: Action, policy: tuple[Conjunct, ...] = POL
     return True
 
 
+class _Verdicts(dict):
+    """The verdicts of ``predicate`` under ``c``, by value; a miss judges once."""
+
+    __slots__ = ("c", "predicate")
+
+    def __init__(self, c: SpecConstants, predicate: Callable[[SpecConstants, Any], bool]) -> None:
+        self.c, self.predicate = c, predicate
+
+    def __missing__(self, value) -> bool:
+        return self.setdefault(value, self.predicate(self.c, value))
+
+
+# Per conjunct: the predicate ``violated`` keeps verdicts of, and on what.
+_JUDGED = tuple((k, k.holds or k.guard, k.field, k.holds is None) for k in POLICY)
+
+
 def violated(c: SpecConstants, s) -> Conjunct | None:
-    """The first conjunct of the policy that ``s`` breaks, or None when
-    ``s`` is safe. ``s`` is any state with the policed fields. Each
-    conjunct's verdict on a field value is computed once per ``c`` and
-    kept in ``c._holds``, one table per ``holds`` function; that is exact
-    because ``holds`` is a pure function of (constants, value). States
-    that share a sequence share its verdict, so judging a known value
-    costs a hash of it rather than a guard call per element."""
+    """The first conjunct of the policy that ``s``, any state with the
+    policed fields, breaks; None when it is safe. Each verdict on one
+    element or step count is computed once per ``c`` and kept in
+    ``c._holds``, one table per predicate, bounded by the distinct values
+    met. That is exact because each predicate is a pure function of
+    (constants, value). Known elements are judged in C, with no Python call."""
     tables = c._holds
-    for k in POLICY:
-        value = getattr(s, k.field)
+    for k, predicate, field, per_element in _JUDGED:
         try:
-            ok = tables[k.holds][value]
+            table = tables[predicate]
         except KeyError:
-            ok = tables.setdefault(k.holds, {})[value] = k.holds(c, value)
-        if not ok:
+            table = tables[predicate] = _Verdicts(c, predicate)
+        value = getattr(s, field)
+        if per_element:
+            if value and not all(map(table.__getitem__, value)):
+                return k
+        elif not table[value]:
             return k
     return None
 

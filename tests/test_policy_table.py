@@ -34,7 +34,7 @@ from flowguard.impl_model import (
     impl_next,
     impl_safety,
 )
-from flowguard.refinement import Bundle, CheckRun, _failed_conjunct, obligations, perturbations, project_variables
+from flowguard.refinement import Bundle, CheckRun, obligations, perturbations, project_variables
 from flowguard.spec_model import (
     POLICY,
     READ_PATHS_ROOTED,
@@ -191,7 +191,8 @@ def test_impl_predicates_match_reference(case):
     c, s = case
     assert impl_safety(c, s) == ref.impl_safety(c, s)
     assert impl_inv(c, s) == ref.impl_inv(c, s)
-    assert _failed_conjunct(c, s) == ref.failed_conjunct(c, s)
+    k = violated(c.spec, s)
+    assert (k.violation if k is not None else "unknown") == ref.failed_conjunct(c, s)
 
 
 @settings(max_examples=150)
@@ -235,10 +236,18 @@ def test_seeded_invariant_matches_reference(case):
     assert assume_inv(c, s) == ref.inv_without_history_length(c, s)
 
 
+def conjunct_holds(c: SpecConstants, k, value) -> bool:
+    """The state predicate of conjunct ``k`` on its field's ``value``, from
+    the one definition and without the verdict tables: a sequence conjunct
+    holds when its guard admits every element, the step bound when its
+    ``holds`` admits the step count."""
+    return all(k.guard(c, v) for v in value) if k.holds is None else k.holds(c, value)
+
+
 def _first_failing(c: SpecConstants, s):
-    """The first conjunct of the policy whose ``holds`` rejects its field
-    of ``s``, judged directly, without the verdict table."""
-    return next((k for k in POLICY if not k.holds(c, getattr(s, k.field))), None)
+    """The first conjunct of the policy that rejects its field of ``s``,
+    judged directly."""
+    return next((k for k in POLICY if not conjunct_holds(c, k, getattr(s, k.field))), None)
 
 
 @st.composite
@@ -246,7 +255,9 @@ def verdict_cases(draw):
     """A shipped flow with random guarded constants, and states on its graph
     whose paths lie under the root, outside it, or under the sibling
     ``root + "x/"``, whose tools are listed or not, and whose step counts
-    lie around ``max_steps``."""
+    lie around ``max_steps``. A sequence holds up to 8 elements drawn from
+    a few values, so it repeats values and mixes admitted and rejected
+    ones."""
     flow = draw(st.sampled_from(FLOWS))
     root = draw(st.sampled_from(("/ws", "/rag", "/ws/a")))
     listed = ("search", "fetch", "grep")
@@ -259,8 +270,8 @@ def verdict_cases(draw):
     states = st.builds(
         ImplState,
         current_node=st.sampled_from(sorted(flow.graph.nodes)),
-        read_paths=st.lists(paths, max_size=3).map(tuple),
-        tool_calls=st.lists(st.sampled_from(listed + ("rm", "__unlisted__")), max_size=3).map(tuple),
+        read_paths=st.lists(paths, max_size=8).map(tuple),
+        tool_calls=st.lists(st.sampled_from(listed + ("rm", "__unlisted__")), max_size=8).map(tuple),
         step_count=st.integers(max(0, max_steps - 2), max_steps + 2),
         halted=st.booleans(),
         history=st.just(()),
@@ -274,12 +285,14 @@ def verdict_cases(draw):
 @given(verdict_cases())
 def test_violated_matches_the_conjuncts_on_a_warm_verdict_table(case):
     """One constants object judges every drawn state twice, so the verdicts
-    its ``_holds`` table kept for earlier values answer later ones; under
-    both prefix modes, ``violated`` and ``impl_safety`` agree with the
-    first conjunct whose ``holds`` fails when called directly. The bare
-    constants are derived from the guarded flow after its table is warm,
-    and must not answer with its verdicts: ``root + "x/a"`` is outside the
-    root when guarded and under it when bare."""
+    its ``_holds`` tables kept for earlier elements answer later ones, in
+    the same sequence and in others; under both prefix modes, ``violated``
+    and ``impl_safety`` agree with the first conjunct that fails when
+    judged directly. Each table keeps only elements and step counts the
+    states hold. The bare constants are derived from the guarded flow
+    after its tables are warm, and must not answer with its verdicts:
+    ``root + "x/a"`` is outside the root when guarded and under it when
+    bare."""
     defn, states = case
     sibling = ImplState(defn.graph.entry, read_paths=(defn.constants.workspace_root + "x/a",))
     for mode in ("guarded", "bare"):
@@ -290,6 +303,10 @@ def test_violated_matches_the_conjuncts_on_a_warm_verdict_table(case):
             assert violated(c.spec, s) is expected
             assert impl_safety(c, s) is (expected is None)
         assert c.spec._holds
+        for k in POLICY:
+            values = [getattr(s, k.field) for s in states + [sibling]]
+            met = set(values) if k.action is None else {v for value in values for v in value}
+            assert set(c.spec._holds.get(k.holds or k.guard, ())) <= met
         assert violated(c.spec, sibling) is (READ_PATHS_ROOTED if mode == "guarded" else None)
 
 

@@ -17,8 +17,9 @@ from flowguard.actions import (
     format_action,
 )
 from flowguard.cli import main
+from flowguard.flowfile import load_flow
 from flowguard.gates import SEEDED_ERRORS, permissive_stub
-from flowguard.havoc import ScriptedOracle, Trace, drive
+from flowguard.havoc import ScriptedOracle, SeededRandomOracle, Trace, drive
 from flowguard.impl_model import impl_init, impl_next, impl_safety, impl_wf
 from flowguard.refinement import (
     Bundle,
@@ -31,9 +32,10 @@ from flowguard.refinement import (
     project_variables,
     reachable_layers,
 )
-from flowguard.spec_model import Step, spec_init, spec_next, spec_safety
+from flowguard.spec_model import POLICY, Step, spec_init, spec_next, spec_safety
 from conftest import FLOWS, shipped
 from test_havoc import havoc_traces
+from test_tracelog import FLOW
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +309,24 @@ def test_overpermissive_relation_fails_at_abstract_stage(agent_c):
     drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"](Bundle())
     v = check_soundness(agent_c, drop_allowlist, bad)
     assert (v.passed, v.stage) == (False, 2)
+
+
+def test_soundness_keeps_one_verdict_per_distinct_element_of_a_long_run():
+    """After ``check_soundness`` judges a 1000-step run whose read paths grow
+    with it, each of the constants' verdict tables holds no more entries
+    than the distinct elements (or step counts) its conjunct's field met,
+    however many states held them."""
+    flow = load_flow(FLOW)
+    c = flow.impl_constants
+    trace = drive(c, SeededRandomOracle(1, flow.alphabet), 1000).trace
+    assert check_soundness(c, Bundle(), trace).passed
+    states = list(trace.states())
+    assert len(states[-1].read_paths) > 100
+    for k in POLICY:
+        values = [getattr(s, k.field) for s in states]
+        met = set(values) if k.action is None else {v for value in values for v in value}
+        table = c.spec._holds[k.holds or k.guard]
+        assert len(table) <= len(met) and set(table) <= met
 
 
 def test_refinement_plus_soundness_matches_sweep(agent_c, alphabet):

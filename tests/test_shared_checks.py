@@ -45,6 +45,7 @@ from flowguard.refinement import (
 from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_next, spec_safety
 from conftest import shipped
 from test_gates import first_failure
+from test_policy_table import conjunct_holds
 from test_sweep import shallow_bounds
 from test_tracelog import FITTING, actions, flow_constants
 
@@ -61,7 +62,7 @@ OBLIGATION_ORDER = (
 def lax_safety(c, s):
     """Abstract safety without the allowlist conjunct, so that a perturbed
     state holding an unlisted tool is abstractly safe and concretely not."""
-    return all(k.holds(c, getattr(s, k.field)) for k in POLICY if k is not TOOL_ALLOWLISTED)
+    return all(conjunct_holds(c, k, getattr(s, k.field)) for k in POLICY if k is not TOOL_ALLOWLISTED)
 
 
 def stutter_gap(c, s, a):
