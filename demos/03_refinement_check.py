@@ -57,7 +57,7 @@ print(f"trace soundness holds on all {len(traces)} traces of length <= 3")
 print()
 
 # now corrupt one recorded state and watch the checker localize it
-sample = next(t for t in traces if len(t) == 1 and t.steps[0].event.dispatch is not None)
+sample = next(t for t in traces if len(t.steps) == 1 and t.steps[0].event.dispatch is not None)
 step = sample.steps[0]
 bad_post = step.post_state._replace(read_paths=("/etc/shadow",))
 corrupted = Trace((Step(step.pre_state, step.action, step.event, bad_post),))

@@ -6,6 +6,10 @@ boundary effects a step produces; a rejected action is represented by a
 ``NoEffect`` event with the state unchanged, so the event stream itself is
 the object the safety checks constrain.
 
+A term's literal is ``Name`` or ``Name(value)``: its class name, then its
+one field in parentheses when the class has a field. It is written and
+read from the class, so a variant is spelled once, in its class statement.
+
 Every action and boundary event is interned: building one through its
 class, keyword or positional, ``_replace``, ``copy``, ``deepcopy`` or
 ``pickle`` yields the one object that has its class and field values, so
@@ -124,50 +128,34 @@ class StepAction(_Term):
 Action = NoAction | ReadPathAction | ToolCallAction | StepAction
 
 
-def action_label(a: Action) -> str | None:
-    """Canonical dispatch-edge label for an action; None for NoAction."""
-    match a:
-        case ReadPathAction():
-            return "read"
-        case ToolCallAction():
-            return "tool"
-        case StepAction():
-            return "step"
-        case _:
-            return None
+def _literal(t: _Term) -> str:
+    """The term's literal: its class name, then its one field in
+    parentheses when the class has a field."""
+    name = type(t).__name__
+    return f"{name}({t._key[0]})" if t._key else name
 
 
 def format_action(a: Action) -> str:
-    match a:
-        case NoAction():
-            return "NoAction"
-        case StepAction():
-            return "StepAction"
-        case ReadPathAction(path):
-            return f"ReadPathAction({path})"
-        case ToolCallAction(tool):
-            return f"ToolCallAction({tool})"
-    raise TypeError(f"not an action: {a!r}")
+    if not isinstance(a, Action):
+        raise TypeError(f"not an action: {a!r}")
+    return _literal(a)
 
 
-_ACTION_RE = re.compile(r"(ReadPathAction|ToolCallAction)\((.*)\)", re.DOTALL)
+_ACTION_CLASSES = {cls.__name__: cls for cls in Action.__args__}
+_LITERAL_RE = re.compile(r"(\w+)(?:\((.*)\))?", re.DOTALL)
 
 
 def parse_action(text: str) -> Action:
-    """Inverse of format_action: accepts exactly the literals it writes.
-    Raises ValueError on unknown variants and on anything that is not a
-    string."""
+    """Inverse of format_action: accepts exactly the literals it writes,
+    a parenthesised value exactly when the class has a field. Raises
+    ValueError on unknown variants and on anything that is not a string."""
     if not isinstance(text, str):
         raise ValueError(f"action literal must be a string, got {text!r}")
-    if text == "NoAction":
-        return NoAction()
-    if text == "StepAction":
-        return StepAction()
-    m = _ACTION_RE.fullmatch(text)
-    if m is None:
+    m = _LITERAL_RE.fullmatch(text)
+    cls = _ACTION_CLASSES.get(m[1]) if m else None
+    if cls is None or (m[2] is not None) != bool(cls.__match_args__):
         raise ValueError(f"unknown action literal: {text!r}")
-    name, arg = m.groups()
-    return ReadPathAction(arg) if name == "ReadPathAction" else ToolCallAction(arg)
+    return cls() if m[2] is None else cls(m[2])
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +182,9 @@ BoundaryEvent = ReadEvent | ToolEvent | StepEvent | NoEffect
 
 
 def format_boundary_event(e: BoundaryEvent) -> str:
-    match e:
-        case NoEffect():
-            return "NoEffect"
-        case StepEvent():
-            return "StepEvent"
-        case ReadEvent(path):
-            return f"ReadEvent({path})"
-        case ToolEvent(tool):
-            return f"ToolEvent({tool})"
-    raise TypeError(f"not a boundary event: {e!r}")
+    if not isinstance(e, BoundaryEvent):
+        raise TypeError(f"not a boundary event: {e!r}")
+    return _literal(e)
 
 
 # ---------------------------------------------------------------------------

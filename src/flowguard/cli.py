@@ -93,11 +93,11 @@ def _build_strategy(args, defn: FlowDefinition):
 def cmd_run(args) -> int:
     defn = _load(args)
     strategy, label = _build_strategy(args, defn)
-    record = drive(defn.impl_constants, strategy, args.steps)
+    c = defn.impl_constants
+    record = drive(c, strategy, args.steps)
     seed = args.seed if label in ("random", "adversarial") else None
     _write(args, render_trace_log(defn, record, strategy=args.strategy, seed=seed))
 
-    c = defn.impl_constants
     violations = [
         i
         for i, step in enumerate(record.trace.steps)

@@ -39,15 +39,9 @@ from .spec_model import SpecConstants, Step, admits_value
 
 
 class Trace(NamedTuple):
-    """The steps of one run, in order. ``len(trace)`` counts the steps, not
-    the record's one field, so ``_replace`` and ``_make``, which check the
-    field count with ``len``, fail on a trace of other than one step: build
-    a new ``Trace`` instead."""
+    """The steps of one run, in order."""
 
     steps: tuple[Step, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
     def states(self) -> tuple[ImplState, ...]:
         """Initial state followed by every post-state; empty trace yields ()."""

@@ -10,8 +10,9 @@ An action is effected only when all of these hold:
   * the machine has not halted,
   * the guards of the policy table admit it (rooted path / allowlisted
     tool / step capacity),
-  * the current node's kind matches the action variant, and
-  * an outgoing edge labeled with the action's canonical label exists.
+  * the current node's kind is the action variant's, and
+  * an outgoing edge carries the variant's label (``_DISPATCH`` names
+    each variant's node kind and edge label).
 
 All of these but the first and the step capacity depend on the current
 node and the action alone. So ``impl_next`` compiles each (node, action)
@@ -44,7 +45,6 @@ from .actions import (
     StepEvent,
     ToolCallAction,
     ToolEvent,
-    action_label,
 )
 from .spec_model import (
     READ_PATHS_ROOTED,
@@ -159,10 +159,10 @@ def impl_init(c: ImplConstants) -> ImplState:
     return ImplState(current_node=c.graph.entry)
 
 
-_KIND_FOR_ACTION = {
-    ReadPathAction: NodeKind.READ,
-    ToolCallAction: NodeKind.TOOL,
-    StepAction: NodeKind.STEP,
+_DISPATCH = {
+    ReadPathAction: (NodeKind.READ, "read"),
+    ToolCallAction: (NodeKind.TOOL, "tool"),
+    StepAction: (NodeKind.STEP, "step"),
 }
 
 
@@ -186,10 +186,9 @@ def _compile_route(c: ImplConstants, node: str, a: Action) -> _Route | None:
     at every state: the static guards of the policy reject its value, the
     node kind does not match the action variant, or no edge carries its
     label."""
-    wanted = _KIND_FOR_ACTION.get(type(a))
-    if not admits_value(c.spec, a) or wanted is None or c.graph.kind_of(node) is not wanted:
+    kind, label = _DISPATCH.get(type(a), (None, None))
+    if kind is None or not admits_value(c.spec, a) or c.graph.kind_of(node) is not kind:
         return None
-    label = action_label(a)
     target = c.graph.edge_target(node, label)
     if target is None:
         return None

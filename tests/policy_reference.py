@@ -21,7 +21,6 @@ from flowguard.actions import (
     StepEvent,
     ToolCallAction,
     ToolEvent,
-    action_label,
 )
 from flowguard.impl_model import NO_NODE, ImplConstants, ImplState, NodeKind
 from flowguard.spec_model import PREFIX_BARE, SpecConstants, SpecState
@@ -94,6 +93,8 @@ _KIND_FOR_ACTION = {
     StepAction: NodeKind.STEP,
 }
 
+_LABEL_FOR_ACTION = {ReadPathAction: "read", ToolCallAction: "tool", StepAction: "step"}
+
 
 def _policy_admits(c: SpecConstants, s: ImplState, a: Action) -> bool:
     match a:
@@ -119,8 +120,7 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
     wanted = _KIND_FOR_ACTION.get(type(a))
     if wanted is None or c.graph.kind_of(s.current_node) is not wanted:
         return stutter
-    label = action_label(a)
-    assert label is not None
+    label = _LABEL_FOR_ACTION[type(a)]
     target = c.graph.edge_target(s.current_node, label)
     if target is None:
         return stutter

@@ -20,7 +20,6 @@ from flowguard.actions import (
     StepEvent,
     ToolCallAction,
     ToolEvent,
-    action_label,
     format_action,
     format_boundary_event,
     format_impl_event,
@@ -40,6 +39,29 @@ def test_parse_rejects_unknown_variants():
         parse_action("LaunchAction(missiles)")
     with pytest.raises(ValueError):
         parse_action("ReadPathAction")  # no argument list
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "NoAction()",
+        "StepAction(x)",
+        "ReadPathAction",
+        "ToolCallAction",
+        "ReadEvent(/ws/a)",
+        "ToolEvent(t)",
+        "StepEvent",
+        "NoEffect",
+        " NoAction",
+        "noaction",
+        "readPathAction(/ws/a)",
+    ],
+)
+def test_parse_rejects_what_format_action_never_writes(text):
+    """A value exactly when the class has a field, an action's class name
+    and nothing else: event names are not action literals."""
+    with pytest.raises(ValueError):
+        parse_action(text)
 
 
 @given(st.sampled_from(["ReadPathAction", "ToolCallAction"]), st.text())
@@ -74,18 +96,18 @@ def test_nullary_literals_round_trip():
         assert parse_action(format_action(a)) == a
 
 
-def test_canonical_labels():
-    assert action_label(ReadPathAction("/x")) == "read"
-    assert action_label(ToolCallAction("t")) == "tool"
-    assert action_label(StepAction()) == "step"
-    assert action_label(NoAction()) is None
-
-
 def test_event_literals():
     assert format_boundary_event(ReadEvent("/ws/a")) == "ReadEvent(/ws/a)"
     assert format_boundary_event(ToolEvent("search")) == "ToolEvent(search)"
     assert format_boundary_event(StepEvent()) == "StepEvent"
     assert format_boundary_event(NoEffect()) == "NoEffect"
+
+
+def test_each_writer_rejects_the_other_family():
+    with pytest.raises(TypeError):
+        format_action(ReadEvent("/ws/a"))
+    with pytest.raises(TypeError):
+        format_boundary_event(ReadPathAction("/ws/a"))
 
 
 def test_impl_event_annotation_rules():

@@ -63,7 +63,7 @@ def test_scripted_mixed_actions(agent):
 
 def test_zero_steps_is_empty(agent):
     record = drive(agent.impl_constants, ScriptedOracle([]), 0)
-    assert len(record.trace) == 0 and record.rejected_count == 0
+    assert len(record.trace.steps) == 0 and record.rejected_count == 0
 
 
 def test_two_scripted_steps_on_a_step_entry_machine(rag_no_barrier):

@@ -17,6 +17,7 @@ from flowguard.actions import (
     ToolEvent,
 )
 from flowguard.impl_model import (
+    STUTTER,
     FlowGraph,
     FlowGraphError,
     ImplConstants,
@@ -154,6 +155,32 @@ def test_missing_edge_stutters():
     c2 = ImplConstants(spec, graph)
     event, s2 = only(impl_next(c2, impl_init(c2), ReadPathAction("/ws/a")))
     assert event.effect == NoEffect() and s2 == impl_init(c2)
+
+
+def test_each_variant_dispatches_from_its_own_kind_along_its_own_label():
+    """Every Read, Tool and Step node has a ``read``, a ``tool`` and a
+    ``step`` edge, each to its own target, so the node an action leaves and
+    the edge it takes show which kind and label its variant dispatches on."""
+    kinds = {"r": NodeKind.READ, "t": NodeKind.TOOL, "s": NodeKind.STEP}
+    labels = ("read", "tool", "step")
+    graph = FlowGraph(
+        entry="r",
+        node_kinds=tuple(kinds.items()) + tuple((f"{n}-{label}", NodeKind.TERMINAL) for n in kinds for label in labels),
+        edges=tuple((n, label, f"{n}-{label}") for n in kinds for label in labels),
+    )
+    c2 = ImplConstants(SpecConstants("/ws", frozenset({"search"}), 10), graph)
+    own = {ReadPathAction("/ws/a"): ("r", "read"), ToolCallAction("search"): ("t", "tool"), StepAction(): ("s", "step")}
+    for a, (home, label) in own.items():
+        for node in kinds:
+            s0 = impl_init(c2)._replace(current_node=node)
+            event, s2 = only(impl_next(c2, s0, a))
+            if node == home:
+                assert event.dispatch == (node, label, f"{node}-{label}") and event.dispatch.edge_label == label
+                assert s2.current_node == f"{node}-{label}"
+            else:
+                assert event.effect == NoEffect() and s2 is s0
+    s0 = impl_init(c2)
+    assert only(impl_next(c2, s0, NoAction())) == (STUTTER, s0)
 
 
 def test_reaching_the_bound_halts(c):

@@ -174,3 +174,21 @@ def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys, monkeypatch):
     assert tracer.counts["havoc.drive.steps"] == 5
     assert tracer.counts["tracelog.replay_trace_log.rows"] == 5
     assert mutant_steps > 0
+
+
+def test_each_variant_is_spelled_once_in_its_class():
+    """No string in ``src/`` spells an action or event literal: every
+    ``Name`` and ``Name(`` is written and read from the class, so adding or
+    renaming a variant touches its class statement alone."""
+    from flowguard.actions import Action, BoundaryEvent
+
+    names = tuple(cls.__name__ for cls in Action.__args__ + BoundaryEvent.__args__)
+    spelled = [
+        f"{module.name}:{n.lineno}: {n.value!r}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for n in ast.walk(ast.parse(module.read_text()))
+        if isinstance(n, ast.Constant)
+        and isinstance(n.value, str)
+        and (n.value in names or n.value.startswith(tuple(f"{name}(" for name in names)))
+    ]
+    assert not spelled, f"variant names spelled as strings: {spelled}"
