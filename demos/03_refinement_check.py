@@ -62,4 +62,4 @@ step = sample.steps[0]
 bad_post = step.post_state._replace(read_paths=("/etc/shadow",))
 corrupted = Trace((Step(step.pre_state, step.action, step.event, bad_post),))
 v = check_soundness(c, bundle, corrupted)
-print(f"corrupted trace: passed={v.passed}, stage={v.stage}, detail={v.detail!r}")
+print(f"corrupted trace: passed={v.passed}, stage={v.name}, detail={v.detail!r}")

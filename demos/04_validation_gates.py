@@ -24,8 +24,8 @@ report = run_gates((FLOWS / "read_agent.json").read_text(), depth=4)
 print(f"g1 resolution:     {report.g1.status}")
 print(f"g2 vacuity:        {report.g2.status}   ({report.g2.detail})")
 print(f"g3 discrimination: {report.g3.status}")
-for m in report.mutants:
-    print(f"    {m.mutation_id:24} {'killed by ' + m.killed_by if m.killed else 'ALIVE'}")
+for mid, killed_by in report.mutants:
+    print(f"    {mid:24} {'ALIVE' if killed_by is None else 'killed by ' + killed_by.name}")
 print(f"fitness:           {report.fitness_verdict.status}")
 print()
 

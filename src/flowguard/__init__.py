@@ -60,7 +60,6 @@ from .impl_model import (
 from .refinement import (
     Bundle,
     CheckRun,
-    SoundnessVerdict,
     check_refinement_init,
     check_refinement_next,
     check_soundness,

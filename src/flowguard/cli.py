@@ -158,8 +158,8 @@ def cmd_check(args) -> int:
 
 def _gate_fields(report: GateReport) -> dict:
     mutants = [
-        {"id": m.mutation_id, "killed": m.killed, **({"killed_by": m.killed_by} if m.killed_by else {})}
-        for m in report.mutants
+        {"id": mid, "killed": o is not None, **({"killed_by": o.name} if o is not None else {})}
+        for mid, o in report.mutants
     ]
     conjuncts = [
         {
@@ -243,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, depth: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, depth: bool = False, out: bool = True) -> None:
         p.add_argument("--flow", required=True, help="flow-definition file (JSON)")
-        p.add_argument("--out", default=None, help="write the report/log here instead of stdout")
+        if out:
+            p.add_argument("--out", default=None, help="write the report/log here instead of stdout")
         p.add_argument(
             "--prefix-mode",
             choices=["guarded", "bare"],
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_replay = sub.add_parser("replay", help="re-run a trace log and verify the event column byte-exactly")
-    common(p_replay)
+    common(p_replay, out=False)
     p_replay.add_argument("log", help="trace-log file produced by `run`")
     p_replay.set_defaults(fn=cmd_replay)
 

@@ -32,8 +32,9 @@ entry, which changes nothing and must survive.
 
 G2 and G3 verify each bundle with ``refinement.obligations`` over one
 shared ``refinement.CheckRun`` and stop at the first one that fails,
-which their verdict names. A flow that fails G1 is unusable input:
-``flowguard gates`` then exits 2 with a report holding only the G1
+which their verdict names; G3 keeps that ``Obligation``, counterexample
+included, as the kill of each mutant. A flow that fails G1 is unusable
+input: ``flowguard gates`` then exits 2 with a report holding only the G1
 verdict.
 """
 
@@ -186,22 +187,13 @@ def gate_vacuity(run: CheckRun, bundle: Bundle) -> GateVerdict:
     return GateVerdict("g2", "fail", f"vacuity witness: the stub discharged {', '.join(discharged)}")
 
 
-class MutantResult(NamedTuple):
-    mutation_id: str
-    killed: bool
-    killed_by: str = ""
-    detail: str = ""
-
-
-def gate_discrimination(run: CheckRun, bundle: Bundle, mutation_id: str) -> MutantResult:
+def gate_discrimination(run: CheckRun, bundle: Bundle, mutation_id: str) -> Obligation | None:
     """G3 for one mutation: the edit ``mutation_id`` names must fail
     verification on ``run``'s machine, alphabet and depth. Its obligations
     are checked in order up to the first one that fails, which is the one
-    that kills it."""
-    failed = next((o for o in obligations(run, mutation_by_id(mutation_id)(bundle)) if not o.passed), None)
-    if failed is None:
-        return MutantResult(mutation_id, False, detail="alive mutation: all obligations discharged")
-    return MutantResult(mutation_id, True, killed_by=failed.name, detail=failed.detail)
+    that kills it and is returned, counterexample included; None when the
+    mutant survives."""
+    return next((o for o in obligations(run, mutation_by_id(mutation_id)(bundle)) if not o.passed), None)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +239,15 @@ def check_template_fitness(run: CheckRun, bundle: Bundle) -> tuple[ConjunctFitne
 
 
 class GateReport(NamedTuple):
+    """The verdict of each gate, then G3's mutants as (mutation id, the
+    ``Obligation`` that killed it, or None for a survivor) pairs in the
+    order judged, the fitness of each sequence conjunct, and the flow."""
+
     g1: GateVerdict
     g2: GateVerdict = GateVerdict("g2", "skipped", "g1 failed")
     g3: GateVerdict = GateVerdict("g3", "skipped", "g1 failed")
     fitness_verdict: GateVerdict = GateVerdict("fitness", "skipped", "g1 failed")
-    mutants: tuple[MutantResult, ...] = ()
+    mutants: tuple[tuple[str, Obligation | None], ...] = ()
     fitness: tuple[ConjunctFitness, ...] = ()
     flow: FlowDefinition | None = None  # the definition G2, G3 and fitness verified
 
@@ -300,8 +296,8 @@ def run_gates(
 
     g2 = gate_vacuity(run, bundle)
 
-    mutants = tuple(gate_discrimination(run, bundle, mid) for mid in ids)
-    survivors = [m.mutation_id for m in mutants if not m.killed]
+    mutants = tuple((mid, gate_discrimination(run, bundle, mid)) for mid in ids)
+    survivors = [mid for mid, killed_by in mutants if killed_by is None]
     if not survivors:
         g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")
     else:

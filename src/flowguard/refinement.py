@@ -18,17 +18,19 @@ exhaustive checking:
   * safety transport: abstract safety at the matched post-state implies
     concrete safety.
 
-Admitted states are the reachable states within the depth bound plus a
-fixed library of structured perturbations of them, filtered by the
-assumed invariant. The library is a hand-written set of junk states, one
-edit per invariant clause or safety conjunct, not the universal state
-quantification of a deductive proof: a weakened assumption is caught only
-where an edit it admits breaks a step. On the three shipped flows at
-depth 6, assuming the invariant without its ``step_bounded`` clause, or
-without ``well_formed``, still discharges every obligation. ROADMAP.md
-item 2 plans a finite quotient of every state in its place. With the
-full invariant assumed, every perturbed state it admits still discharges
-all obligations, so the extra states never cause spurious failures.
+Admitted states are the reachable states within the depth bound, found
+by ``spec_model.explore`` (the one layered search, which also serves
+abstract safety preservation), plus a fixed library of structured
+perturbations of them, filtered by the assumed invariant. The library is
+a hand-written set of junk states, one edit per invariant clause or
+safety conjunct, not the universal state quantification of a deductive
+proof: a weakened assumption is caught only where an edit it admits
+breaks a step. On the three shipped flows at depth 6, assuming the
+invariant without its ``step_bounded`` clause, or without
+``well_formed``, still discharges every obligation. ROADMAP.md item 2
+plans a finite quotient of every state in its place. With the full
+invariant assumed, every perturbed state it admits still discharges all
+obligations, so the extra states never cause spurious failures.
 
 Each step obligation (the invariant, step simulation, safety transport)
 is its own search for a first counterexample over the admitted states, in
@@ -58,13 +60,14 @@ A trace-level soundness check composes the same ingredients in three
 stages: lift the concrete trace to an abstract run by replaying actions
 and abstracted events from the abstract initial state, check abstract
 safety pointwise along the lifted run, then check the concrete safety
-conjuncts on the concrete states. The stage that fails is reported.
+conjuncts on the concrete states. Its verdict is an ``Obligation`` named
+after the stage that failed.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .actions import Action, BoundaryEvent, ImplEvent, NoAction, Record, format_action
 from .havoc import Trace
@@ -76,7 +79,6 @@ from .impl_model import (
     impl_inv,
     impl_next,
     impl_safety,
-    impl_wf,
 )
 from .spec_model import (
     SEQUENCE_CONJUNCTS,
@@ -85,6 +87,7 @@ from .spec_model import (
     SpecState,
     Step,
     check_safety_preserved,
+    explore,
     spec_init,
     spec_next,
     spec_safety,
@@ -183,24 +186,9 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
 
 def reachable_layers(c: ImplConstants, alphabet: tuple[Action, ...], depth: int) -> list[list[ImplState]]:
     """BFS layers of the concrete machine: layers[d] holds the states first
-    reached after d steps, for d <= depth. The list stops at closure: an
-    empty layer has only empty layers after it, so none of them is
-    appended, and len(layers) <= depth + 1. A stutter, whose post-state is
-    its pre-state object itself, is skipped before it is hashed."""
-    layers: list[list[ImplState]] = [[impl_init(c)]]
-    seen: set[ImplState] = {impl_init(c)}
-    for _ in range(depth):
-        nxt: list[ImplState] = []
-        for s in layers[-1]:
-            for a in alphabet:
-                for _e, s2 in impl_next(c, s, a):
-                    if s2 is not s and s2 not in seen:
-                        seen.add(s2)
-                        nxt.append(s2)
-        if not nxt:
-            break
-        layers.append(nxt)
-    return layers
+    reached after d steps, for d <= depth, up to closure. It is ``explore``
+    of ``impl_next`` from ``impl_init``, keeping every state."""
+    return explore(c, impl_init(c), alphabet, depth, impl_next, lambda c, s: True)[0]
 
 
 class CheckRun:
@@ -228,17 +216,11 @@ class CheckRun:
         """The states the step obligations range over before the assumed
         invariant filters them: the states reachable in fewer than
         ``depth`` steps and their perturbations, each once in order of
-        first appearance, keeping the well-formed ones."""
-        out: list[ImplState] = []
-        seen: set[ImplState] = set()
-        for layer in self.layers[: self.depth]:
-            for base in layer:
-                for candidate in (base,) + perturbations(self.c, base, self.alphabet):
-                    if candidate not in seen:
-                        seen.add(candidate)
-                        if impl_wf(self.c, candidate):
-                            out.append(candidate)
-        return tuple(out)
+        first appearance. Every one is well-formed: the graph validates
+        its entry and edge targets, and a perturbation moves a state only
+        to a node of the graph."""
+        bases = (s for layer in self.layers[: self.depth] for s in layer)
+        return tuple(dict.fromkeys(x for s in bases for x in (s,) + perturbations(self.c, s, self.alphabet)))
 
     def admitted(self, b: Bundle) -> list[ImplState]:
         """The candidates the bundle's assumed invariant admits, in order."""
@@ -385,20 +367,15 @@ def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
 # Trace-level soundness
 
 
-class SoundnessVerdict(NamedTuple):
-    passed: bool
-    stage: int | None = None  # 1 = lift, 2 = abstract safety, 3 = concrete safety
-    detail: str = ""
-
-
-def check_soundness(c: ImplConstants, b: Bundle, trace: Trace) -> SoundnessVerdict:
-    """Three-stage trace check. Stage 1 lifts the trace: replaying the
-    action column from the abstract initial state, every step's abstracted
-    event must be matched by an abstract step. Stage 2 checks abstract
-    safety pointwise along the lifted run, and stage 3 the concrete safety
-    conjuncts on every concrete state, both from one kept verdict per
-    distinct element (see ``violated``): only their C work grows with the
-    sequence lengths."""
+def check_soundness(c: ImplConstants, b: Bundle, trace: Trace) -> Obligation:
+    """Three-stage trace check, whose verdict names the stage that failed.
+    ``trace_lift`` replays the action column from the abstract initial
+    state: every step's abstracted event must be matched by an abstract
+    step. ``abstract_safety`` checks abstract safety pointwise along the
+    lifted run, and ``concrete_safety`` the concrete safety conjuncts on
+    every concrete state, both from one kept verdict per distinct element
+    (see ``violated``): only their C work grows with the sequence lengths.
+    A sound trace gets ``Obligation("trace_soundness", True)``."""
     ca = c.spec
 
     abstract_states: list[SpecState] = [spec_init(ca)]
@@ -406,15 +383,15 @@ def check_soundness(c: ImplConstants, b: Bundle, trace: Trace) -> SoundnessVerdi
         ev = b.event_abs(t.event)
         matched = [(e, m) for e, m in b.next_relation(ca, abstract_states[-1], t.action) if e == ev]
         if not matched:
-            return SoundnessVerdict(False, stage=1, detail=f"step {i}: no abstract step emits {ev!r} for {t.action!r}")
+            return Obligation("trace_lift", False, f"step {i}: no abstract step emits {ev!r} for {t.action!r}")
         abstract_states.append(matched[0][1])
 
     for i, m in enumerate(abstract_states):
         if not b.safety(ca, m):
-            return SoundnessVerdict(False, stage=2, detail=f"abstract safety fails at lifted state {i}")
+            return Obligation("abstract_safety", False, f"abstract safety fails at lifted state {i}")
 
     for i, s in enumerate(trace.states()):
         if (k := violated(ca, s)) is not None:
-            return SoundnessVerdict(False, stage=3, detail=f"concrete safety fails at state {i}: {k.violation}")
+            return Obligation("concrete_safety", False, f"concrete safety fails at state {i}: {k.violation}")
 
-    return SoundnessVerdict(True)
+    return Obligation("trace_soundness", True)

@@ -299,6 +299,33 @@ class Obligation(NamedTuple):
     counterexample: Step | None = None
 
 
+def explore(c, init, alphabet: tuple[Action, ...], depth: int, step, keep) -> tuple[list[list], Step | None]:
+    """The one layered search, over either machine: the BFS layers of
+    ``step`` from ``init`` (layers[d] holds the states first reached after
+    d steps, d <= depth), and the first step to a new state that
+    ``keep(c, state)`` rejects, or None. It stops at that step, with the
+    layers built so far, or at closure, never appending an empty layer.
+    Each new state is judged once; a successor that is its pre-state
+    object itself is skipped before it is hashed."""
+    layers: list[list] = [[init]]
+    seen = {init}
+    for _ in range(depth):
+        nxt = []
+        for s in layers[-1]:
+            for a in alphabet:
+                for e, s2 in step(c, s, a):
+                    if s2 is s or s2 in seen:
+                        continue
+                    if not keep(c, s2):
+                        return layers, Step(s, a, e, s2)
+                    seen.add(s2)
+                    nxt.append(s2)
+        if not nxt:
+            break
+        layers.append(nxt)
+    return layers, None
+
+
 def check_safety_preserved(
     c: SpecConstants,
     alphabet: tuple[Action, ...],
@@ -308,32 +335,17 @@ def check_safety_preserved(
     safety=spec_safety,
 ) -> Obligation:
     """Inductive step of abstract safety, checked exhaustively: every
-    successor of every safe state reachable within ``depth`` is safe.
-
-    States at distance < depth are expanded; the first violating step in
-    BFS order is the counterexample of the ``safety_preserved`` obligation.
-    A state enters ``seen`` only after it passed ``safety``, so a successor
-    already in ``seen`` is not judged again; a successor that is its
-    pre-state object itself is skipped before it is hashed.
-    """
+    successor of every safe state reachable within ``depth`` is safe
+    (vacuously, over no state, when init is unsafe). It is ``explore`` of
+    ``next_relation`` from ``spec_init`` keeping the states ``safety``
+    accepts; its rejected step is the counterexample, and
+    ``explored_states`` counts the states expanded up to that step."""
     init = spec_init(c)
-    frontier: list[SpecState] = [init] if safety(c, init) else []
-    seen: set[SpecState] = set(frontier)
-    explored = 0
-    for _layer in range(depth):
-        nxt_frontier: list[SpecState] = []
-        for s in frontier:
-            explored += 1
-            for a in alphabet:
-                for e, s2 in next_relation(c, s, a):
-                    if s2 is s or s2 in seen:
-                        continue
-                    if not safety(c, s2):
-                        detail = f"unsafe successor via {format_action(a)} emitting {format_boundary_event(e)}"
-                        return Obligation("safety_preserved", False, detail, explored, Step(s, a, e, s2))
-                    seen.add(s2)
-                    nxt_frontier.append(s2)
-        frontier = nxt_frontier
-        if not frontier:
-            break
-    return Obligation("safety_preserved", True, explored_states=explored)
+    if not safety(c, init):
+        return Obligation("safety_preserved", True, explored_states=0)
+    layers, cx = explore(c, init, alphabet, depth, next_relation, safety)
+    if cx is None:
+        return Obligation("safety_preserved", True, explored_states=sum(map(len, layers[:depth])))
+    explored = sum(map(len, layers[:-1])) + layers[-1].index(cx.pre_state) + 1
+    detail = f"unsafe successor via {format_action(cx.action)} emitting {format_boundary_event(cx.event)}"
+    return Obligation("safety_preserved", False, detail, explored, cx)

@@ -2,21 +2,17 @@
 step check as they stood before they learned to skip work whose verdict
 is already known: ``check_safety_preserved`` judges every successor, seen
 or not, and ``check_refinement_next`` judges every step's post-state,
-stutter or not. The differential tests in test_shared_checks.py check the
-library's checkers against them. Nothing in the library imports this
-module.
+stutter or not. Each runs a plain breadth-first search of its own, not the
+library's ``explore``, so that a fault there shows on one side of the
+differential tests in test_shared_checks.py only. Nothing in the library
+imports this module.
 """
 
 from __future__ import annotations
 
 from flowguard.actions import Action, format_action, format_boundary_event
-from flowguard.impl_model import ImplConstants, ImplState, impl_next, impl_safety, impl_wf
-from flowguard.refinement import (
-    Bundle,
-    InvPredicate,
-    perturbations,
-    reachable_layers,
-)
+from flowguard.impl_model import ImplConstants, ImplState, impl_init, impl_next, impl_safety, impl_wf
+from flowguard.refinement import Bundle, InvPredicate, perturbations
 from flowguard.spec_model import (
     Obligation,
     SpecConstants,
@@ -86,8 +82,20 @@ def check_refinement_next(
     assume = assume_inv if assume_inv is not None else b.inv
     ca = c.spec
 
-    layers = reachable_layers(c, alphabet, depth)
-    bases: list[ImplState] = [s for layer in layers[:depth] for s in layer]
+    # Every state reachable in fewer than ``depth`` steps, in BFS order.
+    bases: list[ImplState] = []
+    frontier: list[ImplState] = [impl_init(c)]
+    seen_reachable: set[ImplState] = set(frontier)
+    for _layer in range(depth):
+        bases += frontier
+        nxt_frontier: list[ImplState] = []
+        for s in frontier:
+            for a in alphabet:
+                for _e, s2 in impl_next(c, s, a):
+                    if s2 not in seen_reachable:
+                        seen_reachable.add(s2)
+                        nxt_frontier.append(s2)
+        frontier = nxt_frontier
 
     explored: list[ImplState] = []
     seen: set[ImplState] = set()

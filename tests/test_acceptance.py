@@ -120,11 +120,11 @@ def test_criterion_3_soundness_composition(agent):
         return Trace((Step(read_step.pre_state, read_step.action, read_step.event, bad_post),))
 
     stages = {
-        "read_paths": check_soundness(c, b, corrupted("read_paths", ("/etc/pw",))).stage,
-        "tool_calls": check_soundness(c, b, corrupted("tool_calls", ("rm",))).stage,
-        "step_count": check_soundness(c, b, corrupted("step_count", 99)).stage,
+        "read_paths": check_soundness(c, b, corrupted("read_paths", ("/etc/pw",))).name,
+        "tool_calls": check_soundness(c, b, corrupted("tool_calls", ("rm",))).name,
+        "step_count": check_soundness(c, b, corrupted("step_count", 99)).name,
     }
-    assert stages == {"read_paths": 3, "tool_calls": 3, "step_count": 3}
+    assert set(stages.values()) == {"concrete_safety"}
 
     # an event/action pair no abstract step matches fails at the lift stage
     s0 = impl_init(c)
@@ -132,18 +132,18 @@ def test_criterion_3_soundness_composition(agent):
         (Step(s0, ToolCallAction("rm"), ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick")), s0),)
     )
     v1 = check_soundness(c, b, unmatched)
-    assert (v1.passed, v1.stage) == (False, 1)
+    assert (v1.passed, v1.name) == (False, "trace_lift")
 
     # under an over-permissive abstract relation the same step lifts but the
-    # lifted run is abstractly unsafe: stage 2
+    # lifted run is abstractly unsafe
     drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"](b)
     v2 = check_soundness(c, drop_allowlist, unmatched)
-    assert (v2.passed, v2.stage) == (False, 2)
+    assert (v2.passed, v2.name) == (False, "abstract_safety")
 
     report(
         f"[PASS] criterion 3: soundness holds on all {total} traces of length <= 4; "
-        "field corruptions fail at stage 3, unmatched steps at stage 1, "
-        "over-permissive abstraction at stage 2"
+        "field corruptions fail at concrete_safety, unmatched steps at trace_lift, "
+        "over-permissive abstraction at abstract_safety"
     )
 
 
@@ -162,12 +162,11 @@ def test_criterion_4_gate_behavior(agent):
     killed = {}
     for mid in SEEDED_ERRORS:
         result = gate_discrimination(run, bundle, mid)
-        assert result.killed, (mid, result)
-        killed[mid] = result.killed_by
+        assert result is not None, mid
+        killed[mid] = result.name
     assert len(killed) == 4
 
-    identity_result = gate_discrimination(run, bundle, "identity")
-    assert not identity_result.killed
+    assert gate_discrimination(run, bundle, "identity") is None
 
     floor = gate_vacuity(CheckRun(c, agent.alphabet, 0), bundle)
     assert not floor.passed and "configuration floor" in floor.detail

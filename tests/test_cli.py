@@ -1,6 +1,7 @@
 """The command-line surface: exit codes, report determinism, trace logs,
 and replay."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -470,6 +471,39 @@ def test_out_receives_the_bytes_stdout_would(flow_file, tmp_path, capsys, argv):
     assert main([*argv, "--flow", flow_file, "--out", str(out)]) == code
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == printed.encode()
+
+
+def test_every_option_is_read_by_its_command(flow_file, tmp_path, capsys):
+    """Each subcommand reads every option it accepts, so that none is
+    parsed and then ignored; ``replay`` writes nothing, so it takes no
+    ``--out``. Reads are recorded from dispatch on: argparse reads the
+    namespace while it fills in defaults."""
+    read: set[str] = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    log, out = str(tmp_path / "run.log"), str(tmp_path / "report.json")
+    common = ["--flow", flow_file, "--prefix-mode", "guarded"]
+    invocations = [
+        ["run", *common, "--out", log, "--steps", "3", "--seed", "1", "--strategy", "random"],
+        ["check", *common, "--out", out, "--depth", "1", "--mutation", "identity"],
+        ["gates", *common, "--out", out, "--depth", "1", "--mutation", "identity"],
+        ["sweep", *common, "--out", out, "--depth", "1"],
+        ["replay", *common, log],
+    ]
+    for argv in invocations:
+        args = cli.build_parser().parse_args(argv, namespace=Recording())
+        options = set(args.__dict__) - {"command", "fn"}
+        read.clear()
+        assert args.fn(args) in (0, 1), argv
+        assert options - read == set(), argv
+    with pytest.raises(SystemExit) as refused:
+        main(["replay", *common, "--out", out, log])
+    assert refused.value.code == 2
+    capsys.readouterr()
 
 
 class Raw(str):

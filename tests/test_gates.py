@@ -146,7 +146,7 @@ def test_stub_keeps_obligations_while_weakening_assumptions(agent, bundle):
 @pytest.mark.parametrize("mutation_id", list(SEEDED_ERRORS))
 def test_every_shipped_seeded_error_is_killed(run, bundle, mutation_id):
     result = gate_discrimination(run, bundle, mutation_id)
-    assert result.killed and result.killed_by, result
+    assert result is not None and not result.passed and result.name, result
 
 
 def test_expected_killers_per_mutant(run, bundle):
@@ -158,13 +158,11 @@ def test_expected_killers_per_mutant(run, bundle):
     }
     for mid, killer in expected.items():
         result = gate_discrimination(run, bundle, mid)
-        assert result.killed_by == killer, (mid, result)
+        assert result is not None and result.name == killer, (mid, result)
 
 
 def test_identity_mutation_survives(run, bundle):
-    result = gate_discrimination(run, bundle, "identity")
-    assert not result.killed
-    assert "alive" in result.detail
+    assert gate_discrimination(run, bundle, "identity") is None
 
 
 def test_mutations_leave_the_trusted_surface_untouched(agent, bundle):
@@ -251,7 +249,7 @@ def test_fitness_passes_in_barrier_mode(rag_barrier):
 def test_pipeline_passes_on_read_agent(agent_flow_text):
     report = run_gates(agent_flow_text, 4)
     assert report.passed
-    assert all(m.killed for m in report.mutants)
+    assert all(killed_by is not None for _mid, killed_by in report.mutants)
 
 
 def test_pipeline_separates_the_rag_pair(rag_barrier_flow_text, rag_no_barrier_flow_text):
@@ -278,7 +276,7 @@ def test_pipeline_short_circuits_after_g1(agent_flow_text):
 def test_pipeline_accepts_an_explicit_mutation_list(agent_flow_text):
     report = run_gates(agent_flow_text, 4, mutation_ids=("drop-allowlist-guard",))
     assert report.passed
-    assert [m.mutation_id for m in report.mutants] == ["drop-allowlist-guard"]
+    assert [mid for mid, _killed_by in report.mutants] == ["drop-allowlist-guard"]
 
 
 @pytest.mark.parametrize("fixture", ["agent", "rag_barrier", "rag_no_barrier"])

@@ -108,9 +108,7 @@ def records():
         "Trace": record.trace,
         "SweepViolation": SweepViolation(("NoAction",), 0, "detail"),
         "SweepVerdict": sweep(c, defn.alphabet, 2),
-        "SoundnessVerdict": check_soundness(c, Bundle(), record.trace),
         "GateVerdict": report.g1,
-        "MutantResult": report.mutants[0],
         "ConjunctFitness": report.fitness[0],
         "GateReport": report,
         "FlowDefinition": defn,

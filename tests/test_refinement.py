@@ -270,7 +270,7 @@ def test_corrupt_read_paths_fails_at_concrete_stage(agent_c):
         (Step(s.pre_state, s.action, s.event, s.post_state._replace(read_paths=("/etc/pw",))),)
     )
     v = check_soundness(agent_c, Bundle(), bad)
-    assert (v.passed, v.stage) == (False, 3)
+    assert (v.passed, v.name) == (False, "concrete_safety")
     assert "read path" in v.detail
 
 
@@ -280,7 +280,7 @@ def test_corrupt_tool_calls_fails_at_concrete_stage(agent_c):
     bad_state = s.post_state._replace(tool_calls=("rm",))
     bad = Trace((Step(s.pre_state, s.action, s.event, bad_state),))
     v = check_soundness(agent_c, Bundle(), bad)
-    assert (v.stage, "tool call" in v.detail) == (3, True)
+    assert (v.name, "tool call" in v.detail) == ("concrete_safety", True)
 
 
 def test_corrupt_step_count_fails_at_concrete_stage(agent_c):
@@ -289,7 +289,7 @@ def test_corrupt_step_count_fails_at_concrete_stage(agent_c):
     bad_state = s.post_state._replace(step_count=99)
     bad = Trace((Step(s.pre_state, s.action, s.event, bad_state),))
     v = check_soundness(agent_c, Bundle(), bad)
-    assert (v.stage, "step count" in v.detail) == (3, True)
+    assert (v.name, "step count" in v.detail) == ("concrete_safety", True)
 
 
 def test_unliftable_step_fails_at_lift_stage(agent_c):
@@ -297,18 +297,18 @@ def test_unliftable_step_fails_at_lift_stage(agent_c):
     ev = ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick"))
     bad = Trace((Step(s0, ToolCallAction("rm"), ev, s0),))
     v = check_soundness(agent_c, Bundle(), bad)
-    assert (v.passed, v.stage) == (False, 1)
+    assert (v.passed, v.name) == (False, "trace_lift")
 
 
 def test_overpermissive_relation_fails_at_abstract_stage(agent_c):
     """With a guard-dropped abstract relation the bad step lifts, but the
-    lifted run violates abstract safety: stage 2."""
+    lifted run violates abstract safety."""
     s0 = impl_init(agent_c)
     ev = ImplEvent(ToolEvent("rm"), Dispatch("scan", "tool", "tick"))
     bad = Trace((Step(s0, ToolCallAction("rm"), ev, s0),))
     drop_allowlist = SEEDED_ERRORS["drop-allowlist-guard"](Bundle())
     v = check_soundness(agent_c, drop_allowlist, bad)
-    assert (v.passed, v.stage) == (False, 2)
+    assert (v.passed, v.name) == (False, "abstract_safety")
 
 
 def test_soundness_keeps_one_verdict_per_distinct_element_of_a_long_run():

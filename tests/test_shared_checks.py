@@ -22,7 +22,6 @@ from flowguard.flowfile import FlowDefinition, serialize_flow, with_prefix_mode
 from flowguard.gates import (
     SEEDED_ERRORS,
     GateVerdict,
-    MutantResult,
     check_template_fitness,
     gate_discrimination,
     gate_vacuity,
@@ -42,7 +41,7 @@ from flowguard.refinement import (
     reachable_layers,
     step_obligations,
 )
-from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_next, spec_safety
+from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_init, spec_next, spec_safety
 from conftest import shipped
 from test_gates import first_failure
 from test_policy_table import conjunct_holds
@@ -72,6 +71,11 @@ def stutter_gap(c, s, a):
     return tuple(x for x in succs if x[1] is not s) if a == NoAction() else succs
 
 
+def unsafe_init(c, s):
+    """Abstract safety that rejects the initial state, and only it."""
+    return s != spec_init(c)
+
+
 EDITS = {
     "default": lambda b: b,
     **SEEDED_ERRORS,
@@ -83,6 +87,8 @@ EDITS = {
     # r2 must judge a state's stutters action by action: in the reversed
     # shipped alphabets, NoAction's stutter comes after matched ones
     "stutter-gap": lambda b: b._replace(next_relation=stutter_gap),
+    # safety preservation holds vacuously, over no state
+    "unsafe-init": lambda b: b._replace(safety=unsafe_init),
 }
 
 
@@ -98,6 +104,7 @@ def through_first_failure(outcomes):
 
 
 def assert_checkers_match_reference(c, alphabet, depth):
+    assert all(impl_wf(c, s) for s in CheckRun(c, alphabet, depth).candidates)
     for name, edit in EDITS.items():
         b = edit(Bundle())
         relation = {"next_relation": b.next_relation, "safety": b.safety}
@@ -111,19 +118,16 @@ def assert_checkers_match_reference(c, alphabet, depth):
 
 
 def expected_gates(c, alphabet, depth, mutation_ids):
-    """G2's verdict (None below its depth floor) and each mutant's result,
-    as the first failed obligation of an unshared ``verify_bundle``, which
-    judges every obligation over the full pass, names them."""
+    """G2's verdict (None below its depth floor) and each mutant's
+    (mutation id, kill) pair, its kill being the whole first failed
+    obligation of an unshared ``verify_bundle``, which judges every
+    obligation over the full pass, or None."""
     bundle = Bundle()
     results = []
     for mid in mutation_ids:
         outcome = verify_bundle(c, mutation_by_id(mid)(bundle), alphabet, depth)
         assert tuple(o.name for o in outcome) == OBLIGATION_ORDER
-        failed = first_failure(outcome)
-        if failed is None:
-            results.append(MutantResult(mid, False, detail="alive mutation: all obligations discharged"))
-        else:
-            results.append(MutantResult(mid, True, failed.name, failed.detail))
+        results.append((mid, first_failure(outcome)))
     if depth < 1:
         return None, results
     failed = first_failure(verify_bundle(c, permissive_stub(bundle), alphabet, depth))
@@ -139,7 +143,7 @@ def assert_gates_stop_at_first_failure(c, alphabet, depth):
     mutation_ids = (*SEEDED_ERRORS, "identity")
     g2, results = expected_gates(c, alphabet, depth, mutation_ids)
     run = CheckRun(c, alphabet, depth)
-    assert [gate_discrimination(run, bundle, mid) for mid in mutation_ids] == results
+    assert [(mid, gate_discrimination(run, bundle, mid)) for mid in mutation_ids] == results
     if g2 is not None:
         assert gate_vacuity(run, bundle) == g2
 
@@ -270,7 +274,7 @@ def test_gates_skip_the_step_check_of_mutants_killed_earlier(agent_flow_text, mo
     monkeypatch.setattr(refinement, "step_obligations", drawing)
     report = run_gates(agent_flow_text, 4)
     assert report.passed
-    assert {m.mutation_id: m.killed_by for m in report.mutants} == {
+    assert {mid: killed_by.name for mid, killed_by in report.mutants} == {
         "drop-allowlist-guard": "safety_preserved",
         "step-bound-off-by-one": "safety_preserved",
         "event-to-noeffect": "r2_step_simulation",
