@@ -94,9 +94,10 @@ def parse_flow(text: str) -> FlowDefinition:
     allowed_tools = frozenset(_strings(cobj["allowed_tools"], "constants.allowed_tools"))
     max_steps = _typed(cobj["max_steps"], int, "constants.max_steps")
     prefix_mode = _typed(cobj.get("prefix_mode", "guarded"), str, "constants.prefix_mode")
-    count_all_actions = _typed(cobj.get("count_all_actions", True), bool, "constants.count_all_actions")
+    if not _typed(cobj.get("count_all_actions", True), bool, "constants.count_all_actions"):
+        raise FlowFileError("constants.count_all_actions must be true: every effected action consumes a step")
     try:
-        constants = SpecConstants(workspace_root, allowed_tools, max_steps, prefix_mode, count_all_actions)
+        constants = SpecConstants(workspace_root, allowed_tools, max_steps, prefix_mode)
     except ValueError as e:
         raise FlowFileError(f"bad constants: {e}") from e
 
@@ -152,7 +153,7 @@ def flow_to_document(defn: FlowDefinition) -> dict:
             "allowed_tools": sorted(c.allowed_tools),
             "max_steps": c.max_steps,
             "prefix_mode": c.prefix_mode,
-            "count_all_actions": c.count_all_actions,
+            "count_all_actions": True,
         },
         "graph": {
             "entry": defn.graph.entry,

@@ -150,11 +150,6 @@ class ImplState(NamedTuple):
     last_action: Action = NoAction()
 
 
-def impl_wf(c: ImplConstants, s: ImplState) -> bool:
-    """Structural well-formedness only; the inductive invariant is separate."""
-    return s.current_node in c.graph.nodes
-
-
 def impl_init(c: ImplConstants) -> ImplState:
     return ImplState(current_node=c.graph.entry)
 
@@ -178,7 +173,6 @@ class _Route(NamedTuple):
     event: ImplEvent
     reads: tuple[str, ...]
     tools: tuple[str, ...]
-    counts_step: bool
 
 
 def _compile_route(c: ImplConstants, node: str, a: Action) -> _Route | None:
@@ -192,8 +186,8 @@ def _compile_route(c: ImplConstants, node: str, a: Action) -> _Route | None:
     target = c.graph.edge_target(node, label)
     if target is None:
         return None
-    effect, reads, tools, counts_step = action_effect(c.spec, a)
-    return _Route(target, ImplEvent(effect, Dispatch(node, label, target)), reads, tools, counts_step)
+    effect, reads, tools = action_effect(a)
+    return _Route(target, ImplEvent(effect, Dispatch(node, label, target)), reads, tools)
 
 
 def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEvent, ImplState], ...]:
@@ -210,9 +204,9 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
         route = c._routes[key]
     except KeyError:
         route = c._routes[key] = _compile_route(c, s.current_node, a)
-    if route is None or (route.counts_step and not STEP_BOUNDED.guard(c.spec, s.step_count)):
+    if route is None or not STEP_BOUNDED.guard(c.spec, s.step_count):
         return ((STUTTER, s),)
-    fields = advance(c.spec, s, route.reads, route.tools, route.counts_step)
+    fields = advance(c.spec, s, route.reads, route.tools)
     post = tuple.__new__(ImplState, (route.target, *fields, s.history + (key,), s.current_node, a))
     return ((route.event, post),)
 
@@ -220,12 +214,9 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
 InvClause = Callable[[ImplConstants, ImplState], bool]
 
 INVARIANT: dict[str, InvClause] = {
-    "well_formed": impl_wf,
     "step_bounded": lambda c, s: STEP_BOUNDED.holds(c.spec, s.step_count),
     "halts_at_bound": lambda c, s: not s.halted or s.step_count >= c.spec.max_steps,
-    "history_length": lambda c, s: (
-        len(s.history) == s.step_count if c.spec.count_all_actions else len(s.history) >= s.step_count
-    ),
+    "history_length": lambda c, s: len(s.history) == s.step_count,
     "last_step_recorded": lambda c, s: (
         s.last_node is NO_NODE or s.history[-1:] == ((s.last_node, s.last_action),)
     ),

@@ -26,9 +26,10 @@ a hand-written set of junk states, one edit per invariant clause or
 safety conjunct, not the universal state quantification of a deductive
 proof: a weakened assumption is caught only where an edit it admits
 breaks a step. On the three shipped flows at depth 6, assuming the
-invariant without its ``step_bounded`` clause, or without
-``well_formed``, still discharges every obligation. ROADMAP.md item 2
-plans a finite quotient of every state in its place. With the full
+invariant without its ``step_bounded`` clause still discharges every
+obligation. ROADMAP.md item 2 plans a finite quotient of every state in
+its place. Every effected action consumes one step on both machines, so
+the invariant's ``history_length`` clause is an equality. With the full
 invariant assumed, every perturbed state it admits still discharges all
 obligations, so the extra states never cause spurious failures.
 
@@ -153,8 +154,8 @@ _FALLBACK_JUNK: dict[str, tuple[str, ...]] = {"tool_calls": ("__unlisted__",)}
 def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) -> tuple[ImplState, ...]:
     """Deterministic junk-state library around a reachable state.
 
-    Each edit targets one invariant clause or one safety conjunct; all
-    results stay well-formed (current_node untouched except by the node
+    Each edit targets one invariant clause or one safety conjunct; every
+    result stays on the graph (current_node untouched except by the node
     moves, which stay inside the graph). A sequence conjunct's edit appends
     the first value of the alphabet its guard rejects, or its fallback
     junk value when the alphabet has none.
@@ -216,9 +217,9 @@ class CheckRun:
         """The states the step obligations range over before the assumed
         invariant filters them: the states reachable in fewer than
         ``depth`` steps and their perturbations, each once in order of
-        first appearance. Every one is well-formed: the graph validates
-        its entry and edge targets, and a perturbation moves a state only
-        to a node of the graph."""
+        first appearance. Every one sits on a node of the graph: the graph
+        validates its entry and edge targets, and a perturbation moves a
+        state only to a node of the graph."""
         bases = (s for layer in self.layers[: self.depth] for s in layer)
         return tuple(dict.fromkeys(x for s in bases for x in (s,) + perturbations(self.c, s, self.alphabet)))
 

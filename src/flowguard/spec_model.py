@@ -46,21 +46,19 @@ PREFIX_BARE = "bare"
 
 class SpecConstants(Record):
     """Policy parameters shared by the abstract and concrete machines.
-    ``_moves`` is ``spec_next``'s move table and ``_holds`` holds
-    ``violated``'s verdict tables: caches, not part of the value.
+    Every effected action consumes one of the ``max_steps`` steps, so the
+    concrete history is exactly as long as the step count. ``_moves`` is
+    ``spec_next``'s move table and ``_holds`` holds ``violated``'s verdict
+    tables: caches, not part of the value.
 
     prefix_mode:
       "guarded" -- a path is under the root iff it equals the root or
                    extends it across a '/' boundary ("/ws" covers "/ws/a"
                    and "/ws" itself but not "/wsx/a").
       "bare"    -- literal string-prefix matching, no separator guard.
-    count_all_actions:
-      True  -- every effected action consumes a step (default; keeps the
-               history-length bookkeeping of the concrete machine exact).
-      False -- only StepAction consumes steps.
     """
 
-    __match_args__ = ("workspace_root", "allowed_tools", "max_steps", "prefix_mode", "count_all_actions")
+    __match_args__ = ("workspace_root", "allowed_tools", "max_steps", "prefix_mode")
     __slots__ = __match_args__ + ("_moves", "_holds")
 
     def __init__(
@@ -69,7 +67,6 @@ class SpecConstants(Record):
         allowed_tools: frozenset[str],
         max_steps: int,
         prefix_mode: str = PREFIX_GUARDED,
-        count_all_actions: bool = True,
     ) -> None:
         if not workspace_root:
             raise ValueError("workspace_root must be nonempty")
@@ -77,7 +74,7 @@ class SpecConstants(Record):
             raise ValueError("max_steps must be >= 0")
         if prefix_mode not in (PREFIX_GUARDED, PREFIX_BARE):
             raise ValueError(f"unknown prefix_mode: {prefix_mode!r}")
-        self._set(workspace_root, allowed_tools, max_steps, prefix_mode, count_all_actions, {}, {})
+        self._set(workspace_root, allowed_tools, max_steps, prefix_mode, {}, {})
 
 
 class SpecState(NamedTuple):
@@ -154,10 +151,6 @@ POLICY: tuple[Conjunct, ...] = (READ_PATHS_ROOTED, TOOL_ALLOWLISTED, STEP_BOUNDE
 SEQUENCE_CONJUNCTS: tuple[Conjunct, ...] = tuple(k for k in POLICY if k.action is not None)
 
 
-def _counts_step(c: SpecConstants, a: Action) -> bool:
-    return c.count_all_actions or isinstance(a, StepAction)
-
-
 def admits_value(c: SpecConstants, a: Action, policy: tuple[Conjunct, ...] = POLICY) -> bool:
     """Do the guards of the sequence conjuncts of ``policy`` accept the
     value ``a`` carries? It reads the constants and the action only, so a
@@ -206,28 +199,26 @@ def violated(c: SpecConstants, s) -> Conjunct | None:
     return None
 
 
-def action_effect(c: SpecConstants, a: Action) -> tuple[BoundaryEvent, tuple, tuple, bool] | None:
-    """What an effected ``a`` does at any state: the event it emits, the
-    values it appends to the read paths and to the tool calls, and whether
-    it consumes a step. None for an action that never takes effect. Policy
+def action_effect(a: Action) -> tuple[BoundaryEvent, tuple, tuple] | None:
+    """What an effected ``a`` does at any state besides consuming a step:
+    the event it emits and the values it appends to the read paths and to
+    the tool calls. None for an action that never takes effect. Policy
     guards are not consulted."""
     match a:
         case ReadPathAction(path):
-            return ReadEvent(path), (path,), (), _counts_step(c, a)
+            return ReadEvent(path), (path,), ()
         case ToolCallAction(tool):
-            return ToolEvent(tool), (), (tool,), _counts_step(c, a)
+            return ToolEvent(tool), (), (tool,)
         case StepAction():
-            return StepEvent(), (), (), True
+            return StepEvent(), (), ()
     return None
 
 
-def advance(c: SpecConstants, s, reads: tuple, tools: tuple, counts_step: bool) -> tuple:
+def advance(c: SpecConstants, s, reads: tuple, tools: tuple) -> tuple:
     """The four boundary fields (read paths, tool calls, step count,
     halted) of ``s`` after an effected action with the ``action_effect``
-    (``reads``, ``tools``, ``counts_step``): the machine halts on the step
-    that reaches the bound."""
-    if not counts_step:
-        return s.read_paths + reads, s.tool_calls + tools, s.step_count, s.halted
+    (``reads``, ``tools``): it consumes one step, and the machine halts on
+    the step that reaches the bound."""
     count = s.step_count + 1
     return s.read_paths + reads, s.tool_calls + tools, count, count >= c.max_steps
 
@@ -239,10 +230,10 @@ def _compile_move(c: SpecConstants, a: Action, policy: tuple[Conjunct, ...]) -> 
     """The move of ``a`` under ``policy``: None when ``a`` stutters at every
     state (``policy`` rejects its value, or it has no effect), else its
     ``action_effect`` and the step guards its pre-state step count must pass."""
-    effect = action_effect(c, a) if admits_value(c, a, policy) else None
+    effect = action_effect(a) if admits_value(c, a, policy) else None
     if effect is None:
         return None
-    return effect + (tuple(k.guard for k in policy if k.action is None) if effect[3] else (),)
+    return effect + (tuple(k.guard for k in policy if k.action is None),)
 
 
 def spec_next(
@@ -262,11 +253,11 @@ def spec_next(
         c._moves[key] = (policy, move := _compile_move(c, a, policy))
     if move is None:
         return (stutter,)
-    event, reads, tools, counts_step, step_guards = move
+    event, reads, tools, step_guards = move
     for guard in step_guards:
         if not guard(c, s.step_count):
             return (stutter,)
-    return ((event, tuple.__new__(SpecState, advance(c, s, reads, tools, counts_step))), stutter)
+    return ((event, tuple.__new__(SpecState, advance(c, s, reads, tools))), stutter)
 
 
 def spec_safety(c: SpecConstants, s: SpecState) -> bool:

@@ -39,10 +39,6 @@ def path_under_root(root: str, path: str, mode: str) -> bool:
 # spec_model
 
 
-def _counts_step(c: SpecConstants, a: Action) -> bool:
-    return c.count_all_actions or isinstance(a, StepAction)
-
-
 def _effected(c: SpecConstants, s: SpecState, a: Action) -> tuple[BoundaryEvent, SpecState] | None:
     match a:
         case ReadPathAction(path):
@@ -60,12 +56,10 @@ def _effected(c: SpecConstants, s: SpecState, a: Action) -> tuple[BoundaryEvent,
             nxt = s
         case _:
             return None
-    if _counts_step(c, a):
-        if s.step_count >= c.max_steps:
-            return None
-        count = s.step_count + 1
-        nxt = nxt._replace(step_count=count, halted=count >= c.max_steps)
-    return event, nxt
+    if s.step_count >= c.max_steps:
+        return None
+    count = s.step_count + 1
+    return event, nxt._replace(step_count=count, halted=count >= c.max_steps)
 
 
 def spec_next(c: SpecConstants, s: SpecState, a: Action) -> tuple:
@@ -106,9 +100,7 @@ def _policy_admits(c: SpecConstants, s: ImplState, a: Action) -> bool:
             guard = True
         case _:
             return False
-    if c.count_all_actions or isinstance(a, StepAction):
-        guard = guard and s.step_count < c.max_steps
-    return guard
+    return guard and s.step_count < c.max_steps
 
 
 def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
@@ -135,10 +127,10 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
         case _:
             effect = StepEvent()
             nxt = s
-    if c.spec.count_all_actions or isinstance(a, StepAction):
-        count = s.step_count + 1
-        nxt = nxt._replace(step_count=count, halted=count >= c.spec.max_steps)
+    count = s.step_count + 1
     nxt = nxt._replace(
+        step_count=count,
+        halted=count >= c.spec.max_steps,
         history=s.history + ((s.current_node, a),),
         current_node=target,
         last_node=s.current_node,
@@ -149,18 +141,12 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
 
 
 def impl_inv(c: ImplConstants, s: ImplState) -> bool:
-    if s.current_node not in c.graph.nodes:
-        return False
     if s.step_count > c.spec.max_steps:
         return False
     if s.halted and s.step_count < c.spec.max_steps:
         return False
-    if c.spec.count_all_actions:
-        if len(s.history) != s.step_count:
-            return False
-    else:
-        if len(s.history) < s.step_count:
-            return False
+    if len(s.history) != s.step_count:
+        return False
     if s.last_node is not NO_NODE:
         if not s.history or s.history[-1] != (s.last_node, s.last_action):
             return False
@@ -273,12 +259,10 @@ def seeded_next_drop_allowlist(c: SpecConstants, s: SpecState, a: Action) -> tup
             event, nxt = StepEvent(), s
         case _:
             return (stutter,)
-    if c.count_all_actions or isinstance(a, StepAction):
-        if s.step_count >= c.max_steps:
-            return (stutter,)
-        count = s.step_count + 1
-        nxt = nxt._replace(step_count=count, halted=count >= c.max_steps)
-    return ((event, nxt), stutter)
+    if s.step_count >= c.max_steps:
+        return (stutter,)
+    count = s.step_count + 1
+    return ((event, nxt._replace(step_count=count, halted=count >= c.max_steps)), stutter)
 
 
 def seeded_next_bound_off_by_one(c: SpecConstants, s: SpecState, a: Action) -> tuple:
@@ -296,17 +280,13 @@ def seeded_next_bound_off_by_one(c: SpecConstants, s: SpecState, a: Action) -> t
             event, nxt = StepEvent(), s
         case _:
             return (stutter,)
-    if c.count_all_actions or isinstance(a, StepAction):
-        if s.step_count > c.max_steps:
-            return (stutter,)
-        count = s.step_count + 1
-        nxt = nxt._replace(step_count=count, halted=count >= c.max_steps)
-    return ((event, nxt), stutter)
+    if s.step_count > c.max_steps:
+        return (stutter,)
+    count = s.step_count + 1
+    return ((event, nxt._replace(step_count=count, halted=count >= c.max_steps)), stutter)
 
 
 def inv_without_history_length(c: ImplConstants, s: ImplState) -> bool:
-    if s.current_node not in c.graph.nodes:
-        return False
     if s.step_count > c.spec.max_steps:
         return False
     if s.halted and s.step_count < c.spec.max_steps:

@@ -11,7 +11,7 @@ imports this module.
 from __future__ import annotations
 
 from flowguard.actions import Action, format_action, format_boundary_event
-from flowguard.impl_model import ImplConstants, ImplState, impl_init, impl_next, impl_safety, impl_wf
+from flowguard.impl_model import ImplConstants, ImplState, impl_init, impl_next, impl_safety
 from flowguard.refinement import Bundle, InvPredicate, perturbations
 from flowguard.spec_model import (
     Obligation,
@@ -104,7 +104,7 @@ def check_refinement_next(
             if candidate in seen:
                 continue
             seen.add(candidate)
-            if impl_wf(c, candidate) and assume(c, candidate):
+            if candidate.current_node in c.graph.nodes and assume(c, candidate):
                 explored.append(candidate)
 
     inv_ok, r2_ok, r3_ok = True, True, True

@@ -15,7 +15,7 @@ import flowguard.cli as cli
 import flowguard.gates as gates
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
-from flowguard.flowfile import FlowFileError, parse_flow, serialize_flow
+from flowguard.flowfile import FlowFileError, flow_digest, parse_flow, serialize_flow
 from flowguard.tracelog import TraceLogError, parse_trace_log
 from conftest import FLOWS, shipped
 
@@ -327,6 +327,35 @@ def test_a_flow_that_lists_a_literal_or_tool_twice_is_unusable(tmp_path, capsys,
     assert main(["gates", "--flow", str(path), "--depth", "3"]) == 2
     g1 = json.loads(capsys.readouterr().out)["gates"]["g1"]
     assert g1 == {"status": "fail", "detail": error}
+
+
+STEP_ONLY_ERROR = "constants.count_all_actions must be true: every effected action consumes a step"
+
+
+def test_a_flow_in_which_only_steps_consume_steps_is_unusable(flow_file, tmp_path, capsys):
+    """Every effected action consumes a step. A flow that sets
+    ``count_all_actions`` to false asks for another accounting: every
+    command exits 2 and names the key, and ``gates`` reports G1 alone.
+    The key set to true and no key at all load as the same flow."""
+    log = tmp_path / "t.log"
+    assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
+    doc = json.loads(Path(flow_file).read_text())
+    doc["constants"]["count_all_actions"] = False
+    refused = tmp_path / "step_only.json"
+    refused.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["check"], ["sweep"], ["run", "--steps", "3"], ["replay", str(log)]):
+        assert main([*argv, "--flow", str(refused)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {STEP_ONLY_ERROR}\n"
+
+    assert main(["gates", "--flow", str(refused), "--depth", "4"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["gates"] == {"g1": {"status": "fail", "detail": STEP_ONLY_ERROR}}
+    assert captured.err == "failing gates: g1\n"
+
+    del doc["constants"]["count_all_actions"]
+    assert flow_digest(parse_flow(json.dumps(doc))) == flow_digest(shipped("read_agent"))
 
 
 # ---------------------------------------------------------------------------

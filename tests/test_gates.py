@@ -10,7 +10,7 @@ import pytest
 import flowguard.gates as gates
 from flowguard.actions import ToolCallAction
 from flowguard.flowfile import flow_to_document
-from flowguard.impl_model import impl_init, impl_inv, impl_wf
+from flowguard.impl_model import impl_init, impl_inv
 from flowguard.refinement import Bundle, CheckRun, reachable_layers
 from flowguard.gates import (
     SEEDED_ERRORS,
@@ -118,10 +118,10 @@ def test_g2_passes_because_the_stub_fails(run, bundle):
 
 
 def test_g2_fails_for_a_bundle_that_never_demanded_structure(run, bundle):
-    """If the declared invariant is already well-formedness only, the stub
-    is the original: both verify identically and the gate must fail."""
-    wf_bundle = bundle._replace(inv=impl_wf)
-    verdict = gate_vacuity(run, wf_bundle)
+    """If the declared invariant demands nothing, the stub is the original:
+    both verify identically and the gate must fail."""
+    lax_bundle = bundle._replace(inv=lambda c, s: True)
+    verdict = gate_vacuity(run, lax_bundle)
     assert not verdict.passed
     assert "vacuity witness" in verdict.detail
 

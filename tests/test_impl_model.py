@@ -16,6 +16,7 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
+from flowguard.gates import permissive_stub
 from flowguard.impl_model import (
     STUTTER,
     FlowGraph,
@@ -27,8 +28,8 @@ from flowguard.impl_model import (
     impl_inv,
     impl_next,
     impl_safety,
-    impl_wf,
 )
+from flowguard.refinement import Bundle
 from flowguard.spec_model import SpecConstants
 
 
@@ -211,8 +212,9 @@ def test_inv_rejects_inconsistent_last_node(c):
 
 
 def test_wf_is_weaker_than_inv(c):
+    """G2's stub assumes nothing: it admits junk the invariant rejects."""
     junk = impl_init(c)._replace(step_count=99)
-    assert impl_wf(c, junk) and not impl_inv(c, junk)
+    assert permissive_stub(Bundle()).assume_inv(c, junk) and not impl_inv(c, junk)
 
 
 def test_safety_rejects_unlisted_tool_record(c):

@@ -60,7 +60,6 @@ constants = st.builds(
     allowed_tools=st.frozensets(tools, max_size=3),
     max_steps=st.integers(0, 4),
     prefix_mode=st.sampled_from(("guarded", "bare")),
-    count_all_actions=st.booleans(),
 )
 actions = st.one_of(
     st.just(NoAction()),
@@ -263,7 +262,7 @@ def verdict_cases(draw):
     listed = ("search", "fetch", "grep")
     allowed = draw(st.frozensets(st.sampled_from(listed), max_size=2))
     max_steps = draw(st.integers(0, 4))
-    c = SpecConstants(root, allowed, max_steps, "guarded", draw(st.booleans()))
+    c = SpecConstants(root, allowed, max_steps, "guarded")
     paths = st.sampled_from(
         (root, root + "/", root + "/a", root + "/a/b", root + "x/a", root + "x", root[:-1], "/etc/pw")
     )

@@ -2,7 +2,11 @@
 trace-level soundness composition."""
 
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowguard.gates as gates
 import flowguard.refinement as refinement
@@ -17,10 +21,10 @@ from flowguard.actions import (
     format_action,
 )
 from flowguard.cli import main
-from flowguard.flowfile import load_flow
+from flowguard.flowfile import FlowDefinition, FlowFileError, flow_to_document, load_flow, parse_flow
 from flowguard.gates import SEEDED_ERRORS, permissive_stub
 from flowguard.havoc import ScriptedOracle, SeededRandomOracle, Trace, drive
-from flowguard.impl_model import impl_init, impl_next, impl_safety, impl_wf
+from flowguard.impl_model import impl_init, impl_next, impl_safety
 from flowguard.refinement import (
     Bundle,
     CheckRun,
@@ -35,7 +39,7 @@ from flowguard.refinement import (
 from flowguard.spec_model import POLICY, Step, spec_init, spec_next, spec_safety
 from conftest import FLOWS, shipped
 from test_havoc import havoc_traces
-from test_tracelog import FLOW
+from test_tracelog import FITTING, FLOW, actions, flow_constants
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +133,6 @@ def test_refinement_next_passes_on_both_rag_modes(rag_barrier, rag_no_barrier):
         assert all(o.passed for o in v), (fx.provenance, v)
 
 
-def test_refinement_passes_in_step_only_accounting_mode(agent):
-    flow = agent._replace(constants=agent.constants._replace(count_all_actions=False))
-    v = check_refinement_next(flow.impl_constants, Bundle(), flow.alphabet, 4)
-    assert all(o.passed for o in v), v
-
-
 def test_event_collapse_breaks_step_simulation(agent_c, alphabet):
     b = Bundle(event_abs=lambda e: NoEffect())
     _inv, r2, _r3 = check_refinement_next(agent_c, b, alphabet, 4)
@@ -145,10 +143,10 @@ def test_event_collapse_breaks_step_simulation(agent_c, alphabet):
 
 
 def test_gutted_inv_fails_the_invariant_obligation(agent_c, alphabet):
-    """Assuming well-formedness only while still owing the declared
-    invariant must fail: the widened state set contains junk the declared
-    invariant rejects."""
-    inv, r2, _r3 = check_refinement_next(agent_c, Bundle(assume_inv=impl_wf), alphabet, 4)
+    """Assuming nothing while still owing the declared invariant must
+    fail: the widened state set contains junk the declared invariant
+    rejects."""
+    inv, r2, _r3 = check_refinement_next(agent_c, permissive_stub(Bundle()), alphabet, 4)
     assert not inv.passed
     assert r2.passed  # the simulation itself is indifferent to the widening
     assert inv.counterexample is not None
@@ -185,7 +183,7 @@ def test_perturbations_are_deterministic_and_wellformed(agent_c, alphabet):
     first = perturbations(agent_c, s, alphabet)
     second = perturbations(agent_c, s, alphabet)
     assert first == second
-    assert all(impl_wf(agent_c, p) for p in first)
+    assert all(p.current_node in agent_c.graph.nodes for p in first)
 
 
 def test_depth_zero_checks_init_only(agent_c, alphabet):
@@ -216,6 +214,39 @@ def test_a_negative_depth_is_refused_before_any_check(agent_c, alphabet, agent_f
     with pytest.raises(ValueError, match="depth must be >= 0"):
         gates.run_gates(agent_flow_text, -1)
     assert judged == []
+
+
+@st.composite
+def parsed_flows(draw):
+    """A random flow of ``flow_constants`` with at most 3 steps, and an
+    alphabet of an action fitting each kind of node on its graph and at
+    most one other action, written as a document whose
+    ``count_all_actions`` key is true, false or absent, and parsed; None
+    when the parser refuses it."""
+    c = draw(flow_constants(max_steps=st.integers(0, 3)))
+    fitting = [draw(FITTING[kind.value]) for kind in sorted({k for _, k in c.graph.node_kinds})]
+    alphabet = tuple(dict.fromkeys(fitting + draw(st.lists(actions, max_size=1))))
+    doc = flow_to_document(FlowDefinition("random", c.spec, c.graph, alphabet))
+    if (key := draw(st.sampled_from((True, False, None)))) is None:
+        del doc["constants"]["count_all_actions"]
+    else:
+        doc["constants"]["count_all_actions"] = key
+    try:
+        return parse_flow(json.dumps(doc))
+    except FlowFileError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow=parsed_flows())
+def test_every_flow_the_parser_accepts_closes_within_its_step_budget(flow):
+    """Every effected action consumes a step and the machine halts at the
+    bound, so no state lies more than ``max_steps`` steps from init: the
+    reachable set closes within ``max_steps + 1`` layers, whatever the
+    graph and alphabet."""
+    if flow is not None:
+        m = flow.constants.max_steps
+        assert len(reachable_layers(flow.impl_constants, flow.alphabet, m + 2)) <= m + 1
 
 
 @pytest.mark.parametrize("flow", ["read_agent", "rag_barrier", "rag_no_barrier"])

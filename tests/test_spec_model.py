@@ -128,14 +128,6 @@ def test_effected_actions_consume_steps_by_default():
     assert s2.step_count == 1
 
 
-def test_step_only_accounting_mode():
-    c = SpecConstants("/ws", frozenset({"search"}), 2, count_all_actions=False)
-    (_, s2), _ = spec_next(c, spec_init(c), ReadPathAction("/ws/a"))
-    assert s2.step_count == 0 and not s2.halted
-    (_, s3), _ = spec_next(c, s2, StepAction())
-    assert s3.step_count == 1
-
-
 # ---------------------------------------------------------------------------
 # safety predicate
 

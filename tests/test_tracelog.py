@@ -72,8 +72,9 @@ FITTING = {
 
 
 @st.composite
-def flow_constants(draw):
-    """Constants over a random graph of 1-4 nodes."""
+def flow_constants(draw, max_steps=st.integers(0, 30)):
+    """Constants over a random graph of 1-4 nodes, with a step budget drawn
+    from ``max_steps``."""
     entry = draw(st.sampled_from(("Read", "Tool", "Step")))
     kinds = [entry] + draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=3))
     names = [f"n{i}" for i in range(len(kinds))]
@@ -85,9 +86,8 @@ def flow_constants(draw):
     spec = SpecConstants(
         workspace_root="/ws",
         allowed_tools=frozenset({"search"}) | draw(st.frozensets(tools, max_size=2)),
-        max_steps=draw(st.integers(0, 30)),
+        max_steps=draw(max_steps),
         prefix_mode=draw(st.sampled_from(("guarded", "bare"))),
-        count_all_actions=draw(st.booleans()),
     )
     return ImplConstants(spec, FlowGraph(names[0], tuple(zip(names, kinds)), edges))
 
