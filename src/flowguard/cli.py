@@ -20,8 +20,9 @@ from .actions import parse_action
 from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow, with_prefix_mode
 from .gates import GateReport, mutation_by_id, run_gates, step_bound_floor_note, verify_bundle
 from .havoc import AdversarialOracle, ScriptedOracle, SeededRandomOracle, drive, sweep
-from .impl_model import FlowGraphError, event_in_policy
+from .impl_model import FlowGraphError
 from .refinement import Bundle
+from .spec_model import emits
 from .tracelog import TraceLogError, render_trace_log, replay_trace_log
 
 REPORT_SCHEMA_VERSION = 1
@@ -101,7 +102,7 @@ def cmd_run(args) -> int:
     violations = [
         i
         for i, step in enumerate(record.trace.steps)
-        if not event_in_policy(c, step.pre_state, step.event)
+        if not emits(c.spec, step.pre_state, step.action, step.event.effect)
     ]
     if violations:
         print(f"policy violation at step {violations[0]}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 The driver plays the role of an arbitrary action source: it can be
 scripted, uniformly random, or adversarially biased toward out-of-policy
-values. Whatever it chooses, the contained machine emits only
-policy-compliant boundary events; the sweep checks that claim over every
-action sequence of a given length. It walks the tree of script prefixes
+values. Whatever it chooses, the contained machine emits only events
+that the policy machine offers for the chosen action at the pre-state
+(``spec_model.emits``); the sweep checks that claim over every action
+sequence of a given length. It walks the tree of script prefixes
 depth first, one step call per prefix (n + n^2 + ... + n^d calls for n
 actions and depth d), which gives the verdict of replaying every script
 from init as long as the step function is deterministic.
@@ -26,13 +27,12 @@ from .impl_model import (
     STUTTER,
     ImplConstants,
     ImplState,
-    event_in_policy,
     impl_init,
     impl_inv,
     impl_next,
     impl_safety,
 )
-from .spec_model import SpecConstants, Step, admits_value
+from .spec_model import SpecConstants, Step, admits_value, emits
 
 # ---------------------------------------------------------------------------
 # Runs as values
@@ -143,20 +143,20 @@ def sweep(
     *,
     next_fn=impl_next,
 ) -> SweepVerdict:
-    """Drive every action sequence of length ``depth``; pass iff every
-    emitted event is policy-compliant and every visited state satisfies
-    both the safety predicate and the inductive invariant.
+    """Drive every action sequence of length ``depth``; pass iff
+    ``spec_model.emits`` admits every emitted event and every visited
+    state satisfies both the safety predicate and the inductive invariant.
 
     The scripts are the leaves of a prefix tree, walked depth first with
     children in alphabet order, so each prefix is stepped once: with n
     actions that is n + n^2 + ... + n^depth step calls. The event check
-    skips ``STUTTER``, which always complies, and judges every other
-    event. The state checks judge each distinct post-state once, whatever
-    its event. A stutter (``next_fn`` returns its pre-state object itself)
-    out of a judged state is skipped before it is hashed; any other
-    post-state is added to the set of judged states, and checked only if
-    the add found it new. Init is judged only once it is reached as a
-    post-state. The verdict is the one replaying every script from init
+    skips ``STUTTER``, whose ``NoEffect`` is always offered, and judges
+    every other event. The state checks judge each distinct post-state
+    once, whatever its event. A stutter (``next_fn`` returns its pre-state
+    object itself) out of a judged state is skipped before it is hashed;
+    any other post-state is added to the set of judged states, and
+    checked only if the add found it new. Init is judged only once it is
+    reached as a post-state. The verdict is the one replaying every script from init
     in ``itertools.product`` order would give: ``sequences`` counts the
     scripts up to and including the first violating one, whose reported
     script is the violating prefix padded with ``alphabet[0]``. That
@@ -186,10 +186,10 @@ def sweep(
             if digits:
                 digits[-1] += 1
             continue
-        state = states[k]
-        ((event, nxt),) = next_fn(c, state, alphabet[digits[k]])
+        state, action = states[k], alphabet[digits[k]]
+        ((event, nxt),) = next_fn(c, state, action)
         detail = None
-        if event is not STUTTER and not event_in_policy(c, state, event):
+        if event is not STUTTER and not emits(c.spec, state, action, event.effect):
             detail = f"out-of-policy event {event.effect!r}"
         elif nxt is not state or k == 0:  # states[k > 0] were judged on their way in
             size = len(judged)

@@ -22,6 +22,9 @@ the step's effect on the boundary fields. A step then judges only the
 halted flag and the step capacity. The table is exact because every
 guard of ``spec_model.POLICY`` is a pure function of (constants, value).
 
+The machine does not judge its own output: the sweep and ``run`` judge
+each emitted event with ``spec_model.emits``, the policy machine's move,
+and the checks judge each state with ``violated`` and ``INVARIANT``.
 Events are modeled effects only; nothing here touches a real filesystem
 or tool.
 """
@@ -33,23 +36,17 @@ from typing import Callable, NamedTuple
 
 from .actions import (
     Action,
-    BoundaryEvent,
     Dispatch,
     ImplEvent,
     NoAction,
     NoEffect,
-    ReadEvent,
     ReadPathAction,
     Record,
     StepAction,
-    StepEvent,
     ToolCallAction,
-    ToolEvent,
 )
 from .spec_model import (
-    READ_PATHS_ROOTED,
     STEP_BOUNDED,
-    TOOL_ALLOWLISTED,
     SpecConstants,
     action_effect,
     admits_value,
@@ -237,22 +234,3 @@ def impl_safety(c: ImplConstants, s: ImplState) -> bool:
     """The concrete boundary policy as a state predicate: the conjuncts of
     the abstract safety predicate, read off the concrete fields."""
     return violated(c.spec, s) is None
-
-
-def event_in_policy(c: ImplConstants, pre: ImplState, event: ImplEvent | BoundaryEvent) -> bool:
-    """Does an emitted event comply with the boundary policy, judged at its
-    pre-state by the guard of the conjunct its action variant answers to?
-    Stutters always comply."""
-    if event is STUTTER:
-        return True
-    effect = event.effect if isinstance(event, ImplEvent) else event
-    match effect:
-        case NoEffect():
-            return True
-        case ReadEvent(path):
-            return READ_PATHS_ROOTED.guard(c.spec, path)
-        case ToolEvent(tool):
-            return TOOL_ALLOWLISTED.guard(c.spec, tool)
-        case StepEvent():
-            return STEP_BOUNDED.guard(c.spec, pre.step_count)
-    return False

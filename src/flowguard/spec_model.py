@@ -16,6 +16,8 @@ machine reject an action for reasons the abstract machine cannot see
 ``spec_next`` compiles each (policy, action) pair it meets into a move once
 per ``SpecConstants``, so a step judges only the step bound; that is exact
 because every ``Conjunct`` guard is a pure function of (constants, value).
+``emits``, the one judge of an emitted event, reads the same move: an
+event is in policy when ``spec_next`` offers it for its action and pre-state.
 
 Safety is deliberately a separate predicate, not a type invariant: unsafe
 states must be representable so checks can reject them.
@@ -229,11 +231,13 @@ _NO_EFFECT = NoEffect()  # immutable, so one instance serves every stutter
 def _compile_move(c: SpecConstants, a: Action, policy: tuple[Conjunct, ...]) -> tuple | None:
     """The move of ``a`` under ``policy``: None when ``a`` stutters at every
     state (``policy`` rejects its value, or it has no effect), else its
-    ``action_effect`` and the step guards its pre-state step count must pass."""
+    ``action_effect`` and the step guards its pre-state step count must pass.
+    It is kept in ``c._moves`` with the policy, whose id keys it, so that
+    id cannot be reused while the table lives."""
     effect = action_effect(a) if admits_value(c, a, policy) else None
-    if effect is None:
-        return None
-    return effect + (tuple(k.guard for k in policy if k.action is None),)
+    move = None if effect is None else effect + (tuple(k.guard for k in policy if k.action is None),)
+    c._moves[id(policy), a] = (policy, move)
+    return move
 
 
 def spec_next(
@@ -243,14 +247,13 @@ def spec_next(
     construction: the stutter (NoEffect, s) is always available, and it is
     the only successor when the policy rejects the action. The stutter's
     post-state is ``s`` itself, the same object. Each (policy, action) pair
-    is compiled once per ``c``, keyed on the policy's identity; every entry
-    holds the policy, so that id cannot be reused while the table lives."""
+    is compiled once per ``c``, keyed on the policy's identity."""
     stutter = (_NO_EFFECT, s)
     key = (id(policy), a)
     try:
         move = c._moves[key][1]
     except KeyError:
-        c._moves[key] = (policy, move := _compile_move(c, a, policy))
+        move = _compile_move(c, a, policy)
     if move is None:
         return (stutter,)
     event, reads, tools, step_guards = move
@@ -258,6 +261,23 @@ def spec_next(
         if not guard(c, s.step_count):
             return (stutter,)
     return ((event, tuple.__new__(SpecState, advance(c, s, reads, tools))), stutter)
+
+
+def emits(c: SpecConstants, s, a: Action, effect: BoundaryEvent) -> bool:
+    """Does ``spec_next(c, s, a)`` offer ``effect``, for ``s`` any state with
+    a step count? It reads ``spec_next``'s move and builds no successor."""
+    if effect is _NO_EFFECT:
+        return True
+    try:
+        move = c._moves[id(POLICY), a][1]
+    except KeyError:
+        move = _compile_move(c, a, POLICY)
+    if move is None or move[0] is not effect:
+        return False
+    for guard in move[3]:
+        if not guard(c, s.step_count):
+            return False
+    return True
 
 
 def spec_safety(c: SpecConstants, s: SpecState) -> bool:

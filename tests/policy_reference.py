@@ -1,8 +1,9 @@
 """Reference copies of the policy definitions as they stood before the
 policy table: each guard and state predicate written out by hand, once per
-use. The differential tests in test_policy_table.py check the
-table-derived versions in ``flowguard`` against these. Nothing in the
-library imports this module.
+use, and the rule ``spec_model.emits`` judges an emitted event by. The
+differential tests in test_policy_table.py check the table-derived
+versions in ``flowguard`` against these, and sweep_reference.py judges
+events with ``emits``. Nothing in the library imports this module.
 """
 
 from __future__ import annotations
@@ -162,18 +163,23 @@ def impl_safety(c: ImplConstants, s: ImplState) -> bool:
     )
 
 
-def event_in_policy(c: ImplConstants, pre: ImplState, event: ImplEvent | BoundaryEvent) -> bool:
-    effect = event.effect if isinstance(event, ImplEvent) else event
-    sc = c.spec
-    match effect:
-        case NoEffect():
+def emits(c: SpecConstants, pre, a: Action, effect: BoundaryEvent) -> bool:
+    """The rule for an event that a step on ``a`` out of ``pre`` emitted,
+    written out by hand rather than derived from ``POLICY``: a stutter
+    always passes; any other event must be the action's own effect, the
+    guard of the action's variant must admit its value, and the pre-state
+    must have step capacity."""
+    if effect == NoEffect():
+        return True
+    if pre.step_count >= c.max_steps:
+        return False
+    match a, effect:
+        case ReadPathAction(path), ReadEvent(read):
+            return read == path and path_under_root(c.workspace_root, path, c.prefix_mode)
+        case ToolCallAction(tool), ToolEvent(called):
+            return called == tool and tool in c.allowed_tools
+        case StepAction(), StepEvent():
             return True
-        case ReadEvent(path):
-            return path_under_root(sc.workspace_root, path, sc.prefix_mode)
-        case ToolEvent(tool):
-            return tool in sc.allowed_tools
-        case StepEvent():
-            return pre.step_count < sc.max_steps
     return False
 
 

@@ -1,6 +1,7 @@
 """Reference copy of the havoc sweep as it stood before the prefix-tree
 walk: every script of the given length replayed from init, in
-``itertools.product`` order. The differential tests in test_sweep.py check
+``itertools.product`` order, each event judged by the hand-written rule
+of policy_reference.py. The differential tests in test_sweep.py check
 ``flowguard.havoc.sweep`` against it. Nothing in the library imports this
 module.
 """
@@ -12,15 +13,8 @@ from typing import Sequence
 
 from flowguard.actions import Action, format_action
 from flowguard.havoc import SweepVerdict, SweepViolation
-from flowguard.impl_model import (
-    ImplConstants,
-    ImplState,
-    event_in_policy,
-    impl_init,
-    impl_inv,
-    impl_next,
-    impl_safety,
-)
+from flowguard.impl_model import ImplConstants, ImplState, impl_init, impl_inv, impl_next, impl_safety
+from policy_reference import emits
 
 
 def sweep(
@@ -45,7 +39,7 @@ def sweep(
         state = init
         for i, action in enumerate(script):
             ((event, nxt),) = next_fn(c, state, action)
-            if not event_in_policy(c, state, event):
+            if not emits(c.spec, state, action, event.effect):
                 return complain(script, i, f"out-of-policy event {event.effect!r}")
             if not impl_safety(c, nxt):
                 return complain(script, i, "safety predicate violated")

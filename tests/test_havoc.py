@@ -25,13 +25,12 @@ from flowguard.impl_model import (
     FlowGraph,
     ImplConstants,
     NodeKind,
-    event_in_policy,
     impl_init,
     impl_inv,
     impl_next,
     impl_safety,
 )
-from flowguard.spec_model import SpecConstants, admits_value
+from flowguard.spec_model import SpecConstants, admits_value, emits
 
 
 def havoc_traces(c, alphabet, depth):
@@ -98,7 +97,7 @@ def test_adversarial_run_emits_nothing_out_of_policy(agent):
     c = agent.impl_constants
     record = drive(c, AdversarialOracle(7, agent.alphabet, agent.constants), 100)
     for step in record.trace.steps:
-        assert event_in_policy(c, step.pre_state, step.event)
+        assert emits(c.spec, step.pre_state, step.action, step.event.effect)
 
 
 def test_adversarial_weights_prefer_out_of_policy_actions(agent):

@@ -23,14 +23,13 @@ from flowguard.impl_model import (
     FlowGraphError,
     ImplConstants,
     NodeKind,
-    event_in_policy,
     impl_init,
     impl_inv,
     impl_next,
     impl_safety,
 )
 from flowguard.refinement import Bundle
-from flowguard.spec_model import SpecConstants
+from flowguard.spec_model import SpecConstants, emits
 
 
 @pytest.fixture(scope="module")
@@ -234,15 +233,15 @@ def test_every_state_reachable_within_depth_5_is_safe(c, agent):
 
 
 def test_event_policy_judgment(c):
-    s0 = impl_init(c)
-    assert event_in_policy(c, s0, ReadEvent("/ws/a"))
-    assert not event_in_policy(c, s0, ReadEvent("/etc/pw"))
-    assert event_in_policy(c, s0, ToolEvent("search"))
-    assert not event_in_policy(c, s0, ToolEvent("rm"))
-    assert event_in_policy(c, s0, StepEvent())
+    s0, spec = impl_init(c), c.spec
+    assert emits(spec, s0, ReadPathAction("/ws/a"), ReadEvent("/ws/a"))
+    assert not emits(spec, s0, ReadPathAction("/etc/pw"), ReadEvent("/etc/pw"))
+    assert emits(spec, s0, ToolCallAction("search"), ToolEvent("search"))
+    assert not emits(spec, s0, ToolCallAction("rm"), ToolEvent("rm"))
+    assert emits(spec, s0, StepAction(), StepEvent())
     at_bound = s0._replace(step_count=3)
-    assert not event_in_policy(c, at_bound, StepEvent())
-    assert event_in_policy(c, at_bound, NoEffect())
+    assert not emits(spec, at_bound, StepAction(), StepEvent())
+    assert emits(spec, at_bound, StepAction(), NoEffect())
 
 
 # ---------------------------------------------------------------------------

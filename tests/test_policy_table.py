@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 import policy_reference as ref
 from flowguard.actions import (
-    Dispatch,
-    ImplEvent,
     NoAction,
     NoEffect,
     ReadEvent,
@@ -28,7 +26,6 @@ from flowguard.gates import SEEDED_ERRORS
 from flowguard.impl_model import (
     ImplConstants,
     ImplState,
-    event_in_policy,
     impl_init,
     impl_inv,
     impl_next,
@@ -41,6 +38,7 @@ from flowguard.spec_model import (
     SpecConstants,
     SpecState,
     admits_value,
+    emits,
     spec_init,
     spec_next,
     spec_safety,
@@ -194,15 +192,30 @@ def test_impl_predicates_match_reference(case):
     assert (k.violation if k is not None else "unknown") == ref.failed_conjunct(c, s)
 
 
+def own_effect(a):
+    """The event an effected ``a`` emits; ``NoEffect`` for ``NoAction``."""
+    match a:
+        case ReadPathAction(path):
+            return ReadEvent(path)
+        case ToolCallAction(tool):
+            return ToolEvent(tool)
+        case StepAction():
+            return StepEvent()
+    return NoEffect()
+
+
 @settings(max_examples=150)
-@given(impl_cases(), boundary_events, st.booleans())
-def test_event_in_policy_matches_reference(case, effect, wrapped):
-    c, pre = case
-    event = effect
-    if wrapped:
-        dispatch = None if isinstance(effect, NoEffect) else Dispatch("a", "read", "b")
-        event = ImplEvent(effect, dispatch)
-    assert event_in_policy(c, pre, event) == ref.event_in_policy(c, pre, event)
+@given(c=constants, s=spec_states, offset=st.integers(-2, 2), a=actions, data=st.data())
+def test_emits_matches_reference(c, s, offset, a, data):
+    """``emits`` against the hand-written rule and against the events
+    ``spec_next`` offers: at step counts below, at and above the bound,
+    for every action variant and every event kind, the action's own effect
+    included. It answers alike on a cold and a warm move table."""
+    s = s._replace(step_count=max(0, c.max_steps + offset))
+    effect = data.draw(boundary_events | st.just(own_effect(a)))
+    cold = emits(c, s, a, effect)
+    offered = {e for e, _ in spec_next(c, s, a)}
+    assert cold == emits(c, s, a, effect) == ref.emits(c, s, a, effect) == (effect in offered)
 
 
 @settings(max_examples=150)

@@ -15,11 +15,21 @@ from hypothesis import strategies as st
 import flowguard.havoc as havoc
 import flowguard.impl_model as impl_model
 import sweep_reference as ref
-from flowguard.actions import NoAction, ReadPathAction, StepAction
+from flowguard.actions import (
+    Dispatch,
+    ImplEvent,
+    NoAction,
+    ReadEvent,
+    ReadPathAction,
+    StepAction,
+    StepEvent,
+    ToolEvent,
+)
 from flowguard.cli import main
 from flowguard.flowfile import serialize_flow
 from flowguard.havoc import sweep
-from flowguard.impl_model import STUTTER, ImplState, impl_init, impl_next
+from flowguard.impl_model import STUTTER, ImplState, NodeKind, impl_init, impl_next
+from flowguard.spec_model import emits, path_under_root
 from test_havoc import broken_next
 from conftest import shipped
 from test_tracelog import FITTING, _equal_copy, flow_constants
@@ -43,12 +53,30 @@ def hushed_next(c, s, a):
     return ((STUTTER, nxt),)
 
 
+def overreading_next(c, s, a):
+    """``impl_next`` that, once halted at a Read node, still effects a
+    rooted read: it appends the path, but neither counts the step nor
+    extends the history, so every state it reaches is safe and keeps the
+    invariant."""
+    node = s.current_node
+    if (
+        s.halted
+        and isinstance(a, ReadPathAction)
+        and c.graph.kind_of(node) is NodeKind.READ
+        and path_under_root(c.spec.workspace_root, a.path, c.spec.prefix_mode)
+    ):
+        event = ImplEvent(ReadEvent(a.path), Dispatch(node, "read", c.graph.edge_target(node, "read")))
+        return ((event, s._replace(read_paths=s.read_paths + (a.path,))),)
+    return impl_next(c, s, a)
+
+
 MACHINES = {
     "impl_next": impl_next,
     "broken_next": broken_next,
     "overstepping_next": overstepping_next,
     "forgetful_next": forgetful_next,
     "hushed_next": hushed_next,
+    "overreading_next": overreading_next,
 }
 
 
@@ -104,16 +132,45 @@ def test_sweep_matches_brute_force_on_shipped_flows(flow, machine):
 
 
 def test_broken_machines_fail_with_every_detail():
-    """The broken machines above reach each of the sweep's three checks."""
+    """The broken machines above reach each of the sweep's three checks.
+    A step past the bound fails at the event check, which judges step
+    capacity for every effected event; hushed, it fails at safety."""
     fx = shipped("read_agent")
     c = fx.impl_constants
     details = {
         machine: sweep(c, fx.alphabet, 5, next_fn=MACHINES[machine]).violation.detail
         for machine in ("broken_next", "overstepping_next", "forgetful_next", "hushed_next")
     }
-    assert details["broken_next"].startswith("out-of-policy event")
-    assert details["overstepping_next"] == details["hushed_next"] == "safety predicate violated"
+    assert details["broken_next"] == "out-of-policy event ToolEvent(tool='rm')"
+    assert details["overstepping_next"] == "out-of-policy event ReadEvent(path='/ws/x')"
+    assert details["hushed_next"] == "safety predicate violated"
     assert details["forgetful_next"] == "inductive invariant violated"
+
+
+def test_sweep_catches_a_read_past_the_step_budget():
+    """A rooted read after the machine has halted breaks no state check,
+    and its guard admits its value: only the step capacity of the event
+    check catches it."""
+    fx = shipped("read_agent")
+    c = fx.impl_constants
+    verdict = sweep(c, fx.alphabet, 6, next_fn=overreading_next)
+    script = ("NoAction", "NoAction", "ReadPathAction(/ws/x)", "ToolCallAction(search)", "StepAction")
+    detail = "out-of-policy event ReadEvent(path='/ws/x')"
+    assert verdict.violation == (script + ("ReadPathAction(/ws/x)",), 5, detail)
+    assert verdict == ref.sweep(c, fx.alphabet, 6, next_fn=overreading_next)
+
+
+def test_emits_refuses_another_effect_and_a_step_past_the_bound():
+    c = shipped("read_agent").impl_constants
+    spec, s0 = c.spec, impl_init(c)
+    read = ReadPathAction("/ws/x")
+    assert emits(spec, s0, read, ReadEvent("/ws/x"))
+    assert not emits(spec, s0, read, ToolEvent("search"))
+    assert not emits(spec, s0, read, ReadEvent("/ws/y"))
+    assert not emits(spec, s0, StepAction(), ReadEvent("/ws/x"))
+    at_bound = s0._replace(step_count=spec.max_steps)
+    assert not emits(spec, at_bound, read, ReadEvent("/ws/x"))
+    assert not emits(spec, at_bound, StepAction(), StepEvent())
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +276,8 @@ def test_sweep_judges_the_events_of_effected_steps_only(monkeypatch):
     9,033 effected ones run it."""
     fx = shipped("read_agent")
     c = fx.impl_constants
-    checks = _counting(impl_model.event_in_policy)
-    monkeypatch.setattr(havoc, "event_in_policy", checks)
+    checks = _counting(emits)
+    monkeypatch.setattr(havoc, "emits", checks)
     events = []
 
     def next_fn(c, s, a):
