@@ -17,7 +17,7 @@ import re
 import sys
 
 from .actions import parse_action
-from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow, with_prefix_mode
+from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow
 from .gates import GateReport, mutation_by_id, run_gates, step_bound_floor_note, verify_bundle
 from .havoc import AdversarialOracle, ScriptedOracle, SeededRandomOracle, drive, sweep
 from .impl_model import FlowGraphError
@@ -30,10 +30,6 @@ REPORT_SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _load(args) -> FlowDefinition:
-    return with_prefix_mode(load_flow(args.flow), args.prefix_mode)
 
 
 def _write(args, text: str) -> None:
@@ -92,7 +88,7 @@ def _build_strategy(args, defn: FlowDefinition):
 
 
 def cmd_run(args) -> int:
-    defn = _load(args)
+    defn = load_flow(args.flow)
     strategy, label = _build_strategy(args, defn)
     c = defn.impl_constants
     record = drive(c, strategy, args.steps)
@@ -115,7 +111,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    defn = _load(args)
+    defn = load_flow(args.flow)
     c = defn.impl_constants
     bundle = mutation_by_id(args.mutation)(Bundle()) if args.mutation is not None else Bundle()
 
@@ -189,7 +185,7 @@ def cmd_gates(args) -> int:
     with open(args.flow) as f:
         text = f.read()
     mutation_ids = tuple(args.mutation.split(",")) if args.mutation is not None else None
-    report = run_gates(text, args.depth, mutation_ids, prefix_mode=args.prefix_mode)
+    report = run_gates(text, args.depth, mutation_ids)
 
     # On a G1 failure there is no verified flow: the report holds only the
     # G1 verdict, and the exit is as for any unusable flow file.
@@ -205,7 +201,7 @@ def cmd_gates(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    defn = _load(args)
+    defn = load_flow(args.flow)
     verdict = sweep(defn.impl_constants, defn.alphabet, args.depth)
     _report(
         args,
@@ -219,7 +215,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    defn = _load(args)
+    defn = load_flow(args.flow)
     try:
         with open(args.log) as f:
             text = f.read()
@@ -248,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--flow", required=True, help="flow-definition file (JSON)")
         if out:
             p.add_argument("--out", default=None, help="write the report/log here instead of stdout")
-        p.add_argument(
-            "--prefix-mode",
-            choices=["guarded", "bare"],
-            default=None,
-            help="override the workspace-prefix matching mode from the flow file",
-        )
         if depth:
             p.add_argument("--depth", type=int, default=6, help="exploration depth (default 6)")
 

@@ -93,11 +93,12 @@ def parse_flow(text: str) -> FlowDefinition:
     workspace_root = _typed(cobj["workspace_root"], str, "constants.workspace_root")
     allowed_tools = frozenset(_strings(cobj["allowed_tools"], "constants.allowed_tools"))
     max_steps = _typed(cobj["max_steps"], int, "constants.max_steps")
-    prefix_mode = _typed(cobj.get("prefix_mode", "guarded"), str, "constants.prefix_mode")
+    if _typed(cobj.get("prefix_mode", "guarded"), str, "constants.prefix_mode") != "guarded":
+        raise FlowFileError('constants.prefix_mode must be "guarded": "/ws" covers "/ws/a" but not "/wsx/a"')
     if not _typed(cobj.get("count_all_actions", True), bool, "constants.count_all_actions"):
         raise FlowFileError("constants.count_all_actions must be true: every effected action consumes a step")
     try:
-        constants = SpecConstants(workspace_root, allowed_tools, max_steps, prefix_mode)
+        constants = SpecConstants(workspace_root, allowed_tools, max_steps)
     except ValueError as e:
         raise FlowFileError(f"bad constants: {e}") from e
 
@@ -136,13 +137,6 @@ def parse_flow(text: str) -> FlowDefinition:
     )
 
 
-def with_prefix_mode(defn: FlowDefinition, prefix_mode: str | None) -> FlowDefinition:
-    """``defn`` with its workspace-prefix mode replaced; unchanged for None."""
-    if prefix_mode is None:
-        return defn
-    return defn._replace(constants=defn.constants._replace(prefix_mode=prefix_mode))
-
-
 def flow_to_document(defn: FlowDefinition) -> dict:
     c = defn.constants
     return {
@@ -152,7 +146,7 @@ def flow_to_document(defn: FlowDefinition) -> dict:
             "workspace_root": c.workspace_root,
             "allowed_tools": sorted(c.allowed_tools),
             "max_steps": c.max_steps,
-            "prefix_mode": c.prefix_mode,
+            "prefix_mode": "guarded",
             "count_all_actions": True,
         },
         "graph": {

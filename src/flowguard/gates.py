@@ -5,9 +5,12 @@ event abstraction functions, declared and assumed invariant) is only
 trustworthy if it demands real structure and can tell a faithful machine
 from a corrupted one. Three gates and a fitness audit enforce that:
 
-  G1 resolution      -- the flow loads from its serialized form, its graph
-                        and alphabet validate, and it serializes back to
-                        itself, within a wall-clock budget.
+  G1 resolution      -- the flow loads from its serialized form, its
+                        constants, graph and alphabet validate, and it
+                        serializes back to itself, within a wall-clock
+                        budget. A ``prefix_mode`` other than "guarded"
+                        fails G1: the gates after it verify the one
+                        workspace-root rule that G1 admits.
   G2 vacuity         -- a permissive stub of the bundle must FAIL
                         verification. The stub keeps every obligation but
                         abandons the invariant strengthening: obligations
@@ -45,16 +48,10 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .actions import Action, NoEffect
-from .flowfile import (
-    FlowDefinition,
-    FlowFileError,
-    parse_flow,
-    serialize_flow,
-    with_prefix_mode,
-)
+from .flowfile import FlowDefinition, FlowFileError, parse_flow, serialize_flow
 from .impl_model import INVARIANT, FlowGraphError, ImplConstants, impl_inv
 from .refinement import Bundle, CheckRun, obligations
-from .spec_model import POLICY, PREFIX_BARE, PREFIX_GUARDED, SEQUENCE_CONJUNCTS, Obligation, spec_next
+from .spec_model import POLICY, SEQUENCE_CONJUNCTS, Obligation, spec_next
 
 DEFAULT_GATE_BUDGET_SECONDS = 30.0
 
@@ -261,24 +258,16 @@ class GateReport(NamedTuple):
         )
 
 
-def run_gates(
-    flow_text: str,
-    depth: int,
-    mutation_ids: tuple[str, ...] | None = None,
-    prefix_mode: str | None = None,
-) -> GateReport:
+def run_gates(flow_text: str, depth: int, mutation_ids: tuple[str, ...] | None = None) -> GateReport:
     """G1 -> G2 -> G3 -> fitness, short-circuiting after a G1 failure.
 
-    G1 judges ``flow_text`` as written; the other gates verify the
-    definition it loads, with ``prefix_mode`` in place of the file's mode
-    when one is given, and share one ``CheckRun``. Bad arguments (a
+    G1 judges ``flow_text`` as written; the other gates verify the very
+    definition it loads, and share one ``CheckRun``. Bad arguments (a
     negative depth, an empty mutation set, an unknown or repeated mutation
-    id, an unknown prefix mode) raise ValueError before any gate runs.
+    id) raise ValueError before any gate runs.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if prefix_mode not in (None, PREFIX_GUARDED, PREFIX_BARE):
-        raise ValueError(f"unknown prefix_mode: {prefix_mode!r}")
     ids = mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS)
     if not ids:
         raise ValueError("mutation_ids is empty: G3 would judge no mutant")
@@ -286,10 +275,9 @@ def run_gates(
         mutation_by_id(mid)
         if mid in ids[:i]:
             raise ValueError(f"repeated mutation id: {mid!r}")
-    g1, loaded = gate_resolution(flow_text)
-    if loaded is None:
+    g1, flow = gate_resolution(flow_text)
+    if flow is None:
         return GateReport(g1)
-    flow = with_prefix_mode(loaded, prefix_mode)
     c = flow.impl_constants
     bundle = Bundle()
     run = CheckRun(c, flow.alphabet, depth)

@@ -42,41 +42,25 @@ from .actions import (
     format_boundary_event,
 )
 
-PREFIX_GUARDED = "guarded"
-PREFIX_BARE = "bare"
-
 
 class SpecConstants(Record):
     """Policy parameters shared by the abstract and concrete machines.
     Every effected action consumes one of the ``max_steps`` steps, so the
     concrete history is exactly as long as the step count. ``_moves`` is
     ``spec_next``'s move table and ``_holds`` holds ``violated``'s verdict
-    tables: caches, not part of the value.
+    tables: caches, not part of the value. A read path is admitted when
+    ``path_under_root`` holds for it: the one rule for "under the workspace
+    root"."""
 
-    prefix_mode:
-      "guarded" -- a path is under the root iff it equals the root or
-                   extends it across a '/' boundary ("/ws" covers "/ws/a"
-                   and "/ws" itself but not "/wsx/a").
-      "bare"    -- literal string-prefix matching, no separator guard.
-    """
-
-    __match_args__ = ("workspace_root", "allowed_tools", "max_steps", "prefix_mode")
+    __match_args__ = ("workspace_root", "allowed_tools", "max_steps")
     __slots__ = __match_args__ + ("_moves", "_holds")
 
-    def __init__(
-        self,
-        workspace_root: str,
-        allowed_tools: frozenset[str],
-        max_steps: int,
-        prefix_mode: str = PREFIX_GUARDED,
-    ) -> None:
+    def __init__(self, workspace_root: str, allowed_tools: frozenset[str], max_steps: int) -> None:
         if not workspace_root:
             raise ValueError("workspace_root must be nonempty")
         if max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if prefix_mode not in (PREFIX_GUARDED, PREFIX_BARE):
-            raise ValueError(f"unknown prefix_mode: {prefix_mode!r}")
-        self._set(workspace_root, allowed_tools, max_steps, prefix_mode, {}, {})
+        self._set(workspace_root, allowed_tools, max_steps, {}, {})
 
 
 class SpecState(NamedTuple):
@@ -92,11 +76,11 @@ class SpecState(NamedTuple):
     halted: bool = False
 
 
-def path_under_root(root: str, path: str, mode: str = PREFIX_GUARDED) -> bool:
-    """Byte-exact prefix test; no normalization (that belongs to untrusted
+def path_under_root(root: str, path: str) -> bool:
+    """A path is under the root iff it equals the root or extends it across
+    a '/' boundary: "/ws" covers "/ws" and "/ws/a" but not "/wsx/a". The
+    test is byte-exact, with no normalization (that belongs to untrusted
     runtime plumbing, not the model)."""
-    if mode == PREFIX_BARE:
-        return path.startswith(root)
     if path == root:
         return True
     sep_root = root if root.endswith("/") else root + "/"
@@ -131,7 +115,7 @@ class Conjunct(NamedTuple):
 
 
 def _rooted(c: SpecConstants, path: str) -> bool:
-    return path_under_root(c.workspace_root, path, c.prefix_mode)
+    return path_under_root(c.workspace_root, path)
 
 
 READ_PATHS_ROOTED = Conjunct(

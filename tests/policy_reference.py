@@ -24,12 +24,10 @@ from flowguard.actions import (
     ToolEvent,
 )
 from flowguard.impl_model import NO_NODE, ImplConstants, ImplState, NodeKind
-from flowguard.spec_model import PREFIX_BARE, SpecConstants, SpecState
+from flowguard.spec_model import SpecConstants, SpecState
 
 
-def path_under_root(root: str, path: str, mode: str) -> bool:
-    if mode == PREFIX_BARE:
-        return path.startswith(root)
+def path_under_root(root: str, path: str) -> bool:
     if path == root:
         return True
     sep_root = root if root.endswith("/") else root + "/"
@@ -43,7 +41,7 @@ def path_under_root(root: str, path: str, mode: str) -> bool:
 def _effected(c: SpecConstants, s: SpecState, a: Action) -> tuple[BoundaryEvent, SpecState] | None:
     match a:
         case ReadPathAction(path):
-            if not path_under_root(c.workspace_root, path, c.prefix_mode):
+            if not path_under_root(c.workspace_root, path):
                 return None
             event: BoundaryEvent = ReadEvent(path)
             nxt = s._replace(read_paths=s.read_paths + (path,))
@@ -73,7 +71,7 @@ def spec_next(c: SpecConstants, s: SpecState, a: Action) -> tuple:
 
 def spec_safety(c: SpecConstants, s: SpecState) -> bool:
     return (
-        all(path_under_root(c.workspace_root, p, c.prefix_mode) for p in s.read_paths)
+        all(path_under_root(c.workspace_root, p) for p in s.read_paths)
         and all(t in c.allowed_tools for t in s.tool_calls)
         and s.step_count <= c.max_steps
     )
@@ -94,7 +92,7 @@ _LABEL_FOR_ACTION = {ReadPathAction: "read", ToolCallAction: "tool", StepAction:
 def _policy_admits(c: SpecConstants, s: ImplState, a: Action) -> bool:
     match a:
         case ReadPathAction(path):
-            guard = path_under_root(c.workspace_root, path, c.prefix_mode)
+            guard = path_under_root(c.workspace_root, path)
         case ToolCallAction(tool):
             guard = tool in c.allowed_tools
         case StepAction():
@@ -157,7 +155,7 @@ def impl_inv(c: ImplConstants, s: ImplState) -> bool:
 def impl_safety(c: ImplConstants, s: ImplState) -> bool:
     sc = c.spec
     return (
-        all(path_under_root(sc.workspace_root, p, sc.prefix_mode) for p in s.read_paths)
+        all(path_under_root(sc.workspace_root, p) for p in s.read_paths)
         and all(t in sc.allowed_tools for t in s.tool_calls)
         and s.step_count <= sc.max_steps
     )
@@ -175,7 +173,7 @@ def emits(c: SpecConstants, pre, a: Action, effect: BoundaryEvent) -> bool:
         return False
     match a, effect:
         case ReadPathAction(path), ReadEvent(read):
-            return read == path and path_under_root(c.workspace_root, path, c.prefix_mode)
+            return read == path and path_under_root(c.workspace_root, path)
         case ToolCallAction(tool), ToolEvent(called):
             return called == tool and tool in c.allowed_tools
         case StepAction(), StepEvent():
@@ -190,7 +188,7 @@ def emits(c: SpecConstants, pre, a: Action, effect: BoundaryEvent) -> bool:
 def action_out_of_policy(c: SpecConstants, a: Action) -> bool:
     match a:
         case ReadPathAction(path):
-            return not path_under_root(c.workspace_root, path, c.prefix_mode)
+            return not path_under_root(c.workspace_root, path)
         case ToolCallAction(tool):
             return tool not in c.allowed_tools
         case _:
@@ -213,7 +211,7 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
             a.path
             for a in alphabet
             if isinstance(a, ReadPathAction)
-            and not path_under_root(sc.workspace_root, a.path, sc.prefix_mode)
+            and not path_under_root(sc.workspace_root, a.path)
         ),
         None,
     )
@@ -239,7 +237,7 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
 
 def failed_conjunct(c: ImplConstants, s: ImplState) -> str:
     sc = c.spec
-    if not all(path_under_root(sc.workspace_root, p, sc.prefix_mode) for p in s.read_paths):
+    if not all(path_under_root(sc.workspace_root, p) for p in s.read_paths):
         return "read path outside the workspace root"
     if not all(t in sc.allowed_tools for t in s.tool_calls):
         return "tool call outside the allowlist"
@@ -256,7 +254,7 @@ def seeded_next_drop_allowlist(c: SpecConstants, s: SpecState, a: Action) -> tup
     stutter = (NoEffect(), s)
     match a:
         case ReadPathAction(path):
-            if not path_under_root(c.workspace_root, path, c.prefix_mode):
+            if not path_under_root(c.workspace_root, path):
                 return (stutter,)
             event, nxt = ReadEvent(path), s._replace(read_paths=s.read_paths + (path,))
         case ToolCallAction(tool):
@@ -275,7 +273,7 @@ def seeded_next_bound_off_by_one(c: SpecConstants, s: SpecState, a: Action) -> t
     stutter = (NoEffect(), s)
     match a:
         case ReadPathAction(path):
-            if not path_under_root(c.workspace_root, path, c.prefix_mode):
+            if not path_under_root(c.workspace_root, path):
                 return (stutter,)
             event, nxt = ReadEvent(path), s._replace(read_paths=s.read_paths + (path,))
         case ToolCallAction(tool):

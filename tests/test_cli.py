@@ -330,32 +330,59 @@ def test_a_flow_that_lists_a_literal_or_tool_twice_is_unusable(tmp_path, capsys,
 
 
 STEP_ONLY_ERROR = "constants.count_all_actions must be true: every effected action consumes a step"
+PREFIX_MODE_ERROR = 'constants.prefix_mode must be "guarded": "/ws" covers "/ws/a" but not "/wsx/a"'
 
 
-def test_a_flow_in_which_only_steps_consume_steps_is_unusable(flow_file, tmp_path, capsys):
-    """Every effected action consumes a step. A flow that sets
-    ``count_all_actions`` to false asks for another accounting: every
-    command exits 2 and names the key, and ``gates`` reports G1 alone.
-    The key set to true and no key at all load as the same flow."""
+def assert_unusable_on_every_command(flow_file, tmp_path, capsys, key: str, value, error: str) -> None:
+    """read_agent with ``constants[key]`` set to ``value`` makes every
+    command exit 2 with ``error``, and ``gates`` report G1 alone; with
+    no ``key`` at all it loads as the shipped flow, which writes the key
+    at its one accepted value."""
     log = tmp_path / "t.log"
     assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
     doc = json.loads(Path(flow_file).read_text())
-    doc["constants"]["count_all_actions"] = False
-    refused = tmp_path / "step_only.json"
+    doc["constants"][key] = value
+    refused = tmp_path / "refused.json"
     refused.write_text(json.dumps(doc))
     capsys.readouterr()
     for argv in (["check"], ["sweep"], ["run", "--steps", "3"], ["replay", str(log)]):
         assert main([*argv, "--flow", str(refused)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {STEP_ONLY_ERROR}\n"
+        assert captured.out == "" and captured.err == f"error: {error}\n"
 
     assert main(["gates", "--flow", str(refused), "--depth", "4"]) == 2
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["gates"] == {"g1": {"status": "fail", "detail": STEP_ONLY_ERROR}}
+    assert json.loads(captured.out)["gates"] == {"g1": {"status": "fail", "detail": error}}
     assert captured.err == "failing gates: g1\n"
 
-    del doc["constants"]["count_all_actions"]
+    del doc["constants"][key]
     assert flow_digest(parse_flow(json.dumps(doc))) == flow_digest(shipped("read_agent"))
+
+
+def test_a_flow_in_which_only_steps_consume_steps_is_unusable(flow_file, tmp_path, capsys):
+    """Every effected action consumes a step. A flow that sets
+    ``count_all_actions`` to false asks for another accounting, and is
+    unusable; the key set to true and no key at all load as one flow."""
+    assert_unusable_on_every_command(flow_file, tmp_path, capsys, "count_all_actions", False, STEP_ONLY_ERROR)
+
+
+def test_a_flow_with_a_bare_prefix_mode_is_unusable(flow_file, tmp_path, capsys):
+    """"Under the workspace root" has one rule: a path equal to the root or
+    extending it across a "/". A flow that sets ``prefix_mode`` to "bare",
+    plain string-prefix matching, asks for another, and is unusable;
+    "guarded" and no key at all load as one flow."""
+    assert_unusable_on_every_command(flow_file, tmp_path, capsys, "prefix_mode", "bare", PREFIX_MODE_ERROR)
+
+
+@pytest.mark.parametrize("command", ["run", "check", "gates", "sweep", "replay"])
+def test_no_command_takes_a_prefix_mode_flag(command, flow_file, tmp_path, capsys):
+    """The root rule comes from nowhere but its one definition: argparse
+    refuses ``--prefix-mode`` on every command, naming the flag."""
+    log = [str(tmp_path / "t.log")] if command == "replay" else []
+    with pytest.raises(SystemExit) as refused:
+        main([command, "--flow", flow_file, *log, "--prefix-mode", "guarded"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --prefix-mode guarded" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -399,40 +426,25 @@ def test_replay_rejects_foreign_flow(flow_file, rag_nb_file, tmp_path):
     assert main(["replay", "--flow", rag_nb_file, str(out)]) == 1
 
 
-def test_prefix_mode_flag_overrides_file(flow_file, tmp_path, capsys):
-    # under bare matching "/wsx" is inside the root "/ws"
-    out = tmp_path / "bare.log"
-    script = "scripted:ReadPathAction(/wsx)"
-    assert main(["run", "--flow", flow_file, "--strategy", script, "--steps", "1",
-                 "--prefix-mode", "bare", "--out", str(out)]) == 0
-    row = json.loads(out.read_text().splitlines()[1])
-    assert row["event"].startswith("ReadEvent(/wsx)")
-
-    assert main(["run", "--flow", flow_file, "--strategy", script, "--steps", "1",
-                 "--prefix-mode", "guarded", "--out", str(out)]) == 0
-    row = json.loads(out.read_text().splitlines()[1])
-    assert row["event"] == "NoEffect"
-
-
-def test_gates_prefix_mode_changes_what_is_verified(tmp_path, capsys):
-    # "/wsx/a" is rooted under bare matching only, and it comes first in the
-    # alphabet, so the fitness witness shows which mode the gates verified.
+def test_every_command_holds_the_sibling_of_the_root_outside_it(tmp_path, capsys):
+    # "/wsx/a" shares the root "/ws" as a string prefix only, and it comes
+    # first in the alphabet: were it admitted, the sweep would reach more
+    # states and it would be the fitness witness of ReadPathsRooted.
     defn = shipped("read_agent")
     i = defn.alphabet.index(ReadPathAction("/ws/x"))
     alphabet = defn.alphabet[:i] + (ReadPathAction("/wsx/a"),) + defn.alphabet[i:]
     path = tmp_path / "wsx.json"
     path.write_text(serialize_flow(defn._replace(alphabet=alphabet)))
 
-    assert main(["sweep", "--flow", str(path), "--depth", "4", "--prefix-mode", "bare"]) == 0
-    assert json.loads(capsys.readouterr().out)["visited_states"] == 7
-
-    def witness(*mode):
-        assert main(["gates", "--flow", str(path), "--depth", "4", *mode]) == 0
-        report = json.loads(capsys.readouterr().out)
-        return report["gates"]["fitness"]["conjuncts"][0]["witness"]
-
-    assert witness("--prefix-mode", "bare") == ["/wsx/a"]
-    assert witness() == ["/ws/x"]
+    assert main(["sweep", "--flow", str(path), "--depth", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["visited_states"] == 4  # as read_agent itself
+    assert main(["gates", "--flow", str(path), "--depth", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gates"]["fitness"]["conjuncts"][0]["witness"] == ["/ws/x"]
+    log = tmp_path / "sibling.log"
+    assert main(["run", "--flow", str(path), "--strategy", "scripted:ReadPathAction(/wsx/a)",
+                 "--steps", "1", "--out", str(log)]) == 0
+    assert json.loads(log.read_text().splitlines()[1])["event"] == "NoEffect"
 
 
 def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
@@ -515,7 +527,7 @@ def test_every_option_is_read_by_its_command(flow_file, tmp_path, capsys):
             return super().__getattribute__(name)
 
     log, out = str(tmp_path / "run.log"), str(tmp_path / "report.json")
-    common = ["--flow", flow_file, "--prefix-mode", "guarded"]
+    common = ["--flow", flow_file]
     invocations = [
         ["run", *common, "--out", log, "--steps", "3", "--seed", "1", "--strategy", "random"],
         ["check", *common, "--out", out, "--depth", "1", "--mutation", "identity"],

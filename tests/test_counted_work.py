@@ -1,6 +1,8 @@
 """Counted work: the CLI's calls of the two step functions and of the
 event judge, counted in-process, are bounded by what the checks range
-over and not by the depth once the reachable set has closed.
+over and not by the depth once the reachable set has closed. The flows
+are the shipped ones and a small deterministic family of synthetic ones
+built here (``bench/flowgen.py`` belongs to the benchmark).
 
 Every module-level binding that a command calls through is replaced by a
 counter, as the benchmark's tracer does:
@@ -25,10 +27,12 @@ import flowguard.gates as gates
 import flowguard.havoc as havoc
 import flowguard.refinement as refinement
 import flowguard.tracelog as tracelog
+from flowguard.actions import ReadPathAction, StepAction, ToolCallAction
 from flowguard.cli import main
-from flowguard.impl_model import impl_next
+from flowguard.flowfile import FlowDefinition, serialize_flow
+from flowguard.impl_model import FlowGraph, NodeKind, impl_next
 from flowguard.refinement import CheckRun
-from flowguard.spec_model import emits, spec_next
+from flowguard.spec_model import SpecConstants, emits, spec_next
 from conftest import FLOWS, shipped
 
 SHIPPED = ("read_agent", "rag_barrier", "rag_no_barrier")
@@ -65,16 +69,34 @@ def counted(calls, argv) -> Counter:
     return Counter(calls)
 
 
-@pytest.mark.parametrize("name", SHIPPED)
-def test_check_and_gates_do_no_more_work_past_closure(name, calls, tmp_path, capsys):
-    """Each shipped flow's reachable set closes within ``max_steps`` + 1
-    layers, so ``check`` and ``gates`` make as many calls of each step
-    function at depth ``max_steps + 3`` as at ``max_steps + 1``. ``check``
-    makes at most four ``impl_next`` calls per (candidate state, action)
-    pair: one for each step obligation, and one to find the reachable
-    layers."""
-    flow = shipped(name)
-    path, out = str(FLOWS / f"{name}.json"), str(tmp_path / "report.json")
+# One letter per node kind: its label, and one admitted and one rejected
+# value of the action variant its edges dispatch on.
+KINDS = {
+    "R": (NodeKind.READ, "read", (ReadPathAction("/ws/a"), ReadPathAction("/wsx/a"))),
+    "T": (NodeKind.TOOL, "tool", (ToolCallAction("search"), ToolCallAction("rm"))),
+    "S": (NodeKind.STEP, "step", (StepAction(),)),
+}
+# (node kinds along the chain, max_steps, whether the chain closes into a cycle)
+SYNTHETIC = (("RTS", 2, False), ("RS", 3, False), ("RRR", 3, True))
+
+
+def synthetic_flow(kinds: str, max_steps: int, cyclic: bool) -> FlowDefinition:
+    """A chain of one node per letter of ``kinds``, ending at a Terminal
+    node or, when ``cyclic``, back at its entry."""
+    names = [f"n{i}" for i in range(len(kinds))]
+    targets = names[1:] + (names[:1] if cyclic else ["end"])
+    node_kinds = [(n, KINDS[k][0]) for n, k in zip(names, kinds)] + ([] if cyclic else [("end", NodeKind.TERMINAL)])
+    edges = tuple((n, KINDS[k][1], t) for n, k, t in zip(names, kinds, targets))
+    alphabet = tuple(dict.fromkeys(a for k in kinds for a in KINDS[k][2]))
+    constants = SpecConstants("/ws", frozenset({"search"}), max_steps)
+    return FlowDefinition(f"synthetic-{kinds}", constants, FlowGraph("n0", tuple(node_kinds), edges), alphabet)
+
+
+def assert_no_more_work_past_closure(flow: FlowDefinition, path: str, calls, out: str) -> None:
+    """``check`` and ``gates`` make as many calls of each step function at
+    depth ``max_steps + 3`` as at ``max_steps + 1``, and ``check`` at most
+    four ``impl_next`` calls per (candidate state, action) pair: one for
+    each step obligation, and one to find the reachable layers."""
     m = flow.constants.max_steps
     for command in ("check", "gates"):
         at = {d: counted(calls, [command, "--flow", path, "--depth", str(d), "--out", out]) for d in (m + 1, m + 3)}
@@ -83,6 +105,25 @@ def test_check_and_gates_do_no_more_work_past_closure(name, calls, tmp_path, cap
         if command == "check":
             candidates = CheckRun(flow.impl_constants, flow.alphabet, m + 3).candidates
             assert at[m + 3]["impl_next"] <= 4 * len(flow.alphabet) * len(candidates)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_check_and_gates_do_no_more_work_past_closure(name, calls, tmp_path, capsys):
+    """Each shipped flow's reachable set closes within ``max_steps`` + 1
+    layers, so its work is bounded as ``assert_no_more_work_past_closure``
+    states."""
+    assert_no_more_work_past_closure(shipped(name), str(FLOWS / f"{name}.json"), calls, str(tmp_path / "report.json"))
+
+
+@pytest.mark.parametrize("kinds, max_steps, cyclic", SYNTHETIC, ids=[k for k, _, _ in SYNTHETIC])
+def test_synthetic_flows_do_no_more_work_past_closure(kinds, max_steps, cyclic, calls, tmp_path, capsys):
+    """The same bound on flows the shipped ones do not cover: a chain
+    with every node kind, one without a Tool node, and a cycle of Read
+    nodes that only the step budget halts."""
+    flow = synthetic_flow(kinds, max_steps, cyclic)
+    path = tmp_path / "flow.json"
+    path.write_text(serialize_flow(flow))
+    assert_no_more_work_past_closure(flow, str(path), calls, str(tmp_path / "report.json"))
 
 
 @pytest.mark.parametrize("strategy", ["random", "adversarial"])

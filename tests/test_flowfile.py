@@ -1,11 +1,14 @@
 """Flow-definition files: strict parsing, and canonical serialization of
-the shipped files in ``flows/``, the one definition of each shipped flow."""
+the shipped files in ``flows/``, the one definition of each shipped flow;
+and every flow file the benchmark writes loads."""
 
+import importlib
 import json
+import sys
 
 import pytest
 
-from flowguard.flowfile import FlowFileError, flow_digest, parse_flow, serialize_flow
+from flowguard.flowfile import FlowFileError, flow_digest, load_flow, parse_flow, serialize_flow
 from conftest import FLOWS, shipped
 
 SHIPPED = {
@@ -132,3 +135,21 @@ def test_ill_typed_fields_rejected(path, value):
     _set_field(doc, path, value)
     with pytest.raises(FlowFileError):
         parse_flow(json.dumps(doc))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["shipped-sweep", "synthetic-gates", "long-trace"])
+def test_every_flow_the_benchmark_writes_loads(workload, seed, tmp_path, monkeypatch):
+    """The benchmark's workloads write their flow files from
+    ``bench/flowgen.py``, outside this package's tests. A parser that
+    refused one would fail every job of its workload, so each flow a
+    workload writes, and each one its jobs name, must load. The workloads
+    module is imported as ``bench/run.py`` imports it, writing no bytecode
+    under ``bench/``."""
+    monkeypatch.syspath_prepend(str(FLOWS.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    built = importlib.import_module("workloads").WORKLOADS[workload](seed, tmp_path)
+    named = {job.argv[job.argv.index("--flow") + 1] for job in built.jobs}
+    assert built.flow_paths and named <= {str(path) for path in built.flow_paths}
+    for path in built.flow_paths:
+        load_flow(path)

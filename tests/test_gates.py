@@ -319,8 +319,14 @@ def test_pipeline_rejects_an_empty_mutation_set_before_g1(agent_flow_text, monke
         run_gates(agent_flow_text, 4, mutation_ids=())
 
 
-@pytest.mark.parametrize("prefix_mode", ["loose", "", "GUARDED"])
-def test_pipeline_rejects_an_unknown_prefix_mode_before_g1(agent_flow_text, prefix_mode, monkeypatch):
-    monkeypatch.setattr(gates, "gate_resolution", lambda *args: pytest.fail("G1 ran"))
-    with pytest.raises(ValueError, match="unknown prefix_mode"):
-        run_gates(agent_flow_text, 4, prefix_mode=prefix_mode)
+@pytest.mark.parametrize("prefix_mode", ["bare", "loose", "", "GUARDED"])
+def test_pipeline_fails_g1_on_a_prefix_mode_other_than_guarded(agent_flow_text, prefix_mode, monkeypatch):
+    """"Under the workspace root" has one rule, and G1 judges the file's
+    key against it: a flow that asks for another fails G1, naming the key,
+    and no later gate runs on it."""
+    monkeypatch.setattr(gates, "CheckRun", lambda *args: pytest.fail("a gate after G1 ran"))
+    doc = json.loads(agent_flow_text)
+    doc["constants"]["prefix_mode"] = prefix_mode
+    report = run_gates(json.dumps(doc), 4)
+    assert report == gates.GateReport(report.g1)
+    assert report.g1.status == "fail" and report.g1.detail.startswith("constants.prefix_mode must be")

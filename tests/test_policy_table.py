@@ -21,7 +21,7 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
-from flowguard.flowfile import flow_digest, parse_flow, serialize_flow, with_prefix_mode
+from flowguard.flowfile import flow_digest, parse_flow, serialize_flow
 from flowguard.gates import SEEDED_ERRORS
 from flowguard.impl_model import (
     ImplConstants,
@@ -35,6 +35,7 @@ from flowguard.refinement import Bundle, CheckRun, obligations, perturbations, p
 from flowguard.spec_model import (
     POLICY,
     READ_PATHS_ROOTED,
+    TOOL_ALLOWLISTED,
     SpecConstants,
     SpecState,
     admits_value,
@@ -57,7 +58,6 @@ constants = st.builds(
     workspace_root=st.sampled_from(("/ws", "/ws/", "/", "/wsx")),
     allowed_tools=st.frozensets(tools, max_size=3),
     max_steps=st.integers(0, 4),
-    prefix_mode=st.sampled_from(("guarded", "bare")),
 )
 actions = st.one_of(
     st.just(NoAction()),
@@ -264,7 +264,7 @@ def _first_failing(c: SpecConstants, s):
 
 @st.composite
 def verdict_cases(draw):
-    """A shipped flow with random guarded constants, and states on its graph
+    """A shipped flow with random constants, and states on its graph
     whose paths lie under the root, outside it, or under the sibling
     ``root + "x/"``, whose tools are listed or not, and whose step counts
     lie around ``max_steps``. A sequence holds up to 8 elements drawn from
@@ -275,7 +275,7 @@ def verdict_cases(draw):
     listed = ("search", "fetch", "grep")
     allowed = draw(st.frozensets(st.sampled_from(listed), max_size=2))
     max_steps = draw(st.integers(0, 4))
-    c = SpecConstants(root, allowed, max_steps, "guarded")
+    c = SpecConstants(root, allowed, max_steps)
     paths = st.sampled_from(
         (root, root + "/", root + "/a", root + "/a/b", root + "x/a", root + "x", root[:-1], "/etc/pw")
     )
@@ -298,28 +298,31 @@ def verdict_cases(draw):
 def test_violated_matches_the_conjuncts_on_a_warm_verdict_table(case):
     """One constants object judges every drawn state twice, so the verdicts
     its ``_holds`` tables kept for earlier elements answer later ones, in
-    the same sequence and in others; under both prefix modes, ``violated``
-    and ``impl_safety`` agree with the first conjunct that fails when
-    judged directly. Each table keeps only elements and step counts the
-    states hold. The bare constants are derived from the guarded flow
-    after its tables are warm, and must not answer with its verdicts:
-    ``root + "x/a"`` is outside the root when guarded and under it when
-    bare."""
+    the same sequence and in others; ``violated`` and ``impl_safety`` agree
+    with the first conjunct that fails when judged directly. Each table
+    keeps only elements and step counts the states hold. Constants derived
+    with ``_replace(allowed_tools=...)`` after those tables are warm must
+    not answer with their verdicts: ``rm`` is refused before the allowlist
+    widens and admitted after, and ``root + "x/a"`` is outside the root
+    under both."""
     defn, states = case
-    sibling = ImplState(defn.graph.entry, read_paths=(defn.constants.workspace_root + "x/a",))
-    for mode in ("guarded", "bare"):
-        defn = with_prefix_mode(defn, mode)
-        c = defn.impl_constants
-        for s in states + [sibling] + states:
+    c = defn.impl_constants
+    sibling = ImplState(defn.graph.entry, read_paths=(c.spec.workspace_root + "x/a",))
+    called_rm = ImplState(defn.graph.entry, tool_calls=("rm",))
+    extra = [sibling, called_rm]
+    for spec in (c.spec, c.spec._replace(allowed_tools=c.spec.allowed_tools | {"rm"})):
+        c = c._replace(spec=spec)
+        for s in states + extra + states:
             expected = _first_failing(c.spec, s)
             assert violated(c.spec, s) is expected
             assert impl_safety(c, s) is (expected is None)
         assert c.spec._holds
         for k in POLICY:
-            values = [getattr(s, k.field) for s in states + [sibling]]
+            values = [getattr(s, k.field) for s in states + extra]
             met = set(values) if k.action is None else {v for value in values for v in value}
             assert set(c.spec._holds.get(k.holds or k.guard, ())) <= met
-        assert violated(c.spec, sibling) is (READ_PATHS_ROOTED if mode == "guarded" else None)
+        assert violated(c.spec, sibling) is READ_PATHS_ROOTED
+        assert violated(c.spec, called_rm) is (None if "rm" in spec.allowed_tools else TOOL_ALLOWLISTED)
 
 
 # ---------------------------------------------------------------------------

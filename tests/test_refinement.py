@@ -221,7 +221,8 @@ def parsed_flows(draw):
     """A random flow of ``flow_constants`` with at most 3 steps, and an
     alphabet of an action fitting each kind of node on its graph and at
     most one other action, written as a document whose
-    ``count_all_actions`` key is true, false or absent, and parsed; None
+    ``count_all_actions`` key is true, false or absent and whose
+    ``prefix_mode`` key is "guarded", "bare" or absent, and parsed; None
     when the parser refuses it."""
     c = draw(flow_constants(max_steps=st.integers(0, 3)))
     fitting = [draw(FITTING[kind.value]) for kind in sorted({k for _, k in c.graph.node_kinds})]
@@ -231,6 +232,10 @@ def parsed_flows(draw):
         del doc["constants"]["count_all_actions"]
     else:
         doc["constants"]["count_all_actions"] = key
+    if (mode := draw(st.sampled_from(("guarded", "bare", None)))) is None:
+        del doc["constants"]["prefix_mode"]
+    else:
+        doc["constants"]["prefix_mode"] = mode
     try:
         return parse_flow(json.dumps(doc))
     except FlowFileError:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import flowguard.refinement as refinement
 import refinement_reference as ref
 from flowguard.actions import NoAction
-from flowguard.flowfile import FlowDefinition, serialize_flow, with_prefix_mode
+from flowguard.flowfile import FlowDefinition, serialize_flow
 from flowguard.gates import (
     SEEDED_ERRORS,
     GateVerdict,
@@ -173,21 +173,19 @@ def test_checkers_and_gates_match_reference_on_random_flows(c, alphabet, depth):
     c=flow_constants() | shallow_bounds(),
     alphabet=st.lists(st.one_of(*FITTING.values(), actions), min_size=1, max_size=4, unique=True),
     depth=st.integers(0, 4),
-    prefix_mode=st.sampled_from((None, "guarded", "bare")),
     mutation_ids=st.lists(st.sampled_from(tuple(SEEDED_ERRORS)), unique=True).flatmap(
         lambda ids: st.permutations(ids + ["identity"])
     ),
 )
-def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, prefix_mode, mutation_ids):
+def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, mutation_ids):
     """One ``run_gates`` shares its layers, candidate states and safety verdicts
     across G2, the mutants and fitness, and searches each step obligation
     only when a gate reaches it; every verdict, and each mutant's counterexample detail, must still be
     what unshared, full checks of the same flow give."""
     defn = FlowDefinition("random", c.spec, c.graph, tuple(alphabet))
-    report = run_gates(serialize_flow(defn), depth, tuple(mutation_ids), prefix_mode=prefix_mode)
-    verified = with_prefix_mode(defn, prefix_mode)
-    assert report.g1.passed and report.flow == verified
-    c, alphabet = verified.impl_constants, verified.alphabet
+    report = run_gates(serialize_flow(defn), depth, tuple(mutation_ids))
+    assert report.g1.passed and report.flow == defn
+    c, alphabet = defn.impl_constants, defn.alphabet
     g2, results = expected_gates(c, alphabet, depth, mutation_ids)
     if g2 is None:
         assert report.g2.status == "fail" and "configuration floor" in report.g2.detail

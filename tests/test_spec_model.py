@@ -20,8 +20,9 @@ from flowguard.actions import (
     ToolCallAction,
     ToolEvent,
 )
-from flowguard.flowfile import load_flow, with_prefix_mode
+from flowguard.flowfile import load_flow
 from flowguard.gates import SEEDED_ERRORS
+from flowguard.impl_model import ImplState, impl_init, impl_next
 from flowguard.refinement import Bundle
 from flowguard.spec_model import (
     READ_PATHS_ROOTED,
@@ -34,6 +35,7 @@ from flowguard.spec_model import (
     spec_init,
     spec_next,
     spec_safety,
+    violated,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,22 +47,19 @@ C = SpecConstants("/ws", frozenset({"search"}), 3)
 
 
 def test_guarded_prefix_is_separator_aware():
-    assert path_under_root("/ws", "/ws/a", "guarded")
-    assert path_under_root("/ws", "/ws", "guarded")
-    assert not path_under_root("/ws", "/wsx/a", "guarded")
-
-
-def test_bare_prefix_is_literal():
-    assert path_under_root("/ws", "/wsx/a", "bare")
-    assert path_under_root("/ws", "/ws", "bare")
-    assert not path_under_root("/ws", "/etc/ws", "bare")
+    assert path_under_root("/ws", "/ws/a")
+    assert path_under_root("/ws", "/ws")
+    assert path_under_root("/ws/", "/ws/a")
+    assert not path_under_root("/ws", "/wsx/a")
+    assert not path_under_root("/ws", "/wsx")
+    assert not path_under_root("/ws", "/etc/ws")
 
 
 def test_comparison_is_byte_exact():
     # no normalization: the dot segment is compared literally, so this path
     # counts as under "/ws/" at this layer (normalization is runtime work)
-    assert path_under_root("/ws", "/ws/../etc", "guarded")
-    assert not path_under_root("/ws", "//ws/a", "guarded")
+    assert path_under_root("/ws", "/ws/../etc")
+    assert not path_under_root("/ws", "//ws/a")
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +267,32 @@ def test_move_table_never_answers_for_a_dropped_policy():
         del policy, tool_guard
 
 
-def test_bare_prefix_constants_do_not_inherit_guarded_moves():
+def test_derived_constants_do_not_inherit_warm_tables():
+    """Constants derived with ``_replace``, as demos/02_exhaustive_sweep.py
+    widens the allowlist at run time, start with empty caches: once the
+    shipped constants' move, verdict and route tables have refused
+    ``rm``, the widened constants still admit it. The sibling
+    ``root + "x/a"`` stays outside the root under both."""
     defn = load_flow(ROOT / "flows" / "read_agent.json")
-    a = ReadPathAction("/wsx/a")
-    assert defn.constants.workspace_root == "/ws"
-    assert spec_next(defn.constants, spec_init(defn.constants), a) == ((NoEffect(), SpecState()),)
-    bare = with_prefix_mode(defn, "bare").constants
-    (event, s2), _stutter = spec_next(bare, spec_init(bare), a)
-    assert event == ReadEvent("/wsx/a") and s2.read_paths == ("/wsx/a",)
+    c = defn.impl_constants
+    rm, sibling = ToolCallAction("rm"), ReadPathAction(c.spec.workspace_root + "x/a")
+    at_tool = ImplState("search")
+    called_rm = SpecState(tool_calls=("rm",))
+    assert spec_next(c.spec, spec_init(c.spec), rm) == ((NoEffect(), SpecState()),)
+    assert violated(c.spec, called_rm) is TOOL_ALLOWLISTED
+    assert impl_next(c, at_tool, rm)[0][0].effect == NoEffect()
+    assert c.spec._moves and c.spec._holds and c._routes
+
+    wide = c._replace(spec=c.spec._replace(allowed_tools=c.spec.allowed_tools | {"rm"}))
+    (event, s2), _stutter = spec_next(wide.spec, spec_init(wide.spec), rm)
+    assert event == ToolEvent("rm") and s2.tool_calls == ("rm",)
+    assert violated(wide.spec, called_rm) is None
+    ((impl_event, post),) = impl_next(wide, at_tool, rm)
+    assert impl_event.effect == ToolEvent("rm") and post.tool_calls == ("rm",)
+    for k in (c.spec, wide.spec):
+        assert spec_next(k, spec_init(k), sibling) == ((NoEffect(), SpecState()),)
+        assert violated(k, SpecState(read_paths=(sibling.path,))) is READ_PATHS_ROOTED
+    assert impl_next(wide, impl_init(wide), sibling)[0][0].effect == NoEffect()
 
 
 def test_abstract_check_judges_each_action_statically_once_per_relation(monkeypatch):
@@ -307,5 +324,5 @@ def test_constants_validation():
         SpecConstants("", frozenset(), 1)
     with pytest.raises(ValueError):
         SpecConstants("/ws", frozenset(), -1)
-    with pytest.raises(ValueError):
-        SpecConstants("/ws", frozenset(), 1, prefix_mode="fuzzy")
+    with pytest.raises(TypeError):
+        SpecConstants("/ws", frozenset(), 1, prefix_mode="guarded")

@@ -63,7 +63,7 @@ def overreading_next(c, s, a):
         s.halted
         and isinstance(a, ReadPathAction)
         and c.graph.kind_of(node) is NodeKind.READ
-        and path_under_root(c.spec.workspace_root, a.path, c.spec.prefix_mode)
+        and path_under_root(c.spec.workspace_root, a.path)
     ):
         event = ImplEvent(ReadEvent(a.path), Dispatch(node, "read", c.graph.edge_target(node, "read")))
         return ((event, s._replace(read_paths=s.read_paths + (a.path,))),)

@@ -87,7 +87,6 @@ def flow_constants(draw, max_steps=st.integers(0, 30)):
         workspace_root="/ws",
         allowed_tools=frozenset({"search"}) | draw(st.frozensets(tools, max_size=2)),
         max_steps=draw(max_steps),
-        prefix_mode=draw(st.sampled_from(("guarded", "bare"))),
     )
     return ImplConstants(spec, FlowGraph(names[0], tuple(zip(names, kinds)), edges))
 
