@@ -20,13 +20,16 @@ are the same object, so every ``==``, dict lookup and set lookup answers
 as structural equality would, and only the hashes differ from one process
 to the next. Nothing in the package turns the iteration order of a set or
 dict of actions, events or states into output.
+
+The package's records take one of two bases defined here: ``TupleRecord``
+for value records, ``Record`` for classes with behaviour or caches.
 """
 
 from __future__ import annotations
 
+import collections
 import re
 import weakref
-from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +76,28 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _TupleRecordType(type):
+    def __new__(meta, name, bases, ns):
+        if not bases:
+            return super().__new__(meta, name, bases, ns)
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = [ns[f] for f in fields if f in ns]
+        if any(f not in ns for f in fields[len(fields) - len(defaults):]):
+            raise TypeError(f"{name}: a field without a default follows one with a default")
+        cls = collections.namedtuple(name, fields, defaults=defaults, module=ns["__module__"])
+        for key, value in ns.items():
+            if key not in fields and key != "__module__":
+                setattr(cls, key, value)
+        return cls
+
+
+class TupleRecord(metaclass=_TupleRecordType):
+    """Base of the value records: a class statement deriving from it, with
+    annotated fields and assigned defaults, builds the ``collections.namedtuple``
+    class that ``typing.NamedTuple`` would, with the body's methods, properties,
+    docstring and annotations. A field without a default may not follow a defaulted one."""
 
 
 # (class, *field values) -> the one live term with them. Values are held
@@ -191,7 +216,7 @@ def format_boundary_event(e: BoundaryEvent) -> str:
 # Concrete events: boundary effect plus dispatch bookkeeping
 
 
-class Dispatch(NamedTuple):
+class Dispatch(TupleRecord):
     """Edge taken by a non-stutter step: (from_node, edge_label, to_node)."""
 
     from_node: str

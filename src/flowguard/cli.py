@@ -62,9 +62,10 @@ def _sweep_fields(verdict) -> dict:
 
 # A ``scripted:`` body is action literals separated by ``;``, in which
 # ``\;`` is a literal ``;`` and ``\\`` a literal ``\``; any other ``\`` dangles.
-_SCRIPT = re.compile(r"(?:[^\\]|\\[;\\])*")
-_LITERAL = re.compile(r"(?:[^;\\]|\\[;\\])+")
-_ESCAPE = re.compile(r"\\([;\\])")
+# Only ``scripted:`` uses these patterns, so ``re`` compiles them on first use.
+_SCRIPT = r"(?:[^\\]|\\[;\\])*"
+_LITERAL = r"(?:[^;\\]|\\[;\\])+"
+_ESCAPE = r"\\([;\\])"
 
 
 def _build_strategy(args, defn: FlowDefinition):
@@ -75,9 +76,9 @@ def _build_strategy(args, defn: FlowDefinition):
         return AdversarialOracle(args.seed, defn.alphabet, defn.constants), "adversarial"
     if spec.startswith("scripted:"):
         body = spec[len("scripted:"):]
-        if not _SCRIPT.fullmatch(body):
+        if not re.fullmatch(_SCRIPT, body):
             raise FlowFileError(f"dangling \\ in {spec!r} (only \\; and \\\\ are escapes)")
-        literals = [_ESCAPE.sub(r"\1", piece) for piece in _LITERAL.findall(body)]
+        literals = [re.sub(_ESCAPE, r"\1", piece) for piece in re.findall(_LITERAL, body)]
         script = [parse_action(lit) for lit in literals]
         return ScriptedOracle(script), "scripted"
     raise FlowFileError(f"unknown strategy: {spec!r} (use random, adversarial, or scripted:<lit>;<lit>)")

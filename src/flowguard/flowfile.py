@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import NamedTuple
 
-from .actions import Action, format_action, parse_action
+from .actions import Action, TupleRecord, format_action, parse_action
 from .impl_model import FlowGraph, ImplConstants, NodeKind
 from .spec_model import SpecConstants
 
@@ -25,7 +24,7 @@ class FlowFileError(ValueError):
     """Malformed flow-definition document."""
 
 
-class FlowDefinition(NamedTuple):
+class FlowDefinition(TupleRecord):
     provenance: str
     constants: SpecConstants
     graph: FlowGraph

@@ -44,10 +44,10 @@ verdict.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from functools import partial
-from typing import Callable, NamedTuple
 
-from .actions import Action, NoEffect
+from .actions import Action, NoEffect, TupleRecord
 from .flowfile import FlowDefinition, FlowFileError, parse_flow, serialize_flow
 from .impl_model import INVARIANT, FlowGraphError, ImplConstants, impl_inv
 from .refinement import Bundle, CheckRun, obligations
@@ -137,7 +137,7 @@ def step_bound_floor_note(c: ImplConstants, depth: int) -> str | None:
 # Gates
 
 
-class GateVerdict(NamedTuple):
+class GateVerdict(TupleRecord):
     gate: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
@@ -197,7 +197,7 @@ def gate_discrimination(run: CheckRun, bundle: Bundle, mutation_id: str) -> Obli
 # Template fitness
 
 
-class ConjunctFitness(NamedTuple):
+class ConjunctFitness(TupleRecord):
     name: str
     status: str  # "witnessed" | "VACUOUS"
     witness_depth: int | None = None
@@ -235,7 +235,7 @@ def check_template_fitness(run: CheckRun, bundle: Bundle) -> tuple[ConjunctFitne
 # The composed gate pipeline
 
 
-class GateReport(NamedTuple):
+class GateReport(TupleRecord):
     """The verdict of each gate, then G3's mutants as (mutation id, the
     ``Obligation`` that killed it, or None for a survivor) pairs in the
     order judged, the fitness of each sequence conjunct, and the flow."""

@@ -13,14 +13,14 @@ from init as long as the step function is deterministic.
 
 from __future__ import annotations
 
-import random
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .actions import (
     Action,
     ImplEvent,
     NoAction,
     NoEffect,
+    TupleRecord,
     format_action,
 )
 from .impl_model import (
@@ -38,7 +38,7 @@ from .spec_model import SpecConstants, Step, admits_value, emits
 # Runs as values
 
 
-class Trace(NamedTuple):
+class Trace(TupleRecord):
     """The steps of one run, in order."""
 
     steps: tuple[Step, ...]
@@ -65,10 +65,13 @@ class ScriptedOracle:
 
 
 class SeededRandomOracle:
+    """Seeded uniform sampler; it imports ``random`` only when built."""
+
     def __init__(self, seed: int, alphabet: Sequence[Action]):
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         self.alphabet = tuple(alphabet)
+        import random
         self._rng = random.Random(seed)
 
     def choose(self, i: int, state: ImplState) -> Action:
@@ -80,13 +83,15 @@ ADVERSARIAL_BOOST = 4.0
 
 class AdversarialOracle:
     """Seeded sampler with ``ADVERSARIAL_BOOST`` times the weight on
-    statically out-of-policy values, so rejection paths are hit early."""
+    statically out-of-policy values, so rejection paths are hit early. It
+    imports ``random`` only when built."""
 
     def __init__(self, seed: int, alphabet: Sequence[Action], constants: SpecConstants):
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         self.alphabet = tuple(alphabet)
         self.weights = tuple(1.0 if admits_value(constants, a) else ADVERSARIAL_BOOST for a in self.alphabet)
+        import random
         self._rng = random.Random(seed)
 
     def choose(self, i: int, state: ImplState) -> Action:
@@ -97,7 +102,7 @@ class AdversarialOracle:
 # Driving and sweeping
 
 
-class RunRecord(NamedTuple):
+class RunRecord(TupleRecord):
     trace: Trace
     emitted_events: tuple[ImplEvent, ...]
     rejected_count: int
@@ -123,13 +128,13 @@ def drive(c: ImplConstants, strategy, steps: int) -> RunRecord:
     return RunRecord(Trace(tuple(recorded)), tuple(events), rejected, state)
 
 
-class SweepViolation(NamedTuple):
+class SweepViolation(TupleRecord):
     script: tuple[str, ...]  # action literals, verbatim
     step_index: int
     detail: str
 
 
-class SweepVerdict(NamedTuple):
+class SweepVerdict(TupleRecord):
     passed: bool
     sequences: int
     violation: SweepViolation | None

@@ -9,10 +9,9 @@ value, never an error: the machine is total.
 An action is effected only when all of these hold:
   * the machine has not halted,
   * the guards of the policy table admit it (rooted path / allowlisted
-    tool / step capacity),
-  * the current node's kind is the action variant's, and
-  * an outgoing edge carries the variant's label (``_DISPATCH`` names
-    each variant's node kind and edge label).
+    tool / step capacity), and
+  * the current node's kind is the action variant's; the step takes the
+    node's one edge (``_DISPATCH`` names each kind's edge label).
 
 All of these but the first and the step capacity depend on the current
 node and the action alone. So ``impl_next`` compiles each (node, action)
@@ -31,8 +30,8 @@ or tool.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable, NamedTuple
 
 from .actions import (
     Action,
@@ -44,6 +43,7 @@ from .actions import (
     Record,
     StepAction,
     ToolCallAction,
+    TupleRecord,
 )
 from .spec_model import (
     STEP_BOUNDED,
@@ -71,6 +71,8 @@ class FlowGraphError(ValueError):
 class FlowGraph(Record):
     """Directed graph of kinded nodes with labeled dispatch edges.
 
+    Every edge can fire: a Read, Tool or Step node has one edge, labelled
+    for its kind, and a Terminal node none; any other graph is refused.
     node_kinds and edges are normalized to sorted tuples so equal graphs
     compare and serialize identically.
     """
@@ -92,6 +94,7 @@ class FlowGraph(Record):
             raise FlowGraphError("duplicate node names")
         if entry not in kind_map:
             raise FlowGraphError(f"entry node {entry!r} not in graph")
+        own_label = dict(_DISPATCH.values())  # node kind -> the one label it dispatches along
         edge_map: dict[tuple[str, str], str] = {}
         for frm, label, to in edges:
             if frm not in kind_map:
@@ -100,10 +103,12 @@ class FlowGraph(Record):
                 raise FlowGraphError(f"edge target {to!r} not in graph")
             if (frm, label) in edge_map:
                 raise FlowGraphError(f"duplicate edge {frm!r} -{label!r}->")
+            if label != own_label.get(kind_map[frm]):
+                raise FlowGraphError(f"edge {frm!r} -{label!r}-> {to!r} can never fire")
             edge_map[(frm, label)] = to
         for node, kind in kinds:
-            if kind is not NodeKind.TERMINAL and not any(f == node for f, _, _ in edges):
-                raise FlowGraphError(f"non-terminal node {node!r} has no outgoing edge")
+            if kind in own_label and (node, own_label[kind]) not in edge_map:
+                raise FlowGraphError(f"{kind.value} node {node!r} has no {own_label[kind]!r} edge")
         self._set(entry, kinds, edges, kind_map, edge_map, frozenset(kind_map))
 
     @property
@@ -113,8 +118,8 @@ class FlowGraph(Record):
     def kind_of(self, node: str) -> NodeKind:
         return self._kind_map[node]
 
-    def edge_target(self, node: str, label: str) -> str | None:
-        return self._edge_map.get((node, label))
+    def edge_target(self, node: str, label: str) -> str:
+        return self._edge_map[(node, label)]
 
 
 class ImplConstants(Record):
@@ -129,7 +134,7 @@ class ImplConstants(Record):
         self._set(spec, graph, {})
 
 
-class ImplState(NamedTuple):
+class ImplState(TupleRecord):
     """A state of the concrete machine: an immutable tuple record, built by
     ``tuple.__new__`` and hashed and compared in C. Two states are equal
     exactly when their field values are, and a state also equals a plain
@@ -161,7 +166,7 @@ _DISPATCH = {
 STUTTER = ImplEvent(NoEffect())  # the one event every stutter of impl_next returns
 
 
-class _Route(NamedTuple):
+class _Route(TupleRecord):
     """What an effected step along one (node, action) pair does, whatever
     the state: the node it dispatches to, the event it emits, and its
     ``action_effect`` on the boundary fields."""
@@ -174,15 +179,12 @@ class _Route(NamedTuple):
 
 def _compile_route(c: ImplConstants, node: str, a: Action) -> _Route | None:
     """The route of ``a`` out of ``node``, or None when ``a`` stutters there
-    at every state: the static guards of the policy reject its value, the
-    node kind does not match the action variant, or no edge carries its
-    label."""
+    at every state: the static guards of the policy reject its value, or
+    the node kind does not match the action variant."""
     kind, label = _DISPATCH.get(type(a), (None, None))
     if kind is None or not admits_value(c.spec, a) or c.graph.kind_of(node) is not kind:
         return None
     target = c.graph.edge_target(node, label)
-    if target is None:
-        return None
     effect, reads, tools = action_effect(a)
     return _Route(target, ImplEvent(effect, Dispatch(node, label, target)), reads, tools)
 

@@ -67,8 +67,8 @@ after the stage that failed.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from functools import cached_property
-from typing import Callable, Iterator
 
 from .actions import Action, BoundaryEvent, ImplEvent, NoAction, Record, format_action
 from .havoc import Trace

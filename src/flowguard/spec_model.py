@@ -25,7 +25,7 @@ states must be representable so checks can reject them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple
+from collections.abc import Callable
 
 from .actions import (
     Action,
@@ -38,6 +38,7 @@ from .actions import (
     StepEvent,
     ToolCallAction,
     ToolEvent,
+    TupleRecord,
     format_action,
     format_boundary_event,
 )
@@ -63,7 +64,7 @@ class SpecConstants(Record):
         self._set(workspace_root, allowed_tools, max_steps, {}, {})
 
 
-class SpecState(NamedTuple):
+class SpecState(TupleRecord):
     """A state of the abstract machine: an immutable tuple record of the
     four boundary-visible variables, built by ``tuple.__new__`` and hashed
     and compared in C. Two states are equal exactly when their field
@@ -95,7 +96,7 @@ def spec_init(c: SpecConstants) -> SpecState:
 # The policy, defined once: every other use of its guards is derived from it.
 
 
-class Conjunct(NamedTuple):
+class Conjunct(TupleRecord):
     """One named conjunct of the boundary policy: the ``guard`` a transition
     checks before it effects an action. A sequence conjunct guards the
     value ``getattr(a, arg)`` of an ``action``-typed action, which appends
@@ -107,11 +108,11 @@ class Conjunct(NamedTuple):
 
     name: str
     field: str
-    guard: Callable[[SpecConstants, Any], bool]
+    guard: Callable[[SpecConstants, object], bool]
     violation: str  # describes a state that breaks the conjunct
     action: type | None = None
     arg: str = ""
-    holds: Callable[[SpecConstants, Any], bool] | None = None  # the step bound's state predicate
+    holds: Callable[[SpecConstants, object], bool] | None = None  # the step bound's state predicate
 
 
 def _rooted(c: SpecConstants, path: str) -> bool:
@@ -152,7 +153,7 @@ class _Verdicts(dict):
 
     __slots__ = ("c", "predicate")
 
-    def __init__(self, c: SpecConstants, predicate: Callable[[SpecConstants, Any], bool]) -> None:
+    def __init__(self, c: SpecConstants, predicate: Callable[[SpecConstants, object], bool]) -> None:
         self.c, self.predicate = c, predicate
 
     def __missing__(self, value) -> bool:
@@ -272,17 +273,17 @@ def spec_safety(c: SpecConstants, s: SpecState) -> bool:
 # Lemma-level records and checks: initial safety and inductive preservation
 
 
-class Step(NamedTuple):
+class Step(TupleRecord):
     """One transition of either machine: a step of a driven run, or the
     counterexample an obligation reports."""
 
-    pre_state: Any
+    pre_state: object
     action: Action
-    event: Any
-    post_state: Any
+    event: object
+    post_state: object
 
 
-class Obligation(NamedTuple):
+class Obligation(TupleRecord):
     """The verdict of one lemma: its name, whether it holds, why not, how
     many states it ranged over (None when it judges init alone), and its
     first failing step."""

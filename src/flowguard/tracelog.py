@@ -23,9 +23,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from typing import NamedTuple
 
-from .actions import Action, format_action, format_impl_event, parse_action
+from .actions import Action, TupleRecord, format_action, format_impl_event, parse_action
 from .flowfile import FlowDefinition, flow_digest
 from .havoc import RunRecord
 from .impl_model import ImplState, impl_init, impl_next
@@ -188,7 +187,7 @@ def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
     return header, rows
 
 
-class ReplayVerdict(NamedTuple):
+class ReplayVerdict(TupleRecord):
     passed: bool
     steps: int
     detail: str = ""

@@ -41,19 +41,47 @@ def rag_nb_file():
 # Modules whose import alone costs about half of a fresh ``flowguard``
 # process's start-up: ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``.
 SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "pathlib")
+# Modules no command needs to load before it runs: ``typing`` (with
+# ``_typing`` and ``contextlib``) for the records, and ``random`` (with
+# ``math`` and ``bisect``), which only the drawing oracles use.
+UNNEEDED_IMPORTS = ("typing", "_typing", "contextlib", "random", "math", "bisect")
+TRACELOG = FLOWS.parent / "tests" / "golden" / "tracelog"
 
 
-def test_the_cli_imports_none_of_the_slow_modules():
+def test_the_cli_imports_none_of_the_slow_modules(tmp_path):
     """A fresh interpreter, isolated from the environment and
     site-packages as the benchmark's start-up probe is, loads
-    ``flowguard.cli`` without any of ``SLOW_IMPORTS``."""
+    ``flowguard.cli`` and every shipped flow without any of
+    ``SLOW_IMPORTS`` or ``UNNEEDED_IMPORTS``; its random and adversarial
+    runs, which load ``random`` when they start, still write the golden
+    trace logs byte for byte."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = f"import sys; sys.path.insert(0, {str(src)!r}); import flowguard.cli; print(*sorted(sys.modules))"
+    runs = {
+        strategy: ["run", "--flow", str(TRACELOG / "cyclic_reads.json"), "--strategy", strategy,
+                   "--seed", "7", "--steps", "300", "--out", str(tmp_path / f"{strategy}.log")]
+        for strategy in ("random", "adversarial")
+    }
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import flowguard.cli\n"
+        "from flowguard.flowfile import load_flow\n"
+        "for path in json.loads(sys.argv[2]):\n"
+        "    load_flow(path)\n"
+        "print(*sorted(sys.modules))\n"
+        "for argv in json.loads(sys.argv[3]):\n"
+        "    assert flowguard.cli.main(argv) == 0\n"
+    )
+    flows = json.dumps(sorted(str(p) for p in FLOWS.glob("*.json")))
     loaded = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-c", code, str(src), flows, json.dumps(list(runs.values()))],
+        capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert "flowguard.cli" in loaded
-    assert [m for m in SLOW_IMPORTS if m in loaded] == []
+    assert "flowguard.cli" in loaded and "flowguard.flowfile" in loaded
+    assert [m for m in SLOW_IMPORTS + UNNEEDED_IMPORTS if m in loaded] == []
+    for strategy in runs:
+        log = f"cyclic_reads.{strategy}.log"
+        assert (tmp_path / f"{strategy}.log").read_bytes() == (TRACELOG / log).read_bytes(), log
 
 
 MIXED_SCRIPT = (
@@ -338,10 +366,19 @@ def assert_unusable_on_every_command(flow_file, tmp_path, capsys, key: str, valu
     command exit 2 with ``error``, and ``gates`` report G1 alone; with
     no ``key`` at all it loads as the shipped flow, which writes the key
     at its one accepted value."""
-    log = tmp_path / "t.log"
-    assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
     doc = json.loads(Path(flow_file).read_text())
     doc["constants"][key] = value
+    assert_refused_on_every_command(flow_file, tmp_path, capsys, doc, error)
+
+    del doc["constants"][key]
+    assert flow_digest(parse_flow(json.dumps(doc))) == flow_digest(shipped("read_agent"))
+
+
+def assert_refused_on_every_command(flow_file, tmp_path, capsys, doc: dict, error: str) -> None:
+    """The flow document ``doc`` makes every command exit 2 with ``error``,
+    and ``gates`` report G1 alone."""
+    log = tmp_path / "t.log"
+    assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
     refused = tmp_path / "refused.json"
     refused.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -354,9 +391,6 @@ def assert_unusable_on_every_command(flow_file, tmp_path, capsys, key: str, valu
     captured = capsys.readouterr()
     assert json.loads(captured.out)["gates"] == {"g1": {"status": "fail", "detail": error}}
     assert captured.err == "failing gates: g1\n"
-
-    del doc["constants"][key]
-    assert flow_digest(parse_flow(json.dumps(doc))) == flow_digest(shipped("read_agent"))
 
 
 def test_a_flow_in_which_only_steps_consume_steps_is_unusable(flow_file, tmp_path, capsys):
@@ -372,6 +406,30 @@ def test_a_flow_with_a_bare_prefix_mode_is_unusable(flow_file, tmp_path, capsys)
     plain string-prefix matching, asks for another, and is unusable;
     "guarded" and no key at all load as one flow."""
     assert_unusable_on_every_command(flow_file, tmp_path, capsys, "prefix_mode", "bare", PREFIX_MODE_ERROR)
+
+
+@pytest.mark.parametrize(
+    "edge, error",
+    [
+        (0, "edge 'scan' -'tool'-> 'search' can never fire"),
+        ({"from": "scan", "label": "tool", "to": "tick"}, "edge 'scan' -'tool'-> 'tick' can never fire"),
+        ({"from": "search", "label": "banana", "to": "scan"}, "edge 'search' -'banana'-> 'scan' can never fire"),
+        ({"from": "done", "label": "step", "to": "scan"}, "edge 'done' -'step'-> 'scan' can never fire"),
+    ],
+    ids=["relabelled", "foreign-label", "unknown-label", "from-terminal"],
+)
+def test_a_flow_with_an_edge_that_can_never_fire_is_unusable(flow_file, tmp_path, capsys, edge, error):
+    """A node dispatches only along its own kind's label, so read_agent
+    with its Read node's one edge relabelled ``tool``, with an extra edge
+    of another label, or with an edge out of a Terminal node holds an edge
+    that no run takes; every command refuses it, naming the edge."""
+    doc = json.loads(Path(flow_file).read_text())
+    doc["graph"]["nodes"].append({"kind": "Terminal", "name": "done"})
+    if edge == 0:
+        doc["graph"]["edges"][0]["label"] = "tool"
+    else:
+        doc["graph"]["edges"].append(edge)
+    assert_refused_on_every_command(flow_file, tmp_path, capsys, doc, error)
 
 
 @pytest.mark.parametrize("command", ["run", "check", "gates", "sweep", "replay"])

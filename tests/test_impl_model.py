@@ -144,39 +144,44 @@ def test_terminal_node_absorbs_everything(rag_barrier):
         assert event.effect == NoEffect() and s2 == s
 
 
-def test_missing_edge_stutters():
-    # a Read node whose only outgoing edge is not labeled "read"
-    spec = SpecConstants("/ws", frozenset(), 3)
-    graph = FlowGraph(
-        entry="r",
-        node_kinds=(("r", NodeKind.READ), ("t", NodeKind.TERMINAL)),
-        edges=(("r", "weird", "t"),),
-    )
-    c2 = ImplConstants(spec, graph)
-    event, s2 = only(impl_next(c2, impl_init(c2), ReadPathAction("/ws/a")))
-    assert event.effect == NoEffect() and s2 == impl_init(c2)
+def test_graph_refuses_edges_that_can_never_fire():
+    """A node dispatches only its own kind's variant, along that variant's
+    label, so an edge with another label, or out of a Terminal node, could
+    never be taken; the graph refuses it, naming the edge, and refuses a
+    Read, Tool or Step node without its own label's edge, naming the node."""
+    kinds = (("r", NodeKind.READ), ("t", NodeKind.TERMINAL))
+    for edges, error in (
+        ((("r", "weird", "t"),), "edge 'r' -'weird'-> 't' can never fire"),
+        ((("r", "tool", "t"),), "edge 'r' -'tool'-> 't' can never fire"),
+        ((("r", "read", "t"), ("r", "step", "r")), "edge 'r' -'step'-> 'r' can never fire"),
+        ((("r", "read", "t"), ("t", "read", "r")), "edge 't' -'read'-> 'r' can never fire"),
+        ((), "Read node 'r' has no 'read' edge"),
+    ):
+        with pytest.raises(FlowGraphError) as refused:
+            FlowGraph(entry="r", node_kinds=kinds, edges=edges)
+        assert str(refused.value) == error
 
 
 def test_each_variant_dispatches_from_its_own_kind_along_its_own_label():
-    """Every Read, Tool and Step node has a ``read``, a ``tool`` and a
-    ``step`` edge, each to its own target, so the node an action leaves and
-    the edge it takes show which kind and label its variant dispatches on."""
+    """One node of each kind, each with its own label's edge to its own
+    target: an action leaves only the node of its variant's kind, along its
+    variant's label, and stutters at the other two."""
     kinds = {"r": NodeKind.READ, "t": NodeKind.TOOL, "s": NodeKind.STEP}
-    labels = ("read", "tool", "step")
+    labels = {"r": "read", "t": "tool", "s": "step"}
     graph = FlowGraph(
         entry="r",
-        node_kinds=tuple(kinds.items()) + tuple((f"{n}-{label}", NodeKind.TERMINAL) for n in kinds for label in labels),
-        edges=tuple((n, label, f"{n}-{label}") for n in kinds for label in labels),
+        node_kinds=tuple(kinds.items()) + tuple((f"{n}-{labels[n]}", NodeKind.TERMINAL) for n in kinds),
+        edges=tuple((n, labels[n], f"{n}-{labels[n]}") for n in kinds),
     )
     c2 = ImplConstants(SpecConstants("/ws", frozenset({"search"}), 10), graph)
-    own = {ReadPathAction("/ws/a"): ("r", "read"), ToolCallAction("search"): ("t", "tool"), StepAction(): ("s", "step")}
-    for a, (home, label) in own.items():
+    own = {ReadPathAction("/ws/a"): "r", ToolCallAction("search"): "t", StepAction(): "s"}
+    for a, home in own.items():
         for node in kinds:
             s0 = impl_init(c2)._replace(current_node=node)
             event, s2 = only(impl_next(c2, s0, a))
             if node == home:
-                assert event.dispatch == (node, label, f"{node}-{label}") and event.dispatch.edge_label == label
-                assert s2.current_node == f"{node}-{label}"
+                assert event.dispatch == (node, labels[node], f"{node}-{labels[node]}")
+                assert s2.current_node == f"{node}-{labels[node]}"
             else:
                 assert event.effect == NoEffect() and s2 is s0
     s0 = impl_init(c2)

@@ -1,9 +1,11 @@
 """The package's records: value semantics that ignore caches, refused
 assignment, and the reprs that reach reports.
 
-Value records are ``typing.NamedTuple``s; the classes with behaviour
-(the interned vocabulary, ``ImplEvent``, the constants, the graph and the
-bundle) are slotted ``actions.Record`` subclasses. A ``Record``'s ``repr``
+Value records derive from ``actions.TupleRecord``, which makes each the
+``collections.namedtuple`` class ``typing.NamedTuple`` would build,
+without loading ``typing``; the classes with behaviour (the interned
+vocabulary, ``ImplEvent``, the constants, the graph and the bundle) are
+slotted ``actions.Record`` subclasses. A ``Record``'s ``repr``
 is the one a frozen dataclass with the same fields writes, and it reaches
 reports through sweep details (``{event.effect!r}``) and through
 ``check_soundness`` details, so each is compared with a real dataclass
@@ -28,10 +30,12 @@ from flowguard.actions import (
     StepEvent,
     ToolCallAction,
     ToolEvent,
+    TupleRecord,
 )
-from flowguard.gates import run_gates, verify_bundle
-from flowguard.havoc import ScriptedOracle, SweepVerdict, SweepViolation, drive, sweep
-from flowguard.impl_model import STUTTER
+from flowguard.flowfile import FlowDefinition
+from flowguard.gates import GateReport, run_gates, verify_bundle
+from flowguard.havoc import ScriptedOracle, SweepVerdict, SweepViolation, Trace, drive, sweep
+from flowguard.impl_model import STUTTER, ImplState
 from flowguard.refinement import Bundle, check_soundness
 from flowguard.spec_model import POLICY
 from flowguard.tracelog import render_trace_log, replay_trace_log
@@ -76,9 +80,10 @@ def test_warmed_caches_take_no_part_in_equality_or_hash():
     assert c != c._replace(spec=c.spec._replace(max_steps=c.spec.max_steps + 1))
 
 
-@pytest.mark.parametrize(
-    "route", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["copy", "deepcopy", "pickle"]
-)
+ROUTES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda v: pickle.loads(pickle.dumps(v))}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
 def test_a_copy_of_warmed_constants_is_equal_with_fresh_caches(route):
     """A copy is rebuilt through the constructor: its own caches start
     empty, and a shallow copy shares the field values."""
@@ -131,6 +136,40 @@ def test_every_record_is_a_named_tuple_or_a_slotted_record():
         assert type(value).__name__ == name
         assert isinstance(value, Record) or hasattr(type(value), "_fields"), name
         assert not hasattr(value, "__dict__"), name
+
+
+@pytest.mark.parametrize("route", [*ROUTES.values(), lambda v: v._replace(**v._asdict())], ids=[*ROUTES, "_replace"])
+@pytest.mark.parametrize("name", sorted(name for name, value in RECORDS.items() if isinstance(value, tuple)))
+def test_every_tuple_record_round_trips(name, route):
+    value = RECORDS[name]
+    other = route(value)
+    assert type(other) is type(value) and other == value
+
+
+def test_a_tuple_record_keeps_what_typing_named_tuple_gave():
+    """The fields and defaults of the class statement, in order, and the
+    body's docstring, methods and properties."""
+    assert ImplState._fields == (
+        "current_node", "read_paths", "tool_calls", "step_count", "halted", "history", "last_node", "last_action"
+    )
+    assert ImplState._field_defaults == {
+        "read_paths": (), "tool_calls": (), "step_count": 0, "halted": False, "history": (),
+        "last_node": None, "last_action": NoAction(),
+    }
+    assert ImplState.__doc__.startswith("A state of the concrete machine: an immutable tuple record")
+    assert ImplState.__module__ == "flowguard.impl_model" and ImplState.__bases__ == (tuple,)
+    assert Trace.states.__doc__.startswith("Initial state followed by every post-state")
+    assert isinstance(GateReport.passed, property) and callable(GateReport.failing_gates)
+    assert RECORDS["FlowDefinition"].impl_constants == RECORDS["ImplConstants"]
+    assert isinstance(FlowDefinition.impl_constants, property)
+
+
+def test_a_field_without_a_default_may_not_follow_a_defaulted_one():
+    with pytest.raises(TypeError, match="a field without a default follows one with a default"):
+
+        class Refused(TupleRecord):
+            first: int = 0
+            second: int
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
