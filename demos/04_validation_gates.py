@@ -3,8 +3,8 @@
 Checks that pass tell you nothing if the specification they check is
 vacuous. The gates attack the bundle directly: the vacuity gate guts the
 invariant and demands that verification now FAIL; the discrimination gate
-seeds concrete modeling errors and demands each one is killed; an
-identity mutation is expected to survive (and the gate to say so).
+seeds every modeling error of one fixed table and demands each one is
+killed, naming the obligation that kills it.
 
 The template-fitness audit catches a subtler disease the gates cannot:
 a machine that never writes a policed field at all. The retrieval flow

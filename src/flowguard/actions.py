@@ -14,7 +14,7 @@ Every action and boundary event is interned: building one through its
 class, keyword or positional, ``_replace``, ``copy``, ``deepcopy`` or
 ``pickle`` yields the one object that has its class and field values, so
 equal values are the same object. The classes therefore keep ``object``'s
-identity ``__eq__`` and ``__hash__``, which run in C, rather than
+own ``__eq__`` and ``__hash__``, which run in C, rather than
 field-by-field ones. That is exact: two values are equal exactly when they
 are the same object, so every ``==``, dict lookup and set lookup answers
 as structural equality would, and only the hashes differ from one process
@@ -109,7 +109,7 @@ _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class _Term(Record):
     """Base of the vocabulary: ``__new__`` binds its arguments to the
     fields and returns the table's term for them, adding a new one when
-    there is none. Equality and hash are ``object``'s identity."""
+    there is none. Equality and hash are ``object``'s: ``is`` and ``id``."""
 
     __slots__ = ("__weakref__",)
     __eq__ = object.__eq__

@@ -18,7 +18,7 @@ import sys
 
 from .actions import parse_action
 from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow
-from .gates import GateReport, mutation_by_id, run_gates, step_bound_floor_note, verify_bundle
+from .gates import SEEDED_ERRORS, GateReport, run_gates, step_bound_floor_note, verify_bundle
 from .havoc import AdversarialOracle, ScriptedOracle, SeededRandomOracle, drive, sweep
 from .impl_model import FlowGraphError
 from .refinement import Bundle
@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 
 def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     defn = load_flow(args.flow)
     c = defn.impl_constants
-    bundle = mutation_by_id(args.mutation)(Bundle()) if args.mutation is not None else Bundle()
+    bundle = SEEDED_ERRORS[args.mutation](Bundle()) if args.mutation is not None else Bundle()
 
     verified = verify_bundle(c, bundle, defn.alphabet, args.depth)
     sweep_verdict = sweep(c, defn.alphabet, args.depth)
@@ -183,10 +183,8 @@ def _gate_fields(report: GateReport) -> dict:
 
 
 def cmd_gates(args) -> int:
-    with open(args.flow) as f:
-        text = f.read()
-    mutation_ids = tuple(args.mutation.split(",")) if args.mutation is not None else None
-    report = run_gates(text, args.depth, mutation_ids)
+    with open(args.flow, "rb") as f:
+        report = run_gates(f.read(), args.depth)
 
     # On a G1 failure there is no verified flow: the report holds only the
     # G1 verdict, and the exit is as for any unusable flow file.
@@ -218,9 +216,8 @@ def cmd_sweep(args) -> int:
 def cmd_replay(args) -> int:
     defn = load_flow(args.flow)
     try:
-        with open(args.log) as f:
-            text = f.read()
-        verdict = replay_trace_log(defn, text)
+        with open(args.log, "rb") as f:
+            verdict = replay_trace_log(defn, f.read())
     except (OSError, TraceLogError) as e:
         print(f"cannot replay: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -265,17 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--mutation",
         default=None,
+        choices=tuple(SEEDED_ERRORS),
         help="inject a seeded error by id before checking (diagnostics aid)",
     )
     p_check.set_defaults(fn=cmd_check)
 
     p_gates = sub.add_parser("gates", help="run the validation gates and the template-fitness audit")
     common(p_gates, depth=True)
-    p_gates.add_argument(
-        "--mutation",
-        default=None,
-        help="comma-separated mutation ids for the discrimination gate (default: all shipped)",
-    )
     p_gates.set_defaults(fn=cmd_gates)
 
     p_sweep = sub.add_parser("sweep", help="exhaustively drive every action sequence of the given length")

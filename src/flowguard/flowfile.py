@@ -64,11 +64,12 @@ def _strings(value, where: str) -> list[str]:
     return strings
 
 
-def parse_flow(text: str) -> FlowDefinition:
+def parse_flow(text: str | bytes) -> FlowDefinition:
+    """The definition ``text`` holds; bytes are decoded as UTF-8."""
     try:
-        doc = json.loads(text)
-    # ValueError covers JSONDecodeError and an integer too long to convert;
-    # RecursionError a document nested too deeply.
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    # ValueError covers UnicodeDecodeError, JSONDecodeError and an integer
+    # too long to convert; RecursionError a document nested too deeply.
     except (ValueError, RecursionError) as e:
         raise FlowFileError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
@@ -168,6 +169,6 @@ def flow_digest(defn: FlowDefinition) -> str:
 
 
 def load_flow(path: str | os.PathLike[str]) -> FlowDefinition:
-    with open(path) as f:
+    with open(path, "rb") as f:
         return parse_flow(f.read())
 

@@ -28,10 +28,9 @@ from a corrupted one. Three gates and a fitness audit enforce that:
                         is vacuously true along every reachable state:
                         the machine never writes the field it polices.
 
-Every mutation id names an entry of one table of bundle edits, each a
-function from ``Bundle`` to ``Bundle``: the seeded errors
-(``SEEDED_ERRORS``, G3's default set), and ``identity``, the survivor
-entry, which changes nothing and must survive.
+G3 judges every entry of one table of bundle edits, ``SEEDED_ERRORS``,
+in table order; each entry is a function from ``Bundle`` to ``Bundle``,
+and ``flowguard check --mutation`` applies one of them by its id.
 
 G2 and G3 verify each bundle with ``refinement.obligations`` over one
 shared ``refinement.CheckRun`` and stop at the first one that fails,
@@ -99,17 +98,6 @@ SEEDED_ERRORS: dict[str, Callable[[Bundle], Bundle]] = {
     "drop-history-clause": _drop_invariant_clause("history_length"),
 }
 
-# The table of every edit a mutation id names.
-_MUTATIONS: dict[str, Callable[[Bundle], Bundle]] = {**SEEDED_ERRORS, "identity": lambda b: b}
-
-
-def mutation_by_id(mutation_id: str) -> Callable[[Bundle], Bundle]:
-    """The bundle edit ``mutation_id`` names: ``identity`` or one of the
-    ``SEEDED_ERRORS``. Raises ValueError for any other id."""
-    if mutation_id not in _MUTATIONS:
-        raise ValueError(f"unknown mutation id: {mutation_id!r}")
-    return _MUTATIONS[mutation_id]
-
 
 # ---------------------------------------------------------------------------
 # Verification
@@ -147,11 +135,11 @@ class GateVerdict(TupleRecord):
         return self.status == "pass"
 
 
-def gate_resolution(flow_text: str) -> tuple[GateVerdict, FlowDefinition | None]:
-    """G1: the flow loads from its serialized form (which validates its
-    constants, graph and alphabet), serializes back to itself, and loading
-    fits ``DEFAULT_GATE_BUDGET_SECONDS``. Returns the verdict, and the
-    loaded flow when it passed (else None)."""
+def gate_resolution(flow_text: str | bytes) -> tuple[GateVerdict, FlowDefinition | None]:
+    """G1: the flow loads from its serialized form, text or UTF-8 bytes
+    (which validates its constants, graph and alphabet), serializes back
+    to itself, and loading fits ``DEFAULT_GATE_BUDGET_SECONDS``. Returns
+    the verdict, and the loaded flow when it passed (else None)."""
     started = time.monotonic()
     try:
         flow = parse_flow(flow_text)
@@ -184,13 +172,13 @@ def gate_vacuity(run: CheckRun, bundle: Bundle) -> GateVerdict:
     return GateVerdict("g2", "fail", f"vacuity witness: the stub discharged {', '.join(discharged)}")
 
 
-def gate_discrimination(run: CheckRun, bundle: Bundle, mutation_id: str) -> Obligation | None:
-    """G3 for one mutation: the edit ``mutation_id`` names must fail
-    verification on ``run``'s machine, alphabet and depth. Its obligations
-    are checked in order up to the first one that fails, which is the one
-    that kills it and is returned, counterexample included; None when the
-    mutant survives."""
-    return next((o for o in obligations(run, mutation_by_id(mutation_id)(bundle)) if not o.passed), None)
+def gate_discrimination(run: CheckRun, mutant: Bundle) -> Obligation | None:
+    """G3 for one mutant, an edited bundle: it must fail verification on
+    ``run``'s machine, alphabet and depth. Its obligations are checked in
+    order up to the first one that fails, which is the one that kills it
+    and is returned, counterexample included; None when the mutant
+    survives."""
+    return next((o for o in obligations(run, mutant) if not o.passed), None)
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +246,16 @@ class GateReport(TupleRecord):
         )
 
 
-def run_gates(flow_text: str, depth: int, mutation_ids: tuple[str, ...] | None = None) -> GateReport:
+def run_gates(flow_text: str | bytes, depth: int) -> GateReport:
     """G1 -> G2 -> G3 -> fitness, short-circuiting after a G1 failure.
 
     G1 judges ``flow_text`` as written; the other gates verify the very
-    definition it loads, and share one ``CheckRun``. Bad arguments (a
-    negative depth, an empty mutation set, an unknown or repeated mutation
-    id) raise ValueError before any gate runs.
+    definition it loads, and share one ``CheckRun``. G3 judges every entry
+    of ``SEEDED_ERRORS``, in table order. A negative depth raises
+    ValueError before any gate runs.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    ids = mutation_ids if mutation_ids is not None else tuple(SEEDED_ERRORS)
-    if not ids:
-        raise ValueError("mutation_ids is empty: G3 would judge no mutant")
-    for i, mid in enumerate(ids):
-        mutation_by_id(mid)
-        if mid in ids[:i]:
-            raise ValueError(f"repeated mutation id: {mid!r}")
     g1, flow = gate_resolution(flow_text)
     if flow is None:
         return GateReport(g1)
@@ -284,7 +265,7 @@ def run_gates(flow_text: str, depth: int, mutation_ids: tuple[str, ...] | None =
 
     g2 = gate_vacuity(run, bundle)
 
-    mutants = tuple((mid, gate_discrimination(run, bundle, mid)) for mid in ids)
+    mutants = tuple((mid, gate_discrimination(run, edit(bundle))) for mid, edit in SEEDED_ERRORS.items())
     survivors = [mid for mid, killed_by in mutants if killed_by is None]
     if not survivors:
         g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")

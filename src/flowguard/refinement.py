@@ -197,7 +197,7 @@ class CheckRun:
     and depth shares: the reachable layers, the step obligations'
     candidate states, and the safety-preservation verdict of each distinct
     (next_relation, safety) pair. Each is computed when first needed.
-    Keying those verdicts by identity is sound because the cache keeps its
+    Keying those verdicts by ``id`` is sound because the cache keeps its
     keys alive. Successor states and abstract steps are not kept across
     bundles: holding them costs more memory than recomputing them costs
     time."""

@@ -232,7 +232,7 @@ def spec_next(
     construction: the stutter (NoEffect, s) is always available, and it is
     the only successor when the policy rejects the action. The stutter's
     post-state is ``s`` itself, the same object. Each (policy, action) pair
-    is compiled once per ``c``, keyed on the policy's identity."""
+    is compiled once per ``c``, keyed on ``id(policy)``."""
     stutter = (_NO_EFFECT, s)
     key = (id(policy), a)
     try:

@@ -149,11 +149,15 @@ def render_trace_log(
     return "\n".join(lines) + "\n"
 
 
-def parse_trace_log(text: str) -> tuple[dict, list[dict]]:
+def parse_trace_log(text: str | bytes) -> tuple[dict, list[dict]]:
     """The header and rows of a trace log, each row's action literal parsed
-    to its ``Action``. Raises TraceLogError for a log that cannot be
-    replayed: malformed JSON, an ill-typed field or an unknown action."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    to its ``Action``; bytes are decoded as UTF-8, whatever the locale.
+    Raises TraceLogError for a log that cannot be replayed: bytes that are
+    not UTF-8, malformed JSON, an ill-typed field or an unknown action."""
+    try:
+        lines = [ln for ln in (text.decode("utf-8") if isinstance(text, bytes) else text).splitlines() if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise TraceLogError(f"not UTF-8: {e}") from e
     if not lines:
         raise TraceLogError("empty trace log")
     try:
@@ -193,7 +197,7 @@ class ReplayVerdict(TupleRecord):
     detail: str = ""
 
 
-def replay_trace_log(defn: FlowDefinition, text: str) -> ReplayVerdict:
+def replay_trace_log(defn: FlowDefinition, text: str | bytes) -> ReplayVerdict:
     """Re-run the action column through the machine and demand the event
     column (and the state digests) byte-exactly."""
     header, rows = parse_trace_log(text)

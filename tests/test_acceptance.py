@@ -161,19 +161,19 @@ def test_criterion_4_gate_behavior(agent):
 
     killed = {}
     for mid in SEEDED_ERRORS:
-        result = gate_discrimination(run, bundle, mid)
+        result = gate_discrimination(run, SEEDED_ERRORS[mid](bundle))
         assert result is not None, mid
         killed[mid] = result.name
     assert len(killed) == 4
 
-    assert gate_discrimination(run, bundle, "identity") is None
+    assert gate_discrimination(run, bundle) is None
 
     floor = gate_vacuity(CheckRun(c, agent.alphabet, 0), bundle)
     assert not floor.passed and "configuration floor" in floor.detail
 
     report(
         "[PASS] criterion 4: stub fails refinement (G2 passes); "
-        f"all shipped mutants killed ({killed}); identity survives; depth-0 G2 hits the floor"
+        f"all shipped mutants killed ({killed}); the unedited bundle survives; depth-0 G2 hits the floor"
     )
 
 

@@ -3,6 +3,7 @@ and replay."""
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ import flowguard.gates as gates
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
 from flowguard.flowfile import FlowFileError, flow_digest, parse_flow, serialize_flow
+from flowguard.gates import SEEDED_ERRORS
 from flowguard.tracelog import TraceLogError, parse_trace_log
 from conftest import FLOWS, shipped
 
@@ -82,6 +84,72 @@ def test_the_cli_imports_none_of_the_slow_modules(tmp_path):
     for strategy in runs:
         log = f"cyclic_reads.{strategy}.log"
         assert (tmp_path / f"{strategy}.log").read_bytes() == (TRACELOG / log).read_bytes(), log
+
+
+# The same interpreter under a UTF-8 locale and under the plain C locale,
+# whose preferred encoding is ASCII once Python neither coerces it nor
+# switches to its UTF-8 mode.
+LOCALES = {
+    "C.UTF-8": {"LC_ALL": "C.UTF-8"},
+    "C": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+}
+
+
+def test_flow_files_and_logs_decode_alike_under_every_locale(tmp_path):
+    """Flow files and trace logs are read as UTF-8 whatever the locale: a
+    flow whose alphabet reads ``/ws/é`` gives the same exit codes and
+    report and log bytes under both ``LOCALES``; a flow file that is not
+    UTF-8 fails G1 with the G1-only report, as any unusable flow does, and
+    a trace log that is not UTF-8 cannot be replayed."""
+    doc = json.loads((FLOWS / "read_agent.json").read_text(encoding="utf-8"))
+    doc["alphabet"].append("ReadPathAction(/ws/é)")
+    flow = tmp_path / "accented.json"
+    flow.write_text(json.dumps(doc, indent=2, ensure_ascii=False), encoding="utf-8")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(flow.read_text(encoding="utf-8").encode("latin-1"))
+    latin1_log = tmp_path / "latin1.log"
+    latin1_log.write_bytes(b'{"provenance": "\xe9"}\n')
+    code = (
+        "import json, locale, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from flowguard.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([locale.getpreferredencoding(False), codes]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
+    outcomes = {}
+    for name, variables in LOCALES.items():
+        out = tmp_path / name
+        out.mkdir()
+        runs = [
+            ["sweep", "--flow", flow, "--depth", "2", "--out", out / "sweep.json"],
+            ["check", "--flow", flow, "--depth", "4", "--out", out / "check.json"],
+            ["gates", "--flow", flow, "--depth", "4", "--out", out / "gates.json"],
+            ["run", "--flow", flow, "--strategy", "scripted:ReadPathAction(/ws/é);ToolCallAction(search)",
+             "--steps", "2", "--out", out / "run.log"],
+            ["replay", "--flow", flow, out / "run.log"],
+            ["gates", "--flow", latin1, "--depth", "4", "--out", out / "latin1.gates.json"],
+            ["check", "--flow", latin1, "--depth", "4", "--out", out / "latin1.check.json"],
+            ["replay", "--flow", flow, latin1_log],
+        ]
+        argv = json.dumps([[str(a) for a in run] for run in runs])
+        done = subprocess.run(
+            [sys.executable, "-c", code, src, argv], env={**env, **variables}, capture_output=True, check=True
+        )
+        encoding, codes = json.loads(done.stdout)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outcomes[name] = codes, files
+        assert codes == [0, 0, 0, 0, 0, 2, 2, 2], (name, done.stderr)
+        assert b"cannot replay: not UTF-8: 'utf-8' codec can't decode byte 0xe9" in done.stderr, done.stderr
+        assert (encoding == "UTF-8") == (name == "C.UTF-8"), encoding
+    assert outcomes["C"] == outcomes["C.UTF-8"]
+    codes, files = outcomes["C"]
+    assert sorted(files) == ["check.json", "gates.json", "latin1.gates.json", "run.log", "sweep.json"]
+    assert b"ReadPathAction(/ws/\\u00e9)" in files["run.log"]
+    g1_only = json.loads(files["latin1.gates.json"])
+    assert set(g1_only["gates"]) == {"g1"} and g1_only["gates"]["g1"]["status"] == "fail"
+    assert "'utf-8' codec can't decode byte 0xe9" in g1_only["gates"]["g1"]["detail"]
 
 
 MIXED_SCRIPT = (
@@ -277,6 +345,8 @@ def test_a_g1_failure_report_holds_the_header_and_the_g1_verdict_only(tmp_path, 
 
 
 def test_gates_reject_an_unknown_mutation_id_before_any_gate_runs(flow_file, monkeypatch, capsys):
+    """``gates`` takes no ``--mutation``: G3 always judges the whole
+    seeded-error table, so any id is an unusable invocation."""
     ran = []
 
     def recording(name):
@@ -290,46 +360,47 @@ def test_gates_reject_an_unknown_mutation_id_before_any_gate_runs(flow_file, mon
 
     for name in ("gate_resolution", "gate_vacuity"):
         monkeypatch.setattr(gates, name, recording(name))
-    argv = ["gates", "--flow", flow_file, "--depth", "4", "--mutation", "drop-allowlist-guard,bogus"]
-    assert main(argv) == 2
-    assert "unknown mutation id: 'bogus'" in capsys.readouterr().err
+    for mutation in ("drop-allowlist-guard,bogus", *SEEDED_ERRORS):
+        with pytest.raises(SystemExit) as refused:
+            main(["gates", "--flow", flow_file, "--depth", "4", "--mutation", mutation])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --mutation" in capsys.readouterr().err
     assert ran == []
 
 
 def test_check_and_gates_reject_an_unknown_mutation_id_alike(flow_file, capsys):
-    errors = []
     for command in ("check", "gates"):
-        assert main([command, "--flow", flow_file, "--depth", "2", "--mutation", "bogus"]) == 2
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--flow", flow_file, "--depth", "2", "--mutation", "bogus"])
+        assert refused.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        errors.append(captured.err)
-    assert errors == ["error: unknown mutation id: 'bogus'\n"] * 2
+        assert captured.out == "" and captured.err.startswith("usage: flowguard ")
 
 
-@pytest.mark.parametrize(
-    "command, mutation, error",
-    [
-        ("check", "--mutation=", "unknown mutation id: ''"),
-        ("gates", "--mutation=", "unknown mutation id: ''"),
-        ("gates", "--mutation=drop-allowlist-guard,", "unknown mutation id: ''"),
-        ("gates", "--mutation=identity,identity", "repeated mutation id: 'identity'"),
-        ("gates", "--mutation=event-to-noeffect,identity,event-to-noeffect", "repeated mutation id: 'event-to-noeffect'"),
-    ],
-)
-def test_an_empty_or_repeated_mutation_id_exits_two_before_any_check(
-    flow_file, monkeypatch, capsys, command, mutation, error
-):
-    """An empty ``--mutation`` names no edit: it is neither the unmutated
-    bundle nor the default set. A repeated id would be judged and reported
-    twice."""
+@pytest.mark.parametrize("mutation", ["", "identity", "drop-allowlist-guard,event-to-noeffect"])
+def test_check_refuses_a_mutation_id_outside_the_seeded_errors(flow_file, monkeypatch, capsys, mutation):
+    """``check --mutation`` takes one ``SEEDED_ERRORS`` id; any other,
+    empty included, exits 2 before any check runs, and the usage error
+    lists the ids it takes."""
     ran = []
-    for module, name in ((gates, "gate_resolution"), (gates, "gate_vacuity"), (cli, "verify_bundle"), (cli, "sweep")):
-        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: ran.append(name))
-    assert main([command, "--flow", flow_file, "--depth", "4", mutation]) == 2
+    for name in ("verify_bundle", "sweep"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+    with pytest.raises(SystemExit) as refused:
+        main(["check", "--flow", flow_file, "--depth", "4", f"--mutation={mutation}"])
+    assert refused.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {error}\n"
+    assert "argument --mutation: invalid choice: " in captured.err
+    assert all(mid in captured.err for mid in SEEDED_ERRORS)
     assert ran == []
+
+
+@pytest.mark.parametrize("mutation", list(SEEDED_ERRORS))
+def test_check_accepts_every_seeded_error_id(flow_file, capsys, mutation):
+    """At depth ``max_steps`` + 1 every seeded error fails ``check``, and
+    the report names the one injected."""
+    assert main(["check", "--flow", flow_file, "--depth", "4", "--mutation", mutation]) == 1
+    assert json.loads(capsys.readouterr().out)["mutation"] == mutation
 
 
 @pytest.mark.parametrize(
@@ -505,7 +576,7 @@ def test_every_command_holds_the_sibling_of_the_root_outside_it(tmp_path, capsys
     assert json.loads(log.read_text().splitlines()[1])["event"] == "NoEffect"
 
 
-def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
+def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys, monkeypatch):
     assert main(["gates", "--flow", flow_file, "--depth", "3"]) == 1
     g3 = json.loads(capsys.readouterr().out)["gates"]["g3"]
     assert g3["status"] == "fail"
@@ -514,9 +585,6 @@ def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
     assert main(["gates", "--flow", flow_file, "--depth", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["gates"]["g3"]["detail"] == "4 mutants killed"
 
-    # The note blames the depth for the step-bound error alone: at depth 2
-    # the default set still carries it, and identity, which survives at
-    # every depth, does not.
     assert main(["gates", "--flow", flow_file, "--depth", "2"]) == 1
     g3 = json.loads(capsys.readouterr().out)["gates"]["g3"]
     assert g3["detail"] == (
@@ -524,9 +592,17 @@ def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys):
         "(a step beyond the bound max_steps=3 cannot be reached at depth 2)"
     )
 
-    assert main(["gates", "--flow", flow_file, "--depth", "2", "--mutation", "identity"]) == 1
-    g3 = json.loads(capsys.readouterr().out)["gates"]["g3"]
-    assert g3["detail"] == "surviving mutants: identity"
+    # The note blames the depth for the step-bound error alone: an edit
+    # that changes nothing survives at every depth, and names no floor
+    # where the step-bound error is killed.
+    monkeypatch.setitem(gates.SEEDED_ERRORS, "identity", lambda b: b)
+    assert main(["gates", "--flow", flow_file, "--depth", "4"]) == 1
+    assert json.loads(capsys.readouterr().out)["gates"]["g3"]["detail"] == "surviving mutants: identity"
+    assert main(["gates", "--flow", flow_file, "--depth", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["gates"]["g3"]["detail"] == (
+        "surviving mutants: step-bound-off-by-one, identity; configuration floor: depth >= 4 required "
+        "(a step beyond the bound max_steps=3 cannot be reached at depth 2)"
+    )
 
 
 
@@ -588,8 +664,8 @@ def test_every_option_is_read_by_its_command(flow_file, tmp_path, capsys):
     common = ["--flow", flow_file]
     invocations = [
         ["run", *common, "--out", log, "--steps", "3", "--seed", "1", "--strategy", "random"],
-        ["check", *common, "--out", out, "--depth", "1", "--mutation", "identity"],
-        ["gates", *common, "--out", out, "--depth", "1", "--mutation", "identity"],
+        ["check", *common, "--out", out, "--depth", "1", "--mutation", "event-to-noeffect"],
+        ["gates", *common, "--out", out, "--depth", "1"],
         ["sweep", *common, "--out", out, "--depth", "1"],
         ["replay", *common, log],
     ]

@@ -18,7 +18,6 @@ from flowguard.gates import (
     gate_discrimination,
     gate_resolution,
     gate_vacuity,
-    mutation_by_id,
     permissive_stub,
     run_gates,
     verify_bundle,
@@ -145,7 +144,7 @@ def test_stub_keeps_obligations_while_weakening_assumptions(agent, bundle):
 
 @pytest.mark.parametrize("mutation_id", list(SEEDED_ERRORS))
 def test_every_shipped_seeded_error_is_killed(run, bundle, mutation_id):
-    result = gate_discrimination(run, bundle, mutation_id)
+    result = gate_discrimination(run, SEEDED_ERRORS[mutation_id](bundle))
     assert result is not None and not result.passed and result.name, result
 
 
@@ -157,17 +156,18 @@ def test_expected_killers_per_mutant(run, bundle):
         "drop-history-clause": "inv_inductive",
     }
     for mid, killer in expected.items():
-        result = gate_discrimination(run, bundle, mid)
+        result = gate_discrimination(run, SEEDED_ERRORS[mid](bundle))
         assert result is not None and result.name == killer, (mid, result)
 
 
 def test_identity_mutation_survives(run, bundle):
-    assert gate_discrimination(run, bundle, "identity") is None
+    """G3's control: the unedited bundle, the identity edit, survives."""
+    assert gate_discrimination(run, bundle) is None
 
 
 def test_mutations_leave_the_trusted_surface_untouched(agent, bundle):
     before = bundle_fingerprint(agent)
-    for edit in (*SEEDED_ERRORS.values(), permissive_stub, mutation_by_id("identity")):
+    for edit in (*SEEDED_ERRORS.values(), permissive_stub):
         edit(bundle)
         assert bundle_fingerprint(agent) == before
 
@@ -178,15 +178,14 @@ EDITED_FIELDS = {
     "event-to-noeffect": ["event_abs"],
     "drop-history-clause": ["assume_inv"],
     "permissive-stub": ["assume_inv"],
-    "identity": [],
 }
 
 
 @pytest.mark.parametrize("mutation_id", list(EDITED_FIELDS))
 def test_each_mutation_edits_one_definition(mutation_id):
     """A seeded error is an edit of one definition: it replaces exactly one
-    field of the shipped bundle, and identity replaces none."""
-    edits = {**SEEDED_ERRORS, "identity": mutation_by_id("identity"), "permissive-stub": permissive_stub}
+    field of the shipped bundle."""
+    edits = {**SEEDED_ERRORS, "permissive-stub": permissive_stub}
     shipped = Bundle()
     mutant = edits[mutation_id](shipped)
     edited = [name for name in Bundle.__match_args__ if getattr(mutant, name) != getattr(shipped, name)]
@@ -273,10 +272,16 @@ def test_pipeline_short_circuits_after_g1(agent_flow_text):
     assert (report.mutants, report.fitness, report.flow) == ((), (), None)
 
 
-def test_pipeline_accepts_an_explicit_mutation_list(agent_flow_text):
-    report = run_gates(agent_flow_text, 4, mutation_ids=("drop-allowlist-guard",))
-    assert report.passed
-    assert [mid for mid, _killed_by in report.mutants] == ["drop-allowlist-guard"]
+def test_pipeline_judges_every_seeded_error_in_table_order(agent_flow_text, monkeypatch):
+    """G3 reads the table when it runs: an entry added to it is judged,
+    after the shipped ones, and an edit that changes nothing survives."""
+    shipped = list(SEEDED_ERRORS)
+    assert [mid for mid, _killed_by in run_gates(agent_flow_text, 4).mutants] == shipped
+    monkeypatch.setitem(gates.SEEDED_ERRORS, "unedited", lambda b: b)
+    report = run_gates(agent_flow_text, 4)
+    assert [mid for mid, _killed_by in report.mutants] == [*shipped, "unedited"]
+    assert [mid for mid, killed_by in report.mutants if killed_by is None] == ["unedited"]
+    assert (report.g3.status, report.g3.detail) == ("fail", "surviving mutants: unedited")
 
 
 @pytest.mark.parametrize("fixture", ["agent", "rag_barrier", "rag_no_barrier"])
@@ -297,26 +302,6 @@ def test_pipeline_at_an_extreme_depth_matches_the_closure_depth(fixture, request
         return report.g2, report.g3, report.fitness_verdict, report.mutants, report.fitness
 
     assert verdicts(run_gates(text, 10**6)) == verdicts(run_gates(text, closed))
-
-
-def test_pipeline_rejects_unknown_mutation_ids(agent_flow_text):
-    with pytest.raises(ValueError):
-        run_gates(agent_flow_text, 4, mutation_ids=("zap-everything",))
-
-
-@pytest.mark.parametrize("mutation_ids", [("identity", "identity"), ("drop-history-clause", "identity", "drop-history-clause")])
-def test_pipeline_rejects_a_repeated_mutation_id_before_g1(mutation_ids, monkeypatch):
-    monkeypatch.setattr(gates, "gate_resolution", lambda *args: pytest.fail("G1 ran"))
-    with pytest.raises(ValueError, match="repeated mutation id"):
-        run_gates("{not json", 4, mutation_ids=mutation_ids)
-
-
-def test_pipeline_rejects_an_empty_mutation_set_before_g1(agent_flow_text, monkeypatch):
-    """An empty set would pass G3 with "0 mutants killed": a discrimination
-    gate that judged nothing."""
-    monkeypatch.setattr(gates, "gate_resolution", lambda *args: pytest.fail("G1 ran"))
-    with pytest.raises(ValueError, match="mutation_ids is empty"):
-        run_gates(agent_flow_text, 4, mutation_ids=())
 
 
 @pytest.mark.parametrize("prefix_mode", ["bare", "loose", "", "GUARDED"])

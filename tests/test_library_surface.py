@@ -192,3 +192,21 @@ def test_each_variant_is_spelled_once_in_its_class():
         and (n.value in names or n.value.startswith(tuple(f"{name}(" for name in names)))
     ]
     assert not spelled, f"variant names spelled as strings: {spelled}"
+
+
+def test_every_text_file_is_opened_with_an_encoding():
+    """An ``open()`` under ``src/`` either reads or writes bytes or names
+    its ``encoding=``: a text-mode ``open`` without one decodes and
+    encodes in the locale's encoding, so the same flow file would load on
+    one machine and not on another."""
+    unnamed = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for n in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open"):
+                continue
+            keywords = {k.arg: k.value for k in n.keywords}
+            mode = n.args[1] if len(n.args) > 1 else keywords.get("mode")
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not binary and "encoding" not in keywords:
+                unnamed.append(f"{module.name}:{n.lineno}")
+    assert not unnamed, f"open() without encoding= in text mode: {sorted(unnamed)}"

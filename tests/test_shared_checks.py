@@ -4,9 +4,10 @@ first failed obligation, and one gate run shares its exploration.
 ``check_safety_preserved`` and ``check_refinement_next`` are compared in
 every verdict field with the copies in ``refinement_reference.py``, which
 judge every successor and every step; ``obligations`` stopped at its
-first failure, and the gates' verdicts, alone and shared across one
-``run_gates``, are compared with unshared, full ``verify_bundle``
-outcomes. Counting tests pin the work saved.
+first failure, and the gates' verdicts, alone, shared across one
+``run_gates`` and shared across one ``CheckRun`` in any order, are
+compared with unshared, full ``verify_bundle`` outcomes. Counting tests
+pin the work saved.
 """
 
 from collections import Counter
@@ -25,7 +26,6 @@ from flowguard.gates import (
     check_template_fitness,
     gate_discrimination,
     gate_vacuity,
-    mutation_by_id,
     permissive_stub,
     run_gates,
     verify_bundle,
@@ -80,7 +80,6 @@ EDITS = {
     "default": lambda b: b,
     **SEEDED_ERRORS,
     "permissive-stub": permissive_stub,
-    "identity": mutation_by_id("identity"),
     "lax-safety": lambda b: b._replace(safety=lax_safety),
     # fails r2_step_simulation before inv_inductive in the scan order
     "noeffect-stub": lambda b: permissive_stub(SEEDED_ERRORS["event-to-noeffect"](b)),
@@ -126,11 +125,12 @@ def expected_gates(c, alphabet, depth, mutation_ids):
     """G2's verdict (None below its depth floor) and each mutant's
     (mutation id, kill) pair, its kill being the whole first failed
     obligation of an unshared ``verify_bundle``, which judges every
-    obligation over the full pass, or None."""
+    obligation over the full pass, or None. A mutation id is a key of
+    ``EDITS``: "default", the unedited bundle, is the control."""
     bundle = Bundle()
     results = []
     for mid in mutation_ids:
-        outcome = verify_bundle(c, mutation_by_id(mid)(bundle), alphabet, depth)
+        outcome = verify_bundle(c, EDITS[mid](bundle), alphabet, depth)
         assert tuple(o.name for o in outcome) == OBLIGATION_ORDER
         results.append((mid, first_failure(outcome)))
     if depth < 1:
@@ -145,10 +145,10 @@ def expected_gates(c, alphabet, depth, mutation_ids):
 
 def assert_gates_stop_at_first_failure(c, alphabet, depth):
     bundle = Bundle()
-    mutation_ids = (*SEEDED_ERRORS, "identity")
+    mutation_ids = (*SEEDED_ERRORS, "default")
     g2, results = expected_gates(c, alphabet, depth, mutation_ids)
     run = CheckRun(c, alphabet, depth)
-    assert [(mid, gate_discrimination(run, bundle, mid)) for mid in mutation_ids] == results
+    assert [(mid, gate_discrimination(run, EDITS[mid](bundle))) for mid in mutation_ids] == results
     if g2 is not None:
         assert gate_vacuity(run, bundle) == g2
 
@@ -174,25 +174,37 @@ def test_checkers_and_gates_match_reference_on_random_flows(c, alphabet, depth):
     alphabet=st.lists(st.one_of(*FITTING.values(), actions), min_size=1, max_size=4, unique=True),
     depth=st.integers(0, 4),
     mutation_ids=st.lists(st.sampled_from(tuple(SEEDED_ERRORS)), unique=True).flatmap(
-        lambda ids: st.permutations(ids + ["identity"])
+        lambda ids: st.permutations(ids + ["default"])
     ),
 )
 def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, mutation_ids):
     """One ``run_gates`` shares its layers, candidate states and safety verdicts
     across G2, the mutants and fitness, and searches each step obligation
     only when a gate reaches it; every verdict, and each mutant's counterexample detail, must still be
-    what unshared, full checks of the same flow give."""
+    what unshared, full checks of the same flow give. So must the verdicts
+    of one shared ``CheckRun`` whose G3 mutants come in another order, the
+    unedited bundle among them as the control that survives, before G2
+    and fitness."""
     defn = FlowDefinition("random", c.spec, c.graph, tuple(alphabet))
-    report = run_gates(serialize_flow(defn), depth, tuple(mutation_ids))
+    report = run_gates(serialize_flow(defn), depth)
     assert report.g1.passed and report.flow == defn
     c, alphabet = defn.impl_constants, defn.alphabet
-    g2, results = expected_gates(c, alphabet, depth, mutation_ids)
+    g2, results = expected_gates(c, alphabet, depth, (*SEEDED_ERRORS, "default"))
     if g2 is None:
         assert report.g2.status == "fail" and "configuration floor" in report.g2.detail
     else:
         assert report.g2 == g2
-    assert list(report.mutants) == results
+    assert list(report.mutants) == results[:-1]
     assert report.fitness == check_template_fitness(CheckRun(c, alphabet, depth), Bundle())
+
+    kills = dict(results)
+    assert kills["default"] is None
+    run = CheckRun(c, alphabet, depth)
+    shared = [(mid, gate_discrimination(run, EDITS[mid](Bundle()))) for mid in mutation_ids]
+    assert shared == [(mid, kills[mid]) for mid in mutation_ids]
+    if g2 is not None:
+        assert gate_vacuity(run, Bundle()) == g2
+    assert check_template_fitness(run, Bundle()) == report.fitness
 
 
 @pytest.mark.parametrize("order", ["as-shipped", "reversed"])
