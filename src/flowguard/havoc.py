@@ -6,7 +6,8 @@ values. Whatever it chooses, the contained machine emits only events
 that the policy machine offers for the chosen action at the pre-state
 (``spec_model.emits``); the sweep checks that claim over every action
 sequence of a given length. It walks the tree of script prefixes
-depth first, one step call per prefix (n + n^2 + ... + n^d calls for n
+depth first, one ``for`` over the alphabet per level of the current
+prefix and one step call per prefix (n + n^2 + ... + n^d calls for n
 actions and depth d), which gives the verdict of replaying every script
 from init as long as the step function is deterministic.
 """
@@ -154,19 +155,23 @@ def sweep(
 
     The scripts are the leaves of a prefix tree, walked depth first with
     children in alphabet order, so each prefix is stepped once: with n
-    actions that is n + n^2 + ... + n^depth step calls. The event check
-    skips ``STUTTER``, whose ``NoEffect`` is always offered, and judges
-    every other event. The state checks judge each distinct post-state
-    once, whatever its event. A stutter (``next_fn`` returns its pre-state
-    object itself) out of a judged state is skipped before it is hashed;
-    any other post-state is added to the set of judged states, and
-    checked only if the add found it new. Init is judged only once it is
-    reached as a post-state. The verdict is the one replaying every script from init
-    in ``itertools.product`` order would give: ``sequences`` counts the
-    scripts up to and including the first violating one, whose reported
-    script is the violating prefix padded with ``alphabet[0]``. That
-    equivalence needs a deterministic ``next_fn``, and state checks that
-    are functions of the state.
+    actions that is n + n^2 + ... + n^depth step calls. Each level of the
+    current prefix is one ``for`` over ``enumerate(alphabet)`` on a stack
+    of per-level iterators: a step below the last level pushes the next
+    level and leaves the loop with ``break``, and the loop's ``else`` pops
+    the level once every action was tried, so a leaf costs one loop turn.
+    The event check skips ``STUTTER``, whose ``NoEffect`` is always
+    offered, and judges every other event. The state checks judge each
+    distinct post-state once, whatever its event. A stutter (``next_fn``
+    returns its pre-state object itself) out of a judged state is skipped
+    before it is hashed; any other post-state is added to the set of
+    judged states, and checked only if the add found it new. Init is
+    judged only once it is reached as a post-state. The verdict is the one
+    replaying every script from init in ``itertools.product`` order would
+    give: ``sequences`` counts the scripts up to and including the first
+    violating one, whose reported script is the violating prefix padded
+    with ``alphabet[0]``. That equivalence needs a deterministic
+    ``next_fn``, and state checks that are functions of the state.
 
     ``next_fn`` exists so tests can inject a deliberately broken step
     function and watch the sweep catch it; production callers leave it
@@ -179,44 +184,44 @@ def sweep(
     if depth == 0 or n == 0:
         return SweepVerdict(True, n**depth, None, frozenset((init,)))
     judged: set[ImplState] = set()  # post-states that passed both state checks
-    # states[k] is the state after the first k actions of the current
-    # prefix; digits[k] is the alphabet index of the action tried next from it.
-    states = [init]
-    digits = [0]
-    while digits:
-        k = len(digits) - 1
-        if digits[k] == n:
-            states.pop()
-            digits.pop()
-            if digits:
-                digits[-1] += 1
-            continue
-        state, action = states[k], alphabet[digits[k]]
-        ((event, nxt),) = next_fn(c, state, action)
-        detail = None
-        if event is not STUTTER and not emits(c.spec, state, action, event.effect):
-            detail = f"out-of-policy event {event.effect!r}"
-        elif nxt is not state or k == 0:  # states[k > 0] were judged on their way in
-            size = len(judged)
-            judged.add(nxt)
-            if len(judged) > size:  # the first time nxt is judged
-                if not impl_safety(c, nxt):
-                    detail = "safety predicate violated"
-                elif not impl_inv(c, nxt):
-                    detail = "inductive invariant violated"
-                if detail is not None:
-                    judged.remove(nxt)
-        if detail is not None:
-            script = digits + [0] * (depth - k - 1)
-            rank = 0
-            for d in script:
-                rank = rank * n + d
-            literals = tuple(format_action(alphabet[d]) for d in script)
-            violation = SweepViolation(literals, k, detail)
-            return SweepVerdict(False, rank + 1, violation, frozenset(judged | {init}))
-        if k + 1 < depth:
-            states.append(nxt)
-            digits.append(0)
+    # stack[k] is the state after the first k actions of the current prefix
+    # and the iterator over the actions tried from it; path[k] is the
+    # alphabet index of the action taken from stack[k] to stack[k + 1].
+    stack = [(init, enumerate(alphabet))]
+    path: list[int] = []
+    last = depth - 1
+    while stack:
+        k = len(path)
+        state, level = stack[k]
+        for i, action in level:
+            ((event, nxt),) = next_fn(c, state, action)
+            detail = None
+            if event is not STUTTER and not emits(c.spec, state, action, event.effect):
+                detail = f"out-of-policy event {event.effect!r}"
+            elif nxt is not state or k == 0:  # states at k > 0 were judged on their way in
+                size = len(judged)
+                judged.add(nxt)
+                if len(judged) > size:  # the first time nxt is judged
+                    if not impl_safety(c, nxt):
+                        detail = "safety predicate violated"
+                    elif not impl_inv(c, nxt):
+                        detail = "inductive invariant violated"
+                    if detail is not None:
+                        judged.remove(nxt)
+            if detail is not None:
+                script = path + [i] + [0] * (last - k)
+                rank = 0
+                for d in script:
+                    rank = rank * n + d
+                literals = tuple(format_action(alphabet[d]) for d in script)
+                violation = SweepViolation(literals, k, detail)
+                return SweepVerdict(False, rank + 1, violation, frozenset(judged | {init}))
+            if k < last:
+                stack.append((nxt, enumerate(alphabet)))
+                path.append(i)
+                break
         else:
-            digits[k] += 1
+            stack.pop()
+            if path:
+                path.pop()
     return SweepVerdict(True, n**depth, None, frozenset(judged | {init}))

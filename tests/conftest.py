@@ -29,14 +29,14 @@ def rag_no_barrier():
 
 @pytest.fixture(scope="session")
 def agent_flow_text():
-    return (FLOWS / "read_agent.json").read_text()
+    return (FLOWS / "read_agent.json").read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="session")
 def rag_barrier_flow_text():
-    return (FLOWS / "rag_barrier.json").read_text()
+    return (FLOWS / "rag_barrier.json").read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="session")
 def rag_no_barrier_flow_text():
-    return (FLOWS / "rag_no_barrier.json").read_text()
+    return (FLOWS / "rag_no_barrier.json").read_text(encoding="utf-8")

@@ -267,7 +267,7 @@ def test_criterion_6_rejection_semantics(tmp_path):
     )
     assert code == 0
 
-    rows = [json.loads(ln) for ln in log_path.read_text().splitlines()[1:]]
+    rows = [json.loads(ln) for ln in log_path.read_text(encoding="utf-8").splitlines()[1:]]
     emitted = [r["event"] for r in rows if r["event"] != "NoEffect"]
     rejected = sum(1 for r in rows if r["event"] == "NoEffect" and r["action"] != "NoAction")
 

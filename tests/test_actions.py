@@ -132,7 +132,9 @@ GOLDEN_FLOW = Path(__file__).resolve().parent / "golden" / "tracelog" / "cyclic_
 # The golden flow's read paths, one of them with a quote and a non-ASCII
 # character.
 GOLDEN_PATHS = tuple(
-    parse_action(lit).path for lit in json.loads(GOLDEN_FLOW.read_text())["alphabet"] if lit.startswith("ReadPathAction")
+    parse_action(lit).path
+    for lit in json.loads(GOLDEN_FLOW.read_text(encoding="utf-8"))["alphabet"]
+    if lit.startswith("ReadPathAction")
 )
 values = st.sampled_from(GOLDEN_PATHS) | st.text()
 unary_terms = st.builds(lambda cls, value: cls(value), st.sampled_from(UNARY), values)

@@ -165,7 +165,7 @@ def test_run_writes_a_log_and_exits_zero(flow_file, tmp_path, capsys):
     out = tmp_path / "t.log"
     code = main(["run", "--flow", flow_file, "--strategy", MIXED_SCRIPT, "--steps", "3", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
     assert header["kind"] == "trace-log" and header["schema_version"] == 1
     rows = [json.loads(ln) for ln in lines[1:]]
@@ -176,18 +176,18 @@ def test_run_writes_a_log_and_exits_zero(flow_file, tmp_path, capsys):
 def test_run_zero_steps_empty_body(flow_file, tmp_path):
     out = tmp_path / "empty.log"
     assert main(["run", "--flow", flow_file, "--steps", "0", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 1  # header only
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1  # header only
 
 
 def test_run_malformed_flow_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
+    bad.write_text("{nope", encoding="utf-8")
     assert main(["run", "--flow", str(bad)]) == 2
 
 
 def test_a_flow_nested_too_deeply_exits_two(tmp_path, capsys):
     flow = tmp_path / "deep.json"
-    flow.write_text(NESTED_TOO_DEEPLY)
+    flow.write_text(NESTED_TOO_DEEPLY, encoding="utf-8")
     with pytest.raises(FlowFileError):
         parse_flow(NESTED_TOO_DEEPLY)
     for argv in (["run"], ["check"], ["sweep"], ["replay", str(tmp_path / "unread.log")], ["gates"]):
@@ -200,7 +200,7 @@ def test_an_integer_too_long_to_convert_is_not_valid_json(tmp_path, capsys):
     """``json.loads`` refuses an integer of more than 4,300 digits with a
     plain ValueError; a flow file holding one is reported as invalid JSON."""
     flow = tmp_path / "long-int.json"
-    flow.write_text('{"schema_version": %s}' % ("9" * 5000))
+    flow.write_text('{"schema_version": %s}' % ("9" * 5000), encoding="utf-8")
     assert main(["check", "--flow", str(flow)]) == 2
     assert capsys.readouterr().err.startswith("error: not valid JSON: ")
     assert main(["gates", "--flow", str(flow)]) == 2
@@ -215,14 +215,14 @@ def test_run_unknown_strategy_exits_two(flow_file):
 def test_scripted_escapes_semicolons_and_backslashes(tmp_path, capsys):
     r"""In a script, ``\;`` is a literal ``;`` and ``\\`` a literal ``\``,
     so any path in the alphabet can be scripted; any other ``\`` exits 2."""
-    defn = parse_flow((Path(__file__).resolve().parent / "golden" / "tracelog" / "cyclic_reads.json").read_text())
+    defn = parse_flow((TRACELOG / "cyclic_reads.json").read_text(encoding="utf-8"))
     odd = (ReadPathAction("/ws/a;b"), ReadPathAction("/ws/c\\d;"))
     flow = tmp_path / "odd.json"
-    flow.write_text(serialize_flow(defn._replace(alphabet=defn.alphabet + odd)))
+    flow.write_text(serialize_flow(defn._replace(alphabet=defn.alphabet + odd)), encoding="utf-8")
     out = tmp_path / "odd.log"
     script = r"scripted:ReadPathAction(/ws/a\;b);;ReadPathAction(/ws/c\\d\;)"
     assert main(["run", "--flow", str(flow), "--strategy", script, "--steps", "2", "--out", str(out)]) == 0
-    rows = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert [row["event"] for row in rows] == ["ReadEvent(/ws/a;b)[r0-read->r1]", "ReadEvent(/ws/c\\d;)[r1-read->r2]"]
     assert main(["replay", "--flow", str(flow), str(out)]) == 0
     for dangling in (r"ReadPathAction(/ws/a\b)", "ReadPathAction(/ws/a)\\", r"ReadPathAction(/ws/a)\;\ "):
@@ -312,7 +312,7 @@ def test_gates_pass_on_barrier_rag(capsys):
 
 def test_gates_malformed_flow_fails_g1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"schema_version": 1}')
+    bad.write_text('{"schema_version": 1}', encoding="utf-8")
     assert main(["gates", "--flow", str(bad), "--depth", "4"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["gates"]["g1"]["status"] == "fail"
@@ -337,7 +337,7 @@ G1_FAILURE_REPORT = """\
 def test_a_g1_failure_report_holds_the_header_and_the_g1_verdict_only(tmp_path, capsys):
     """No flow was loaded, so the header has no flow digest or provenance."""
     bad = tmp_path / "bad.json"
-    bad.write_text('{"schema_version": 1}')
+    bad.write_text('{"schema_version": 1}', encoding="utf-8")
     assert main(["gates", "--flow", str(bad), "--depth", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == G1_FAILURE_REPORT
@@ -414,10 +414,10 @@ def test_a_flow_that_lists_a_literal_or_tool_twice_is_unusable(tmp_path, capsys,
     """A repeated action would be swept as a distinct one, and a repeated
     tool vanish into the allowlist's set, so the file would not round-trip.
     ``check`` exits 2, and G1 fails with the same reason."""
-    doc = json.loads((FLOWS / "read_agent.json").read_text())
+    doc = json.loads((FLOWS / "read_agent.json").read_text(encoding="utf-8"))
     (doc if section == "alphabet" else doc["constants"])[section].append(entry)
     path = tmp_path / "repeated.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
     assert main(["check", "--flow", str(path), "--depth", "3"]) == 2
     captured = capsys.readouterr()
@@ -437,7 +437,7 @@ def assert_unusable_on_every_command(flow_file, tmp_path, capsys, key: str, valu
     command exit 2 with ``error``, and ``gates`` report G1 alone; with
     no ``key`` at all it loads as the shipped flow, which writes the key
     at its one accepted value."""
-    doc = json.loads(Path(flow_file).read_text())
+    doc = json.loads(Path(flow_file).read_text(encoding="utf-8"))
     doc["constants"][key] = value
     assert_refused_on_every_command(flow_file, tmp_path, capsys, doc, error)
 
@@ -451,7 +451,7 @@ def assert_refused_on_every_command(flow_file, tmp_path, capsys, doc: dict, erro
     log = tmp_path / "t.log"
     assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
     refused = tmp_path / "refused.json"
-    refused.write_text(json.dumps(doc))
+    refused.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     for argv in (["check"], ["sweep"], ["run", "--steps", "3"], ["replay", str(log)]):
         assert main([*argv, "--flow", str(refused)]) == 2
@@ -494,7 +494,7 @@ def test_a_flow_with_an_edge_that_can_never_fire_is_unusable(flow_file, tmp_path
     with its Read node's one edge relabelled ``tool``, with an extra edge
     of another label, or with an edge out of a Terminal node holds an edge
     that no run takes; every command refuses it, naming the edge."""
-    doc = json.loads(Path(flow_file).read_text())
+    doc = json.loads(Path(flow_file).read_text(encoding="utf-8"))
     doc["graph"]["nodes"].append({"kind": "Terminal", "name": "done"})
     if edge == 0:
         doc["graph"]["edges"][0]["label"] = "tool"
@@ -541,11 +541,11 @@ def test_replay_round_trip(flow_file, tmp_path):
 def test_replay_detects_tampering(flow_file, tmp_path):
     out = tmp_path / "tampered.log"
     assert main(["run", "--flow", flow_file, "--strategy", "random", "--seed", "3", "--steps", "5", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[1])
     row["event"] = "ToolEvent(rm)[scan-tool->tick]"
     lines[1] = json.dumps(row, sort_keys=True)
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["replay", "--flow", flow_file, str(out)]) == 1
 
 
@@ -563,7 +563,7 @@ def test_every_command_holds_the_sibling_of_the_root_outside_it(tmp_path, capsys
     i = defn.alphabet.index(ReadPathAction("/ws/x"))
     alphabet = defn.alphabet[:i] + (ReadPathAction("/wsx/a"),) + defn.alphabet[i:]
     path = tmp_path / "wsx.json"
-    path.write_text(serialize_flow(defn._replace(alphabet=alphabet)))
+    path.write_text(serialize_flow(defn._replace(alphabet=alphabet)), encoding="utf-8")
 
     assert main(["sweep", "--flow", str(path), "--depth", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["visited_states"] == 4  # as read_agent itself
@@ -573,7 +573,7 @@ def test_every_command_holds_the_sibling_of_the_root_outside_it(tmp_path, capsys
     log = tmp_path / "sibling.log"
     assert main(["run", "--flow", str(path), "--strategy", "scripted:ReadPathAction(/wsx/a)",
                  "--steps", "1", "--out", str(log)]) == 0
-    assert json.loads(log.read_text().splitlines()[1])["event"] == "NoEffect"
+    assert json.loads(log.read_text(encoding="utf-8").splitlines()[1])["event"] == "NoEffect"
 
 
 def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys, monkeypatch):
@@ -725,12 +725,13 @@ def _edit_row(n, **fields):
 def test_unusable_trace_log_is_rejected_with_exit_two(flow_file, tmp_path, capsys, edit):
     log = tmp_path / "t.log"
     assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
-    header, *rows = [json.loads(ln) for ln in log.read_text().splitlines()]
+    header, *rows = [json.loads(ln) for ln in log.read_text(encoding="utf-8").splitlines()]
     header, rows = edit(header, rows)
-    log.write_text("\n".join(x if isinstance(x, Raw) else json.dumps(x) for x in (header, *rows)) + "\n")
+    text = "\n".join(x if isinstance(x, Raw) else json.dumps(x) for x in (header, *rows)) + "\n"
+    log.write_text(text, encoding="utf-8")
 
     with pytest.raises(TraceLogError):
-        parse_trace_log(log.read_text())
+        parse_trace_log(log.read_text(encoding="utf-8"))
     capsys.readouterr()
     assert main(["replay", "--flow", flow_file, str(log)]) == 2
     assert "cannot replay" in capsys.readouterr().err
@@ -767,7 +768,7 @@ def _locations(doc, at=()):
 def malformed_flows(draw):
     """A shipped flow document with one key or list entry deleted, or one
     value replaced by a value of another JSON type."""
-    doc = json.loads(draw(st.sampled_from(SHIPPED_FLOWS)).read_text())
+    doc = json.loads(draw(st.sampled_from(SHIPPED_FLOWS)).read_text(encoding="utf-8"))
     at = draw(st.sampled_from(list(_locations(doc))))
     parent = doc
     for key in at[:-1]:
@@ -796,7 +797,7 @@ def test_malformed_flows_never_trace_back(fuzz_dir, doc, depth):
     exit code of the contract, never an uncaught exception, and ``gates``
     calls unusable every flow that ``check`` calls unusable."""
     flow = fuzz_dir / "flow.json"
-    flow.write_text(json.dumps(doc))
+    flow.write_text(json.dumps(doc), encoding="utf-8")
     out = str(fuzz_dir / "out")
     depth_args = ["--depth", str(depth)]
     codes = {}

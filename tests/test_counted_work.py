@@ -13,8 +13,9 @@ counter, as the benchmark's tracer does:
 - ``emits``: ``cli``'s for ``run``.
 
 The sweep steps through its ``next_fn`` default, bound when ``havoc`` is
-imported, so ``check``'s sweep is not counted here: its work still grows
-as |alphabet|^depth (ROADMAP.md items 6 and 14).
+imported, so ``cli.sweep`` is replaced by one that passes a counting
+``next_fn``, as the benchmark tracer's ``_sweep_wrapper`` does. Its count
+still grows as |alphabet|^depth (ROADMAP.md items 6 and 14).
 """
 
 import json
@@ -60,6 +61,25 @@ def calls(monkeypatch):
         for module in modules:
             monkeypatch.setattr(module, fn.__name__, counting(fn))
     return counts
+
+
+@pytest.fixture
+def sweep_steps(monkeypatch) -> list[int]:
+    """The step calls of each sweep that a command runs, one entry per
+    sweep."""
+    steps: list[int] = []
+
+    def sweep(*args, next_fn=impl_next, **kwargs):
+        steps.append(0)
+
+        def counted_next(c, state, action):
+            steps[-1] += 1
+            return next_fn(c, state, action)
+
+        return havoc.sweep(*args, next_fn=counted_next, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", sweep)
+    return steps
 
 
 def counted(calls, argv) -> Counter:
@@ -122,7 +142,7 @@ def test_synthetic_flows_do_no_more_work_past_closure(kinds, max_steps, cyclic, 
     nodes that only the step budget halts."""
     flow = synthetic_flow(kinds, max_steps, cyclic)
     path = tmp_path / "flow.json"
-    path.write_text(serialize_flow(flow))
+    path.write_text(serialize_flow(flow), encoding="utf-8")
     assert_no_more_work_past_closure(flow, str(path), calls, str(tmp_path / "report.json"))
 
 
@@ -133,6 +153,25 @@ def test_run_and_replay_make_one_step_call_per_row(strategy, calls, tmp_path, ca
     argv = ["run", "--flow", str(FLOWS / "read_agent.json"), "--strategy", strategy, "--steps", "50"]
     ran = counted(calls, [*argv, "--out", str(log)])
     assert ran["impl_next"] == 50 and 0 < ran["emits"] <= 50
-    rows = log.read_text().splitlines()[1:]
+    rows = log.read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == 50 and all(json.loads(row)["i"] == i for i, row in enumerate(rows))
     assert counted(calls, ["replay", "--flow", str(FLOWS / "read_agent.json"), str(log)])["impl_next"] == len(rows)
+
+
+# n + n^2 + ... + n^depth for the six actions of every shipped flow
+SWEEP_STEPS = {4: 1_554, 6: 55_986}
+
+
+@pytest.mark.parametrize("depth", sorted(SWEEP_STEPS))
+@pytest.mark.parametrize("name", SHIPPED)
+def test_check_and_sweep_step_once_per_script_prefix(name, depth, sweep_steps, tmp_path, capsys):
+    """``check`` and ``sweep`` each run one sweep, which steps once per
+    prefix of the scripts of length ``depth``: |alphabet|^k calls at each
+    length k from 1 to ``depth``, although the flow reaches 4 states."""
+    n = len(shipped(name).alphabet)
+    assert SWEEP_STEPS[depth] == sum(n**k for k in range(1, depth + 1))
+    argv = ["--flow", str(FLOWS / f"{name}.json"), "--depth", str(depth), "--out", str(tmp_path / "report.json")]
+    for command in ("check", "sweep"):
+        sweep_steps.clear()
+        assert main([command, *argv]) in (0, 1)
+        assert sweep_steps == [SWEEP_STEPS[depth]], command

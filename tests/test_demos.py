@@ -21,6 +21,6 @@ def test_readme_library_tour_runs(monkeypatch):
     """The one Python block of the README's "Library tour" section runs
     from the repository root, assertions included."""
     monkeypatch.chdir(ROOT)
-    section = (ROOT / "README.md").read_text().split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
     (block,) = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
     exec(compile(block, "README.md (Library tour)", "exec"), {})

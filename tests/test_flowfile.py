@@ -27,12 +27,12 @@ def test_round_trip(name):
 
 @pytest.mark.parametrize("name", list(SHIPPED))
 def test_serialization_is_canonical(name):
-    text = (FLOWS / f"{SHIPPED[name]}.json").read_text()
+    text = (FLOWS / f"{SHIPPED[name]}.json").read_text(encoding="utf-8")
     assert serialize_flow(parse_flow(text)) == text
 
 
 def _agent_doc():
-    return json.loads((FLOWS / "read_agent.json").read_text())
+    return json.loads((FLOWS / "read_agent.json").read_text(encoding="utf-8"))
 
 
 def test_unknown_top_level_keys_rejected():

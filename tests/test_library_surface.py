@@ -58,7 +58,7 @@ def referenced_names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 @functools.cache
 def file_uses(path: Path) -> frozenset[str]:
-    return frozenset(referenced_names(ast.parse(path.read_text())))
+    return frozenset(referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
 
 
 def public_methods(stmt: ast.stmt) -> list[ast.FunctionDef]:
@@ -73,8 +73,8 @@ def test_every_top_level_name_is_used_outside_the_tests(module):
     others = [p for p in MODULES if p != module]
     others += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     used = set().union(*map(file_uses, others))
-    readme = (ROOT / "README.md").read_text()
-    tree = ast.parse(module.read_text())
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tree = ast.parse(module.read_text(encoding="utf-8"))
     definitions = [(stmt, defined_names(stmt)) for stmt in tree.body]
     definitions += [(f, {f.name}) for stmt in tree.body for f in public_methods(stmt)]
     unused = []
@@ -90,7 +90,7 @@ def test_every_top_level_name_is_used_outside_the_tests(module):
 def test_every_module_level_import_is_used(module):
     """A name a module imports at module level is used in that module, so
     that moving code out of a module takes its imports along."""
-    tree = ast.parse(module.read_text())
+    tree = ast.parse(module.read_text(encoding="utf-8"))
     imported = {
         (alias.asname or alias.name).split(".")[0]
         for stmt in tree.body
@@ -104,7 +104,7 @@ def test_every_module_level_import_is_used(module):
 def tracer_table(name: str) -> tuple[tuple[str, str], ...]:
     """The ``(module, function)`` table ``name`` of the benchmark's tracer,
     read from its source."""
-    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
     (value,) = (
         stmt.value
         for stmt in tree.body
@@ -186,7 +186,7 @@ def test_each_variant_is_spelled_once_in_its_class():
     spelled = [
         f"{module.name}:{n.lineno}: {n.value!r}"
         for module in sorted(PACKAGE.glob("*.py"))
-        for n in ast.walk(ast.parse(module.read_text()))
+        for n in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
         if isinstance(n, ast.Constant)
         and isinstance(n.value, str)
         and (n.value in names or n.value.startswith(tuple(f"{name}(" for name in names)))
@@ -194,19 +194,31 @@ def test_each_variant_is_spelled_once_in_its_class():
     assert not spelled, f"variant names spelled as strings: {spelled}"
 
 
+# The ``Path`` methods that read or write text, and the position of their
+# ``encoding`` among their positional arguments.
+TEXT_METHODS = {"read_text": 0, "write_text": 1}
+
+
 def test_every_text_file_is_opened_with_an_encoding():
-    """An ``open()`` under ``src/`` either reads or writes bytes or names
-    its ``encoding=``: a text-mode ``open`` without one decodes and
-    encodes in the locale's encoding, so the same flow file would load on
-    one machine and not on another."""
+    """An ``open()``, ``Path.read_text()`` or ``Path.write_text()`` under
+    ``src/`` or ``tests/`` either reads or writes bytes or names its
+    encoding: without one, text is decoded and encoded in the locale's
+    encoding, so the same flow file would load on one machine and not on
+    another, and a test would pass under one locale and fail under
+    another."""
     unnamed = []
-    for module in sorted(PACKAGE.glob("*.py")):
+    for module in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         for n in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
-            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open"):
+            if not isinstance(n, ast.Call):
                 continue
             keywords = {k.arg: k.value for k in n.keywords}
-            mode = n.args[1] if len(n.args) > 1 else keywords.get("mode")
-            binary = isinstance(mode, ast.Constant) and "b" in mode.value
-            if not binary and "encoding" not in keywords:
-                unnamed.append(f"{module.name}:{n.lineno}")
-    assert not unnamed, f"open() without encoding= in text mode: {sorted(unnamed)}"
+            if isinstance(n.func, ast.Name) and n.func.id == "open":
+                mode = n.args[1] if len(n.args) > 1 else keywords.get("mode")
+                named = isinstance(mode, ast.Constant) and "b" in mode.value
+            elif isinstance(n.func, ast.Attribute) and n.func.attr in TEXT_METHODS:
+                named = len(n.args) > TEXT_METHODS[n.func.attr]
+            else:
+                continue
+            if not named and "encoding" not in keywords:
+                unnamed.append((str(module.relative_to(ROOT)), n.lineno))
+    assert not unnamed, f"text read or written without encoding=: {sorted(unnamed)}"

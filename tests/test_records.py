@@ -100,7 +100,7 @@ def records():
     """One instance of every public record, most of them from real runs."""
     defn = shipped("read_agent")
     c = defn.impl_constants
-    report = run_gates((FLOWS / "read_agent.json").read_text(), 4)
+    report = run_gates((FLOWS / "read_agent.json").read_text(encoding="utf-8"), 4)
     script = [ReadPathAction("/ws/a.txt"), ToolCallAction("search"), StepAction()]
     record = drive(c, ScriptedOracle(script), 3)
     log = render_trace_log(defn, record, strategy="scripted", seed=None)

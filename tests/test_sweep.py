@@ -318,8 +318,8 @@ def test_empty_alphabet():
 
 def test_sweep_at_depth_5000_does_not_recurse(tmp_path):
     path = tmp_path / "step_only.json"
-    path.write_text(serialize_flow(shipped("read_agent")._replace(alphabet=(StepAction(),))))
+    path.write_text(serialize_flow(shipped("read_agent")._replace(alphabet=(StepAction(),))), encoding="utf-8")
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--flow", str(path), "--depth", "5000", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(encoding="utf-8"))
     assert (report["sequences"], report["visited_states"]) == (1, 1)

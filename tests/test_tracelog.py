@@ -208,7 +208,7 @@ def test_replay_accepts_golden_log(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_replay_rejects_golden_log_with_one_post_digest_changed(strategy, tmp_path):
-    lines = _log(strategy).read_text().splitlines(keepends=True)
+    lines = _log(strategy).read_text(encoding="utf-8").splitlines(keepends=True)
     row = 250
     doc = json.loads(lines[row + 1])
     doc["post"] = "0" * 16
@@ -220,7 +220,7 @@ def test_replay_rejects_golden_log_with_one_post_digest_changed(strategy, tmp_pa
     assert verdict.steps == row
     assert verdict.detail == f"post-state digest mismatch at row {row}"
     log = tmp_path / "tampered.log"
-    log.write_text(tampered)
+    log.write_text(tampered, encoding="utf-8")
     assert main(["replay", "--flow", str(FLOW), str(log)]) == 1
 
 
@@ -265,18 +265,18 @@ def test_render_and_replay_format_a_linear_number_of_actions(monkeypatch):
 def test_an_integer_too_long_to_convert_is_an_unusable_log(line, tmp_path, capsys):
     """``json.loads`` refuses an integer of more than 4,300 digits with a
     plain ValueError; replay reports it as a log it cannot replay."""
-    lines = _log("random").read_text().splitlines()
+    lines = _log("random").read_text(encoding="utf-8").splitlines()
     lines[line] = '{"i": %s}' % ("9" * 5000)
     text = "\n".join(lines) + "\n"
     with pytest.raises(TraceLogError, match="not valid JSON lines"):
         parse_trace_log(text)
     log = tmp_path / "long-int.log"
-    log.write_text(text)
+    log.write_text(text, encoding="utf-8")
     assert main(["replay", "--flow", str(FLOW), str(log)]) == 2
     assert capsys.readouterr().err.startswith("cannot replay: not valid JSON lines: ")
 
 
-GOLDEN_LINES = _log("random").read_text().splitlines()
+GOLDEN_LINES = _log("random").read_text(encoding="utf-8").splitlines()
 
 
 @st.composite
@@ -316,5 +316,5 @@ def test_replay_answers_a_damaged_log_with_an_exit_code(damaged_dir, text):
     """A damaged log is a failed replay or an unusable input, never an
     uncaught exception."""
     log = damaged_dir / "damaged.log"
-    log.write_text(text)
+    log.write_text(text, encoding="utf-8")
     assert main(["replay", "--flow", str(FLOW), str(log)]) in (0, 1, 2)
