@@ -19,20 +19,25 @@ from flowguard import run_gates
 
 FLOWS = Path(__file__).resolve().parent.parent / "flows"
 
+
+def status(verdict) -> str:
+    return "pass" if verdict.passed else "fail"
+
+
 print("— gates on the read-agent —")
-report = run_gates((FLOWS / "read_agent.json").read_text(), depth=4)
-print(f"g1 resolution:     {report.g1.status}")
-print(f"g2 vacuity:        {report.g2.status}   ({report.g2.detail})")
-print(f"g3 discrimination: {report.g3.status}")
+report = run_gates((FLOWS / "read_agent.json").read_text(encoding="utf-8"), depth=4)
+print(f"g1 resolution:     {status(report.g1)}")
+print(f"g2 vacuity:        {status(report.g2)}   ({report.g2.detail})")
+print(f"g3 discrimination: {status(report.g3)}")
 for mid, killed_by in report.mutants:
     print(f"    {mid:24} {'ALIVE' if killed_by is None else 'killed by ' + killed_by.name}")
-print(f"fitness:           {report.fitness_verdict.status}")
+print(f"fitness:           {status(report.fitness_verdict)}")
 print()
 
 print("— the fitness separation —")
 for name in ("rag_barrier.json", "rag_no_barrier.json"):
-    r = run_gates((FLOWS / name).read_text(), depth=4)
-    gates_line = f"g1={r.g1.status} g2={r.g2.status} g3={r.g3.status} fitness={r.fitness_verdict.status}"
+    r = run_gates((FLOWS / name).read_text(encoding="utf-8"), depth=4)
+    gates_line = " ".join(f"{v.name}={status(v)}" for v in r.judged())
     print(f"{r.flow.provenance:24} {gates_line}")
     for cf in r.fitness:
         suffix = f"witnessed at depth {cf.witness_depth}: {list(cf.witness_value)}" \

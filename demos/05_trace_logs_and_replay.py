@@ -37,5 +37,6 @@ print(f"replay of the tampered log:  passed={verdict.passed} ({verdict.detail})"
 # logs travel as plain files
 with tempfile.TemporaryDirectory() as d:
     path = Path(d) / "run.log"
-    path.write_text(log_text)
-    print(f"replay from disk:            passed={replay_trace_log(defn, path.read_text()).passed}")
+    path.write_text(log_text, encoding="utf-8")
+    from_disk = replay_trace_log(defn, path.read_text(encoding="utf-8"))
+    print(f"replay from disk:            passed={from_disk.passed}")

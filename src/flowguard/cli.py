@@ -50,7 +50,7 @@ def _report(args, kind: str, defn: FlowDefinition | None, **fields) -> None:
 
 
 def _verdict(v, **extra) -> dict:
-    return {"status": v.status, "detail": v.detail, **extra}
+    return {"status": "pass" if v.passed else "fail", "detail": v.detail, **extra}
 
 
 def _sweep_fields(verdict) -> dict:
@@ -171,13 +171,9 @@ def _gate_fields(report: GateReport) -> dict:
         }
         for cf in report.fitness
     ]
+    extra = {"g3": {"mutants": mutants}, "fitness": {"conjuncts": conjuncts}}
     return {
-        "gates": {
-            "g1": _verdict(report.g1),
-            "g2": _verdict(report.g2),
-            "g3": _verdict(report.g3, mutants=mutants),
-            "fitness": _verdict(report.fitness_verdict, conjuncts=conjuncts),
-        },
+        "gates": {v.name: _verdict(v, **extra.get(v.name, {})) for v in report.judged()},
         "overall": "pass" if report.passed else "fail",
     }
 
@@ -185,18 +181,12 @@ def _gate_fields(report: GateReport) -> dict:
 def cmd_gates(args) -> int:
     with open(args.flow, "rb") as f:
         report = run_gates(f.read(), args.depth)
-
-    # On a G1 failure there is no verified flow: the report holds only the
-    # G1 verdict, and the exit is as for any unusable flow file.
-    if report.flow is None:
-        _report(args, "gate-report", None, gates={"g1": _verdict(report.g1)}, overall="fail")
-        print("failing gates: g1", file=sys.stderr)
-        return EXIT_USAGE
     _report(args, "gate-report", report.flow, **_gate_fields(report))
-    if not report.passed:
-        print("failing gates: " + ", ".join(report.failing_gates()), file=sys.stderr)
-        return EXIT_PROPERTY_FAILURE
-    return EXIT_OK
+    if report.passed:
+        return EXIT_OK
+    print("failing gates: " + ", ".join(report.failing_gates()), file=sys.stderr)
+    # A flow that fails G1 is unusable input, exited as any unusable flow file.
+    return EXIT_USAGE if report.flow is None else EXIT_PROPERTY_FAILURE
 
 
 def cmd_sweep(args) -> int:

@@ -1,10 +1,11 @@
 """Flow-definition files.
 
 A flow definition is a JSON document with four sections: constants,
-graph, alphabet, and a provenance label. Parsing is strict (unknown keys
-rejected at every level, no tool or action literal listed twice) and
-serialization is canonical (sorted keys, normalized graph ordering), so
-parse(serialize(x)) == x and equal definitions produce byte-identical files.
+graph, alphabet, and a provenance label. Parsing is strict (unknown or
+repeated keys rejected at every level, no tool or action literal listed
+twice) and serialization is canonical (sorted keys, normalized graph
+ordering), so parse(serialize(x)) == x and equal definitions produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -64,10 +65,22 @@ def _strings(value, where: str) -> list[str]:
     return strings
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members. A repeated key is refused: ``json`` keeps
+    its last value, where another reader may keep its first."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _v in pairs]
+        raise FlowFileError(f"repeated key: {json.dumps(next(k for i, k in enumerate(keys) if k in keys[:i]))}")
+    return obj
+
+
 def parse_flow(text: str | bytes) -> FlowDefinition:
     """The definition ``text`` holds; bytes are decoded as UTF-8."""
     try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text, object_pairs_hook=_unique_keys)
+    except FlowFileError:  # a repeated key
+        raise
     # ValueError covers UnicodeDecodeError, JSONDecodeError and an integer
     # too long to convert; RecursionError a document nested too deeply.
     except (ValueError, RecursionError) as e:

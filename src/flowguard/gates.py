@@ -32,12 +32,13 @@ G3 judges every entry of one table of bundle edits, ``SEEDED_ERRORS``,
 in table order; each entry is a function from ``Bundle`` to ``Bundle``,
 and ``flowguard check --mutation`` applies one of them by its id.
 
-G2 and G3 verify each bundle with ``refinement.obligations`` over one
-shared ``refinement.CheckRun`` and stop at the first one that fails,
-which their verdict names; G3 keeps that ``Obligation``, counterexample
-included, as the kill of each mutant. A flow that fails G1 is unusable
-input: ``flowguard gates`` then exits 2 with a report holding only the G1
-verdict.
+Each gate's verdict is an ``Obligation`` named ``g1``, ``g2``, ``g3`` or
+``fitness``. G2 and G3 verify each bundle with ``refinement.obligations``
+over one shared ``refinement.CheckRun`` and stop at the first one that
+fails, which their verdict names; G3 keeps that ``Obligation``,
+counterexample included, as the kill of each mutant. After a G1 failure
+no other gate is judged: ``flowguard gates`` exits 2 with a report of
+the G1 verdict alone.
 """
 
 from __future__ import annotations
@@ -125,17 +126,7 @@ def step_bound_floor_note(c: ImplConstants, depth: int) -> str | None:
 # Gates
 
 
-class GateVerdict(TupleRecord):
-    gate: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def gate_resolution(flow_text: str | bytes) -> tuple[GateVerdict, FlowDefinition | None]:
+def gate_resolution(flow_text: str | bytes) -> tuple[Obligation, FlowDefinition | None]:
     """G1: the flow loads from its serialized form, text or UTF-8 bytes
     (which validates its constants, graph and alphabet), serializes back
     to itself, and loading fits ``DEFAULT_GATE_BUDGET_SECONDS``. Returns
@@ -146,30 +137,30 @@ def gate_resolution(flow_text: str | bytes) -> tuple[GateVerdict, FlowDefinition
         if parse_flow(serialize_flow(flow)) != flow:
             raise FlowFileError("serialization does not round-trip")
     except (FlowFileError, FlowGraphError, ValueError) as e:
-        return GateVerdict("g1", "fail", str(e)), None
+        return Obligation("g1", False, str(e)), None
     elapsed = time.monotonic() - started
     if elapsed > DEFAULT_GATE_BUDGET_SECONDS:
-        return GateVerdict("g1", "fail", f"load exceeded the {DEFAULT_GATE_BUDGET_SECONDS:.0f}s budget"), None
-    return GateVerdict("g1", "pass"), flow
+        return Obligation("g1", False, f"load exceeded the {DEFAULT_GATE_BUDGET_SECONDS:.0f}s budget"), None
+    return Obligation("g1", True), flow
 
 
-def gate_vacuity(run: CheckRun, bundle: Bundle) -> GateVerdict:
+def gate_vacuity(run: CheckRun, bundle: Bundle) -> Obligation:
     """G2: the permissive stub must fail verification on ``run``'s
     machine, alphabet and depth. Its obligations are checked in order up
     to the first one that fails."""
     if run.depth < 1:
-        return GateVerdict(
+        return Obligation(
             "g2",
-            "fail",
+            False,
             "configuration floor: depth >= 1 required (no step obligations exist at depth 0, "
             "so the stub trivially verifies)",
         )
     discharged: list[str] = []
     for o in obligations(run, permissive_stub(bundle)):
         if not o.passed:
-            return GateVerdict("g2", "pass", f"permissive stub failed at {o.name}")
+            return Obligation("g2", True, f"permissive stub failed at {o.name}")
         discharged.append(o.name)
-    return GateVerdict("g2", "fail", f"vacuity witness: the stub discharged {', '.join(discharged)}")
+    return Obligation("g2", False, f"vacuity witness: the stub discharged {', '.join(discharged)}")
 
 
 def gate_discrimination(run: CheckRun, mutant: Bundle) -> Obligation | None:
@@ -199,8 +190,10 @@ def check_template_fitness(run: CheckRun, bundle: Bundle) -> tuple[ConjunctFitne
     conjunct is vacuously true along every reachable state and the field
     it polices is never written.
 
-    The scalar step-count conjunct is exempt: it is exercised by any
-    effected step, so it cannot silently abstain at depth >= 1.
+    The scalar step-count conjunct is exempt: every effected action moves
+    the count it bounds, which takes depth >= 1 and ``max_steps`` >= 1.
+    With ``max_steps`` 0 no action is ever effected, and every sequence
+    conjunct is VACUOUS.
     """
     abs_of = bundle.variables_abs
     found: dict[str, ConjunctFitness] = {}
@@ -224,26 +217,29 @@ def check_template_fitness(run: CheckRun, bundle: Bundle) -> tuple[ConjunctFitne
 
 
 class GateReport(TupleRecord):
-    """The verdict of each gate, then G3's mutants as (mutation id, the
-    ``Obligation`` that killed it, or None for a survivor) pairs in the
-    order judged, the fitness of each sequence conjunct, and the flow."""
+    """The verdict of each gate, None for a gate not judged because G1
+    failed, then G3's mutants as (mutation id, the ``Obligation`` that
+    killed it, or None for a survivor) pairs in the order judged, the
+    fitness of each sequence conjunct, and the flow."""
 
-    g1: GateVerdict
-    g2: GateVerdict = GateVerdict("g2", "skipped", "g1 failed")
-    g3: GateVerdict = GateVerdict("g3", "skipped", "g1 failed")
-    fitness_verdict: GateVerdict = GateVerdict("fitness", "skipped", "g1 failed")
+    g1: Obligation
+    g2: Obligation | None = None
+    g3: Obligation | None = None
+    fitness_verdict: Obligation | None = None
     mutants: tuple[tuple[str, Obligation | None], ...] = ()
     fitness: tuple[ConjunctFitness, ...] = ()
     flow: FlowDefinition | None = None  # the definition G2, G3 and fitness verified
 
+    def judged(self) -> tuple[Obligation, ...]:
+        """The verdicts of the gates that were judged, in gate order."""
+        return tuple(v for v in (self.g1, self.g2, self.g3, self.fitness_verdict) if v is not None)
+
     @property
     def passed(self) -> bool:
-        return all(v.passed for v in (self.g1, self.g2, self.g3, self.fitness_verdict))
+        return all(v.passed for v in self.judged())
 
     def failing_gates(self) -> tuple[str, ...]:
-        return tuple(
-            v.gate for v in (self.g1, self.g2, self.g3, self.fitness_verdict) if v.status == "fail"
-        )
+        return tuple(v.name for v in self.judged() if not v.passed)
 
 
 def run_gates(flow_text: str | bytes, depth: int) -> GateReport:
@@ -267,20 +263,17 @@ def run_gates(flow_text: str | bytes, depth: int) -> GateReport:
 
     mutants = tuple((mid, gate_discrimination(run, edit(bundle))) for mid, edit in SEEDED_ERRORS.items())
     survivors = [mid for mid, killed_by in mutants if killed_by is None]
-    if not survivors:
-        g3 = GateVerdict("g3", "pass", f"{len(mutants)} mutants killed")
-    else:
+    detail = f"{len(mutants)} mutants killed"
+    if survivors:
         detail = "surviving mutants: " + ", ".join(survivors)
         if "step-bound-off-by-one" in survivors and (note := step_bound_floor_note(c, depth)):
             detail += f"; {note}"
-        g3 = GateVerdict("g3", "fail", detail)
+    g3 = Obligation("g3", not survivors, detail)
 
     fitness = check_template_fitness(run, bundle)
     vacuous = [cf.name for cf in fitness if cf.status == "VACUOUS"]
-    fitness_verdict = (
-        GateVerdict("fitness", "fail", "VACUOUS: " + ", ".join(vacuous))
-        if vacuous
-        else GateVerdict("fitness", "pass", "all sequence conjuncts witnessed")
+    fitness_verdict = Obligation(
+        "fitness", not vacuous, "VACUOUS: " + ", ".join(vacuous) if vacuous else "all sequence conjuncts witnessed"
     )
 
     return GateReport(g1, g2, g3, fitness_verdict, mutants, fitness, flow)

@@ -445,13 +445,13 @@ def assert_unusable_on_every_command(flow_file, tmp_path, capsys, key: str, valu
     assert flow_digest(parse_flow(json.dumps(doc))) == flow_digest(shipped("read_agent"))
 
 
-def assert_refused_on_every_command(flow_file, tmp_path, capsys, doc: dict, error: str) -> None:
-    """The flow document ``doc`` makes every command exit 2 with ``error``,
-    and ``gates`` report G1 alone."""
+def assert_refused_on_every_command(flow_file, tmp_path, capsys, doc: dict | str, error: str) -> None:
+    """The flow document ``doc``, or the flow text ``doc``, makes every
+    command exit 2 with ``error``, and ``gates`` report G1 alone."""
     log = tmp_path / "t.log"
     assert main(["run", "--flow", flow_file, "--steps", "3", "--out", str(log)]) == 0
     refused = tmp_path / "refused.json"
-    refused.write_text(json.dumps(doc), encoding="utf-8")
+    refused.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     for argv in (["check"], ["sweep"], ["run", "--steps", "3"], ["replay", str(log)]):
         assert main([*argv, "--flow", str(refused)]) == 2
@@ -462,6 +462,16 @@ def assert_refused_on_every_command(flow_file, tmp_path, capsys, doc: dict, erro
     captured = capsys.readouterr()
     assert json.loads(captured.out)["gates"] == {"g1": {"status": "fail", "detail": error}}
     assert captured.err == "failing gates: g1\n"
+
+
+def test_a_flow_that_repeats_a_key_is_unusable(flow_file, tmp_path, capsys):
+    """``json`` keeps the last of two equal keys, and another reader may
+    keep the first: read_agent with ``max_steps`` 3 and then 50 would be
+    verified with 50. Every command refuses it, and G1 fails."""
+    text = Path(flow_file).read_text(encoding="utf-8")
+    repeated = text.replace('"max_steps": 3,', '"max_steps": 3,\n    "max_steps": 50,', 1)
+    assert repeated != text
+    assert_refused_on_every_command(flow_file, tmp_path, capsys, repeated, 'repeated key: "max_steps"')
 
 
 def test_a_flow_in_which_only_steps_consume_steps_is_unusable(flow_file, tmp_path, capsys):

@@ -86,6 +86,34 @@ def test_a_repeated_alphabet_literal_or_tool_is_rejected(section):
         parse_flow(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "level, key, second",
+    [
+        ("document", "provenance", "another"),
+        ("constants", "max_steps", 50),
+        ("graph", "entry", "search"),
+        ("node", "kind", "Read"),
+        ("edge", "to", "search"),
+    ],
+)
+def test_a_repeated_key_is_rejected_at_every_level(level, key, second):
+    """A key written twice in one object, with another value or the same
+    one, is refused by name: ``json`` alone would keep the second."""
+    doc = _agent_doc()
+    obj = {
+        "document": doc,
+        "constants": doc["constants"],
+        "graph": doc["graph"],
+        "node": doc["graph"]["nodes"][0],
+        "edge": doc["graph"]["edges"][0],
+    }[level]
+    first, obj[key] = obj[key], "<repeat>"
+    text = json.dumps(doc).replace('"<repeat>"', f"{json.dumps(first)}, {json.dumps(key)}: {json.dumps(second)}")
+    assert text.count(f"{json.dumps(key)}: ") >= 2
+    with pytest.raises(FlowFileError, match=f"^repeated key: {json.dumps(key)}$"):
+        parse_flow(text)
+
+
 def test_not_json_rejected():
     with pytest.raises(FlowFileError):
         parse_flow("{oops")

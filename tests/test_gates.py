@@ -22,7 +22,7 @@ from flowguard.gates import (
     run_gates,
     verify_bundle,
 )
-from flowguard.spec_model import spec_init, spec_next
+from flowguard.spec_model import Obligation, spec_init, spec_next
 
 
 def bundle_fingerprint(flow):
@@ -265,11 +265,29 @@ def test_pipeline_separates_the_rag_pair(rag_barrier_flow_text, rag_no_barrier_f
 
 def test_pipeline_short_circuits_after_g1(agent_flow_text):
     report = run_gates("{not json", 4)
-    assert not report.g1.passed
-    for verdict in (report.g2, report.g3, report.fitness_verdict):
-        assert (verdict.status, verdict.detail) == ("skipped", "g1 failed")
+    assert report.g1.name == "g1" and not report.g1.passed
+    assert (report.g2, report.g3, report.fitness_verdict) == (None, None, None)
+    assert report.judged() == (report.g1,) and not report.passed
     assert report.failing_gates() == ("g1",)
     assert (report.mutants, report.fitness, report.flow) == ((), (), None)
+
+
+def test_pipeline_on_a_flow_with_no_step_budget(agent_flow_text):
+    """With ``max_steps`` 0 no action is ever effected, so the step-count
+    conjunct's exemption from fitness does not hold: nothing moves the
+    count, and both sequence conjuncts are VACUOUS. G3 fails too: only
+    the step-bound error, which admits the first step, is killed."""
+    doc = json.loads(agent_flow_text)
+    doc["constants"]["max_steps"] = 0
+    report = run_gates(json.dumps(doc), 4)
+    assert [(cf.name, cf.status) for cf in report.fitness] == [
+        ("ReadPathsRooted", "VACUOUS"),
+        ("ToolAllowlisted", "VACUOUS"),
+    ]
+    assert report.fitness_verdict == Obligation("fitness", False, "VACUOUS: ReadPathsRooted, ToolAllowlisted")
+    survivors = "drop-allowlist-guard, event-to-noeffect, drop-history-clause"
+    assert report.g3 == Obligation("g3", False, f"surviving mutants: {survivors}")
+    assert report.failing_gates() == ("g3", "fitness")
 
 
 def test_pipeline_judges_every_seeded_error_in_table_order(agent_flow_text, monkeypatch):
@@ -281,7 +299,7 @@ def test_pipeline_judges_every_seeded_error_in_table_order(agent_flow_text, monk
     report = run_gates(agent_flow_text, 4)
     assert [mid for mid, _killed_by in report.mutants] == [*shipped, "unedited"]
     assert [mid for mid, killed_by in report.mutants if killed_by is None] == ["unedited"]
-    assert (report.g3.status, report.g3.detail) == ("fail", "surviving mutants: unedited")
+    assert report.g3 == Obligation("g3", False, "surviving mutants: unedited")
 
 
 @pytest.mark.parametrize("fixture", ["agent", "rag_barrier", "rag_no_barrier"])
@@ -314,4 +332,4 @@ def test_pipeline_fails_g1_on_a_prefix_mode_other_than_guarded(agent_flow_text, 
     doc["constants"]["prefix_mode"] = prefix_mode
     report = run_gates(json.dumps(doc), 4)
     assert report == gates.GateReport(report.g1)
-    assert report.g1.status == "fail" and report.g1.detail.startswith("constants.prefix_mode must be")
+    assert not report.g1.passed and report.g1.detail.startswith("constants.prefix_mode must be")

@@ -201,13 +201,13 @@ TEXT_METHODS = {"read_text": 0, "write_text": 1}
 
 def test_every_text_file_is_opened_with_an_encoding():
     """An ``open()``, ``Path.read_text()`` or ``Path.write_text()`` under
-    ``src/`` or ``tests/`` either reads or writes bytes or names its
+    ``src/``, ``tests/`` or ``demos/`` either reads or writes bytes or names its
     encoding: without one, text is decoded and encoded in the locale's
     encoding, so the same flow file would load on one machine and not on
     another, and a test would pass under one locale and fail under
     another."""
     unnamed = []
-    for module in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+    for module in (m for d in (PACKAGE, ROOT / "tests", ROOT / "demos") for m in sorted(d.glob("*.py"))):
         for n in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
             if not isinstance(n, ast.Call):
                 continue

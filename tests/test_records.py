@@ -113,7 +113,6 @@ def records():
         "Trace": record.trace,
         "SweepViolation": SweepViolation(("NoAction",), 0, "detail"),
         "SweepVerdict": sweep(c, defn.alphabet, 2),
-        "GateVerdict": report.g1,
         "ConjunctFitness": report.fitness[0],
         "GateReport": report,
         "FlowDefinition": defn,

@@ -22,7 +22,6 @@ from flowguard.actions import NoAction
 from flowguard.flowfile import FlowDefinition, serialize_flow
 from flowguard.gates import (
     SEEDED_ERRORS,
-    GateVerdict,
     check_template_fitness,
     gate_discrimination,
     gate_vacuity,
@@ -41,7 +40,15 @@ from flowguard.refinement import (
     reachable_layers,
     step_obligations,
 )
-from flowguard.spec_model import POLICY, TOOL_ALLOWLISTED, check_safety_preserved, spec_init, spec_next, spec_safety
+from flowguard.spec_model import (
+    POLICY,
+    TOOL_ALLOWLISTED,
+    Obligation,
+    check_safety_preserved,
+    spec_init,
+    spec_next,
+    spec_safety,
+)
 from conftest import shipped
 from test_gates import first_failure
 from test_policy_table import conjunct_holds
@@ -137,9 +144,9 @@ def expected_gates(c, alphabet, depth, mutation_ids):
         return None, results
     failed = first_failure(verify_bundle(c, permissive_stub(bundle), alphabet, depth))
     if failed is None:
-        g2 = GateVerdict("g2", "fail", "vacuity witness: the stub discharged " + ", ".join(OBLIGATION_ORDER))
+        g2 = Obligation("g2", False, "vacuity witness: the stub discharged " + ", ".join(OBLIGATION_ORDER))
     else:
-        g2 = GateVerdict("g2", "pass", f"permissive stub failed at {failed.name}")
+        g2 = Obligation("g2", True, f"permissive stub failed at {failed.name}")
     return g2, results
 
 
@@ -191,7 +198,7 @@ def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, mutat
     c, alphabet = defn.impl_constants, defn.alphabet
     g2, results = expected_gates(c, alphabet, depth, (*SEEDED_ERRORS, "default"))
     if g2 is None:
-        assert report.g2.status == "fail" and "configuration floor" in report.g2.detail
+        assert not report.g2.passed and "configuration floor" in report.g2.detail
     else:
         assert report.g2 == g2
     assert list(report.mutants) == results[:-1]
