@@ -25,14 +25,14 @@ for line in log_text.splitlines():
 print()
 
 verdict = replay_trace_log(defn, log_text)
-print(f"replay of the pristine log: passed={verdict.passed} over {verdict.steps} steps")
+print(f"replay of the pristine log: {verdict.name} passed={verdict.passed}, explored_states={verdict.explored_states}")
 
 # tamper with one event literal and replay again
 lines = log_text.splitlines()
 lines[1] = lines[1].replace('"event": "', '"event": "ToolEvent(rm)[x-tool->y] was ', 1)
 tampered = "\n".join(lines) + "\n"
 verdict = replay_trace_log(defn, tampered)
-print(f"replay of the tampered log:  passed={verdict.passed} ({verdict.detail})")
+print(f"replay of the tampered log:  {verdict.name} passed={verdict.passed} ({verdict.detail})")
 
 # logs travel as plain files
 with tempfile.TemporaryDirectory() as d:

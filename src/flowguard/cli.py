@@ -20,7 +20,6 @@ from .actions import parse_action
 from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow
 from .gates import SEEDED_ERRORS, GateReport, run_gates, step_bound_floor_note, verify_bundle
 from .havoc import AdversarialOracle, ScriptedOracle, SeededRandomOracle, drive, sweep
-from .impl_model import FlowGraphError
 from .refinement import Bundle
 from .spec_model import emits
 from .tracelog import TraceLogError, render_trace_log, replay_trace_log
@@ -136,6 +135,8 @@ def cmd_check(args) -> int:
         warnings.append("depth 0: step obligations were not exercised")
     if note := step_bound_floor_note(c, args.depth):
         warnings.append(f"{note}, so a step-bound error passes this check")
+    if c.spec.max_steps == 0:
+        warnings.append("max_steps 0: no action can take effect, so every run stutters")
 
     ok = all(o.passed for o in verified) and sweep_verdict.passed
     _report(
@@ -214,7 +215,7 @@ def cmd_replay(args) -> int:
     if not verdict.passed:
         print(f"replay mismatch: {verdict.detail}", file=sys.stderr)
         return EXIT_PROPERTY_FAILURE
-    print(f"replay: {verdict.steps} steps reproduced exactly", file=sys.stderr)
+    print(f"replay: {verdict.explored_states} steps reproduced exactly", file=sys.stderr)
     return EXIT_OK
 
 
@@ -278,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FlowFileError, FlowGraphError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

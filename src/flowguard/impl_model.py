@@ -78,7 +78,7 @@ class FlowGraph(Record):
     """
 
     __match_args__ = ("entry", "node_kinds", "edges")
-    __slots__ = __match_args__ + ("_kind_map", "_edge_map", "_nodes")
+    __slots__ = __match_args__ + ("_kind_map", "_edge_map")
 
     def __init__(
         self,
@@ -109,11 +109,7 @@ class FlowGraph(Record):
         for node, kind in kinds:
             if kind in own_label and (node, own_label[kind]) not in edge_map:
                 raise FlowGraphError(f"{kind.value} node {node!r} has no {own_label[kind]!r} edge")
-        self._set(entry, kinds, edges, kind_map, edge_map, frozenset(kind_map))
-
-    @property
-    def nodes(self) -> frozenset[str]:
-        return self._nodes
+        self._set(entry, kinds, edges, kind_map, edge_map)
 
     def kind_of(self, node: str) -> NodeKind:
         return self._kind_map[node]
@@ -166,27 +162,17 @@ _DISPATCH = {
 STUTTER = ImplEvent(NoEffect())  # the one event every stutter of impl_next returns
 
 
-class _Route(TupleRecord):
-    """What an effected step along one (node, action) pair does, whatever
-    the state: the node it dispatches to, the event it emits, and its
-    ``action_effect`` on the boundary fields."""
-
-    target: str
-    event: ImplEvent
-    reads: tuple[str, ...]
-    tools: tuple[str, ...]
-
-
-def _compile_route(c: ImplConstants, node: str, a: Action) -> _Route | None:
-    """The route of ``a`` out of ``node``, or None when ``a`` stutters there
-    at every state: the static guards of the policy reject its value, or
-    the node kind does not match the action variant."""
+def _compile_route(c: ImplConstants, node: str, a: Action) -> tuple[str, ImplEvent, tuple, tuple] | None:
+    """The route of ``a`` out of ``node``: the target node, the event and
+    the ``action_effect`` reads and tools of an effected step at any state.
+    None when ``a`` stutters there at every state: the policy's static
+    guards reject its value, or the node kind does not match the action."""
     kind, label = _DISPATCH.get(type(a), (None, None))
     if kind is None or not admits_value(c.spec, a) or c.graph.kind_of(node) is not kind:
         return None
     target = c.graph.edge_target(node, label)
     effect, reads, tools = action_effect(a)
-    return _Route(target, ImplEvent(effect, Dispatch(node, label, target)), reads, tools)
+    return target, ImplEvent(effect, Dispatch(node, label, target)), reads, tools
 
 
 def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEvent, ImplState], ...]:
@@ -205,9 +191,10 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
         route = c._routes[key] = _compile_route(c, s.current_node, a)
     if route is None or not STEP_BOUNDED.guard(c.spec, s.step_count):
         return ((STUTTER, s),)
-    fields = advance(c.spec, s, route.reads, route.tools)
-    post = tuple.__new__(ImplState, (route.target, *fields, s.history + (key,), s.current_node, a))
-    return ((route.event, post),)
+    target, event, reads, tools = route
+    fields = advance(c.spec, s, reads, tools)
+    post = tuple.__new__(ImplState, (target, *fields, s.history + (key,), s.current_node, a))
+    return ((event, post),)
 
 
 InvClause = Callable[[ImplConstants, ImplState], bool]

@@ -303,6 +303,8 @@ def explore(c, init, alphabet: tuple[Action, ...], depth: int, step, keep) -> tu
     layers built so far, or at closure, never appending an empty layer.
     Each new state is judged once; a successor that is its pre-state
     object itself is skipped before it is hashed."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     layers: list[list] = [[init]]
     seen = {init}
     for _ in range(depth):

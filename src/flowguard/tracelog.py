@@ -24,12 +24,15 @@ import functools
 import hashlib
 import json
 
-from .actions import Action, TupleRecord, format_action, format_impl_event, parse_action
+from .actions import Action, format_action, format_impl_event, parse_action
 from .flowfile import FlowDefinition, flow_digest
 from .havoc import RunRecord
 from .impl_model import ImplState, impl_init, impl_next
+from .spec_model import Obligation
 
 LOG_SCHEMA_VERSION = 1
+_HEADER_KEYS = frozenset(("schema_version", "kind", "provenance", "constants_digest", "strategy", "seed"))
+_ROW_KEYS = frozenset(("i", "pre", "action", "event", "post"))
 
 
 class TraceLogError(ValueError):
@@ -153,7 +156,8 @@ def parse_trace_log(text: str | bytes) -> tuple[dict, list[dict]]:
     """The header and rows of a trace log, each row's action literal parsed
     to its ``Action``; bytes are decoded as UTF-8, whatever the locale.
     Raises TraceLogError for a log that cannot be replayed: bytes that are
-    not UTF-8, malformed JSON, an ill-typed field or an unknown action."""
+    not UTF-8, malformed JSON, a key no log writes, an ill-typed field or
+    an unknown action."""
     try:
         lines = [ln for ln in (text.decode("utf-8") if isinstance(text, bytes) else text).splitlines() if ln.strip()]
     except UnicodeDecodeError as e:
@@ -167,6 +171,8 @@ def parse_trace_log(text: str | bytes) -> tuple[dict, list[dict]]:
         raise TraceLogError(f"not valid JSON lines: {e}") from e
     if not isinstance(header, dict) or not isinstance(header.get("constants_digest"), str):
         raise TraceLogError("trace-log header must be an object with a constants_digest string")
+    if not header.keys() <= _HEADER_KEYS:
+        raise TraceLogError(f"unknown keys in trace-log header: {sorted(header.keys() - _HEADER_KEYS)}")
     version = header.get("schema_version")
     if header.get("kind") != "trace-log" or type(version) is not int or version != LOG_SCHEMA_VERSION:
         raise TraceLogError("missing or unsupported trace-log header")
@@ -179,6 +185,8 @@ def parse_trace_log(text: str | bytes) -> tuple[dict, list[dict]]:
     for n, row in enumerate(rows):
         if not isinstance(row, dict):
             raise TraceLogError("every trace-log row must be an object")
+        if not row.keys() <= _ROW_KEYS:
+            raise TraceLogError(f"row {n}: unknown keys {sorted(row.keys() - _ROW_KEYS)}")
         if type(row.get("i")) is not int:
             raise TraceLogError(f"row {n}: the index 'i' must be an integer")
         for key in ("pre", "action", "event", "post"):
@@ -191,19 +199,13 @@ def parse_trace_log(text: str | bytes) -> tuple[dict, list[dict]]:
     return header, rows
 
 
-class ReplayVerdict(TupleRecord):
-    passed: bool
-    steps: int
-    detail: str = ""
-
-
-def replay_trace_log(defn: FlowDefinition, text: str | bytes) -> ReplayVerdict:
+def replay_trace_log(defn: FlowDefinition, text: str | bytes) -> Obligation:
     """Re-run the action column through the machine and demand the event
-    column (and the state digests) byte-exactly."""
+    column (and the state digests) byte-exactly: an ``Obligation`` named
+    ``replay``, or after the failed check, over the rows it reproduced."""
     header, rows = parse_trace_log(text)
-    expected_digest = flow_digest(defn)
-    if header["constants_digest"] != expected_digest:
-        return ReplayVerdict(False, 0, "log was produced against different constants")
+    if header["constants_digest"] != flow_digest(defn):
+        return Obligation("constants_digest", False, "log was produced against different constants", 0)
 
     c = defn.impl_constants
     state = impl_init(c)
@@ -211,14 +213,14 @@ def replay_trace_log(defn: FlowDefinition, text: str | bytes) -> ReplayVerdict:
     events = functools.cache(format_impl_event)
     for i, row in enumerate(rows):
         if row["i"] != i:
-            return ReplayVerdict(False, i, f"row index {row['i']!r} out of order")
+            return Obligation("row_index", False, f"row index {row['i']!r} out of order", i)
         if digest(state) != row["pre"]:
-            return ReplayVerdict(False, i, f"pre-state digest mismatch at row {i}")
+            return Obligation("pre_digest", False, f"pre-state digest mismatch at row {i}", i)
         ((event, nxt),) = impl_next(c, state, row["action"])
         if (emitted := events(event)) != row["event"]:
             detail = f"event mismatch at row {i}: replay emits {emitted}, log says {row['event']!r}"
-            return ReplayVerdict(False, i, detail)
+            return Obligation("event", False, detail, i)
         if digest(nxt) != row["post"]:
-            return ReplayVerdict(False, i, f"post-state digest mismatch at row {i}")
+            return Obligation("post_digest", False, f"post-state digest mismatch at row {i}", i)
         state = nxt
-    return ReplayVerdict(True, len(rows))
+    return Obligation("replay", True, explored_states=len(rows))

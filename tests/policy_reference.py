@@ -229,7 +229,7 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
     if s.last_node is not NO_NODE:
         out.append(s._replace(last_node=NO_NODE, last_action=NoAction()))
         out.append(s._replace(last_action=NoAction()))
-    for node in sorted(c.graph.nodes):
+    for node in sorted(n for n, _ in c.graph.node_kinds):
         if node != s.current_node:
             out.append(s._replace(current_node=node))
     return tuple(out)

@@ -97,6 +97,7 @@ def check_refinement_next(
                         nxt_frontier.append(s2)
         frontier = nxt_frontier
 
+    nodes = {n for n, _ in c.graph.node_kinds}
     explored: list[ImplState] = []
     seen: set[ImplState] = set()
     for base in bases:
@@ -104,7 +105,7 @@ def check_refinement_next(
             if candidate in seen:
                 continue
             seen.add(candidate)
-            if candidate.current_node in c.graph.nodes and assume(c, candidate):
+            if candidate.current_node in nodes and assume(c, candidate):
                 explored.append(candidate)
 
     inv_ok, r2_ok, r3_ok = True, True, True

@@ -55,11 +55,14 @@ def test_parse_rejects_unknown_variants():
         " NoAction",
         "noaction",
         "readPathAction(/ws/a)",
+        None,
+        ["StepAction"],
     ],
 )
 def test_parse_rejects_what_format_action_never_writes(text):
     """A value exactly when the class has a field, an action's class name
-    and nothing else: event names are not action literals."""
+    and nothing else: event names are not action literals, and a value
+    that is not a string is no literal."""
     with pytest.raises(ValueError):
         parse_action(text)
 

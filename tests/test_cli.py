@@ -2,6 +2,7 @@
 and replay."""
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 
 import flowguard.cli as cli
 import flowguard.gates as gates
+import flowguard.havoc as havoc
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
 from flowguard.flowfile import FlowFileError, flow_digest, parse_flow, serialize_flow
 from flowguard.gates import SEEDED_ERRORS
 from flowguard.tracelog import TraceLogError, parse_trace_log
 from conftest import FLOWS, shipped
+from test_havoc import broken_next
 
 
 # json gives up on nesting this deep with RecursionError, not a decode error.
@@ -260,6 +263,19 @@ def test_check_depth_zero_warns(flow_file, capsys):
     assert report["warnings"] and "step obligations" in report["warnings"][0]
 
 
+def test_check_warns_that_no_action_takes_effect_at_max_steps_zero(tmp_path, capsys):
+    """With a step budget of 0 every action stutters, so ``check`` passes
+    whatever the bundle (``gates`` fails G3 and fitness on the same flow);
+    the report says why."""
+    defn = shipped("read_agent")
+    flow = tmp_path / "zero.json"
+    flow.write_text(serialize_flow(defn._replace(constants=defn.constants._replace(max_steps=0))), encoding="utf-8")
+    assert main(["check", "--flow", str(flow), "--depth", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == [
+        "max_steps 0: no action can take effect, so every run stutters"
+    ]
+
+
 @pytest.mark.parametrize("depth, exit_code", [(3, 0), (4, 1)])
 def test_check_warns_below_the_step_bound_floor(flow_file, capsys, depth, exit_code):
     """read_agent has max_steps 3: at depth 3 no run tries a fourth step,
@@ -496,14 +512,16 @@ def test_a_flow_with_a_bare_prefix_mode_is_unusable(flow_file, tmp_path, capsys)
         ({"from": "scan", "label": "tool", "to": "tick"}, "edge 'scan' -'tool'-> 'tick' can never fire"),
         ({"from": "search", "label": "banana", "to": "scan"}, "edge 'search' -'banana'-> 'scan' can never fire"),
         ({"from": "done", "label": "step", "to": "scan"}, "edge 'done' -'step'-> 'scan' can never fire"),
+        ({"from": "ghost", "label": "read", "to": "scan"}, "edge source 'ghost' not in graph"),
     ],
-    ids=["relabelled", "foreign-label", "unknown-label", "from-terminal"],
+    ids=["relabelled", "foreign-label", "unknown-label", "from-terminal", "from-no-node"],
 )
 def test_a_flow_with_an_edge_that_can_never_fire_is_unusable(flow_file, tmp_path, capsys, edge, error):
     """A node dispatches only along its own kind's label, so read_agent
     with its Read node's one edge relabelled ``tool``, with an extra edge
-    of another label, or with an edge out of a Terminal node holds an edge
-    that no run takes; every command refuses it, naming the edge."""
+    of another label, or with an edge out of a Terminal node or out of no
+    node holds an edge that no run takes; every command refuses it, naming
+    the edge."""
     doc = json.loads(Path(flow_file).read_text(encoding="utf-8"))
     doc["graph"]["nodes"].append({"kind": "Terminal", "name": "done"})
     if edge == 0:
@@ -532,6 +550,28 @@ def test_sweep_command(flow_file, capsys):
     assert main(["sweep", "--flow", flow_file, "--depth", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["sequences"] == 1296 and report["overall"] == "pass"
+
+
+def test_a_broken_machine_fails_run_check_and_sweep(flow_file, tmp_path, capsys, monkeypatch):
+    """On a machine that skips the allowlist check, ``run`` names the first
+    step out of policy, and ``check`` and ``sweep`` report the sweep's
+    violating script and why; each exits 1."""
+    monkeypatch.setattr(havoc, "impl_next", broken_next)
+    monkeypatch.setattr(cli, "sweep", functools.partial(havoc.sweep, next_fn=broken_next))
+    script = "scripted:ReadPathAction(/ws/a.txt);ToolCallAction(rm)"
+    assert main(["run", "--flow", flow_file, "--strategy", script, "--steps", "2", "--out", str(tmp_path / "t.log")]) == 1
+    assert capsys.readouterr().err == "policy violation at step 1\n"
+
+    detail = "out-of-policy event ToolEvent(tool='rm')"
+    violation = {"sequences": 18, "violating_script": ["NoAction", "ReadPathAction(/ws/x)", "ToolCallAction(rm)"],
+                 "detail": detail}
+    assert main(["check", "--flow", flow_file, "--depth", "3"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["obligations"][-1] == {"name": "havoc_sweep", "status": "fail", **violation}
+    assert captured.err == f"check failed: havoc_sweep: {detail}\n"
+    assert main(["sweep", "--flow", flow_file, "--depth", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["overall"] == "fail" and violation.items() <= report.items()
 
 
 def test_logs_are_byte_identical_for_identical_inputs(flow_file, tmp_path):
@@ -730,6 +770,9 @@ def _edit_row(n, **fields):
         pytest.param(
             lambda header, rows: (header, rows[:1] + [Raw(NESTED_TOO_DEEPLY)] + rows[2:]), id="row-nested-too-deeply"
         ),
+        pytest.param(lambda header, rows: (dict(header, extra=1), rows), id="header-unknown-key"),
+        pytest.param(_edit_row(0, zzz=1), id="row-unknown-key"),
+        pytest.param(lambda header, rows: (Raw(""), []), id="empty"),
     ],
 )
 def test_unusable_trace_log_is_rejected_with_exit_two(flow_file, tmp_path, capsys, edit):

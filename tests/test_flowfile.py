@@ -70,6 +70,20 @@ def test_bad_node_kind_rejected():
         parse_flow(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("workspace_root", "", "bad constants: workspace_root must be nonempty"),
+        ("max_steps", -1, "bad constants: max_steps must be >= 0"),
+    ],
+)
+def test_out_of_range_constants_rejected(key, value, error):
+    doc = _agent_doc()
+    doc["constants"][key] = value
+    with pytest.raises(FlowFileError, match=f"^{error}$"):
+        parse_flow(json.dumps(doc))
+
+
 def test_empty_alphabet_rejected():
     doc = _agent_doc()
     doc["alphabet"] = []

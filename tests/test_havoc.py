@@ -4,6 +4,8 @@ as a labelled transition system (``impl_next`` as its step relation and
 
 import itertools
 
+import pytest
+
 from flowguard.actions import (
     NoAction,
     NoEffect,
@@ -63,6 +65,15 @@ def test_scripted_mixed_actions(agent):
 def test_zero_steps_is_empty(agent):
     record = drive(agent.impl_constants, ScriptedOracle([]), 0)
     assert len(record.trace.steps) == 0 and record.rejected_count == 0
+
+
+def test_drive_and_the_drawing_oracles_refuse_what_they_cannot_run(agent):
+    with pytest.raises(ValueError, match="^steps must be >= 0$"):
+        drive(agent.impl_constants, ScriptedOracle([]), -1)
+    with pytest.raises(ValueError, match="^alphabet must be nonempty$"):
+        SeededRandomOracle(0, ())
+    with pytest.raises(ValueError, match="^alphabet must be nonempty$"):
+        AdversarialOracle(0, (), agent.constants)
 
 
 def test_two_scripted_steps_on_a_step_entry_machine(rag_no_barrier):

@@ -51,6 +51,11 @@ def test_graph_rejects_dangling_entry():
         FlowGraph(entry="ghost", node_kinds=(("a", NodeKind.TERMINAL),), edges=())
 
 
+def test_graph_rejects_duplicate_node_names():
+    with pytest.raises(FlowGraphError, match="^duplicate node names$"):
+        FlowGraph(entry="a", node_kinds=(("a", NodeKind.TERMINAL), ("a", NodeKind.TERMINAL)), edges=())
+
+
 def test_graph_rejects_dangling_edge_targets():
     with pytest.raises(FlowGraphError):
         FlowGraph(

@@ -9,6 +9,7 @@ each of them must exist. No module imports a name it does not use.
 """
 
 import ast
+import builtins
 import functools
 import importlib
 import importlib.util
@@ -124,6 +125,26 @@ def test_every_function_the_tracer_wraps_exists(table):
         if not callable(getattr(importlib.import_module(f"flowguard.{module}"), name, None))
     ]
     assert entries and not missing, f"{table} names functions flowguard lacks: {missing}"
+
+
+def test_no_handler_names_a_class_beside_its_base():
+    """An ``except`` tuple under ``src/`` that names a class and one of its
+    base classes catches nothing more for the subclass, and it reads as
+    though the base did not cover it."""
+    redundant = []
+    for module in MODULES:
+        namespace = {**vars(builtins), **vars(importlib.import_module(f"flowguard.{module.stem}"))}
+        for n in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.ExceptHandler) and isinstance(n.type, ast.Tuple):
+                names = [ast.unparse(t) for t in n.type.elts]
+                classes = [eval(name, namespace) for name in names]
+                redundant += [
+                    f"{module.name}:{n.lineno}: {sub} beside {base}"
+                    for sub, cls in zip(names, classes)
+                    for base, other in zip(names, classes)
+                    if cls is not other and issubclass(cls, other)
+                ]
+    assert not redundant, f"except tuples that name a class beside its base: {redundant}"
 
 
 def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys, monkeypatch):

@@ -38,7 +38,6 @@ from flowguard.havoc import ScriptedOracle, SweepVerdict, SweepViolation, Trace,
 from flowguard.impl_model import STUTTER, ImplState
 from flowguard.refinement import Bundle, check_soundness
 from flowguard.spec_model import POLICY
-from flowguard.tracelog import render_trace_log, replay_trace_log
 from conftest import FLOWS, shipped
 
 TERMS = (
@@ -103,7 +102,6 @@ def records():
     report = run_gates((FLOWS / "read_agent.json").read_text(encoding="utf-8"), 4)
     script = [ReadPathAction("/ws/a.txt"), ToolCallAction("search"), StepAction()]
     record = drive(c, ScriptedOracle(script), 3)
-    log = render_trace_log(defn, record, strategy="scripted", seed=None)
     out = {
         "Obligation": verify_bundle(c, Bundle(), defn.alphabet, 2)[0],
         "Step": record.trace.steps[0],
@@ -116,7 +114,6 @@ def records():
         "ConjunctFitness": report.fitness[0],
         "GateReport": report,
         "FlowDefinition": defn,
-        "ReplayVerdict": replay_trace_log(defn, log),
         "ImplEvent": record.emitted_events[0],
         "SpecConstants": c.spec,
         "FlowGraph": c.graph,

@@ -36,7 +36,7 @@ from flowguard.refinement import (
     project_variables,
     reachable_layers,
 )
-from flowguard.spec_model import POLICY, Step, spec_init, spec_next, spec_safety
+from flowguard.spec_model import POLICY, Step, check_safety_preserved, spec_init, spec_next, spec_safety
 from conftest import FLOWS, shipped
 from test_havoc import havoc_traces
 from test_tracelog import FITTING, FLOW, actions, flow_constants
@@ -107,6 +107,12 @@ def test_refinement_init_fails_for_contradictory_inv(agent_c):
     b = Bundle(inv=lambda c, s: False)
     verdict = check_refinement_init(agent_c, b)
     assert not verdict.passed and "invariant" in verdict.detail
+
+
+def test_refinement_init_fails_for_a_projection_off_the_abstract_init(agent_c):
+    b = Bundle(variables_abs=lambda s: project_variables(s)._replace(step_count=1))
+    verdict = check_refinement_init(agent_c, b)
+    assert not verdict.passed and verdict.detail == "abstracted initial state differs from the abstract init"
 
 
 def test_refinement_init_tolerates_empty_projection_at_init(agent_c):
@@ -183,7 +189,7 @@ def test_perturbations_are_deterministic_and_wellformed(agent_c, alphabet):
     first = perturbations(agent_c, s, alphabet)
     second = perturbations(agent_c, s, alphabet)
     assert first == second
-    assert all(p.current_node in agent_c.graph.nodes for p in first)
+    assert all(p.current_node in dict(agent_c.graph.node_kinds) for p in first)
 
 
 def test_depth_zero_checks_init_only(agent_c, alphabet):
@@ -195,11 +201,16 @@ def test_a_negative_depth_is_refused_before_any_check(agent_c, alphabet, agent_f
     """A negative depth would slice the reachable layers from their end and
     pass with nothing explored. ``CheckRun`` refuses it, so ``check --depth
     -1`` exits 2 before it judges any obligation, and ``run_gates`` still
-    refuses it before G1 loads the flow."""
+    refuses it before G1 loads the flow. The one layered search refuses it
+    too, so neither of its public entry points passes over no state."""
     with pytest.raises(ValueError, match="depth must be >= 0"):
         CheckRun(agent_c, alphabet, -1)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         check_refinement_next(agent_c, Bundle(), alphabet, -1)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        check_safety_preserved(agent_c.spec, alphabet, -3)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        reachable_layers(agent_c, alphabet, -2)
 
     judged = []
 

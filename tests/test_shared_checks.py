@@ -111,7 +111,7 @@ def through_first_failure(outcomes):
 
 def on_graph(c, s):
     """Does ``s`` sit on a node of the flow graph?"""
-    return s.current_node in c.graph.nodes
+    return s.current_node in dict(c.graph.node_kinds)
 
 
 def assert_checkers_match_reference(c, alphabet, depth):

@@ -31,9 +31,8 @@ from flowguard.cli import main
 from flowguard.flowfile import FlowDefinition, load_flow
 from flowguard.havoc import ScriptedOracle, drive
 from flowguard.impl_model import FlowGraph, ImplConstants, ImplState, impl_init, impl_next
-from flowguard.spec_model import SpecConstants
+from flowguard.spec_model import Obligation, SpecConstants
 from flowguard.tracelog import (
-    ReplayVerdict,
     RunDigester,
     TraceLogError,
     parse_trace_log,
@@ -182,7 +181,7 @@ def test_every_rendered_row_is_the_sorted_json_of_its_fields(run):
         for i, step in enumerate(record.trace.steps)
     ]
     assert text.split("\n")[1:] == expected + [""]
-    assert replay_trace_log(defn, text) == ReplayVerdict(True, len(script))
+    assert replay_trace_log(defn, text) == Obligation("replay", True, explored_states=len(script))
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +215,31 @@ def test_replay_rejects_golden_log_with_one_post_digest_changed(strategy, tmp_pa
     tampered = "".join(lines)
 
     verdict = replay_trace_log(load_flow(FLOW), tampered)
-    assert not verdict.passed
-    assert verdict.steps == row
-    assert verdict.detail == f"post-state digest mismatch at row {row}"
+    assert verdict == Obligation("post_digest", False, f"post-state digest mismatch at row {row}", row)
     log = tmp_path / "tampered.log"
     log.write_text(tampered, encoding="utf-8")
     assert main(["replay", "--flow", str(FLOW), str(log)]) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, name, detail",
+    [
+        ("i", 7, "row_index", "row index 7 out of order"),
+        ("pre", "0" * 16, "pre_digest", "pre-state digest mismatch at row 250"),
+        ("event", "NoEffect!", "event", "event mismatch at row 250: replay emits {event}, log says 'NoEffect!'"),
+    ],
+    ids=["row_index", "pre_digest", "event"],
+)
+def test_replay_names_the_check_a_tampered_row_fails(key, value, name, detail):
+    """Replay stops at the first row that fails a check, and its verdict
+    is named after that check, over the rows reproduced before it (the
+    test above covers ``post_digest``)."""
+    lines = _log("random").read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[251])
+    detail = detail.format(event=doc["event"])
+    lines[251] = json.dumps(dict(doc, **{key: value}), sort_keys=True)
+    verdict = replay_trace_log(load_flow(FLOW), "\n".join(lines) + "\n")
+    assert verdict == Obligation(name, False, detail, 250)
 
 
 # ---------------------------------------------------------------------------
