@@ -8,7 +8,12 @@ linear in the number of rows.
 ``tests/golden/tracelog/`` holds a small cyclic flow of Read nodes
 (``cyclic_reads.json``, its step budget above the run length, so the
 history grows all run long) and the logs of ``run --seed 7 --steps 300``
-on it, one per strategy (``cyclic_reads.<strategy>.log``).
+on it, one per strategy (``cyclic_reads.<strategy>.log``). Two more logs
+pin the ``"halted"`` bytes that those never write as true:
+``read_agent.random.log``, of ``run --seed 0 --steps 20`` on the shipped
+read_agent flow, reaches its step bound of 3, and ``no_steps.random.log``,
+of ``run --seed 0 --steps 5`` on ``no_steps.json`` (read_agent with
+``max_steps`` 0), digests the initial state of a flow with no steps.
 """
 
 import json
@@ -45,6 +50,14 @@ from test_cli import JSON_TYPES, PY_TYPES, scalar
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tracelog"
 FLOW = GOLDEN / "cyclic_reads.json"
 STRATEGIES = ("random", "adversarial")
+# Golden runs by test id: (flow, strategy, seed, steps). The log of each
+# is GOLDEN / f"{flow stem}.{strategy}.log".
+GOLDEN_RUNS = {
+    "random": (FLOW, "random", 7, 300),
+    "adversarial": (FLOW, "adversarial", 7, 300),
+    "read_agent": (Path(__file__).resolve().parents[1] / "flows" / "read_agent.json", "random", 0, 20),
+    "no_steps": (GOLDEN / "no_steps.json", "random", 0, 5),
+}
 
 # ---------------------------------------------------------------------------
 # Random small flows and runs on them
@@ -188,21 +201,27 @@ def test_every_rendered_row_is_the_sorted_json_of_its_fields(run):
 # Golden logs
 
 
+def _golden_log(flow: Path, strategy: str) -> Path:
+    return GOLDEN / f"{flow.stem}.{strategy}.log"
+
+
 def _log(strategy: str) -> Path:
-    return GOLDEN / f"cyclic_reads.{strategy}.log"
+    return _golden_log(FLOW, strategy)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_run_reproduces_golden_log(strategy, tmp_path):
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_run_reproduces_golden_log(name, tmp_path):
+    flow, strategy, seed, steps = GOLDEN_RUNS[name]
     out = tmp_path / "run.log"
-    argv = ["run", "--flow", str(FLOW), "--strategy", strategy, "--seed", "7", "--steps", "300", "--out", str(out)]
-    assert main(argv) == 0
-    assert out.read_bytes() == _log(strategy).read_bytes()
+    argv = ["run", "--flow", str(flow), "--strategy", strategy, "--seed", str(seed), "--steps", str(steps)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == _golden_log(flow, strategy).read_bytes()
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_replay_accepts_golden_log(strategy):
-    assert main(["replay", "--flow", str(FLOW), str(_log(strategy))]) == 0
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_replay_accepts_golden_log(name):
+    flow, strategy, _, _ = GOLDEN_RUNS[name]
+    assert main(["replay", "--flow", str(flow), str(_golden_log(flow, strategy))]) == 0
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
