@@ -39,5 +39,4 @@ print(f"rejected actions: {record.rejected_count}")
 print(f"final state: node={record.final_state.current_node}"
       f" reads={list(record.final_state.read_paths)}"
       f" tools={list(record.final_state.tool_calls)}"
-      f" steps={record.final_state.step_count}"
-      f" halted={record.final_state.halted}")
+      f" steps={record.final_state.step_count} of {flow.constants.max_steps}")

@@ -7,10 +7,9 @@ from a corrupted one. Three gates and a fitness audit enforce that:
 
   G1 resolution      -- the flow loads from its serialized form, its
                         constants, graph and alphabet validate, and it
-                        serializes back to itself, within a wall-clock
-                        budget. A ``prefix_mode`` other than "guarded"
-                        fails G1: the gates after it verify the one
-                        workspace-root rule that G1 admits.
+                        serializes back to itself. A ``prefix_mode``
+                        other than "guarded" fails G1: the gates after it
+                        verify the one workspace-root rule that G1 admits.
   G2 vacuity         -- a permissive stub of the bundle must FAIL
                         verification. The stub keeps every obligation but
                         abandons the invariant strengthening: obligations
@@ -43,7 +42,6 @@ the G1 verdict alone.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from functools import partial
 
@@ -52,8 +50,6 @@ from .flowfile import FlowDefinition, FlowFileError, parse_flow, serialize_flow
 from .impl_model import INVARIANT, ImplConstants, impl_inv
 from .refinement import Bundle, CheckRun, obligations
 from .spec_model import POLICY, SEQUENCE_CONJUNCTS, Obligation, spec_next
-
-DEFAULT_GATE_BUDGET_SECONDS = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +124,15 @@ def step_bound_floor_note(c: ImplConstants, depth: int) -> str | None:
 
 def gate_resolution(flow_text: str | bytes) -> tuple[Obligation, FlowDefinition | None]:
     """G1: the flow loads from its serialized form, text or UTF-8 bytes
-    (which validates its constants, graph and alphabet), serializes back
-    to itself, and loading fits ``DEFAULT_GATE_BUDGET_SECONDS``. Returns
-    the verdict, and the loaded flow when it passed (else None)."""
-    started = time.monotonic()
+    (which validates its constants, graph and alphabet) and serializes
+    back to itself. Returns the verdict, and the loaded flow when it
+    passed (else None)."""
     try:
         flow = parse_flow(flow_text)
         if parse_flow(serialize_flow(flow)) != flow:
             raise FlowFileError("serialization does not round-trip")
     except ValueError as e:
         return Obligation("g1", False, str(e)), None
-    elapsed = time.monotonic() - started
-    if elapsed > DEFAULT_GATE_BUDGET_SECONDS:
-        return Obligation("g1", False, f"load exceeded the {DEFAULT_GATE_BUDGET_SECONDS:.0f}s budget"), None
     return Obligation("g1", True), flow
 
 

@@ -6,20 +6,20 @@ labeled edge (emitting the corresponding boundary event and recording it)
 or rejects, emitting a stutter with the state unchanged. Rejection is a
 value, never an error: the machine is total.
 
-An action is effected only when all of these hold:
-  * the machine has not halted,
+An action is effected only when both of these hold:
   * the guards of the policy table admit it (rooted path / allowlisted
     tool / step capacity), and
   * the current node's kind is the action variant's; the step takes the
     node's one edge (``_DISPATCH`` names each kind's edge label).
 
-All of these but the first and the step capacity depend on the current
-node and the action alone. So ``impl_next`` compiles each (node, action)
-pair it meets into a route once per ``ImplConstants``: None when the pair
-always stutters, else the edge's target, the event the step emits and
-the step's effect on the boundary fields. A step then judges only the
-halted flag and the step capacity. The table is exact because every
-guard of ``spec_model.POLICY`` is a pure function of (constants, value).
+All of this but the step capacity depends on the current node and the
+action alone. So ``impl_next`` compiles each (node, action) pair it
+meets into a route once per ``ImplConstants``: None when the pair always
+stutters, else the edge's target, the event the step emits and the
+step's effect on the boundary fields. A step then judges only the step
+capacity, so a state whose step count has reached ``max_steps`` only
+stutters. The table is exact because every guard of
+``spec_model.POLICY`` is a pure function of (constants, value).
 
 The machine does not judge its own output: the sweep and ``run`` judge
 each emitted event with ``spec_model.emits``, the policy machine's move,
@@ -142,7 +142,6 @@ class ImplState(TupleRecord):
     read_paths: tuple[str, ...] = ()
     tool_calls: tuple[str, ...] = ()
     step_count: int = 0
-    halted: bool = False
     history: tuple[tuple[str, Action], ...] = ()
     last_node: str | None = NO_NODE
     last_action: Action = NoAction()
@@ -182,8 +181,6 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
     (node, action) pair is compiled into its route once per ``c``, when
     first met (see the module docstring); that needs every guard of
     ``spec_model.POLICY`` to be a pure function of (constants, value)."""
-    if s.halted:
-        return ((STUTTER, s),)
     key = (s.current_node, a)
     try:
         route = c._routes[key]
@@ -192,7 +189,7 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
     if route is None or not STEP_BOUNDED.guard(c.spec, s.step_count):
         return ((STUTTER, s),)
     target, event, reads, tools = route
-    fields = advance(c.spec, s, reads, tools)
+    fields = advance(s, reads, tools)
     post = tuple.__new__(ImplState, (target, *fields, s.history + (key,), s.current_node, a))
     return ((event, post),)
 
@@ -201,7 +198,6 @@ InvClause = Callable[[ImplConstants, ImplState], bool]
 
 INVARIANT: dict[str, InvClause] = {
     "step_bounded": lambda c, s: STEP_BOUNDED.holds(c.spec, s.step_count),
-    "halts_at_bound": lambda c, s: not s.halted or s.step_count >= c.spec.max_steps,
     "history_length": lambda c, s: len(s.history) == s.step_count,
     "last_step_recorded": lambda c, s: (
         s.last_node is NO_NODE or s.history[-1:] == ((s.last_node, s.last_action),)

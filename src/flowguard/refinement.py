@@ -2,7 +2,7 @@
 machine and the abstract policy machine.
 
 The simulation relation is the graph of an abstraction function over
-states (erase history and node bookkeeping, keep the four boundary
+states (erase history and node bookkeeping, keep the three boundary
 fields), and the event relation is the graph of an abstraction function
 over events (drop the dispatch annotation). Both functions, the abstract
 relation and safety predicate, and the invariants form one ``Bundle``,
@@ -101,7 +101,7 @@ InvPredicate = Callable[[ImplConstants, ImplState], bool]
 
 
 def project_variables(s: ImplState) -> SpecState:
-    return tuple.__new__(SpecState, (s.read_paths, s.tool_calls, s.step_count, s.halted))
+    return tuple.__new__(SpecState, (s.read_paths, s.tool_calls, s.step_count))
 
 
 def project_event(e: ImplEvent) -> BoundaryEvent:
@@ -167,7 +167,6 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
     out.append(s._replace(step_count=s.step_count + 1))
     if s.step_count > 0:
         out.append(s._replace(step_count=s.step_count - 1))
-    out.append(s._replace(halted=not s.halted))
 
     for k in SEQUENCE_CONJUNCTS:
         values = [getattr(a, k.arg) for a in alphabet if isinstance(a, k.action)]

@@ -1,17 +1,18 @@
 """Abstract boundary-policy machine: the specification side of the
 refinement pair.
 
-The machine tracks only the four boundary-visible variables (read paths,
-tool calls, step count, halted flag). The policy is defined once, as the
-table POLICY of three named conjuncts (rooted reads, allowlisted tools,
+The machine tracks only the three boundary-visible variables (read
+paths, tool calls, step count). The policy is defined once, as the table
+POLICY of three named conjuncts (rooted reads, allowlisted tools,
 bounded steps); each holds the guard a transition checks, and a sequence
 is safe when its guard admits every element. Both machines, every safety
-check and the seeded errors of the gates are derived from it. Under it a
-rooted read appends, an allowlisted tool call appends, a step advances
-the counter while capacity remains, and every (state, action) pair also
-admits a no-effect stutter. The stutter option is what lets a concrete
-machine reject an action for reasons the abstract machine cannot see
-(wrong node kind, missing edge) and still refine.
+check and the seeded errors of the gates are derived from it. Under it,
+while step capacity remains, a rooted read appends, an allowlisted tool
+call appends, and each, like a step, advances the step counter; every
+(state, action) pair also admits a no-effect stutter, the only move left
+at the bound. The stutter option is what lets a concrete machine reject
+an action for reasons the abstract machine cannot see (wrong node kind,
+missing edge) and still refine.
 
 ``spec_next`` compiles each (policy, action) pair it meets into a move once
 per ``SpecConstants``, so a step judges only the step bound; that is exact
@@ -66,7 +67,7 @@ class SpecConstants(Record):
 
 class SpecState(TupleRecord):
     """A state of the abstract machine: an immutable tuple record of the
-    four boundary-visible variables, built by ``tuple.__new__`` and hashed
+    three boundary-visible variables, built by ``tuple.__new__`` and hashed
     and compared in C. Two states are equal exactly when their field
     values are, and a state also equals a plain tuple of the same values;
     no code path compares a state with anything but a state."""
@@ -74,7 +75,6 @@ class SpecState(TupleRecord):
     read_paths: tuple[str, ...] = ()
     tool_calls: tuple[str, ...] = ()
     step_count: int = 0
-    halted: bool = False
 
 
 def path_under_root(root: str, path: str) -> bool:
@@ -201,13 +201,11 @@ def action_effect(a: Action) -> tuple[BoundaryEvent, tuple, tuple] | None:
     return None
 
 
-def advance(c: SpecConstants, s, reads: tuple, tools: tuple) -> tuple:
-    """The four boundary fields (read paths, tool calls, step count,
-    halted) of ``s`` after an effected action with the ``action_effect``
-    (``reads``, ``tools``): it consumes one step, and the machine halts on
-    the step that reaches the bound."""
-    count = s.step_count + 1
-    return s.read_paths + reads, s.tool_calls + tools, count, count >= c.max_steps
+def advance(s, reads: tuple, tools: tuple) -> tuple:
+    """The three boundary fields (read paths, tool calls, step count) of
+    ``s`` after an effected action with the ``action_effect`` (``reads``,
+    ``tools``): it consumes one step."""
+    return s.read_paths + reads, s.tool_calls + tools, s.step_count + 1
 
 
 _NO_EFFECT = NoEffect()  # immutable, so one instance serves every stutter
@@ -245,7 +243,7 @@ def spec_next(
     for guard in step_guards:
         if not guard(c, s.step_count):
             return (stutter,)
-    return ((event, tuple.__new__(SpecState, advance(c, s, reads, tools))), stutter)
+    return ((event, tuple.__new__(SpecState, advance(s, reads, tools))), stutter)
 
 
 def emits(c: SpecConstants, s, a: Action, effect: BoundaryEvent) -> bool:
@@ -338,6 +336,8 @@ def check_safety_preserved(
     ``next_relation`` from ``spec_init`` keeping the states ``safety``
     accepts; its rejected step is the counterexample, and
     ``explored_states`` counts the states expanded up to that step."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     init = spec_init(c)
     if not safety(c, init):
         return Obligation("safety_preserved", True, explored_states=0)

@@ -7,15 +7,17 @@ reproduce the event column byte-exactly, which is what the replay
 checker verifies.
 
 A state's digest is the first 16 hex characters of the SHA-256 of
-``json.dumps(state_document(s), sort_keys=True)`` (``state_digest``).
-Rendering and replaying a log digest its states through a
-``RunDigester``, and JSON-encode each distinct action, event, path, tool
-and node name once per call. So each row costs O(1) Python work, plus C
-work that grows with the state's history: a comparison of each list
-field with the previous state's, one copy of the state document and the
-document's SHA-256. A run of n rows therefore still does O(n^2) work at
-C speed, most of it hashing; only a digest that chains the rows (a new
-log schema) removes it.
+``json.dumps(state_document(s, max_steps), sort_keys=True)``
+(``state_digest``). Its ``"halted"`` key is no state field: it reads
+``0 < max_steps <= step_count``, so logs keep their bytes from when the
+machines carried a halted flag. Rendering and replaying a log digest its
+states through a ``RunDigester``, and JSON-encode each distinct action,
+event, path, tool and node name once per call. So each row costs O(1)
+Python work, plus C work that grows with the state's history: a
+comparison of each list field with the previous state's, one copy of the
+state document and the document's SHA-256. A run of n rows therefore
+still does O(n^2) work at C speed, most of it hashing; only a digest
+that chains the rows (a new log schema) removes it.
 """
 
 from __future__ import annotations
@@ -39,22 +41,22 @@ class TraceLogError(ValueError):
     pass
 
 
-def state_document(s: ImplState) -> dict:
+def state_document(s: ImplState, max_steps: int) -> dict:
     return {
         "current_node": s.current_node,
         "read_paths": list(s.read_paths),
         "tool_calls": list(s.tool_calls),
         "step_count": s.step_count,
-        "halted": s.halted,
+        "halted": 0 < max_steps <= s.step_count,
         "history": [[node, format_action(a)] for node, a in s.history],
         "last_node": s.last_node,
         "last_action": format_action(s.last_action),
     }
 
 
-def state_digest(s: ImplState) -> str:
+def state_digest(s: ImplState, max_steps: int) -> str:
     """The digest definition; ``RunDigester`` gives the same answers."""
-    blob = json.dumps(state_document(s), sort_keys=True)
+    blob = json.dumps(state_document(s, max_steps), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -83,7 +85,8 @@ class RunDigester:
     ``hashlib.sha256`` call.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_steps: int) -> None:
+        self._max_steps = max_steps
         self._last: ImplState | None = None
         self._digest = ""
         self._json = functools.cache(_field_json)
@@ -95,7 +98,7 @@ class RunDigester:
         js = self._json
         blob = b"".join((
             b'{"current_node": ', js(s.current_node),
-            b', "halted": ', b"true" if s.halted else b"false",
+            b', "halted": ', b"true" if 0 < self._max_steps <= s.step_count else b"false",
             b', "history": [', self._json_list("history", s.history),
             b'], "last_action": ', js(s.last_action),
             b', "last_node": ', js(s.last_node),
@@ -138,7 +141,7 @@ def render_trace_log(
         "seed": seed,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    digest = RunDigester()
+    digest = RunDigester(defn.impl_constants.spec.max_steps)
     actions = functools.cache(lambda a: json.dumps(format_action(a)))
     events = functools.cache(lambda e: json.dumps(format_impl_event(e)))
     # json.dumps(row, sort_keys=True) for the row {"i", "pre", "action",
@@ -209,7 +212,7 @@ def replay_trace_log(defn: FlowDefinition, text: str | bytes) -> Obligation:
 
     c = defn.impl_constants
     state = impl_init(c)
-    digest = RunDigester()
+    digest = RunDigester(c.spec.max_steps)
     events = functools.cache(format_impl_event)
     for i, row in enumerate(rows):
         if row["i"] != i:

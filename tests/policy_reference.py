@@ -57,8 +57,7 @@ def _effected(c: SpecConstants, s: SpecState, a: Action) -> tuple[BoundaryEvent,
             return None
     if s.step_count >= c.max_steps:
         return None
-    count = s.step_count + 1
-    return event, nxt._replace(step_count=count, halted=count >= c.max_steps)
+    return event, nxt._replace(step_count=s.step_count + 1)
 
 
 def spec_next(c: SpecConstants, s: SpecState, a: Action) -> tuple:
@@ -104,8 +103,6 @@ def _policy_admits(c: SpecConstants, s: ImplState, a: Action) -> bool:
 
 def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
     stutter = ((ImplEvent(NoEffect()), s),)
-    if s.halted:
-        return stutter
     if not _policy_admits(c.spec, s, a):
         return stutter
     wanted = _KIND_FOR_ACTION.get(type(a))
@@ -126,10 +123,8 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
         case _:
             effect = StepEvent()
             nxt = s
-    count = s.step_count + 1
     nxt = nxt._replace(
-        step_count=count,
-        halted=count >= c.spec.max_steps,
+        step_count=s.step_count + 1,
         history=s.history + ((s.current_node, a),),
         current_node=target,
         last_node=s.current_node,
@@ -141,8 +136,6 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
 
 def impl_inv(c: ImplConstants, s: ImplState) -> bool:
     if s.step_count > c.spec.max_steps:
-        return False
-    if s.halted and s.step_count < c.spec.max_steps:
         return False
     if len(s.history) != s.step_count:
         return False
@@ -203,7 +196,6 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
     out.append(s._replace(step_count=s.step_count + 1))
     if s.step_count > 0:
         out.append(s._replace(step_count=s.step_count - 1))
-    out.append(s._replace(halted=not s.halted))
 
     sc = c.spec
     unrooted = next(
@@ -265,8 +257,7 @@ def seeded_next_drop_allowlist(c: SpecConstants, s: SpecState, a: Action) -> tup
             return (stutter,)
     if s.step_count >= c.max_steps:
         return (stutter,)
-    count = s.step_count + 1
-    return ((event, nxt._replace(step_count=count, halted=count >= c.max_steps)), stutter)
+    return ((event, nxt._replace(step_count=s.step_count + 1)), stutter)
 
 
 def seeded_next_bound_off_by_one(c: SpecConstants, s: SpecState, a: Action) -> tuple:
@@ -286,14 +277,11 @@ def seeded_next_bound_off_by_one(c: SpecConstants, s: SpecState, a: Action) -> t
             return (stutter,)
     if s.step_count > c.max_steps:
         return (stutter,)
-    count = s.step_count + 1
-    return ((event, nxt._replace(step_count=count, halted=count >= c.max_steps)), stutter)
+    return ((event, nxt._replace(step_count=s.step_count + 1)), stutter)
 
 
 def inv_without_history_length(c: ImplConstants, s: ImplState) -> bool:
     if s.step_count > c.spec.max_steps:
-        return False
-    if s.halted and s.step_count < c.spec.max_steps:
         return False
     if s.last_node is not NO_NODE:
         if not s.history or s.history[-1] != (s.last_node, s.last_action):

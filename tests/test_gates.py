@@ -81,13 +81,6 @@ def test_g1_rejects_unknown_keys(agent_flow_text):
     assert not verdict.passed
 
 
-def test_g1_budget_is_enforced(agent_flow_text, monkeypatch):
-    monkeypatch.setattr(gates, "DEFAULT_GATE_BUDGET_SECONDS", 0.0)
-    verdict, _ = gate_resolution(agent_flow_text)
-    assert not verdict.passed
-    assert "budget" in verdict.detail
-
-
 # ---------------------------------------------------------------------------
 # the verification stand-in
 

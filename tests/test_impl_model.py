@@ -135,7 +135,8 @@ def test_out_of_policy_read_stutters(c):
 
 
 def test_halted_state_absorbs_everything(c, agent):
-    halted = impl_init(c)._replace(halted=True, step_count=3)
+    """A state at the step bound (``max_steps`` 3) effects no action."""
+    halted = impl_init(c)._replace(step_count=3)
     for a in agent.alphabet:
         event, s2 = only(impl_next(c, halted, a))
         assert event.effect == NoEffect() and s2 == halted
@@ -194,11 +195,14 @@ def test_each_variant_dispatches_from_its_own_kind_along_its_own_label():
 
 
 def test_reaching_the_bound_halts(c):
+    """After three effected steps the machine is back at its Read entry,
+    at the bound, and stutters on the read it took first."""
     s = impl_init(c)
     script = [ReadPathAction("/ws/x"), ToolCallAction("search"), StepAction()]
     for a in script:
         _, s = only(impl_next(c, s, a))
-    assert s.step_count == 3 and s.halted
+    assert s.step_count == c.spec.max_steps == 3 and s.current_node == c.graph.entry
+    assert only(impl_next(c, s, script[0])) == (STUTTER, s)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +212,6 @@ def test_reaching_the_bound_halts(c):
 def test_inv_rejects_history_count_mismatch(c):
     s = impl_init(c)._replace(step_count=3)
     assert not impl_inv(c, s)  # |history| == 0 != 3
-
-
-def test_inv_rejects_premature_halt(c):
-    s = impl_init(c)._replace(halted=True, step_count=1)
-    assert not impl_inv(c, s)  # halted requires count >= max (3)
 
 
 def test_inv_rejects_inconsistent_last_node(c):

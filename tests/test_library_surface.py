@@ -160,6 +160,7 @@ def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys, monkeypatch):
     cli = importlib.import_module("flowguard.cli")  # loads every module the tracer wraps
     tracelog = importlib.import_module("flowguard.tracelog")
     flow, log = str(ROOT / "flows" / "read_agent.json"), str(tmp_path / "run.log")
+    max_steps = json.loads(Path(flow).read_text(encoding="utf-8"))["constants"]["max_steps"]
 
     fed = {}  # command -> the states given to its digesters, in order
 
@@ -189,7 +190,7 @@ def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys, monkeypatch):
         # A digester hashes each state it is given, except the one it was given last.
         digested = [s for k, s in enumerate(states) if k == 0 or s is not states[k - 1]]
         assert len(digested) > 1
-        assert hashed[command] == sum(len(json.dumps(tracelog.state_document(s), sort_keys=True)) for s in digested)
+        assert hashed[command] == sum(len(json.dumps(tracelog.state_document(s, max_steps), sort_keys=True)) for s in digested)
     assert tracer.counts["havoc.sweep.next_calls"] > 0
     assert tracer.counts["spec_model.check_safety_preserved.explored_states"] > 0
     assert tracer.counts["havoc.drive.steps"] == 5

@@ -70,7 +70,6 @@ spec_states = st.builds(
     read_paths=st.lists(paths, max_size=3).map(tuple),
     tool_calls=st.lists(tools, max_size=3).map(tuple),
     step_count=st.integers(0, 6),
-    halted=st.booleans(),
 )
 boundary_events = st.one_of(
     st.just(NoEffect()),
@@ -101,7 +100,6 @@ def impl_states(draw, graph):
         read_paths=draw(st.lists(paths, max_size=3).map(tuple)),
         tool_calls=draw(st.lists(tools, max_size=3).map(tuple)),
         step_count=draw(st.integers(0, 6)),
-        halted=draw(st.booleans()),
         history=history,
         last_node=last_node,
         last_action=last_action,
@@ -124,18 +122,18 @@ def test_spec_next_matches_reference_on_a_warm_move_table(c, data):
     """One ``SpecConstants`` steps every drawn (state, action) pair twice,
     under the shipped policy and two seeded edits of it, so the moves it
     compiled for earlier pairs answer later ones: the same (policy, action)
-    at several step counts and halted flags. Every stutter hands back the
-    pre-state object itself."""
+    at several step counts, below and at the bound. Every stutter hands
+    back the pre-state object itself."""
     relations = (
         (spec_next, ref.spec_next),
         (_mutant("drop-allowlist-guard").next_relation, ref.seeded_next_drop_allowlist),
         (_mutant("step-bound-off-by-one").next_relation, ref.seeded_next_bound_off_by_one),
     )
     pairs = data.draw(st.lists(st.tuples(spec_states, actions), min_size=1, max_size=6))
-    counters = st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=2, max_size=4)
+    counters = st.lists(st.integers(0, 6), min_size=2, max_size=4)
     for base, a in pairs + pairs:
-        for step_count, halted in data.draw(counters):
-            s = base._replace(step_count=step_count, halted=halted)
+        for step_count in data.draw(counters):
+            s = base._replace(step_count=step_count)
             for relation, reference in relations:
                 succs = relation(c, s, a)
                 assert succs == reference(c, s, a)
@@ -164,19 +162,19 @@ def test_impl_next_matches_reference(case, a):
 def test_impl_next_matches_reference_on_a_warm_route_table(fixture, spec, data):
     """One ``ImplConstants`` steps every drawn (state, action) pair, so the
     routes it compiled for earlier pairs answer later ones: the same
-    (node, action) at several step counts and halted flags, with actions
-    from the flow's alphabet and from outside it. Every stutter hands back
-    the pre-state object itself."""
+    (node, action) at several step counts, below and at the bound, with
+    actions from the flow's alphabet and from outside it. Every stutter
+    hands back the pre-state object itself."""
     graph = fixture.graph
     c = ImplConstants(spec, graph)
     flow_actions = st.sampled_from(fixture.alphabet)
     routes = data.draw(
         st.lists(st.tuples(impl_states(graph), flow_actions | actions), min_size=1, max_size=6)
     )
-    counters = st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=2, max_size=4)
+    counters = st.lists(st.integers(0, 6), min_size=2, max_size=4)
     for base, a in routes + routes:
-        for step_count, halted in data.draw(counters):
-            s = base._replace(step_count=step_count, halted=halted)
+        for step_count in data.draw(counters):
+            s = base._replace(step_count=step_count)
             ((event, nxt),) = impl_next(c, s, a)
             assert ((event, nxt),) == ref.impl_next(c, s, a)
             assert (nxt is s) == (event.effect == NoEffect())
@@ -285,7 +283,6 @@ def verdict_cases(draw):
         read_paths=st.lists(paths, max_size=8).map(tuple),
         tool_calls=st.lists(st.sampled_from(listed + ("rm", "__unlisted__")), max_size=8).map(tuple),
         step_count=st.integers(max(0, max_steps - 2), max_steps + 2),
-        halted=st.booleans(),
         history=st.just(()),
         last_node=st.none(),
         last_action=st.just(NoAction()),

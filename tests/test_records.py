@@ -146,10 +146,10 @@ def test_a_tuple_record_keeps_what_typing_named_tuple_gave():
     """The fields and defaults of the class statement, in order, and the
     body's docstring, methods and properties."""
     assert ImplState._fields == (
-        "current_node", "read_paths", "tool_calls", "step_count", "halted", "history", "last_node", "last_action"
+        "current_node", "read_paths", "tool_calls", "step_count", "history", "last_node", "last_action"
     )
     assert ImplState._field_defaults == {
-        "read_paths": (), "tool_calls": (), "step_count": 0, "halted": False, "history": (),
+        "read_paths": (), "tool_calls": (), "step_count": 0, "history": (),
         "last_node": None, "last_action": NoAction(),
     }
     assert ImplState.__doc__.startswith("A state of the concrete machine: an immutable tuple record")

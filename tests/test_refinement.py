@@ -202,13 +202,16 @@ def test_a_negative_depth_is_refused_before_any_check(agent_c, alphabet, agent_f
     pass with nothing explored. ``CheckRun`` refuses it, so ``check --depth
     -1`` exits 2 before it judges any obligation, and ``run_gates`` still
     refuses it before G1 loads the flow. The one layered search refuses it
-    too, so neither of its public entry points passes over no state."""
+    too, so neither of its public entry points passes over no state, and
+    safety preservation refuses it before it looks at init."""
     with pytest.raises(ValueError, match="depth must be >= 0"):
         CheckRun(agent_c, alphabet, -1)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         check_refinement_next(agent_c, Bundle(), alphabet, -1)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         check_safety_preserved(agent_c.spec, alphabet, -3)
+    with pytest.raises(ValueError, match="depth must be >= 0"):  # before the vacuous pass of an unsafe init
+        check_safety_preserved(agent_c.spec, alphabet, -1, safety=lambda c, s: False)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         reachable_layers(agent_c, alphabet, -2)
 

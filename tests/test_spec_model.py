@@ -67,8 +67,12 @@ def test_comparison_is_byte_exact():
 
 
 def test_init_is_empty_not_halted():
-    s = spec_init(SpecConstants("/ws", frozenset({"search"}), 3))
-    assert s == SpecState(read_paths=(), tool_calls=(), step_count=0, halted=False)
+    """Init has read nothing, called nothing and taken no step, so it has
+    step capacity whenever ``max_steps`` is above 0."""
+    c = SpecConstants("/ws", frozenset({"search"}), 3)
+    s = spec_init(c)
+    assert s == SpecState(read_paths=(), tool_calls=(), step_count=0)
+    assert spec_next(c, s, StepAction())[0][0] == StepEvent()
 
 
 def test_init_is_deterministic():
@@ -105,17 +109,21 @@ def test_unlisted_tool_only_stutters():
 
 def test_step_at_bound_only_stutters():
     c = SpecConstants("/ws", frozenset(), 1)
-    s = SpecState(step_count=1, halted=True)
+    s = SpecState(step_count=1)
     # enumerate the relation at the boundary: the stutter is the only successor
     assert spec_next(c, s, StepAction()) == ((NoEffect(), s),)
 
 
 def test_step_reaching_bound_sets_halted():
-    c = SpecConstants("/ws", frozenset(), 2)
+    """The step that reaches the bound halts the machine: its post-state
+    has no step capacity, so every action there only stutters."""
+    c = SpecConstants("/ws", frozenset({"search"}), 2)
     s = SpecState(step_count=1)
     (event, s2), _stutter = spec_next(c, s, StepAction())
     assert event == StepEvent()
-    assert s2.step_count == 2 and s2.halted
+    assert s2.step_count == 2
+    for a in (StepAction(), ReadPathAction("/ws/a"), ToolCallAction("search")):
+        assert spec_next(c, s2, a) == ((NoEffect(), s2),)
 
 
 def test_noaction_only_stutters():
@@ -207,7 +215,6 @@ states_st = st.builds(
     st.lists(st.sampled_from(["/ws/x", "/etc/pw"]), max_size=3).map(tuple),
     st.lists(st.sampled_from(["search", "rm"]), max_size=3).map(tuple),
     st.integers(min_value=0, max_value=4),
-    st.booleans(),
 )
 
 actions_st = st.one_of(

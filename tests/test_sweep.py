@@ -54,13 +54,13 @@ def hushed_next(c, s, a):
 
 
 def overreading_next(c, s, a):
-    """``impl_next`` that, once halted at a Read node, still effects a
-    rooted read: it appends the path, but neither counts the step nor
+    """``impl_next`` that, at the step bound at a Read node, still effects
+    a rooted read: it appends the path, but neither counts the step nor
     extends the history, so every state it reaches is safe and keeps the
     invariant."""
     node = s.current_node
     if (
-        s.halted
+        s.step_count >= c.spec.max_steps
         and isinstance(a, ReadPathAction)
         and c.graph.kind_of(node) is NodeKind.READ
         and path_under_root(c.spec.workspace_root, a.path)
@@ -148,9 +148,9 @@ def test_broken_machines_fail_with_every_detail():
 
 
 def test_sweep_catches_a_read_past_the_step_budget():
-    """A rooted read after the machine has halted breaks no state check,
-    and its guard admits its value: only the step capacity of the event
-    check catches it."""
+    """A rooted read at the step bound breaks no state check, and its
+    guard admits its value: only the step capacity of the event check
+    catches it."""
     fx = shipped("read_agent")
     c = fx.impl_constants
     verdict = sweep(c, fx.alphabet, 6, next_fn=overreading_next)

@@ -131,7 +131,6 @@ def _equal_copy(s: ImplState) -> ImplState:
         tuple(list(s.read_paths)),
         tuple(list(s.tool_calls)),
         s.step_count,
-        s.halted,
         tuple((node, a) for node, a in s.history),
         s.last_node,
         s.last_action,
@@ -169,8 +168,8 @@ ORDERS = {
 def test_digester_matches_state_digest(order, run, data):
     c, states = run
     sequence = ORDERS[order](c, states, data)
-    digest = RunDigester()
-    assert [digest(s) for s in sequence] == [state_digest(s) for s in sequence]
+    digest = RunDigester(c.spec.max_steps)
+    assert [digest(s) for s in sequence] == [state_digest(s, c.spec.max_steps) for s in sequence]
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,10 +183,10 @@ def test_every_rendered_row_is_the_sorted_json_of_its_fields(run):
         json.dumps(
             {
                 "i": i,
-                "pre": state_digest(step.pre_state),
+                "pre": state_digest(step.pre_state, c.spec.max_steps),
                 "action": format_action(step.action),
                 "event": format_impl_event(step.event),
-                "post": state_digest(step.post_state),
+                "post": state_digest(step.post_state, c.spec.max_steps),
             },
             sort_keys=True,
         )
