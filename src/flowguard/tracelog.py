@@ -8,16 +8,16 @@ checker verifies.
 
 A state's digest is the first 16 hex characters of the SHA-256 of
 ``json.dumps(state_document(s, max_steps), sort_keys=True)``
-(``state_digest``). Its ``"halted"`` key is no state field: it reads
-``0 < max_steps <= step_count``, so logs keep their bytes from when the
-machines carried a halted flag. Rendering and replaying a log digest its
-states through a ``RunDigester``, and JSON-encode each distinct action,
-event, path, tool and node name once per call. So each row costs O(1)
-Python work, plus C work that grows with the state's history: a
-comparison of each list field with the previous state's, one copy of the
-state document and the document's SHA-256. A run of n rows therefore
-still does O(n^2) work at C speed, most of it hashing; only a digest
-that chains the rows (a new log schema) removes it.
+(``state_digest``). Its ``"halted"`` key is derived, not a state field:
+``0 < max_steps <= step_count``, as log schema version 1 fixes it.
+Rendering and replaying a log digest its states through a
+``RunDigester``, and JSON-encode each distinct action, event, path, tool
+and node name once per call. So each row costs O(1) Python work, plus C
+work that grows with the state's history: a comparison of each list
+field with the previous state's, one copy of the state document and the
+document's SHA-256. A run of n rows therefore still does O(n^2) work at
+C speed, most of it hashing; only a digest that chains the rows (a new
+log schema) removes it.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from flowguard.refinement import (
     project_variables,
     reachable_layers,
 )
-from flowguard.spec_model import POLICY, Step, check_safety_preserved, spec_init, spec_next, spec_safety
+from flowguard.spec_model import POLICY, Obligation, Step, check_safety_preserved, spec_init, spec_next, spec_safety
 from conftest import FLOWS, shipped
 from test_havoc import havoc_traces
 from test_tracelog import FITTING, FLOW, actions, flow_constants
@@ -212,6 +212,8 @@ def test_a_negative_depth_is_refused_before_any_check(agent_c, alphabet, agent_f
         check_safety_preserved(agent_c.spec, alphabet, -3)
     with pytest.raises(ValueError, match="depth must be >= 0"):  # before the vacuous pass of an unsafe init
         check_safety_preserved(agent_c.spec, alphabet, -1, safety=lambda c, s: False)
+    vacuous = check_safety_preserved(agent_c.spec, alphabet, 0, safety=lambda c, s: False)
+    assert vacuous == Obligation("safety_preserved", True, explored_states=0)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         reachable_layers(agent_c, alphabet, -2)
 
