@@ -184,6 +184,7 @@ def sweep(
     if depth == 0 or n == 0:
         return SweepVerdict(True, n**depth, None, frozenset((init,)))
     judged: set[ImplState] = set()  # post-states that passed both state checks
+    spec, stutter = c.spec, STUTTER
     # stack[k] is the state after the first k actions of the current prefix
     # and the iterator over the actions tried from it; path[k] is the
     # alphabet index of the action taken from stack[k] to stack[k + 1].
@@ -196,7 +197,7 @@ def sweep(
         for i, action in level:
             ((event, nxt),) = next_fn(c, state, action)
             detail = None
-            if event is not STUTTER and not emits(c.spec, state, action, event.effect):
+            if event is not stutter and not emits(spec, state, action, event.effect):
                 detail = f"out-of-policy event {event.effect!r}"
             elif nxt is not state or k == 0:  # states at k > 0 were judged on their way in
                 size = len(judged)

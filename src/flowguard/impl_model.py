@@ -15,11 +15,18 @@ An action is effected only when both of these hold:
 All of this but the step capacity depends on the current node and the
 action alone. So ``impl_next`` compiles each (node, action) pair it
 meets into a route once per ``ImplConstants``: None when the pair always
-stutters, else the edge's target, the event the step emits and the
-step's effect on the boundary fields. A step then judges only the step
-capacity, so a state whose step count has reached ``max_steps`` only
-stutters. The table is exact because every guard of
+stutters, else the step guard's verdict table, the edge's target, the
+event the step emits and the values it appends to the read paths and to
+the tool calls. A step then judges only the step capacity, reading its
+step count's verdict from that table (one per ``c.spec``, kept in
+``c.spec._holds``), so a state whose step count has reached ``max_steps``
+only stutters. Both tables are exact because every guard of
 ``spec_model.POLICY`` is a pure function of (constants, value).
+
+The machine writes its own effect: it shares the guards with the policy
+machine, not ``spec_model``'s ``action_effect`` or ``advance``, so the
+refinement's step simulation compares two definitions of what an
+effected action records.
 
 The machine does not judge its own output: the sweep and ``run`` judge
 each emitted event with ``spec_model.emits``, the policy machine's move,
@@ -39,18 +46,19 @@ from .actions import (
     ImplEvent,
     NoAction,
     NoEffect,
+    ReadEvent,
     ReadPathAction,
     Record,
     StepAction,
+    StepEvent,
     ToolCallAction,
+    ToolEvent,
     TupleRecord,
 )
 from .spec_model import (
     STEP_BOUNDED,
     SpecConstants,
-    action_effect,
     admits_value,
-    advance,
     violated,
 )
 
@@ -161,17 +169,23 @@ _DISPATCH = {
 STUTTER = ImplEvent(NoEffect())  # the one event every stutter of impl_next returns
 
 
-def _compile_route(c: ImplConstants, node: str, a: Action) -> tuple[str, ImplEvent, tuple, tuple] | None:
-    """The route of ``a`` out of ``node``: the target node, the event and
-    the ``action_effect`` reads and tools of an effected step at any state.
-    None when ``a`` stutters there at every state: the policy's static
-    guards reject its value, or the node kind does not match the action."""
+def _compile_route(c: ImplConstants, node: str, a: Action) -> tuple | None:
+    """The route of ``a`` out of ``node`` (see the module docstring). None
+    when ``a`` stutters there at every state: the policy's static guards
+    reject its value, or the node kind does not match the action."""
     kind, label = _DISPATCH.get(type(a), (None, None))
     if kind is None or not admits_value(c.spec, a) or c.graph.kind_of(node) is not kind:
         return None
     target = c.graph.edge_target(node, label)
-    effect, reads, tools = action_effect(a)
-    return target, ImplEvent(effect, Dispatch(node, label, target)), reads, tools
+    match a:
+        case ReadPathAction(path):
+            effect, reads, tools = ReadEvent(path), (path,), ()
+        case ToolCallAction(tool):
+            effect, reads, tools = ToolEvent(tool), (), (tool,)
+        case _:  # StepAction
+            effect, reads, tools = StepEvent(), (), ()
+    room = c.spec._holds[STEP_BOUNDED.guard]
+    return room, target, ImplEvent(effect, Dispatch(node, label, target)), reads, tools
 
 
 def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEvent, ImplState], ...]:
@@ -179,18 +193,22 @@ def impl_next(c: ImplConstants, s: ImplState, a: Action) -> tuple[tuple[ImplEven
     rejected action stutters, and its successor is ``s`` itself, the same
     object, so that an explorer can skip it without hashing it. Each
     (node, action) pair is compiled into its route once per ``c``, when
-    first met (see the module docstring); that needs every guard of
-    ``spec_model.POLICY`` to be a pure function of (constants, value)."""
+    first met, and the step capacity of each step count is judged once per
+    ``c.spec`` (see the module docstring); that needs every guard of
+    ``spec_model.POLICY`` to be a pure function of (constants, value). An
+    effected step appends the route's values and consumes one step."""
     key = (s.current_node, a)
     try:
         route = c._routes[key]
     except KeyError:
         route = c._routes[key] = _compile_route(c, s.current_node, a)
-    if route is None or not STEP_BOUNDED.guard(c.spec, s.step_count):
+    if route is None or not route[0][s.step_count]:  # no step capacity left
         return ((STUTTER, s),)
-    target, event, reads, tools = route
-    fields = advance(s, reads, tools)
-    post = tuple.__new__(ImplState, (target, *fields, s.history + (key,), s.current_node, a))
+    _, target, event, reads, tools = route
+    post = tuple.__new__(
+        ImplState,
+        (target, s.read_paths + reads, s.tool_calls + tools, s.step_count + 1, s.history + (key,), s.current_node, a),
+    )
     return ((event, post),)
 
 

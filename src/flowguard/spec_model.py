@@ -19,6 +19,9 @@ per ``SpecConstants``, so a step judges only the step bound; that is exact
 because every ``Conjunct`` guard is a pure function of (constants, value).
 ``emits``, the one judge of an emitted event, reads the same move: an
 event is in policy when ``spec_next`` offers it for its action and pre-state.
+``action_effect`` and ``advance`` compute the effect of the specification's
+moves only; the concrete machine computes its own, and refinement relates
+the two.
 
 Safety is deliberately a separate predicate, not a type invariant: unsafe
 states must be representable so checks can reject them.
@@ -49,8 +52,10 @@ class SpecConstants(Record):
     """Policy parameters shared by the abstract and concrete machines.
     Every effected action consumes one of the ``max_steps`` steps, so the
     concrete history is exactly as long as the step count. ``_moves`` is
-    ``spec_next``'s move table and ``_holds`` holds ``violated``'s verdict
-    tables: caches, not part of the value. A read path is admitted when
+    ``spec_next``'s move table and ``_holds`` holds the verdict tables, one
+    per predicate: ``violated``'s, and the step guard's that ``impl_next``
+    and ``emits`` read the step capacity from. They are caches, not part of
+    the value. A read path is admitted when
     ``path_under_root`` holds for it: the one rule for "under the workspace
     root"."""
 
@@ -62,7 +67,7 @@ class SpecConstants(Record):
             raise ValueError("workspace_root must be nonempty")
         if max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        self._set(workspace_root, allowed_tools, max_steps, {}, {})
+        self._set(workspace_root, allowed_tools, max_steps, {}, _Tables(self))
 
 
 class SpecState(TupleRecord):
@@ -104,7 +109,8 @@ class Conjunct(TupleRecord):
     The step bound (no ``action``) guards the pre-state step count before
     each action that consumes a step; safety checks its ``holds`` instead.
     Both must be pure functions of (constants, value): ``impl_next``,
-    ``spec_next`` and ``violated`` keep their verdicts (see each)."""
+    ``spec_next``, ``emits`` and ``violated`` keep their verdicts (see
+    each)."""
 
     name: str
     field: str
@@ -160,6 +166,18 @@ class _Verdicts(dict):
         return self.setdefault(value, self.predicate(self.c, value))
 
 
+class _Tables(dict):
+    """The ``_Verdicts`` tables of ``c``, by predicate; a miss adds an empty one."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: SpecConstants) -> None:
+        self.c = c
+
+    def __missing__(self, predicate) -> _Verdicts:
+        return self.setdefault(predicate, _Verdicts(self.c, predicate))
+
+
 # Per conjunct: the predicate ``violated`` keeps verdicts of, and on what.
 _JUDGED = tuple((k, k.holds or k.guard, k.field, k.holds is None) for k in POLICY)
 
@@ -173,10 +191,7 @@ def violated(c: SpecConstants, s) -> Conjunct | None:
     (constants, value). Known elements are judged in C, with no Python call."""
     tables = c._holds
     for k, predicate, field, per_element in _JUDGED:
-        try:
-            table = tables[predicate]
-        except KeyError:
-            table = tables[predicate] = _Verdicts(c, predicate)
+        table = tables[predicate]
         value = getattr(s, field)
         if per_element:
             if value and not all(map(table.__getitem__, value)):
@@ -246,19 +261,25 @@ def spec_next(
     return ((event, tuple.__new__(SpecState, advance(s, reads, tools))), stutter)
 
 
+_POLICY_ID = id(POLICY)  # POLICY lives as long as the module, so its id is fixed
+
+
 def emits(c: SpecConstants, s, a: Action, effect: BoundaryEvent) -> bool:
     """Does ``spec_next(c, s, a)`` offer ``effect``, for ``s`` any state with
-    a step count? It reads ``spec_next``'s move and builds no successor."""
+    a step count? It reads ``spec_next``'s move and builds no successor,
+    and the verdicts of the move's step guards on the step count from
+    ``c._holds``, one table per guard, as ``violated`` reads its own."""
     if effect is _NO_EFFECT:
         return True
     try:
-        move = c._moves[id(POLICY), a][1]
+        move = c._moves[_POLICY_ID, a][1]
     except KeyError:
         move = _compile_move(c, a, POLICY)
     if move is None or move[0] is not effect:
         return False
+    tables = c._holds
     for guard in move[3]:
-        if not guard(c, s.step_count):
+        if not tables[guard][s.step_count]:
             return False
     return True
 

@@ -102,6 +102,21 @@ def test_every_module_level_import_is_used(module):
     assert not imported - used, f"{module.name}: unused imports {sorted(imported - used)}"
 
 
+def test_the_concrete_machine_computes_its_own_effect():
+    """``impl_model`` neither imports nor names ``advance`` or
+    ``action_effect``, the specification's effect: were the two machines to
+    share it, step simulation would compare it with itself."""
+    tree = ast.parse((PACKAGE / "impl_model.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+        for alias in n.names
+    }
+    shared = {"advance", "action_effect"} & (imported | referenced_names(tree))
+    assert not shared, f"impl_model uses the specification's effect: {sorted(shared)}"
+
+
 def tracer_table(name: str) -> tuple[tuple[str, str], ...]:
     """The ``(module, function)`` table ``name`` of the benchmark's tracer,
     read from its source."""

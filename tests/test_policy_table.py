@@ -5,6 +5,8 @@ policy_reference.py over random small constants, states and actions.
 The last section pins the contract of the state records and of the caches
 the constants carry."""
 
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from flowguard.actions import (
 )
 from flowguard.flowfile import flow_digest, parse_flow, serialize_flow
 from flowguard.gates import SEEDED_ERRORS
+from flowguard.havoc import sweep
 from flowguard.impl_model import (
     ImplConstants,
     ImplState,
@@ -35,6 +38,7 @@ from flowguard.refinement import Bundle, CheckRun, obligations, perturbations, p
 from flowguard.spec_model import (
     POLICY,
     READ_PATHS_ROOTED,
+    STEP_BOUNDED,
     TOOL_ALLOWLISTED,
     SpecConstants,
     SpecState,
@@ -162,22 +166,27 @@ def test_impl_next_matches_reference(case, a):
 def test_impl_next_matches_reference_on_a_warm_route_table(fixture, spec, data):
     """One ``ImplConstants`` steps every drawn (state, action) pair, so the
     routes it compiled for earlier pairs answer later ones: the same
-    (node, action) at several step counts, below and at the bound, with
-    actions from the flow's alphabet and from outside it. Every stutter
-    hands back the pre-state object itself."""
+    (node, action) at every step count from ``max_steps - 1`` to
+    ``max_steps + 2`` in a drawn order, and at drawn ones, with actions
+    from the flow's alphabet and from outside it. ``emits`` judges each
+    step's event on the same constants, so both read the one step-capacity
+    table, and a verdict kept for one step count that answered another
+    would show. Every stutter hands back the pre-state object itself."""
     graph = fixture.graph
     c = ImplConstants(spec, graph)
     flow_actions = st.sampled_from(fixture.alphabet)
     routes = data.draw(
         st.lists(st.tuples(impl_states(graph), flow_actions | actions), min_size=1, max_size=6)
     )
-    counters = st.lists(st.integers(0, 6), min_size=2, max_size=4)
+    around_bound = st.permutations(range(max(0, spec.max_steps - 1), spec.max_steps + 3))
+    counters = st.lists(st.integers(0, 6), max_size=3)
     for base, a in routes + routes:
-        for step_count in data.draw(counters):
+        for step_count in data.draw(around_bound) + data.draw(counters):
             s = base._replace(step_count=step_count)
             ((event, nxt),) = impl_next(c, s, a)
             assert ((event, nxt),) == ref.impl_next(c, s, a)
             assert (nxt is s) == (event.effect == NoEffect())
+            assert emits(c.spec, s, a, event.effect) == ref.emits(c.spec, s, a, event.effect)
 
 
 @settings(max_examples=150)
@@ -203,17 +212,21 @@ def own_effect(a):
 
 
 @settings(max_examples=150)
-@given(c=constants, s=spec_states, offset=st.integers(-2, 2), a=actions, data=st.data())
-def test_emits_matches_reference(c, s, offset, a, data):
+@given(c=constants, s=spec_states, a=actions, data=st.data())
+def test_emits_matches_reference(c, s, a, data):
     """``emits`` against the hand-written rule and against the events
-    ``spec_next`` offers: at step counts below, at and above the bound,
-    for every action variant and every event kind, the action's own effect
-    included. It answers alike on a cold and a warm move table."""
-    s = s._replace(step_count=max(0, c.max_steps + offset))
+    ``spec_next`` offers, for every action variant and every event kind,
+    the action's own effect included. One constants object judges the
+    drawn event at every step count from ``max_steps - 2`` to
+    ``max_steps + 2``, in a drawn order, so its move and its step-capacity
+    verdicts, kept for earlier step counts, answer later ones. It answers
+    alike on a cold and a warm move table."""
     effect = data.draw(boundary_events | st.just(own_effect(a)))
-    cold = emits(c, s, a, effect)
-    offered = {e for e, _ in spec_next(c, s, a)}
-    assert cold == emits(c, s, a, effect) == ref.emits(c, s, a, effect) == (effect in offered)
+    for offset in data.draw(st.permutations(range(-2, 3))):
+        s = s._replace(step_count=max(0, c.max_steps + offset))
+        cold = emits(c, s, a, effect)
+        offered = {e for e, _ in spec_next(c, s, a)}
+        assert cold == emits(c, s, a, effect) == ref.emits(c, s, a, effect) == (effect in offered)
 
 
 @settings(max_examples=150)
@@ -377,3 +390,48 @@ def test_warm_caches_leave_the_constants_value_alone(flow):
     assert flow.constants == fresh.constants and hash(flow.constants) == hash(fresh.constants)
     assert c == fresh.impl_constants and repr(c) == repr(fresh.impl_constants)
     assert (repr(flow.constants), flow_digest(flow)) == before == (repr(fresh.constants), flow_digest(fresh))
+
+
+def _capacity_table(spec: SpecConstants) -> dict:
+    """The step guard's verdicts ``spec`` keeps, by step count; {} when none."""
+    return dict(spec._holds.get(STEP_BOUNDED.guard, {}))
+
+
+def test_check_and_sweep_keep_a_step_capacity_verdict_per_step_count_met():
+    """A depth-6 sweep on read_agent steps at the step counts 0 to
+    ``max_steps``, and the obligations of ``check`` at most at one more, in
+    the perturbed states: the step-capacity table keeps one verdict for
+    each count met, at most ``max_steps + 2`` entries, each the step
+    guard's own."""
+    flow = shipped("read_agent")
+    c, m = flow.impl_constants, flow.constants.max_steps
+    assert sweep(c, flow.alphabet, 6).passed
+    assert set(_capacity_table(c.spec)) == set(range(m + 1))
+    assert all(o.passed for o in obligations(CheckRun(c, flow.alphabet, 6), Bundle()))
+    table = _capacity_table(c.spec)
+    assert set(range(m + 1)) <= set(table) <= set(range(m + 2))
+    assert table == {n: n < m for n in table}
+
+
+COPIES = {
+    "copy": copy.copy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "_replace": lambda v: v._replace(),
+}
+
+
+@pytest.mark.parametrize("route", COPIES.values(), ids=COPIES.keys())
+def test_a_copy_of_the_constants_starts_with_empty_verdict_tables(route):
+    """Copied, pickled or rebuilt with ``_replace``, warmed constants give
+    equal constants with empty move and verdict tables; stepping the copy
+    fills tables of its own and leaves the original's as they were."""
+    flow = shipped("read_agent")
+    c = flow.impl_constants
+    assert sweep(c, flow.alphabet, 4).passed
+    warm = _capacity_table(c.spec)
+    other = route(c.spec)
+    assert other == c.spec and other is not c.spec
+    assert not other._moves and not other._holds
+    assert sweep(ImplConstants(other, flow.graph), flow.alphabet, 4).passed
+    assert other._holds[STEP_BOUNDED.guard] is not c.spec._holds[STEP_BOUNDED.guard]
+    assert _capacity_table(other) == warm == _capacity_table(c.spec)

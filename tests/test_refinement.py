@@ -3,13 +3,16 @@ trace-level soundness composition."""
 
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowguard.gates as gates
+import flowguard.impl_model as impl_model
 import flowguard.refinement as refinement
+import flowguard.spec_model as spec_model
 from flowguard.actions import (
     Dispatch,
     ImplEvent,
@@ -293,6 +296,97 @@ def test_each_counterexample_is_a_real_transition(flow):
             successors = impl_next(c, cx.pre_state, cx.action)
         assert (cx.event, cx.post_state) in successors, (name, failed)
         assert format_action(cx.action) in failed.detail, (name, failed)
+
+
+# ---------------------------------------------------------------------------
+# The recorded effect: each machine computes its own, and R2 compares them
+
+
+def _edited_routes(edit):
+    """``impl_model._compile_route`` with ``edit(c, reads, tools, effect)``,
+    which returns new ones, applied to the effect of every route it compiles."""
+    compile_route = impl_model._compile_route
+
+    def compile_edited(c, node, a):
+        route = compile_route(c, node, a)
+        if route is None:
+            return None
+        room, target, event, reads, tools = route
+        reads, tools, effect = edit(c, reads, tools, event.effect)
+        return room, target, ImplEvent(effect, event.dispatch), reads, tools
+
+    return compile_edited
+
+
+def _root_for_each(reads, root):
+    return tuple(root for _ in reads)
+
+
+# Edits of the concrete machine's own effect, made where it is defined.
+CONCRETE_EFFECT_EDITS = {
+    "records-the-root": lambda c, reads, tools, effect: (_root_for_each(reads, c.spec.workspace_root), tools, effect),
+    "reads-into-tool-calls": lambda c, reads, tools, effect: ((), tools + reads, effect),
+    "emits-the-root": lambda c, reads, tools, effect: (
+        reads, tools, ReadEvent(c.spec.workspace_root) if isinstance(effect, ReadEvent) else effect
+    ),
+}
+
+
+def _spec_effect_edits(root: str):
+    """Edits of the specification's effect definitions, ``advance`` and
+    ``action_effect``, for a flow whose workspace root is ``root``."""
+    advance, action_effect = spec_model.advance, spec_model.action_effect
+
+    def advance_recording_the_root(s, reads, tools):
+        return advance(s, _root_for_each(reads, root), tools)
+
+    def action_effect_recording_the_root(a):
+        effect = action_effect(a)
+        return effect if effect is None else (effect[0], _root_for_each(effect[1], root), effect[2])
+
+    return {"advance": advance_recording_the_root, "action_effect": action_effect_recording_the_root}
+
+
+def _rebind_everywhere(monkeypatch, original, edited):
+    """Point every binding of ``original`` in the package at ``edited``, as
+    editing its definition would."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flowguard."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, edited)
+
+
+def _check_report(flow: str, capsys) -> tuple[int, dict]:
+    code = main(["check", "--flow", str(FLOWS / f"{flow}.json"), "--depth", "6"])
+    report = json.loads(capsys.readouterr().out)
+    return code, {o["name"]: o["status"] for o in report["obligations"]}
+
+
+@pytest.mark.parametrize("flow", ["read_agent", "rag_barrier", "rag_no_barrier"])
+@pytest.mark.parametrize("edit", CONCRETE_EFFECT_EDITS, ids=str)
+def test_an_edited_concrete_effect_fails_step_simulation(flow, edit, monkeypatch, capsys):
+    """A concrete machine that records the workspace root for each path
+    read, appends the path to the tool calls, or emits the root as the
+    read's event fails ``check --depth 6`` at ``r2_step_simulation`` on
+    every shipped flow: the policy machine records and emits the path."""
+    monkeypatch.setattr(impl_model, "_compile_route", _edited_routes(CONCRETE_EFFECT_EDITS[edit]))
+    code, status = _check_report(flow, capsys)
+    assert code == 1 and status["r2_step_simulation"] == "fail"
+
+
+@pytest.mark.parametrize("flow", ["read_agent", "rag_barrier", "rag_no_barrier"])
+@pytest.mark.parametrize("definition", ["advance", "action_effect"])
+def test_an_edited_specification_effect_fails_step_simulation(flow, definition, monkeypatch, capsys):
+    """``advance`` or ``action_effect`` recording the workspace root for
+    each path read, wherever the package binds it, fails ``check --depth
+    6`` at ``r2_step_simulation`` on every shipped flow: only the policy
+    machine computes its effect with them, so the concrete machine still
+    records the path."""
+    edited = _spec_effect_edits(shipped(flow).constants.workspace_root)[definition]
+    _rebind_everywhere(monkeypatch, getattr(spec_model, definition), edited)
+    code, status = _check_report(flow, capsys)
+    assert code == 1 and status["r2_step_simulation"] == "fail"
 
 
 # ---------------------------------------------------------------------------
