@@ -9,12 +9,17 @@ sequence of a given length. It walks the tree of script prefixes
 depth first, one ``for`` over the alphabet per level of the current
 prefix and one step call per prefix (n + n^2 + ... + n^d calls for n
 actions and depth d), which gives the verdict of replaying every script
-from init as long as the step function is deterministic.
+from init as long as the step function is deterministic. ``flowguard
+sweep`` runs this walk, the reference; ``flowguard check`` judges the same
+verdict on its ``refinement.CheckRun``'s reachable layers, at one step
+call per (state, action) pair, and walks only when that judgement fails,
+to name the first violating script.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate
 
 from .actions import (
     Action,
@@ -85,18 +90,21 @@ ADVERSARIAL_BOOST = 4.0
 class AdversarialOracle:
     """Seeded sampler with ``ADVERSARIAL_BOOST`` times the weight on
     statically out-of-policy values, so rejection paths are hit early. It
-    imports ``random`` only when built."""
+    imports ``random`` only when built. The cumulative weights are summed
+    once, into the list that ``choices`` would build from ``weights`` on
+    every draw, so the draws are those of ``choices(..., weights=...)``."""
 
     def __init__(self, seed: int, alphabet: Sequence[Action], constants: SpecConstants):
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         self.alphabet = tuple(alphabet)
         self.weights = tuple(1.0 if admits_value(constants, a) else ADVERSARIAL_BOOST for a in self.alphabet)
+        self._cum_weights = list(accumulate(self.weights))
         import random
         self._rng = random.Random(seed)
 
     def choose(self, i: int, state: ImplState) -> Action:
-        return self._rng.choices(self.alphabet, weights=self.weights, k=1)[0]
+        return self._rng.choices(self.alphabet, cum_weights=self._cum_weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +181,10 @@ def sweep(
     with ``alphabet[0]``. That equivalence needs a deterministic
     ``next_fn``, and state checks that are functions of the state.
 
-    ``next_fn`` exists so tests can inject a deliberately broken step
-    function and watch the sweep catch it; production callers leave it
-    alone.
+    ``check`` calls this walk only when ``CheckRun.sweep_certified``, the
+    same verdict judged on the reachable layers, does not pass, and then
+    with the run's ``next_fn``. Tests pass a deliberately broken step
+    function there and watch the sweep catch it.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

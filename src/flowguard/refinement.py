@@ -49,13 +49,19 @@ edits are applied to the assumption side only (the obligations keep the
 declared invariant); a symmetric edit to a non-load-bearing clause would
 otherwise be undetectable in principle.
 
-One ``CheckRun`` fixes the concrete machine, alphabet and depth and holds
-the one exploration of the concrete side that every bundle checked there
-shares: the reachable layers, the step obligations' candidate states, and
-a safety-preservation verdict per distinct abstract relation and safety
-predicate. A seeded error replaces one field of the bundle and leaves the
-machine, alphabet and depth as they were, so one run serves the
-unmutated bundle, every mutant and the fitness audit.
+One ``CheckRun`` fixes the concrete machine (its step function), alphabet
+and depth and holds the one exploration of the concrete side that every
+bundle checked there shares: the reachable layers, the step obligations'
+candidate states, and a safety-preservation verdict per distinct
+abstract relation and safety predicate. A seeded error replaces one field
+of the bundle and leaves the machine, alphabet and depth as they were, so
+one run serves the unmutated bundle, every mutant and the fitness audit.
+The same exploration judges ``flowguard check``'s havoc sweep: a
+deterministic machine's verdict over every script of length d depends
+only on the (state, action) pairs reachable within d - 1 steps, which
+the layers hold, so each pair is stepped once rather than once per script
+prefix. ``havoc.sweep`` still drives every script; it is the reference,
+and ``check`` falls back on it to name a violating script.
 
 A trace-level soundness check composes the same ingredients in three
 stages: lift the concrete trace to an abstract run by replaying actions
@@ -74,6 +80,7 @@ from .actions import Action, BoundaryEvent, ImplEvent, NoAction, Record, format_
 from .havoc import Trace
 from .impl_model import (
     NO_NODE,
+    STUTTER,
     ImplConstants,
     ImplState,
     impl_init,
@@ -88,6 +95,7 @@ from .spec_model import (
     SpecState,
     Step,
     check_safety_preserved,
+    emits,
     explore,
     spec_init,
     spec_next,
@@ -98,6 +106,7 @@ from .spec_model import (
 VariablesAbs = Callable[[ImplState], SpecState]
 EventAbs = Callable[[ImplEvent], BoundaryEvent]
 InvPredicate = Callable[[ImplConstants, ImplState], bool]
+NextFn = Callable[[ImplConstants, ImplState, Action], tuple]
 
 
 def project_variables(s: ImplState) -> SpecState:
@@ -184,32 +193,77 @@ def perturbations(c: ImplConstants, s: ImplState, alphabet: tuple[Action, ...]) 
     return tuple(out)
 
 
-def reachable_layers(c: ImplConstants, alphabet: tuple[Action, ...], depth: int) -> list[list[ImplState]]:
+def reachable_layers(
+    c: ImplConstants, alphabet: tuple[Action, ...], depth: int, next_fn: NextFn | None = None
+) -> list[list[ImplState]]:
     """BFS layers of the concrete machine: layers[d] holds the states first
     reached after d steps, for d <= depth, up to closure. It is ``explore``
-    of ``impl_next`` from ``impl_init``, keeping every state."""
-    return explore(c, impl_init(c), alphabet, depth, impl_next, lambda c, s: True)[0]
+    of ``next_fn`` (None: this module's ``impl_next``) from ``impl_init``,
+    keeping every state."""
+    return explore(c, impl_init(c), alphabet, depth, next_fn or impl_next, lambda c, s: True)[0]
 
 
 class CheckRun:
     """The work that every bundle checked on one concrete machine, alphabet
     and depth shares: the reachable layers, the step obligations'
-    candidate states, and the safety-preservation verdict of each distinct
-    (next_relation, safety) pair. Each is computed when first needed.
-    Keying those verdicts by ``id`` is sound because the cache keeps its
+    candidate states, the safety-preservation verdict of each distinct
+    (next_relation, safety) pair, and the havoc sweep's verdict judged on
+    the same exploration. Each is computed when first needed. Keying the
+    preservation verdicts by ``id`` is sound because the cache keeps its
     keys alive. Successor states and abstract steps are not kept across
     bundles: holding them costs more memory than recomputing them costs
-    time."""
+    time.
+
+    The machine is the step function ``next_fn``, which every exploration
+    of the run calls: this module's binding of ``impl_next``, read when the
+    run is built, as ``Bundle`` reads its defaults, so a function rebound
+    at module level (a counter, or a test's broken machine) serves every
+    run built after."""
 
     def __init__(self, c: ImplConstants, alphabet: tuple[Action, ...], depth: int):
         if depth < 0:
             raise ValueError("depth must be >= 0")
         self.c, self.alphabet, self.depth = c, alphabet, depth
+        self.next_fn: NextFn = impl_next
         self._preserved: dict[tuple, Obligation] = {}
 
     @cached_property
+    def _explored(self) -> tuple[list[list[ImplState]], bool]:
+        """The reachable layers, and whether ``emits`` admits every event
+        that finding them stepped: every step the search takes is out of
+        ``layers[:depth]``, and each is judged as it is taken. ``STUTTER``
+        is skipped, as its ``NoEffect`` is always offered."""
+        next_fn, spec, strays = self.next_fn, self.c.spec, []
+
+        def judged_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
+            successors = next_fn(c, s, a)
+            for e, _ in successors:
+                if e is not STUTTER and not emits(spec, s, a, e.effect):
+                    strays.append(e)
+            return successors
+
+        return reachable_layers(self.c, self.alphabet, self.depth, judged_next), not strays
+
+    @property
     def layers(self) -> list[list[ImplState]]:
-        return reachable_layers(self.c, self.alphabet, self.depth)
+        return self._explored[0]
+
+    @cached_property
+    def sweep_certified(self) -> bool:
+        """Whether ``havoc.sweep`` at this depth passes, judged on the
+        reachable layers rather than per script: every event stepped out
+        of ``layers[:depth]`` is one ``emits`` admits, and every layer
+        state, init included, satisfies ``impl_safety`` and ``impl_inv``.
+        A state heads a script prefix shorter than ``depth`` exactly when
+        it is in ``layers[:depth]``, so these are the sweep's (state,
+        action) pairs and a superset of its states: for a deterministic
+        ``next_fn`` and state checks that are functions of the state, True
+        implies the sweep's pass. False does not imply its failure (the
+        sweep judges init only once a step reaches it), so a caller then
+        runs the sweep."""
+        layers, in_policy = self._explored
+        c = self.c
+        return in_policy and all(impl_safety(c, s) and impl_inv(c, s) for layer in layers for s in layer)
 
     @cached_property
     def candidates(self) -> tuple[ImplState, ...]:
@@ -252,24 +306,24 @@ def check_refinement_init(c: ImplConstants, b: Bundle) -> Obligation:
 
 
 def first_failing_step(
-    c: ImplConstants,
+    run: CheckRun,
     states: list[ImplState],
-    alphabet: tuple[Action, ...],
     post_fails: Callable[[ImplState], bool],
     step_fails: Callable[[ImplState, Action, ImplEvent, ImplState], bool],
 ) -> Step | None:
-    """The first step (s, a, e, s2) out of ``states``, in their order and
-    then the alphabet's, whose post-state ``post_fails`` and that
-    ``step_fails``; None when no step fails both.
+    """The first step (s, a, e, s2) of ``run``'s machine out of ``states``,
+    in their order and then the alphabet's, whose post-state
+    ``post_fails`` and that ``step_fails``; None when no step fails both.
 
     impl_next answers a rejected action with the pre-state object itself,
     so every stutter out of s has the post-state s: ``post_fails`` judges
     it at most once per state, while ``step_fails`` sees every step.
     """
+    c, next_fn, alphabet = run.c, run.next_fn, run.alphabet
     for s in states:
         stutter_fails: bool | None = None
         for a in alphabet:
-            for e, s2 in impl_next(c, s, a):
+            for e, s2 in next_fn(c, s, a):
                 if s2 is not s:
                     fails = post_fails(s2)
                 elif stutter_fails is None:
@@ -281,24 +335,20 @@ def first_failing_step(
     return None
 
 
-def step_obligations(
-    c: ImplConstants,
-    b: Bundle,
-    alphabet: tuple[Action, ...],
-    states: list[ImplState],
-) -> Iterator[Obligation]:
-    """The step obligations over the admitted ``states``, in the order
-    inv_inductive, r2_step_simulation, r3_safety_transport, each with its
-    first counterexample. Each obligation is searched only when the
-    iteration reaches it, so a caller that stops at a failure searches
-    none after it.
+def step_obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
+    """The step obligations over the states of ``run`` that the bundle
+    admits, in the order inv_inductive, r2_step_simulation,
+    r3_safety_transport, each with its first counterexample. Each
+    obligation is searched only when the iteration reaches it, so a caller
+    that stops at a failure searches none after it.
 
     The invariant obligation uses the bundle's declared invariant, however
     the states were admitted.
     """
+    c, states = run.c, run.admitted(b)
 
     def judged(name: str, failure: str, post_fails, step_fails) -> Obligation:
-        cx = first_failing_step(c, states, alphabet, post_fails, step_fails)
+        cx = first_failing_step(run, states, post_fails, step_fails)
         detail = f"{failure}; action {format_action(cx.action)}" if cx else ""
         return Obligation(name, cx is None, detail, len(states), cx)
 
@@ -346,7 +396,7 @@ def check_refinement_next(
     weaker predicate than the declared one must fail unless the declared
     invariant demanded nothing.
     """
-    return tuple(step_obligations(c, b, alphabet, CheckRun(c, alphabet, depth).admitted(b)))
+    return tuple(step_obligations(CheckRun(c, alphabet, depth), b))
 
 
 def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
@@ -360,7 +410,7 @@ def obligations(run: CheckRun, b: Bundle) -> Iterator[Obligation]:
     yield Obligation("init_safety", b.safety(ca, spec_init(ca)))
     yield run.safety_preserved(b)
     yield check_refinement_init(run.c, b)
-    yield from step_obligations(run.c, b, run.alphabet, run.admitted(b))
+    yield from step_obligations(run, b)
 
 
 # ---------------------------------------------------------------------------

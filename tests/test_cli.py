@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import flowguard.cli as cli
 import flowguard.gates as gates
 import flowguard.havoc as havoc
+import flowguard.refinement as refinement
 from flowguard.actions import ReadPathAction
 from flowguard.cli import main
 from flowguard.flowfile import FlowFileError, flow_digest, parse_flow, serialize_flow
@@ -399,7 +400,7 @@ def test_check_refuses_a_mutation_id_outside_the_seeded_errors(flow_file, monkey
     empty included, exits 2 before any check runs, and the usage error
     lists the ids it takes."""
     ran = []
-    for name in ("verify_bundle", "sweep"):
+    for name in ("CheckRun", "sweep"):
         monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
     with pytest.raises(SystemExit) as refused:
         main(["check", "--flow", flow_file, "--depth", "4", f"--mutation={mutation}"])
@@ -555,9 +556,13 @@ def test_sweep_command(flow_file, capsys):
 def test_a_broken_machine_fails_run_check_and_sweep(flow_file, tmp_path, capsys, monkeypatch):
     """On a machine that skips the allowlist check, ``run`` names the first
     step out of policy, and ``check`` and ``sweep`` report the sweep's
-    violating script and why; each exits 1."""
+    violating script and why; each exits 1. ``run`` steps through
+    ``havoc``'s binding and ``check`` through the one its ``CheckRun``
+    reads from ``refinement``, which its obligations share: step
+    simulation fails before the sweep row. ``sweep`` takes the machine
+    through its ``next_fn``."""
     monkeypatch.setattr(havoc, "impl_next", broken_next)
-    monkeypatch.setattr(cli, "sweep", functools.partial(havoc.sweep, next_fn=broken_next))
+    monkeypatch.setattr(refinement, "impl_next", broken_next)
     script = "scripted:ReadPathAction(/ws/a.txt);ToolCallAction(rm)"
     assert main(["run", "--flow", flow_file, "--strategy", script, "--steps", "2", "--out", str(tmp_path / "t.log")]) == 1
     assert capsys.readouterr().err == "policy violation at step 1\n"
@@ -568,7 +573,9 @@ def test_a_broken_machine_fails_run_check_and_sweep(flow_file, tmp_path, capsys,
     assert main(["check", "--flow", flow_file, "--depth", "3"]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["obligations"][-1] == {"name": "havoc_sweep", "status": "fail", **violation}
-    assert captured.err == f"check failed: havoc_sweep: {detail}\n"
+    r2 = "no abstract step matches the abstracted event and post-state; action ToolCallAction(rm)"
+    assert captured.err == f"check failed: r2_step_simulation: {r2}\n"
+    monkeypatch.setattr(cli, "sweep", functools.partial(havoc.sweep, next_fn=broken_next))
     assert main(["sweep", "--flow", flow_file, "--depth", "3"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["overall"] == "fail" and violation.items() <= report.items()

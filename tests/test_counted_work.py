@@ -12,13 +12,18 @@ counter, as the benchmark's tracer does:
   for the seeded errors;
 - ``emits``: ``cli``'s for ``run``.
 
-The sweep steps through its ``next_fn`` default, bound when ``havoc`` is
-imported, so ``cli.sweep`` is replaced by one that passes a counting
-``next_fn``, as the benchmark tracer's ``_sweep_wrapper`` does. Its count
-still grows as |alphabet|^depth (ROADMAP.md items 6 and 14).
+``check`` judges its havoc sweep on its ``CheckRun``'s exploration, which
+steps through ``refinement``'s binding, so those calls are counted with
+the obligations'. It calls ``havoc.sweep`` only when that judgement does
+not pass. The ``sweep`` command steps through the ``next_fn`` default,
+bound when ``havoc`` is imported, so ``cli.sweep`` is replaced by one
+that passes a counting ``next_fn``, as the benchmark tracer's
+``_sweep_wrapper`` does. Its count still grows as |alphabet|^depth
+(ROADMAP.md items 6 and 14).
 """
 
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -112,11 +117,12 @@ def synthetic_flow(kinds: str, max_steps: int, cyclic: bool) -> FlowDefinition:
     return FlowDefinition(f"synthetic-{kinds}", constants, FlowGraph("n0", tuple(node_kinds), edges), alphabet)
 
 
-def assert_no_more_work_past_closure(flow: FlowDefinition, path: str, calls, out: str) -> None:
+def assert_no_more_work_past_closure(flow: FlowDefinition, path: str, calls, sweep_steps, out: str) -> None:
     """``check`` and ``gates`` make as many calls of each step function at
     depth ``max_steps + 3`` as at ``max_steps + 1``, and ``check`` at most
     four ``impl_next`` calls per (candidate state, action) pair: one for
-    each step obligation, and one to find the reachable layers."""
+    each step obligation, and one to find the reachable layers, on which
+    it also judges its havoc sweep. Neither command calls ``havoc.sweep``."""
     m = flow.constants.max_steps
     for command in ("check", "gates"):
         at = {d: counted(calls, [command, "--flow", path, "--depth", str(d), "--out", out]) for d in (m + 1, m + 3)}
@@ -125,25 +131,44 @@ def assert_no_more_work_past_closure(flow: FlowDefinition, path: str, calls, out
         if command == "check":
             candidates = CheckRun(flow.impl_constants, flow.alphabet, m + 3).candidates
             assert at[m + 3]["impl_next"] <= 4 * len(flow.alphabet) * len(candidates)
+    assert sweep_steps == []
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_check_and_gates_do_no_more_work_past_closure(name, calls, tmp_path, capsys):
+def test_check_and_gates_do_no_more_work_past_closure(name, calls, sweep_steps, tmp_path, capsys):
     """Each shipped flow's reachable set closes within ``max_steps`` + 1
     layers, so its work is bounded as ``assert_no_more_work_past_closure``
     states."""
-    assert_no_more_work_past_closure(shipped(name), str(FLOWS / f"{name}.json"), calls, str(tmp_path / "report.json"))
+    flow, out = shipped(name), str(tmp_path / "report.json")
+    assert_no_more_work_past_closure(flow, str(FLOWS / f"{name}.json"), calls, sweep_steps, out)
 
 
 @pytest.mark.parametrize("kinds, max_steps, cyclic", SYNTHETIC, ids=[k for k, _, _ in SYNTHETIC])
-def test_synthetic_flows_do_no_more_work_past_closure(kinds, max_steps, cyclic, calls, tmp_path, capsys):
+def test_synthetic_flows_do_no_more_work_past_closure(kinds, max_steps, cyclic, calls, sweep_steps, tmp_path, capsys):
     """The same bound on flows the shipped ones do not cover: a chain
     with every node kind, one without a Tool node, and a cycle of Read
     nodes that only the step budget halts."""
     flow = synthetic_flow(kinds, max_steps, cyclic)
     path = tmp_path / "flow.json"
     path.write_text(serialize_flow(flow), encoding="utf-8")
-    assert_no_more_work_past_closure(flow, str(path), calls, str(tmp_path / "report.json"))
+    assert_no_more_work_past_closure(flow, str(path), calls, sweep_steps, str(tmp_path / "report.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_check_judges_6_to_the_40_scripts_in_under_a_second(name, calls, sweep_steps, tmp_path, capsys):
+    """``check --depth 40`` passes the sweep row of all 6^40 scripts
+    without walking them (about 1.6e31 step calls), making no more
+    ``impl_next`` calls than at depth ``max_steps`` + 1."""
+    flow, out = shipped(name), tmp_path / "report.json"
+    argv = ["check", "--flow", str(FLOWS / f"{name}.json"), "--out", str(out), "--depth"]
+    closed = counted(calls, [*argv, str(flow.constants.max_steps + 1)])
+    calls.clear()
+    start = time.perf_counter()
+    assert main([*argv, "40"]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = json.loads(out.read_text(encoding="utf-8"))["obligations"]
+    assert rows[-1] == {"name": "havoc_sweep", "status": "pass", "sequences": 6**40}
+    assert calls["impl_next"] == closed["impl_next"] and sweep_steps == []
 
 
 @pytest.mark.parametrize("strategy", ["random", "adversarial"])
@@ -164,14 +189,19 @@ SWEEP_STEPS = {4: 1_554, 6: 55_986}
 
 @pytest.mark.parametrize("depth", sorted(SWEEP_STEPS))
 @pytest.mark.parametrize("name", SHIPPED)
-def test_check_and_sweep_step_once_per_script_prefix(name, depth, sweep_steps, tmp_path, capsys):
-    """``check`` and ``sweep`` each run one sweep, which steps once per
-    prefix of the scripts of length ``depth``: |alphabet|^k calls at each
-    length k from 1 to ``depth``, although the flow reaches 4 states."""
+def test_check_and_sweep_step_once_per_script_prefix(name, depth, calls, sweep_steps, tmp_path, capsys):
+    """``sweep`` runs one walk, which steps once per prefix of the scripts
+    of length ``depth``: |alphabet|^k calls at each length k from 1 to
+    ``depth``, although the flow reaches 4 states. ``check`` runs no
+    walk: it passes the same ``sequences`` with fewer step calls, its
+    obligations' included, than the walk alone makes."""
     n = len(shipped(name).alphabet)
     assert SWEEP_STEPS[depth] == sum(n**k for k in range(1, depth + 1))
-    argv = ["--flow", str(FLOWS / f"{name}.json"), "--depth", str(depth), "--out", str(tmp_path / "report.json")]
-    for command in ("check", "sweep"):
-        sweep_steps.clear()
-        assert main([command, *argv]) in (0, 1)
-        assert sweep_steps == [SWEEP_STEPS[depth]], command
+    out = tmp_path / "report.json"
+    argv = ["--flow", str(FLOWS / f"{name}.json"), "--depth", str(depth), "--out", str(out)]
+    assert main(["sweep", *argv]) == 0
+    assert sweep_steps == [SWEEP_STEPS[depth]]
+    sweep_steps.clear()
+    assert counted(calls, ["check", *argv])["impl_next"] < SWEEP_STEPS[depth]
+    assert sweep_steps == []
+    assert json.loads(out.read_text(encoding="utf-8"))["obligations"][-1]["sequences"] == n**depth

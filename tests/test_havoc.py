@@ -242,3 +242,13 @@ def test_sweep_visits_a_superset_of_any_strategy(agent):
     adv = drive(agent.impl_constants, AdversarialOracle(3, agent.alphabet, agent.constants), 4)
     for step in adv.trace.steps:
         assert step.post_state in verdict.visited_states
+
+
+def test_adversarial_draws_are_those_of_choices_with_weights(agent):
+    """The oracle sums its cumulative weights once; its draws are still
+    those of ``Random(seed).choices(alphabet, weights=...)``, bit for bit."""
+    import random
+
+    oracle = AdversarialOracle(11, agent.alphabet, agent.constants)
+    expected = random.Random(11).choices(agent.alphabet, weights=oracle.weights, k=1000)
+    assert [oracle.choose(i, None) for i in range(1000)] == expected

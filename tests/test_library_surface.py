@@ -163,9 +163,10 @@ def test_no_handler_names_a_class_beside_its_base():
 
 
 def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys, monkeypatch):
-    """The tracer's hooks still see the work they measure: the sweep
-    through its ``next_fn`` keyword, ``drive`` through the fields of its
-    ``RunRecord``, safety preservation through its verdict's
+    """The tracer's hooks still see the work they measure: the ``sweep``
+    command's walk through its ``next_fn`` keyword (``check`` walks no
+    script once its exploration passes the sweep), ``drive`` through the
+    fields of its ``RunRecord``, safety preservation through its verdict's
     ``explored_states``, replay through its rows, a policy-edit mutant's
     abstract steps through the rebound ``spec_next``, and every byte the
     trace-log digests hash through ``tracelog.hashlib``."""
@@ -193,6 +194,7 @@ def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys, monkeypatch):
         before = tracer.counts["spec_model.spec_next.calls"]
         codes.append(cli.main(["check", "--flow", flow, "--depth", "4", "--mutation", "drop-allowlist-guard"]))
         mutant_steps = tracer.counts["spec_model.spec_next.calls"] - before
+        codes.append(cli.main(["sweep", "--flow", flow, "--depth", "2"]))
         for command, argv in (("run", ["--steps", "5", "--out", log]), ("replay", [log])):
             fed[command], before = [], tracer.counts["tracelog.state_digest.bytes_hashed"]
             codes.append(cli.main([command, "--flow", flow, *argv]))
@@ -200,7 +202,7 @@ def test_the_tracer_hooks_count_the_cli_work(tmp_path, capsys, monkeypatch):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert codes == [0, 1, 0, 0]
+    assert codes == [0, 1, 0, 0, 0]
     for command, states in fed.items():
         # A digester hashes each state it is given, except the one it was given last.
         digested = [s for k, s in enumerate(states) if k == 0 or s is not states[k - 1]]

@@ -2,7 +2,8 @@
 replaced (``sweep_reference.py``): the same verdict in every field, on
 random small flows and on broken step functions, at a number of step
 calls that follows the prefix tree and a number of state checks and state
-hashes that follows the distinct states."""
+hashes that follows the distinct states. Then ``check``'s sweep row,
+judged on its ``CheckRun``'s exploration, against the walk's."""
 
 import itertools
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import flowguard.havoc as havoc
 import flowguard.impl_model as impl_model
+import flowguard.refinement as refinement
 import sweep_reference as ref
 from flowguard.actions import (
     Dispatch,
@@ -25,10 +27,11 @@ from flowguard.actions import (
     StepEvent,
     ToolEvent,
 )
-from flowguard.cli import main
+from flowguard.cli import _havoc_sweep_row, _sweep_fields, main
 from flowguard.flowfile import serialize_flow
 from flowguard.havoc import sweep
 from flowguard.impl_model import STUTTER, ImplState, NodeKind, impl_init, impl_next
+from flowguard.refinement import CheckRun
 from flowguard.spec_model import emits, path_under_root
 from test_havoc import broken_next
 from conftest import shipped
@@ -323,3 +326,57 @@ def test_sweep_at_depth_5000_does_not_recurse(tmp_path):
     assert main(["sweep", "--flow", str(path), "--depth", "5000", "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert (report["sequences"], report["visited_states"]) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# check's sweep row, judged on the exploration
+
+
+def check_run(c, alphabet, depth, next_fn) -> CheckRun:
+    """A ``CheckRun`` of the machine ``next_fn``, which a run reads from
+    ``refinement`` when it is built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refinement, "impl_next", next_fn)
+        return CheckRun(c, alphabet, depth)
+
+
+def assert_check_row_is_the_walks(c, alphabet, depth, next_fn):
+    """``check``'s ``havoc_sweep`` row on a ``CheckRun`` of ``next_fn``
+    equals the row built from ``havoc.sweep``, and a certified pass never
+    meets a failing walk."""
+    run = check_run(c, alphabet, depth, next_fn)
+    walk = sweep(c, alphabet, depth, next_fn=next_fn)
+    row = {"name": "havoc_sweep", "status": "pass" if walk.passed else "fail", **_sweep_fields(walk)}
+    assert _havoc_sweep_row(run) == row
+    assert walk.passed or not run.sweep_certified
+
+
+@pytest.mark.parametrize("stutter", STUTTERS)
+@pytest.mark.parametrize("machine", MACHINES)
+@settings(max_examples=25, deadline=None)
+@given(
+    c=flow_constants(max_steps=st.integers(0, 3)),
+    alphabet=st.lists(st.one_of(*FITTING.values()), min_size=1, max_size=4, unique=True),
+)
+def test_check_sweep_row_matches_the_walk_on_random_flows(machine, stutter, c, alphabet):
+    """At every depth from 0 to ``max_steps`` + 2, past the closure of the
+    reachable graph."""
+    next_fn = STUTTERS[stutter](MACHINES[machine])
+    for depth in range(c.spec.max_steps + 3):
+        assert_check_row_is_the_walks(c, tuple(alphabet), depth, next_fn)
+
+
+@pytest.mark.parametrize("stutter", STUTTERS)
+@pytest.mark.parametrize("machine", MACHINES)
+def test_check_sweep_row_matches_the_walk_on_shipped_flows(machine, stutter):
+    """At every depth from 0 to ``max_steps`` + 1. On read_agent at that
+    depth, ``impl_next`` is certified and every broken machine is not, so
+    both branches of the row are compared."""
+    next_fn = STUTTERS[stutter](MACHINES[machine])
+    for fx in SHIPPED.values():
+        c = fx.impl_constants
+        for depth in range(c.spec.max_steps + 2):
+            assert_check_row_is_the_walks(c, fx.alphabet, depth, next_fn)
+    fx = SHIPPED["read_agent"]
+    run = check_run(fx.impl_constants, fx.alphabet, fx.constants.max_steps + 1, next_fn)
+    assert run.sweep_certified is (machine == "impl_next")
