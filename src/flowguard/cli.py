@@ -18,7 +18,7 @@ import sys
 
 from .actions import parse_action
 from .flowfile import FlowDefinition, FlowFileError, flow_digest, load_flow
-from .gates import SEEDED_ERRORS, GateReport, run_gates, step_bound_floor_note
+from .gates import SEEDED_ERRORS, GateReport, no_effect_note, run_gates, step_bound_floor_note
 from .havoc import AdversarialOracle, ScriptedOracle, SeededRandomOracle, drive, sweep
 from .refinement import Bundle, CheckRun, obligations
 from .spec_model import emits
@@ -57,6 +57,23 @@ def _sweep_fields(verdict) -> dict:
     if verdict.violation:
         fields.update(violating_script=list(verdict.violation.script), detail=verdict.violation.detail)
     return fields
+
+
+def _refuse_unwritable_script_count(n: int, depth: int) -> None:
+    """Refuse a depth whose script count ``n ** depth`` has more digits
+    than ``sys.get_int_max_str_digits()`` (0: no limit) lets the report
+    write. The count lies in ``[2 ** (bits - depth), 2 ** bits)``; it is
+    built and compared with ``10 ** limit`` only when that range
+    straddles ``[8 ** limit, 16 ** limit]``."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = n.bit_length() * depth
+    if limit == 0 or bits <= 3 * limit:
+        return
+    if bits - depth > 4 * limit or n**depth >= 10**limit:
+        raise ValueError(
+            f"depth {depth} refused: the script count {n}^{depth} has more than {limit} digits, "
+            "the most sys.get_int_max_str_digits() lets a report write"
+        )
 
 
 def _havoc_sweep_row(run: CheckRun) -> dict:
@@ -125,7 +142,7 @@ def cmd_check(args) -> int:
     defn = load_flow(args.flow)
     c = defn.impl_constants
     bundle = SEEDED_ERRORS[args.mutation](Bundle()) if args.mutation is not None else Bundle()
-
+    _refuse_unwritable_script_count(len(defn.alphabet), args.depth)
     run = CheckRun(c, defn.alphabet, args.depth)
     rows = [
         {
@@ -142,8 +159,8 @@ def cmd_check(args) -> int:
         warnings.append("depth 0: step obligations were not exercised")
     if note := step_bound_floor_note(c, args.depth):
         warnings.append(f"{note}, so a step-bound error passes this check")
-    if c.spec.max_steps == 0:
-        warnings.append("max_steps 0: no action can take effect, so every run stutters")
+    if note := no_effect_note(c):
+        warnings.append(note)
 
     ok = all(row["status"] == "pass" for row in rows)
     _report(
@@ -199,6 +216,7 @@ def cmd_gates(args) -> int:
 
 def cmd_sweep(args) -> int:
     defn = load_flow(args.flow)
+    _refuse_unwritable_script_count(len(defn.alphabet), args.depth)
     verdict = sweep(defn.impl_constants, defn.alphabet, args.depth)
     _report(
         args,
@@ -236,12 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, depth: bool = False, out: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *, depth: str = "", out: bool = True) -> None:
+        """``depth``: the help text of the command's ``--depth``, if it has one."""
         p.add_argument("--flow", required=True, help="flow-definition file (JSON)")
         if out:
             p.add_argument("--out", default=None, help="write the report/log here instead of stdout")
         if depth:
-            p.add_argument("--depth", type=int, default=6, help="exploration depth (default 6)")
+            p.add_argument("--depth", type=int, default=6, help=depth)
+
+    depth_help = "exploration depth (default 6)"
+    counted_depth_help = f"{depth_help}; refused if |alphabet|^depth has more digits than sys.get_int_max_str_digits()"
 
     p_run = sub.add_parser("run", help="drive the contained machine and write a trace log")
     common(p_run)
@@ -256,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_check = sub.add_parser("check", help="run the refinement and safety obligations plus a havoc sweep")
-    common(p_check, depth=True)
+    common(p_check, depth=counted_depth_help)
     p_check.add_argument(
         "--mutation",
         default=None,
@@ -266,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_gates = sub.add_parser("gates", help="run the validation gates and the template-fitness audit")
-    common(p_gates, depth=True)
+    common(p_gates, depth=depth_help)
     p_gates.set_defaults(fn=cmd_gates)
 
     p_sweep = sub.add_parser("sweep", help="exhaustively drive every action sequence of the given length")
-    common(p_sweep, depth=True)
+    common(p_sweep, depth=counted_depth_help)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_replay = sub.add_parser("replay", help="re-run a trace log and verify the event column byte-exactly")

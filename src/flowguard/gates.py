@@ -118,6 +118,12 @@ def step_bound_floor_note(c: ImplConstants, depth: int) -> str | None:
     )
 
 
+def no_effect_note(c: ImplConstants) -> str | None:
+    """Why no check on ``c`` can see a step take effect, or None when one
+    can: a step budget of 0 rejects every action."""
+    return "max_steps 0: no action can take effect, so every run stutters" if c.spec.max_steps == 0 else None
+
+
 # ---------------------------------------------------------------------------
 # Gates
 
@@ -239,7 +245,9 @@ def run_gates(flow_text: str | bytes, depth: int) -> GateReport:
 
     G1 judges ``flow_text`` as written; the other gates verify the very
     definition it loads, and share one ``CheckRun``. G3 judges every entry
-    of ``SEEDED_ERRORS``, in table order. A negative depth raises
+    of ``SEEDED_ERRORS``, in table order. On a flow with ``max_steps`` 0
+    the G2 and G3 details end with ``no_effect_note``, as their verdicts
+    then judge machines that never step. A negative depth raises
     ValueError before any gate runs.
     """
     if depth < 0:
@@ -261,6 +269,8 @@ def run_gates(flow_text: str | bytes, depth: int) -> GateReport:
         if "step-bound-off-by-one" in survivors and (note := step_bound_floor_note(c, depth)):
             detail += f"; {note}"
     g3 = Obligation("g3", not survivors, detail)
+    if note := no_effect_note(c):
+        g2, g3 = (v._replace(detail=f"{v.detail}; {note}") for v in (g2, g3))
 
     fitness = check_template_fitness(run, bundle)
     vacuous = [cf.name for cf in fitness if cf.status == "VACUOUS"]

@@ -11,9 +11,10 @@ prefix and one step call per prefix (n + n^2 + ... + n^d calls for n
 actions and depth d), which gives the verdict of replaying every script
 from init as long as the step function is deterministic. ``flowguard
 sweep`` runs this walk, the reference; ``flowguard check`` judges the same
-verdict on its ``refinement.CheckRun``'s reachable layers, at one step
-call per (state, action) pair, and walks only when that judgement fails,
-to name the first violating script.
+verdict on its ``refinement.CheckRun``'s reachable layers, stepping each
+of their (state, action) pairs twice (once to explore, once to judge),
+and walks only when that judgement fails, to name the first violating
+script.
 """
 
 from __future__ import annotations

@@ -56,12 +56,13 @@ candidate states, and a safety-preservation verdict per distinct
 abstract relation and safety predicate. A seeded error replaces one field
 of the bundle and leaves the machine, alphabet and depth as they were, so
 one run serves the unmutated bundle, every mutant and the fitness audit.
-The same exploration judges ``flowguard check``'s havoc sweep: a
+The same layers certify ``flowguard check``'s havoc sweep: a
 deterministic machine's verdict over every script of length d depends
 only on the (state, action) pairs reachable within d - 1 steps, which
-the layers hold, so each pair is stepped once rather than once per script
-prefix. ``havoc.sweep`` still drives every script; it is the reference,
-and ``check`` falls back on it to name a violating script.
+the layers hold, so each pair is stepped twice (once to explore, once to
+judge) rather than once per script prefix. ``havoc.sweep`` still drives
+every script; it is the reference, and ``check`` falls back on it to
+name a violating script.
 
 A trace-level soundness check composes the same ingredients in three
 stages: lift the concrete trace to an abstract run by replaying actions
@@ -207,12 +208,12 @@ class CheckRun:
     """The work that every bundle checked on one concrete machine, alphabet
     and depth shares: the reachable layers, the step obligations'
     candidate states, the safety-preservation verdict of each distinct
-    (next_relation, safety) pair, and the havoc sweep's verdict judged on
-    the same exploration. Each is computed when first needed. Keying the
-    preservation verdicts by ``id`` is sound because the cache keeps its
-    keys alive. Successor states and abstract steps are not kept across
-    bundles: holding them costs more memory than recomputing them costs
-    time.
+    (next_relation, safety) pair, and the havoc sweep's verdict, judged
+    on the layers by stepping their pairs again. Each is computed when
+    first needed. Keying the preservation verdicts by ``id`` is sound
+    because the cache keeps its keys alive. Successor states and abstract
+    steps are not kept across bundles: holding them costs more memory
+    than recomputing them costs time.
 
     The machine is the step function ``next_fn``, which every exploration
     of the run calls: this module's binding of ``impl_next``, read when the
@@ -228,42 +229,29 @@ class CheckRun:
         self._preserved: dict[tuple, Obligation] = {}
 
     @cached_property
-    def _explored(self) -> tuple[list[list[ImplState]], bool]:
-        """The reachable layers, and whether ``emits`` admits every event
-        that finding them stepped: every step the search takes is out of
-        ``layers[:depth]``, and each is judged as it is taken. ``STUTTER``
-        is skipped, as its ``NoEffect`` is always offered."""
-        next_fn, spec, strays = self.next_fn, self.c.spec, []
-
-        def judged_next(c: ImplConstants, s: ImplState, a: Action) -> tuple:
-            successors = next_fn(c, s, a)
-            for e, _ in successors:
-                if e is not STUTTER and not emits(spec, s, a, e.effect):
-                    strays.append(e)
-            return successors
-
-        return reachable_layers(self.c, self.alphabet, self.depth, judged_next), not strays
-
-    @property
     def layers(self) -> list[list[ImplState]]:
-        return self._explored[0]
+        return reachable_layers(self.c, self.alphabet, self.depth, self.next_fn)
 
     @cached_property
     def sweep_certified(self) -> bool:
         """Whether ``havoc.sweep`` at this depth passes, judged on the
-        reachable layers rather than per script: every event stepped out
-        of ``layers[:depth]`` is one ``emits`` admits, and every layer
-        state, init included, satisfies ``impl_safety`` and ``impl_inv``.
-        A state heads a script prefix shorter than ``depth`` exactly when
-        it is in ``layers[:depth]``, so these are the sweep's (state,
-        action) pairs and a superset of its states: for a deterministic
-        ``next_fn`` and state checks that are functions of the state, True
-        implies the sweep's pass. False does not imply its failure (the
-        sweep judges init only once a step reaches it), so a caller then
-        runs the sweep."""
-        layers, in_policy = self._explored
-        c = self.c
-        return in_policy and all(impl_safety(c, s) and impl_inv(c, s) for layer in layers for s in layer)
+        reachable layers rather than per script: stepped once more with
+        ``next_fn``, every (state, action) pair out of ``layers[:depth]``
+        emits an event ``emits`` admits (``STUTTER``'s ``NoEffect`` is
+        always offered), and every layer state, init included, satisfies
+        ``impl_safety`` and ``impl_inv``. A state heads a script prefix
+        shorter than ``depth`` exactly when it is in ``layers[:depth]``,
+        so these are the sweep's (state, action) pairs and a superset of
+        its states: for a deterministic ``next_fn`` and state checks that
+        are functions of the state, True implies the sweep's pass. False
+        does not imply its failure (the sweep judges init only once a step
+        reaches it), so a caller then runs the sweep."""
+        c, spec, layers = self.c, self.c.spec, self.layers
+        pairs = ((s, a) for layer in layers[: self.depth] for s in layer for a in self.alphabet)
+        steps = ((s, a, e) for s, a in pairs for e, _ in self.next_fn(c, s, a))
+        return all(e is STUTTER or emits(spec, s, a, e.effect) for s, a, e in steps) and all(
+            impl_safety(c, s) and impl_inv(c, s) for layer in layers for s in layer
+        )
 
     @cached_property
     def candidates(self) -> tuple[ImplState, ...]:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,23 @@ def test_check_warns_that_no_action_takes_effect_at_max_steps_zero(tmp_path, cap
     assert json.loads(capsys.readouterr().out)["warnings"] == [
         "max_steps 0: no action can take effect, so every run stutters"
     ]
+
+
+def test_gates_say_why_g2_passes_and_g3_fails_at_max_steps_zero(tmp_path, capsys):
+    """On the flow of the test above, G2 passes only because no step
+    takes effect, and three mutants survive for the same reason; both
+    details end with ``check``'s warning."""
+    defn = shipped("read_agent")
+    flow = tmp_path / "zero.json"
+    flow.write_text(serialize_flow(defn._replace(constants=defn.constants._replace(max_steps=0))), encoding="utf-8")
+    assert main(["gates", "--flow", str(flow), "--depth", "4"]) == 1
+    gates = json.loads(capsys.readouterr().out)["gates"]
+    why = "; max_steps 0: no action can take effect, so every run stutters"
+    assert (gates["g2"]["status"], gates["g2"]["detail"]) == ("pass", "permissive stub failed at inv_inductive" + why)
+    assert (gates["g3"]["status"], gates["g3"]["detail"]) == (
+        "fail",
+        "surviving mutants: drop-allowlist-guard, event-to-noeffect, drop-history-clause" + why,
+    )
 
 
 @pytest.mark.parametrize("depth, exit_code", [(3, 0), (4, 1)])
@@ -667,6 +685,51 @@ def test_gates_below_the_step_bound_names_the_depth_floor(flow_file, capsys, mon
 def test_negative_depth_exits_two(flow_file, capsys, command):
     assert main([command, "--flow", flow_file, "--depth", "-1"]) == 2
     assert "depth must be >= 0" in capsys.readouterr().err
+
+@pytest.fixture
+def int_digits():
+    """The interpreter's default limit on the digits of an int written as
+    text, set for the test and restored after it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+def test_a_depth_whose_script_count_cannot_be_written_exits_two(flow_file, capsys, int_digits, command):
+    """The report of ``check`` and ``sweep`` writes the script count
+    6^depth, which at depth 6000 has 4,669 digits: the depth is refused
+    before anything is explored or walked, whereas ``sweep`` would walk
+    its scripts forever."""
+    start = time.perf_counter()
+    assert main([command, "--flow", flow_file, "--depth", "6000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "",
+        "error: depth 6000 refused: the script count 6^6000 has more than 4300 digits, "
+        "the most sys.get_int_max_str_digits() lets a report write\n",
+    )
+
+
+def test_check_writes_a_script_count_up_to_the_digit_limit(flow_file, tmp_path, capsys, int_digits):
+    """6^4000 has 3,113 digits, and is written; on a flow of ten actions
+    10^4299, of 4,300 digits, is written and 10^4300 refused. ``gates``
+    writes no script count, so it takes any depth."""
+    out = tmp_path / "report.json"
+    assert main(["check", "--flow", flow_file, "--depth", "4000", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["obligations"][-1]["sequences"] == 6**4000
+    defn = shipped("read_agent")
+    extra = tuple(ReadPathAction(f"/ws/{i}") for i in range(10 - len(defn.alphabet)))
+    ten = tmp_path / "ten.json"
+    ten.write_text(serialize_flow(defn._replace(alphabet=defn.alphabet + extra)), encoding="utf-8")
+    assert main(["check", "--flow", str(ten), "--depth", "4299", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["obligations"][-1]["sequences"] == 10**4299
+    for command in ("check", "sweep"):
+        assert main([command, "--flow", str(ten), "--depth", "4300", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: depth 4300 refused: the script count 10^4300 ")
+    assert main(["gates", "--flow", flow_file, "--depth", "6000", "--out", str(out)]) == 0
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -10,16 +10,17 @@ counter, as the benchmark's tracer does:
   fitness, ``havoc``'s for ``run``, ``tracelog``'s for ``replay``;
 - ``spec_next``: ``refinement``'s for the shipped bundle and ``gates``'s
   for the seeded errors;
-- ``emits``: ``cli``'s for ``run``.
+- ``emits``: ``cli``'s for ``run``, ``refinement``'s for ``check``'s
+  sweep certificate.
 
-``check`` judges its havoc sweep on its ``CheckRun``'s exploration, which
-steps through ``refinement``'s binding, so those calls are counted with
-the obligations'. It calls ``havoc.sweep`` only when that judgement does
-not pass. The ``sweep`` command steps through the ``next_fn`` default,
-bound when ``havoc`` is imported, so ``cli.sweep`` is replaced by one
-that passes a counting ``next_fn``, as the benchmark tracer's
-``_sweep_wrapper`` does. Its count still grows as |alphabet|^depth
-(ROADMAP.md items 6 and 14).
+``check`` judges its havoc sweep on its ``CheckRun``'s reachable layers,
+stepping each of their pairs again through ``refinement``'s binding, so
+those calls are counted with the obligations'. It calls ``havoc.sweep``
+only when that judgement does not pass. The ``sweep`` command steps
+through the ``next_fn`` default, bound when ``havoc`` is imported, so
+``cli.sweep`` is replaced by one that passes a counting ``next_fn``, as
+the benchmark tracer's ``_sweep_wrapper`` does. Its count still grows
+as |alphabet|^depth (ROADMAP.md items 6 and 14).
 """
 
 import json
@@ -45,7 +46,7 @@ SHIPPED = ("read_agent", "rag_barrier", "rag_no_barrier")
 BINDINGS = (
     (impl_next, (refinement, havoc, tracelog)),
     (spec_next, (refinement, gates)),
-    (emits, (cli,)),
+    (emits, (cli, refinement)),
 )
 
 
@@ -121,8 +122,9 @@ def assert_no_more_work_past_closure(flow: FlowDefinition, path: str, calls, swe
     """``check`` and ``gates`` make as many calls of each step function at
     depth ``max_steps + 3`` as at ``max_steps + 1``, and ``check`` at most
     four ``impl_next`` calls per (candidate state, action) pair: one for
-    each step obligation, and one to find the reachable layers, on which
-    it also judges its havoc sweep. Neither command calls ``havoc.sweep``."""
+    each step obligation, and, from the reachable states among the
+    candidates only, one to find the reachable layers and one to judge
+    its havoc sweep on them. Neither command calls ``havoc.sweep``."""
     m = flow.constants.max_steps
     for command in ("check", "gates"):
         at = {d: counted(calls, [command, "--flow", path, "--depth", str(d), "--out", out]) for d in (m + 1, m + 3)}
@@ -152,6 +154,22 @@ def test_synthetic_flows_do_no_more_work_past_closure(kinds, max_steps, cyclic, 
     path = tmp_path / "flow.json"
     path.write_text(serialize_flow(flow), encoding="utf-8")
     assert_no_more_work_past_closure(flow, str(path), calls, sweep_steps, str(tmp_path / "report.json"))
+
+
+def test_gates_judge_no_emitted_event(calls, tmp_path, capsys):
+    """The gates read ``CheckRun``'s layers and never its sweep
+    certificate, so on every shipped and synthetic flow they make no
+    ``emits`` call, where ``check`` makes some."""
+    paths = [str(FLOWS / f"{name}.json") for name in SHIPPED]
+    for kinds, max_steps, cyclic in SYNTHETIC:
+        path = tmp_path / f"{kinds}.json"
+        path.write_text(serialize_flow(synthetic_flow(kinds, max_steps, cyclic)), encoding="utf-8")
+        paths.append(str(path))
+    for path in paths:
+        argv = ["--flow", path, "--depth", "6", "--out", str(tmp_path / "report.json")]
+        ran = counted(calls, ["gates", *argv])
+        assert ran["emits"] == 0 and ran["impl_next"] > 0, (path, ran)
+        assert counted(calls, ["check", *argv])["emits"] > 0, path
 
 
 @pytest.mark.parametrize("name", SHIPPED)

@@ -269,7 +269,8 @@ def test_pipeline_on_a_flow_with_no_step_budget(agent_flow_text):
     """With ``max_steps`` 0 no action is ever effected, so the step-count
     conjunct's exemption from fitness does not hold: nothing moves the
     count, and both sequence conjuncts are VACUOUS. G3 fails too: only
-    the step-bound error, which admits the first step, is killed."""
+    the step-bound error, which admits the first step, is killed. G2 and
+    G3 say why."""
     doc = json.loads(agent_flow_text)
     doc["constants"]["max_steps"] = 0
     report = run_gates(json.dumps(doc), 4)
@@ -279,7 +280,9 @@ def test_pipeline_on_a_flow_with_no_step_budget(agent_flow_text):
     ]
     assert report.fitness_verdict == Obligation("fitness", False, "VACUOUS: ReadPathsRooted, ToolAllowlisted")
     survivors = "drop-allowlist-guard, event-to-noeffect, drop-history-clause"
-    assert report.g3 == Obligation("g3", False, f"surviving mutants: {survivors}")
+    why = "max_steps 0: no action can take effect, so every run stutters"
+    assert report.g2 == Obligation("g2", True, f"permissive stub failed at inv_inductive; {why}")
+    assert report.g3 == Obligation("g3", False, f"surviving mutants: {survivors}; {why}")
     assert report.failing_gates() == ("g3", "fitness")
 
 

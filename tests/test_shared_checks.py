@@ -199,6 +199,9 @@ def test_shared_gate_run_matches_unshared_verification(c, alphabet, depth, mutat
     g2, results = expected_gates(c, alphabet, depth, (*SEEDED_ERRORS, "default"))
     if g2 is None:
         assert not report.g2.passed and "configuration floor" in report.g2.detail
+    elif c.spec.max_steps == 0:  # the report says why no step takes effect
+        why = "; max_steps 0: no action can take effect, so every run stutters"
+        assert report.g2 == g2._replace(detail=g2.detail + why)
     else:
         assert report.g2 == g2
     assert list(report.mutants) == results[:-1]

@@ -342,13 +342,20 @@ def check_run(c, alphabet, depth, next_fn) -> CheckRun:
 
 def assert_check_row_is_the_walks(c, alphabet, depth, next_fn):
     """``check``'s ``havoc_sweep`` row on a ``CheckRun`` of ``next_fn``
-    equals the row built from ``havoc.sweep``, and a certified pass never
-    meets a failing walk."""
+    equals the row built from ``havoc.sweep``, and the certificate passes
+    exactly when the walk does, wherever init holds: the certificate
+    judges init itself, the walk only once a step reaches it. So it steps
+    no pair the walk does not, where a stray one would only cost a
+    fallback walk with the same bytes."""
     run = check_run(c, alphabet, depth, next_fn)
     walk = sweep(c, alphabet, depth, next_fn=next_fn)
     row = {"name": "havoc_sweep", "status": "pass" if walk.passed else "fail", **_sweep_fields(walk)}
     assert _havoc_sweep_row(run) == row
-    assert walk.passed or not run.sweep_certified
+    init = impl_init(c)
+    if impl_model.impl_safety(c, init) and impl_model.impl_inv(c, init):
+        assert run.sweep_certified == walk.passed
+    else:
+        assert not run.sweep_certified
 
 
 @pytest.mark.parametrize("stutter", STUTTERS)
